@@ -468,7 +468,7 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
              OldSites[P], nullptr, nullptr);
         Fused = true;
       } else if (NQ && NQ->O == Op::Dup && NR && NR->O == Op::Move &&
-                 NR->C == NQ->C && NR->B <= 0xffff && spanFree(P, R2)) {
+                 NR->C == NQ->C && spanFree(P, R2)) {
         // Copy, retain, copy: the second move reads the slot the dup
         // just retained (match binders feeding a recursive call window).
         fuse(R2, {Op::MoveDupMove, 0, X.B, X.C, NQ->C, NR->B}, OldSites[Q],

@@ -130,9 +130,8 @@ void VM::applyClosure(const Chunk *T, Cell *Clo, const Expr *CallSite,
                       Value *RF) {
   if (Sink)
     Sink->setSite(T->Lam, "app", CallSite->loc());
-  Value *Fields = Clo->fields();
   for (size_t I = 0; I != T->CaptureDst.size(); ++I) {
-    Value Cap = Fields[1 + I];
+    Value Cap = Clo->field(1 + I);
     ++Run->Rc.ImplicitDups;
     H.dup(Cap);
     RF[T->CaptureDst[I]] = Cap;
@@ -346,7 +345,7 @@ NextInstr:
       if (Matches) {
         const uint16_t *Binders = CP.BinderSlots.data() + Arm.BinderBase;
         for (uint32_t J = 0; J != Arm.NumBinders; ++J)
-          RF[Binders[J]] = V.Ref->fields()[J];
+          RF[Binders[J]] = V.Ref->field(J);
         Pc = Arm.Target;
         VM_NEXT();
       }
@@ -390,8 +389,7 @@ NextInstr:
     } else if (Callee.Kind == ValueKind::HeapRef &&
                Callee.Ref->H.Kind == CellKind::Closure) {
       Clo = Callee.Ref;
-      const auto *Lm =
-          static_cast<const LamExpr *>(Clo->fields()[0].rawPtr());
+      const auto *Lm = static_cast<const LamExpr *>(Clo->field(0).rawPtr());
       T = &LamTab[Lm->lamId()];
       if (T->NumParams != I.A)
         VM_TRAP("arity mismatch calling a closure", TrapKind::RuntimeError);
@@ -443,8 +441,7 @@ NextInstr:
     } else if (Callee.Kind == ValueKind::HeapRef &&
                Callee.Ref->H.Kind == CellKind::Closure) {
       Clo = Callee.Ref;
-      const auto *Lm =
-          static_cast<const LamExpr *>(Clo->fields()[0].rawPtr());
+      const auto *Lm = static_cast<const LamExpr *>(Clo->field(0).rawPtr());
       T = &LamTab[Lm->lamId()];
       if (T->NumParams != I.A)
         VM_TRAP("arity mismatch calling a closure", TrapKind::RuntimeError);
@@ -495,10 +492,9 @@ NextInstr:
       VM_TRAP("out of memory allocating a closure", TrapKind::OutOfMemory);
     VM_REFRAME(); // a GC-mode alloc may have collected, never resized;
                   // reframe anyway for uniformity
-    Value *Fields = C->fields();
-    Fields[0] = Value::makeRaw(LC->Lam);
-    for (size_t J = 0; J != NCaps; ++J)
-      Fields[1 + J] = RF[LC->CaptureSrc[J]]; // ownership moves in
+    C->setField(0, Value::makeRaw(LC->Lam));
+    for (size_t J = 0; J != NCaps; ++J) // ownership moves in
+      C->setField(1 + J, RF[LC->CaptureSrc[J]]);
     RF[I.B] = Value::makeRef(C);
     VM_NEXT();
   }
@@ -509,9 +505,8 @@ NextInstr:
     if (!C)
       VM_TRAP("out of memory allocating a constructor", TrapKind::OutOfMemory);
     VM_REFRAME();
-    Value *Fields = C->fields();
     for (uint32_t J = 0; J != I.A; ++J)
-      Fields[J] = RF[I.C + J];
+      C->setField(J, RF[I.C + J]);
     RF[I.B] = Value::makeRef(C);
     VM_NEXT();
   }
@@ -543,9 +538,8 @@ NextInstr:
                 TrapKind::OutOfMemory);
       VM_REFRAME();
     }
-    Value *Fields = C->fields();
     for (uint32_t J = 0; J != I.A; ++J)
-      Fields[J] = RF[I.C + J];
+      C->setField(J, RF[I.C + J]);
     RF[I.B] = Value::makeRef(C);
     VM_NEXT();
   }
@@ -640,7 +634,7 @@ NextInstr:
     Value Tok = RF[I.C];
     if (Tok.Kind != ValueKind::Token || !Tok.Tok)
       VM_TRAP("field assignment through a null token", TrapKind::RuntimeError);
-    Tok.Tok->fields()[I.A] = RF[I.D];
+    Tok.Tok->setField(I.A, RF[I.D]);
     VM_NEXT();
   }
   VM_CASE(TokenValue) {
@@ -813,7 +807,7 @@ NextInstr:
     if (!C)
       VM_TRAP("out of memory allocating a reference", TrapKind::OutOfMemory);
     VM_REFRAME();
-    C->fields()[0] = RF[I.C];
+    C->setField(0, RF[I.C]);
     RF[I.B] = Value::makeRef(C);
     VM_NEXT();
   }
@@ -821,7 +815,7 @@ NextInstr:
     Value Rv = RF[I.C];
     if (Rv.Kind != ValueKind::HeapRef || Rv.Ref->H.Kind != CellKind::Ref)
       VM_TRAP("deref of a non-reference", TrapKind::RuntimeError);
-    Value Out = Rv.Ref->fields()[0];
+    Value Out = Rv.Ref->field(0);
     // The paper's read: dup the content, then release the handle.
     if (Sink)
       Sink->setSite(Sites[Pc - 1], "ref-get", Sites[Pc - 1]->loc());
@@ -836,8 +830,8 @@ NextInstr:
     Value Rv = RF[I.C];
     if (Rv.Kind != ValueKind::HeapRef || Rv.Ref->H.Kind != CellKind::Ref)
       VM_TRAP("set-ref of a non-reference", TrapKind::RuntimeError);
-    Value Old = Rv.Ref->fields()[0];
-    Rv.Ref->fields()[0] = RF[I.D]; // content ownership moves in
+    Value Old = Rv.Ref->field(0);
+    Rv.Ref->setField(0, RF[I.D]); // content ownership moves in
     if (Sink)
       Sink->setSite(Sites[Pc - 1], "ref-set", Sites[Pc - 1]->loc());
     R.Rc.ImplicitDrops += 2;
@@ -971,8 +965,7 @@ NextInstr:
     } else if (Callee.Kind == ValueKind::HeapRef &&
                Callee.Ref->H.Kind == CellKind::Closure) {
       Clo = Callee.Ref;
-      const auto *Lm =
-          static_cast<const LamExpr *>(Clo->fields()[0].rawPtr());
+      const auto *Lm = static_cast<const LamExpr *>(Clo->field(0).rawPtr());
       T = &LamTab[Lm->lamId()];
       if (T->NumParams != I.A)
         VM_TRAP("arity mismatch calling a closure", TrapKind::RuntimeError);
@@ -1017,7 +1010,7 @@ NextInstr:
     if (Tok.Kind != ValueKind::Token || !Tok.Tok)
       VM_TRAP("field assignment through a null token", TrapKind::RuntimeError);
     Cell *C = Tok.Tok;
-    C->fields()[I.A] = RF[I.D];
+    C->setField(I.A, RF[I.D]);
     C->H.Tag = static_cast<uint8_t>(I.E);
     C->H.Kind = CellKind::Ctor;
     ++R.ReuseHits;
@@ -1529,9 +1522,8 @@ NextInstr:
     if (!C)
       VM_TRAP("out of memory allocating a constructor", TrapKind::OutOfMemory);
     VM_REFRAME();
-    Value *Fields = C->fields();
     for (uint32_t J = 0; J != I.A; ++J)
-      Fields[J] = RF[I.C + J];
+      C->setField(J, RF[I.C + J]);
     Value V = Value::makeRef(C);
     RF[I.B] = V; // kept live for a clean unwind should the pop not happen
     if (Frames.empty()) {

@@ -186,10 +186,9 @@ bool Machine::step() {
         trap("out of memory allocating a closure", TrapKind::OutOfMemory);
         return false;
       }
-      Value *Fields = C->fields();
-      Fields[0] = Value::makeRaw(L);
-      for (size_t I = 0; I != NCaps; ++I)
-        Fields[1 + I] = local(List[I]); // ownership moves into the closure
+      C->setField(0, Value::makeRaw(L));
+      for (size_t I = 0; I != NCaps; ++I) // ownership moves into the closure
+        C->setField(1 + I, local(List[I]));
       Result = Value::makeRef(C);
       Code = nullptr;
       return true;
@@ -312,7 +311,7 @@ bool Machine::step() {
         }
         if (Matches) {
           for (size_t I = 0; I != Arm.Binders.size(); ++I)
-            Locals[CurBase + Binders[Offset + I]] = V.Ref->fields()[I];
+            Locals[CurBase + Binders[Offset + I]] = V.Ref->field(I);
           Code = Arm.Body;
           return true;
         }
@@ -532,7 +531,7 @@ bool Machine::step() {
       trap("field assignment through a null token");
       return false;
     }
-    Tok.Tok->fields()[S->index()] = Result;
+    Tok.Tok->setField(S->index(), Result);
     Code = S->rest();
     return true;
   }
@@ -613,7 +612,7 @@ void Machine::doCall(size_t OperandBase, SourceLoc Loc) {
   } else if (Callee.Kind == ValueKind::HeapRef &&
              Callee.Ref->H.Kind == CellKind::Closure) {
     Closure = Callee.Ref;
-    Lam = static_cast<const LamExpr *>(Closure->fields()[0].rawPtr());
+    Lam = static_cast<const LamExpr *>(Closure->field(0).rawPtr());
     if (Lam->params().size() != NArgs) {
       trap("arity mismatch calling a closure");
       return;
@@ -670,9 +669,8 @@ void Machine::doCall(size_t OperandBase, SourceLoc Loc) {
     const std::vector<uint32_t> &List = Layout.SlotLists[Lam->layoutA()];
     size_t NCaps = Lam->captures().size();
     const uint32_t *Targets = List.data() + NCaps;
-    Value *Fields = Closure->fields();
     for (size_t I = 0; I != NCaps; ++I) {
-      Value Cap = Fields[1 + I];
+      Value Cap = Closure->field(1 + I);
       ++Run->Rc.ImplicitDups;
       H.dup(Cap);
       Locals[NewBase + Targets[I]] = Cap;
@@ -718,9 +716,8 @@ void Machine::finishCon(const ConExpr *C, size_t OperandBase) {
       return;
     }
   }
-  Value *Fields = Cl->fields();
   for (uint32_t I = 0; I != D.Arity; ++I)
-    Fields[I] = Operands[OperandBase + I];
+    Cl->setField(I, Operands[OperandBase + I]);
   Operands.resize(OperandBase);
   Result = Value::makeRef(Cl);
   Code = nullptr;
@@ -892,7 +889,7 @@ void Machine::finishPrim(const PrimExpr *Pr, size_t OperandBase) {
       trap("out of memory allocating a reference", TrapKind::OutOfMemory);
       return;
     }
-    C->fields()[0] = arg(0);
+    C->setField(0, arg(0));
     Out = Value::makeRef(C);
     break;
   }
@@ -902,7 +899,7 @@ void Machine::finishPrim(const PrimExpr *Pr, size_t OperandBase) {
       trap("deref of a non-reference");
       return;
     }
-    Out = R.Ref->fields()[0];
+    Out = R.Ref->field(0);
     // The paper's read: dup the content, then release the handle. (Our
     // machine is single-threaded; Section 2.7.3's dup/write race needs
     // the atomic path only under concurrent mutation.)
@@ -920,8 +917,8 @@ void Machine::finishPrim(const PrimExpr *Pr, size_t OperandBase) {
       trap("set-ref of a non-reference");
       return;
     }
-    Value Old = R.Ref->fields()[0];
-    R.Ref->fields()[0] = arg(1); // content ownership moves in
+    Value Old = R.Ref->field(0);
+    R.Ref->setField(0, arg(1)); // content ownership moves in
     if (Sink)
       Sink->setSite(Pr, "ref-set", Pr->loc());
     Run->Rc.ImplicitDrops += 2;

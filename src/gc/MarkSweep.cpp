@@ -25,9 +25,8 @@ void perceus::collectMarkSweep(Heap &H, const RootEnumerator &Roots) {
   while (!Work.empty()) {
     Cell *C = Work.back();
     Work.pop_back();
-    Value *Fields = C->fields();
     for (uint32_t I = 0; I != C->H.Arity; ++I) {
-      Value V = Fields[I];
+      Value V = C->field(I);
       if (V.isHeap() && !V.Ref->H.GcMark) {
         V.Ref->H.GcMark = 1;
         Work.push_back(V.Ref);

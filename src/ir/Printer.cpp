@@ -455,8 +455,10 @@ std::string perceus::printProgram(const Program &P) {
       First = false;
       const CtorDecl &Ctor = P.ctor(C);
       Out += std::string(P.symbols().name(Ctor.Name));
-      if (Ctor.Arity != 0)
-        Out += "/" + std::to_string(Ctor.Arity);
+      if (Ctor.Arity != 0) {
+        Out += '/';
+        Out += std::to_string(Ctor.Arity);
+      }
     }
     Out += " }\n";
   }

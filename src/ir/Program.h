@@ -25,6 +25,14 @@
 
 namespace perceus {
 
+/// Width limits of the runtime encodings, which the resolver enforces:
+/// a cell header stores a cell's arity and constructor tag in one byte
+/// each, and a bytecode instruction stores a call's argument count in
+/// one byte.
+constexpr uint32_t MaxCellFields = 255; ///< constructor fields; captures + 1
+constexpr uint32_t MaxTypeCtors = 256;  ///< constructors of one type
+constexpr uint32_t MaxCallArgs = 255;   ///< parameters; call arguments
+
 /// One constructor of an algebraic data type.
 ///
 /// Nullary constructors (like `Nil`, `Red`, `Black`) are *enum-like*: they

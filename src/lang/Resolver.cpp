@@ -44,12 +44,16 @@ private:
         continue;
       }
       uint32_t DataId = P.addData(TypeName);
+      overLimit(T.Loc, T.Ctors.size(), MaxTypeCtors, "type '" + T.Name + "'",
+                "constructors");
       for (const SCtorDecl &C : T.Ctors) {
         Symbol CtorName = P.symbols().intern(C.Name);
         if (P.findCtor(CtorName) != InvalidId) {
           Diags.error(C.Loc, "duplicate constructor '" + C.Name + "'");
           continue;
         }
+        overLimit(C.Loc, C.Fields.size(), MaxCellFields,
+                  "constructor '" + C.Name + "'", "fields");
         std::vector<Symbol> Fields;
         for (const std::string &F : C.Fields)
           Fields.push_back(P.symbols().intern(F));
@@ -66,6 +70,8 @@ private:
         Diags.error(F.Loc, "duplicate function '" + F.Name + "'");
         continue;
       }
+      overLimit(F.Loc, F.Params.size(), MaxCallArgs,
+                "function '" + F.Name + "'", "parameters");
       std::vector<Symbol> Params;
       std::unordered_set<std::string> Seen;
       for (const std::string &Pm : F.Params) {
@@ -75,6 +81,18 @@ private:
       }
       P.addFunction(Name, std::move(Params));
     }
+  }
+
+  /// Reports \p What having \p N \p Items when the runtime encodes at
+  /// most \p Max of them (the limits in ir/Program.h). Returns true then.
+  bool overLimit(SourceLoc Loc, size_t N, uint32_t Max,
+                 const std::string &What, const char *Items) {
+    if (N <= Max)
+      return false;
+    Diags.error(Loc, What + " has " + std::to_string(N) + " " + Items +
+                         "; at most " + std::to_string(Max) +
+                         " are supported");
+    return true;
   }
 
   //===--- Scope management -------------------------------------------------//
@@ -204,6 +222,8 @@ private:
   }
 
   const Expr *resolveCall(const SExpr &E) {
+    if (overLimit(E.Loc, E.Args.size(), MaxCallArgs, "call", "arguments"))
+      return B.unit(E.Loc);
     // Builtins take precedence unless shadowed by a local.
     if (E.A->Kind == SExpr::K::Var && !lookupLocal(E.A->Name)) {
       const std::string &Name = E.A->Name;
@@ -308,6 +328,8 @@ private:
   }
 
   const Expr *resolveLambda(const SExpr &E) {
+    if (overLimit(E.Loc, E.Params.size(), MaxCallArgs, "lambda", "parameters"))
+      return B.unit(E.Loc);
     std::vector<Symbol> Params;
     size_t Mark = scopeMark();
     for (const std::string &Pm : E.Params) {
@@ -324,6 +346,9 @@ private:
     for (Symbol Pm : Params)
       Free.erase(Pm);
     std::vector<Symbol> Captures(Free.begin(), Free.end());
+    // A closure cell holds the code pointer plus one field per capture.
+    overLimit(E.Loc, Captures.size(), MaxCellFields - 1, "lambda",
+              "captured variables");
     return B.lam(std::span<const Symbol>(Params.data(), Params.size()),
                  std::span<const Symbol>(Captures.data(), Captures.size()),
                  Body, E.Loc);

@@ -24,6 +24,8 @@ constexpr int32_t StickyRc = INT32_MIN;
 /// past INT32_MIN.
 constexpr int32_t StickyBandTop = INT32_MIN + (1 << 20);
 constexpr size_t SlabBytes = 256 * 1024;
+static_assert(Cell::allocSize(UINT8_MAX) <= SlabBytes,
+              "a cell of the widest header arity fits one slab");
 
 /// Direct-mapped coalescing-buffer index. Fibonacci hashing: cells are
 /// allocated at a constant stride (bump allocation of equal-size cells),
@@ -57,11 +59,10 @@ Cell *Heap::allocRaw(uint32_t Arity) {
   // pointer is UB (UBSan flags it); the subtraction below is only formed
   // once a slab exists.
   if (!SlabCur || size_t(SlabEnd - SlabCur) < Bytes) {
-    size_t Size = Bytes > SlabBytes ? Bytes : SlabBytes;
-    Slabs.push_back({std::make_unique<char[]>(Size), Size});
-    SlabBytesHeld += Size;
-    SlabCur = Slabs.back().Mem.get();
-    SlabEnd = SlabCur + Size;
+    Slabs.push_back(std::make_unique<char[]>(SlabBytes));
+    SlabBytesHeld += SlabBytes;
+    SlabCur = Slabs.back().get();
+    SlabEnd = SlabCur + SlabBytes;
   }
   Cell *C = reinterpret_cast<Cell *>(SlabCur);
   SlabCur += Bytes;
@@ -213,10 +214,9 @@ void Heap::drainDropWork() {
       // shared paths.
       Cell *Cur = SharedZero.back();
       SharedZero.pop_back();
-      Value *Fields = Cur->fields();
       for (uint32_t I = 0; I != Cur->H.Arity; ++I)
-        if (Fields[I].isHeap())
-          DropStack.push_back(Fields[I].Ref);
+        if (Value F = Cur->field(I); F.isHeap())
+          DropStack.push_back(F.Ref);
       if (SharedPool && !locallyShared(Cur))
         SharedPool->park(Cur);
       else
@@ -260,10 +260,9 @@ void Heap::drainDropWork() {
       Foreign = SharedPool && !locallyShared(Cur);
     }
     // Unique (or last shared reference): free, then drop the children.
-    Value *Fields = Cur->fields();
     for (uint32_t I = 0; I != Cur->H.Arity; ++I)
-      if (Fields[I].isHeap())
-        DropStack.push_back(Fields[I].Ref);
+      if (Value F = Cur->field(I); F.isHeap())
+        DropStack.push_back(F.Ref);
     if (Foreign)
       SharedPool->park(Cur);
     else
@@ -426,10 +425,9 @@ void Heap::markShared(Value V) {
     // foreign-cell pool.
     if (SharedPool)
       LocallyShared.insert(C);
-    Value *Fields = C->fields();
     for (uint32_t I = 0; I != C->H.Arity; ++I)
-      if (Fields[I].isHeap())
-        Work.push_back(Fields[I].Ref);
+      if (Value F = C->field(I); F.isHeap())
+        Work.push_back(F.Ref);
   }
 }
 
@@ -438,9 +436,8 @@ void Heap::freeMemoryOnly(Cell *C) {
 }
 
 void Heap::dropChildren(Cell *C) {
-  Value *Fields = C->fields();
   for (uint32_t I = 0; I != C->H.Arity; ++I)
-    drop(Fields[I]);
+    drop(C->field(I));
 }
 
 void Heap::resetGcThreshold() {
@@ -459,8 +456,9 @@ size_t Heap::reclaim(const std::vector<Value> &Roots) {
   // elsewhere, or to cells already freed. The former are deduplicated
   // with the GcMark bit; the latter are skipped via the rc == 0 freed
   // marker, which release() maintains and whose header stays intact
-  // because the free-list link lives past it. Reference counts are
-  // otherwise ignored: at a trap, everything reachable is garbage.
+  // because the free-list link lives past it, in payload word 0.
+  // Reference counts are otherwise ignored: at a trap, everything
+  // reachable is garbage.
   std::vector<Cell *> Work;
   auto push = [&](Value V) {
     Cell *C = nullptr;
@@ -486,9 +484,8 @@ size_t Heap::reclaim(const std::vector<Value> &Roots) {
     push(V);
   for (size_t I = 0; I != Work.size(); ++I) {
     Cell *C = Work[I];
-    Value *Fields = C->fields();
     for (uint32_t F = 0; F != C->H.Arity; ++F)
-      push(Fields[F]);
+      push(C->field(F));
   }
   for (Cell *C : Work)
     release(C);
@@ -538,20 +535,15 @@ size_t Heap::trimRetained() {
   AllCells.clear();
   AllCells.shrink_to_fit();
   DropStack.shrink_to_fit();
-  // Keep one standard-size slab warm so the next run's first allocation
-  // doesn't pay a fresh OS allocation; the bump pointer restarts at its
-  // base (every cell in it is free — the heap is empty).
-  std::unique_ptr<char[]> Warm;
-  for (Slab &S : Slabs)
-    if (!Warm && S.Size == SlabBytes)
-      Warm = std::move(S.Mem);
-  Slabs.clear();
+  // Keep one slab warm so the next run's first allocation doesn't pay a
+  // fresh OS allocation; the bump pointer restarts at its base (every
+  // cell in it is free — the heap is empty).
   SlabCur = SlabEnd = nullptr;
   SlabBytesHeld = 0;
-  if (Warm) {
-    Slabs.push_back({std::move(Warm), SlabBytes});
+  if (!Slabs.empty()) {
+    Slabs.resize(1);
     SlabBytesHeld = SlabBytes;
-    SlabCur = Slabs.back().Mem.get();
+    SlabCur = Slabs.back().get();
     SlabEnd = SlabCur + SlabBytes;
   }
   return Before - SlabBytesHeld;

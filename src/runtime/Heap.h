@@ -89,7 +89,7 @@ struct HeapStats {
   uint64_t FailedAllocs = 0;  ///< allocations refused by the governor
   uint64_t EmergencyCollections = 0; ///< GC runs forced by a limit
   uint64_t UnwindFrees = 0;   ///< cells reclaimed by trap unwinding
-  size_t LiveBytes = 0;       ///< currently allocated cell bytes (rounded)
+  size_t LiveBytes = 0;       ///< allocated bytes (Cell::allocSize each)
   size_t PeakBytes = 0;       ///< high-water mark of LiveBytes
   uint64_t LiveCells = 0;     ///< currently allocated cells
 };
@@ -335,7 +335,7 @@ public:
 
   /// Releases retained memory back to the OS. Only an empty heap can
   /// trim (live cells pin their slabs; returns 0 otherwise): the free
-  /// lists are dropped, every slab but one warm standard-size slab is
+  /// lists are dropped, every slab but one warm slab is
   /// released, and the bump pointer restarts in the kept slab. After a
   /// trim, retainedBytes() is bounded by one slab regardless of the
   /// previous peak — the long-lived-service contract (a peaky request
@@ -383,7 +383,7 @@ private:
 
   /// Free cells keep their header intact (rc == 0 marks them free, and
   /// the arity stays readable for the unwind walk); the free-list link
-  /// lives in the first field slot — the shared cellFreeLink slot the
+  /// lives in payload word 0 — the shared cellFreeLink word the
   /// SharedCellPool's Treiber shards also use (a cell is on at most one
   /// list at a time).
   static Cell *&freeListNext(Cell *C) { return cellFreeLink(C); }
@@ -403,18 +403,13 @@ private:
   /// the rare shared-free path; erased on release.
   std::unordered_set<const Cell *> LocallyShared;
 
-  // Bump-allocated slabs (size recorded so trimRetained can account
-  // for oversized single-cell slabs too).
-  struct Slab {
-    std::unique_ptr<char[]> Mem;
-    size_t Size;
-  };
-  std::vector<Slab> Slabs;
+  // Bump-allocated slabs, all of one size (the widest cell fits one).
+  std::vector<std::unique_ptr<char[]>> Slabs;
   char *SlabCur = nullptr;
   char *SlabEnd = nullptr;
   size_t SlabBytesHeld = 0;
 
-  // Per-arity free lists (the first word of a free cell is the next
+  // Per-arity free lists (payload word 0 of a free cell is the next
   // pointer).
   std::vector<Cell *> FreeLists;
 

@@ -15,10 +15,10 @@
 
 namespace perceus {
 
-// A freed cell must be able to carry the Treiber link in its first field
-// slot: the 16-byte allocation rounding guarantees the slot exists even
-// for arity-0 cells.
-static_assert(sizeof(CellHeader) + sizeof(Cell *) <= 16,
+// A freed cell must be able to carry the Treiber link in payload word 0:
+// the 16-byte minimum allocation guarantees the word exists even for
+// arity-0 cells.
+static_assert(sizeof(CellHeader) + sizeof(Cell *) <= Cell::allocSize(0),
               "free-link slot must fit the minimum cell allocation");
 
 } // namespace perceus

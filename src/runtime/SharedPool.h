@@ -124,8 +124,8 @@ private:
                 "shards must not share a cache line");
 
   Shard &shardFor(const Cell *C) {
-    // Cells are 16-byte aligned; mix the significant address bits.
-    auto Bits = reinterpret_cast<uintptr_t>(C) >> 4;
+    // Cells are 8-byte aligned; mix the significant address bits.
+    auto Bits = reinterpret_cast<uintptr_t>(C) >> 3;
     return Shards[(Bits ^ (Bits >> 7)) % NumShards];
   }
 

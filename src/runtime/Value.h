@@ -41,12 +41,14 @@ enum class ValueKind : uint8_t {
   Raw,     ///< untraced pointer (closure code pointer)
 };
 
-/// A runtime value. 16 bytes, trivially copyable.
+/// A runtime value: a kind byte plus an 8-byte payload union. 16 bytes in
+/// registers, trivially copyable; a heap cell stores the two parts apart
+/// (see Cell), and `Bits` is the payload as one word.
 struct Value {
   ValueKind Kind = ValueKind::Unit;
   union {
     int64_t Int;      // Int / Bool
-    uint64_t Bits;    // Enum: (dataId << 32) | tag; FnRef: function id
+    uint64_t Bits;    // Enum: (dataId << 32) | tag; FnRef: function id; Raw
     Cell *Ref;        // HeapRef
     Cell *Tok;        // Token (may be null)
   };
@@ -147,37 +149,88 @@ struct CellHeader {
   uint8_t GcMark = 0;
 };
 
-/// A heap cell: header plus inline fields.
+/// A heap cell. Layout: `[header][Arity payload words][Arity kind bytes]`,
+/// rounded up to 8 bytes with a 16-byte minimum. Field J is payload word
+/// J (Value's union as one word) plus kind byte J: 9 bytes, from which
+/// every Value round-trips exactly. The kind row sits after the last
+/// payload word, found through H.Arity: alloc sets the arity before any
+/// field is written, and it stays put while the cell is reused or free.
+/// All field access goes through field/setField.
 struct Cell {
   CellHeader H;
-  // Fields follow the header inline; use fields() to access them.
 
-  Value *fields() { return reinterpret_cast<Value *>(this + 1); }
-  const Value *fields() const {
-    return reinterpret_cast<const Value *>(this + 1);
+  Value field(uint32_t J) const {
+    assert(J < H.Arity && "field index out of range");
+    Value V;
+    V.Kind = kinds()[J];
+    V.Bits = words()[J];
+    return V;
+  }
+  void setField(uint32_t J, Value V) {
+    assert(J < H.Arity && "field index out of range");
+    words()[J] = V.Bits;
+    kinds()[J] = V.Kind;
   }
 
-  /// Total byte size of a cell with \p Arity fields.
-  static size_t byteSize(uint32_t Arity) {
-    return sizeof(Cell) + Arity * sizeof(Value);
+  /// Field J as an assignable proxy, so `C->fields()[J] = V` and
+  /// `Value V = C->fields()[J]` read and write through field/setField.
+  class FieldRef {
+  public:
+    FieldRef(Cell *C, uint32_t J) : C(C), J(J) {}
+    operator Value() const { return C->field(J); }
+    FieldRef &operator=(Value V) {
+      C->setField(J, V);
+      return *this;
+    }
+    FieldRef &operator=(const FieldRef &O) { return *this = Value(O); }
+
+  private:
+    Cell *C;
+    uint32_t J;
+  };
+  struct FieldRow {
+    Cell *C;
+    FieldRef operator[](uint32_t J) const { return {C, J}; }
+  };
+  FieldRow fields() { return {this}; }
+
+  /// Slab bytes a cell with \p Arity fields consumes; the allocator bumps
+  /// by this and all live/peak-byte accounting uses it, so the statistics
+  /// reflect real memory. The 16-byte minimum gives an arity-0 cell the
+  /// payload word its free link needs (cellFreeLink).
+  static constexpr size_t allocSize(uint32_t Arity) {
+    size_t Bytes = sizeof(CellHeader) +
+                   Arity * (sizeof(uint64_t) + sizeof(ValueKind));
+    Bytes = (Bytes + 7) & ~size_t(7);
+    return Bytes < 16 ? 16 : Bytes;
   }
 
-  /// Slab bytes a cell with \p Arity fields actually consumes: byteSize
-  /// rounded up to the 16-byte Value alignment the allocator bumps by.
-  /// All live/peak-byte accounting uses this quantity so the statistics
-  /// reflect real memory, not the unrounded struct size.
-  static size_t allocSize(uint32_t Arity) {
-    return (byteSize(Arity) + 15) & ~size_t(15);
+private:
+  uint64_t *words() { return reinterpret_cast<uint64_t *>(this + 1); }
+  const uint64_t *words() const {
+    return reinterpret_cast<const uint64_t *>(this + 1);
+  }
+  // Typed ValueKind, not uint8_t: a character-typed store may alias
+  // anything, so the compiler would reload H.Arity after every field
+  // write.
+  ValueKind *kinds() {
+    return reinterpret_cast<ValueKind *>(words() + H.Arity);
+  }
+  const ValueKind *kinds() const {
+    return reinterpret_cast<const ValueKind *>(words() + H.Arity);
   }
 };
 
 static_assert(sizeof(Value) == 16, "Value should stay two words");
+static_assert(sizeof(Cell) == 8, "payload words follow an 8-byte header");
+static_assert(sizeof(Value::Bits) == 8 && sizeof(Cell *) <= 8,
+              "one payload word holds every Value member");
 
 /// The free-link of a freed cell. Free cells keep their header intact
 /// (rc == 0 is the freed marker, and the arity stays readable for the
-/// trap-unwind walk), so the link lives in the first field slot — which
-/// every cell has thanks to the 16-byte allocation rounding. The same
-/// slot serves the heap's single-threaded per-arity free lists and the
+/// trap-unwind walk), so the link lives in payload word 0 — which every
+/// cell has thanks to the 16-byte minimum allocation. The same word
+/// serves the heap's single-threaded per-arity free lists and the
 /// SharedCellPool's lock-free Treiber shards: a cell is on at most one
 /// of them at a time (exactly one thread ever frees a given cell).
 inline Cell *&cellFreeLink(Cell *C) {

@@ -91,7 +91,7 @@ uint64_t checksumValue(Value V) {
       return 0xC105;
     uint64_t H = mix(1, C->H.Tag);
     for (uint32_t I = 0; I != C->H.Arity; ++I)
-      H = mix(H, checksumValue(C->fields()[I]));
+      H = mix(H, checksumValue(C->field(I)));
     return H;
   }
   default:

@@ -54,7 +54,7 @@ uint64_t checksumValue(const Program &P, Value V) {
       return 0xC105;
     uint64_t H = mix(1, C->H.Tag);
     for (uint32_t I = 0; I != C->H.Arity; ++I)
-      H = mix(H, checksumValue(P, C->fields()[I]));
+      H = mix(H, checksumValue(P, C->field(I)));
     return H;
   }
   default:

@@ -9,6 +9,7 @@
 /// runs exit 0; trapped runs (injected OOM, fuel exhaustion, runtime
 /// errors) exit non-zero — including parallel runs where only workers
 /// trap; and unknown flag values are rejected before any execution.
+/// Programs wider than the runtime encodings are compile errors.
 /// Scripts and CI gate on these codes, so they are part of the API.
 ///
 //===----------------------------------------------------------------------===//
@@ -97,6 +98,47 @@ TEST(PercCli, OverflowBoundaryTrapsExitNonZero) {
     // overflowing results trap.
     EXPECT_EQ(runPerc(Div + " " + E + " " + IntMin + " 2"), 0) << E;
     EXPECT_EQ(runPerc(Neg + " " + E + " 7"), 0) << E;
+  }
+}
+
+/// Runs perc with \p ArgsLine; returns its stdout and stderr together and
+/// stores the exit code in \p ExitCode.
+std::string runPercCapture(const std::string &ArgsLine, int &ExitCode) {
+  std::string OutPath = testing::TempDir() + "/perc_capture.txt";
+  std::string Cmd = std::string(PERCEUS_PERC_PATH) + " " + ArgsLine + " > " +
+                    OutPath + " 2>&1";
+  int Status = std::system(Cmd.c_str());
+  ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+  std::stringstream Out;
+  Out << std::ifstream(OutPath).rdbuf();
+  return Out.str();
+}
+
+TEST(PercCli, OverWideProgramsAreCompileErrorsOnBothEngines) {
+  // Cell headers store a constructor's arity in one byte and call
+  // instructions their argument count: a 300-field constructor or a
+  // 300-argument call is a compile error, never a truncated run.
+  std::string Fields, Args;
+  for (int I = 0; I != 300; ++I) {
+    Fields += (I ? ", f" : "f") + std::to_string(I);
+    Args += I ? ", n" : "n";
+  }
+  std::string Ctor = testing::TempDir() + "/wide_ctor.perc";
+  std::ofstream(Ctor) << "type big { Big(" << Fields << ") }\n"
+                      << "fun main(n) { val b = Big(" << Args << "); n }\n";
+  std::string Call = testing::TempDir() + "/wide_call.perc";
+  std::ofstream(Call) << "fun main(n) { val f = fn(x) x; f(" << Args
+                      << ") }\n";
+  for (const std::string E : {"cek", "vm"}) {
+    int Exit = -1;
+    std::string Out = runPercCapture(Ctor + " --engine=" + E + " 4", Exit);
+    EXPECT_EQ(Exit, 1) << E;
+    EXPECT_NE(Out.find("constructor 'Big' has 300 fields"), std::string::npos)
+        << E << ": " << Out;
+    Out = runPercCapture(Call + " --engine=" + E + " 4", Exit);
+    EXPECT_EQ(Exit, 1) << E;
+    EXPECT_NE(Out.find("call has 300 arguments"), std::string::npos)
+        << E << ": " << Out;
   }
 }
 

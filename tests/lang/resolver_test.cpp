@@ -57,6 +57,67 @@ TEST(Resolver, ArityErrors) {
       "type t { C(a) } fun f(x) { match x { C(a, b) -> 1 } }"));
 }
 
+/// `<Prefix>0<Sep><Prefix>1<Sep>...<Prefix><N-1>`.
+std::string seq(const std::string &Prefix, size_t N,
+                const std::string &Sep = ", ") {
+  std::string S;
+  for (size_t I = 0; I != N; ++I)
+    S += (I ? Sep : "") + Prefix + std::to_string(I);
+  return S;
+}
+
+std::string diagnosticsOf(std::string_view Src) {
+  Program P;
+  DiagnosticEngine D;
+  compileSource(Src, P, D);
+  return D.str();
+}
+
+TEST(Resolver, ProgramsWiderThanTheRuntimeEncodingsAreErrors) {
+  // A cell header stores its arity and constructor tag in one byte each,
+  // and a call instruction its argument count: wider programs must be
+  // rejected here, not truncated at run time.
+  auto ctor = [](size_t N) {
+    return "type t { C(" + seq("f", N) + ") } fun main() { 1 }";
+  };
+  EXPECT_FALSE(compileFails(ctor(255)));
+  EXPECT_TRUE(compileFails(ctor(256)));
+  auto type = [](size_t N) {
+    return "type t { " + seq("C", N, " ") + " } fun main() { 1 }";
+  };
+  EXPECT_FALSE(compileFails(type(256)));
+  EXPECT_TRUE(compileFails(type(257)));
+  auto fun = [](size_t N) {
+    return "fun f(" + seq("a", N) + ") { 1 } fun main() { 1 }";
+  };
+  EXPECT_FALSE(compileFails(fun(255)));
+  EXPECT_TRUE(compileFails(fun(256)));
+  auto lambda = [](size_t N) {
+    return "fun main() { fn(" + seq("a", N) + ") 1 }";
+  };
+  EXPECT_FALSE(compileFails(lambda(255)));
+  EXPECT_TRUE(compileFails(lambda(256)));
+  auto call = [](size_t N) { return "fun main(f) { f(" + seq("", N) + ") }"; };
+  EXPECT_FALSE(compileFails(call(255)));
+  EXPECT_TRUE(compileFails(call(256)));
+  // A closure cell holds the code pointer plus one field per capture.
+  auto capture = [](size_t N) {
+    return "fun main(" + seq("a", N) + ") { fn() " + seq("a", N, " + ") +
+           " }";
+  };
+  EXPECT_FALSE(compileFails(capture(254)));
+  EXPECT_TRUE(compileFails(capture(255)));
+
+  EXPECT_NE(diagnosticsOf(ctor(300)).find(
+                "constructor 'C' has 300 fields; at most 255 are supported"),
+            std::string::npos)
+      << diagnosticsOf(ctor(300));
+  EXPECT_NE(diagnosticsOf(call(300)).find(
+                "call has 300 arguments; at most 255 are supported"),
+            std::string::npos)
+      << diagnosticsOf(call(300));
+}
+
 TEST(Resolver, DuplicateDeclarationsAreErrors) {
   EXPECT_TRUE(compileFails("fun f() { 1 } fun f() { 2 }"));
   EXPECT_TRUE(compileFails("type t { C } type t { D }"));

@@ -160,8 +160,9 @@ std::optional<JsonValue> parseWire(const std::string &Payload) {
   if (Doc) {
     const JsonValue *Schema = Doc->find("schema", JsonValue::Kind::String);
     EXPECT_NE(Schema, nullptr);
-    if (Schema)
+    if (Schema) {
       EXPECT_EQ(Schema->Str, kWireSchemaName);
+    }
   }
   return Doc;
 }

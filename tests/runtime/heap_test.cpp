@@ -6,11 +6,14 @@
 
 #include "runtime/Heap.h"
 
+#include "eval/Runner.h"
+#include "programs/Programs.h"
 #include "support/FaultInjector.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -1085,18 +1088,179 @@ TEST(HeapCoalesce, DisabledByDefaultKeepsEagerAtomics) {
   EXPECT_TRUE(H.empty());
 }
 
-TEST(HeapTrim, OversizedSlabIsReleasedByTrim) {
-  // A cell bigger than the standard slab gets its own oversized slab;
-  // the trim must release it too (only *standard*-size slabs are kept
-  // warm) or one huge request would pin its footprint forever.
+TEST(HeapTrim, WidestCellFitsOneSlab) {
+  // The header arity caps a cell at 255 fields, so every cell comes out
+  // of a standard slab and a trim always leaves at most one slab.
   constexpr size_t OneSlab = 256 * 1024;
   Heap H;
-  Value Big = mkCell(H, 40000); // 40k fields ≫ 256 KiB slab
-  EXPECT_GT(H.retainedBytes(), OneSlab);
+  Value Big = mkCell(H, 255);
+  EXPECT_EQ(H.retainedBytes(), OneSlab);
   H.drop(Big);
   ASSERT_TRUE(H.empty());
   H.trimRetained();
   EXPECT_LE(H.retainedBytes(), OneSlab);
+}
+
+//===--- Cell layout -------------------------------------------------------===//
+
+TEST(CellLayout, EveryValueKindRoundTripsThroughAField) {
+  Heap H;
+  int Anchor = 0;
+  Cell *Child = H.alloc(0, 0, CellKind::Ctor);
+  const std::vector<Value> Vals = {
+      Value::unit(),
+      Value::makeInt(INT64_MIN),
+      Value::makeInt(INT64_MAX),
+      Value::makeInt(-1),
+      Value::makeBool(true),
+      Value::makeBool(false),
+      Value::makeEnum(0xfffffffeu, 0xabcdu), // high DataId bits set
+      Value::makeFnRef(0xffffffffu),
+      Value::makeRef(Child),
+      Value::makeToken(nullptr),
+      Value::makeToken(Child),
+      Value::makeRaw(&Anchor),
+  };
+  Cell *C = H.alloc(static_cast<uint32_t>(Vals.size()), 0, CellKind::Ctor);
+  for (uint32_t J = 0; J != Vals.size(); ++J)
+    C->setField(J, Vals[J]);
+  for (uint32_t J = 0; J != Vals.size(); ++J) {
+    Value V = C->field(J);
+    EXPECT_EQ(V.Kind, Vals[J].Kind) << J;
+    EXPECT_EQ(V.Bits, Vals[J].Bits) << J;
+  }
+  EXPECT_EQ(C->field(1).Int, INT64_MIN);
+  EXPECT_EQ(C->field(2).Int, INT64_MAX);
+  EXPECT_TRUE(C->field(4).asBool());
+  EXPECT_EQ(C->field(6).enumTag(), 0xabcdu);
+  EXPECT_EQ(C->field(6).Bits >> 32, 0xfffffffeu);
+  EXPECT_EQ(C->field(7).fnId(), 0xffffffffu);
+  EXPECT_EQ(C->field(8).Ref, Child);
+  EXPECT_EQ(C->field(9).Tok, nullptr);
+  EXPECT_EQ(C->field(10).Tok, Child);
+  EXPECT_EQ(C->field(11).rawPtr(), &Anchor);
+  // The proxy reads and writes the same storage.
+  Value Via = C->fields()[2];
+  EXPECT_EQ(Via.Int, INT64_MAX);
+  C->fields()[3] = C->fields()[1];
+  EXPECT_EQ(C->field(3).Int, INT64_MIN);
+  // Dropping the cell follows the one HeapRef field, not the tokens.
+  H.drop(Value::makeRef(C));
+  EXPECT_TRUE(H.empty());
+}
+
+TEST(CellLayout, FieldWritesStayInTheirOwnSlot) {
+  // At every arity, writing one field leaves every other payload word
+  // and kind byte alone (the kind row sits right after the last word).
+  Heap H;
+  for (uint32_t A = 1; A != 10; ++A) {
+    Cell *C = H.alloc(A, 0, CellKind::Ctor);
+    for (uint32_t J = 0; J != A; ++J)
+      C->setField(J, Value::makeInt(-int64_t(J) - 1));
+    for (uint32_t J = 0; J != A; ++J) {
+      C->setField(J, Value::makeBool(true));
+      for (uint32_t K = 0; K != A; ++K) {
+        Value V = C->field(K);
+        if (K == J) {
+          EXPECT_EQ(V.Kind, ValueKind::Bool);
+        } else {
+          EXPECT_EQ(V.Kind, ValueKind::Int) << A << " " << J << " " << K;
+          EXPECT_EQ(V.Int, -int64_t(K) - 1);
+        }
+      }
+      C->setField(J, Value::makeInt(-int64_t(J) - 1));
+    }
+    H.drop(Value::makeRef(C));
+  }
+  EXPECT_TRUE(H.empty());
+}
+
+TEST(CellLayout, AllocSizeIsHeaderPlusNineBytesPerFieldRounded) {
+  // 8-byte header, 8-byte payload + 1 kind byte per field, rounded up to
+  // 8 with a 16-byte minimum.
+  const size_t Expected[] = {16, 24, 32, 40, 48, 56, 64, 72, 80};
+  for (uint32_t A = 0; A != 9; ++A)
+    EXPECT_EQ(Cell::allocSize(A), Expected[A]) << A;
+  EXPECT_EQ(Cell::allocSize(255), 2304u);
+}
+
+TEST(CellLayout, FreedCellKeepsHeaderAndLinksThroughPayloadWordZero) {
+  Heap H;
+  Value A = mkCell(H, 3, 5);
+  Value B = mkCell(H, 3, 6);
+  Cell *CA = A.Ref, *CB = B.Ref;
+  H.drop(A);
+  H.drop(B);
+  for (Cell *C : {CA, CB}) {
+    EXPECT_EQ(C->H.Rc.load(), 0); // the freed marker
+    EXPECT_EQ(C->H.Arity, 3);     // still readable for the unwind walk
+    EXPECT_EQ(reinterpret_cast<char *>(&cellFreeLink(C)),
+              reinterpret_cast<char *>(C) + sizeof(CellHeader));
+  }
+  // B was freed last: it heads the arity-3 list and links to A.
+  EXPECT_EQ(cellFreeLink(CB), CA);
+  EXPECT_EQ(cellFreeLink(CA), nullptr);
+  Value B2 = mkCell(H, 3);
+  Value A2 = mkCell(H, 3);
+  EXPECT_EQ(B2.Ref, CB);
+  EXPECT_EQ(A2.Ref, CA);
+  H.drop(A2);
+  H.drop(B2);
+  EXPECT_TRUE(H.empty());
+}
+
+TEST(CellLayout, WidestCellRoundTrips) {
+  Heap H;
+  Cell *C = H.alloc(UINT8_MAX, 9, CellKind::Ctor);
+  auto valueAt = [](uint32_t J) {
+    return J % 2 ? Value::makeInt(-int64_t(J) * 1000000007)
+                 : Value::makeEnum(J, J + 1);
+  };
+  for (uint32_t J = 0; J != UINT8_MAX; ++J)
+    C->setField(J, valueAt(J));
+  for (uint32_t J = 0; J != UINT8_MAX; ++J) {
+    EXPECT_EQ(C->field(J).Kind, valueAt(J).Kind) << J;
+    EXPECT_EQ(C->field(J).Bits, valueAt(J).Bits) << J;
+  }
+  EXPECT_EQ(C->H.Arity, UINT8_MAX);
+  EXPECT_EQ(H.stats().LiveBytes, Cell::allocSize(UINT8_MAX));
+  H.drop(Value::makeRef(C));
+  EXPECT_TRUE(H.empty());
+}
+
+TEST(CellLayout, Figure9PeakBytesArePinnedOnEveryEngine) {
+  // The paper's memory column at small n under the perceus config. The
+  // peaks are the cell layout's footprint, so they are the same on the
+  // CEK machine, the raw VM and the peepholed VM.
+  struct Case {
+    const char *Source;
+    const char *Entry;
+    int64_t N;
+    size_t PeakBytes;
+  };
+  const Case Cases[] = {
+      {rbtreeSource(), "bench_rbtree", 120, 6720},
+      {rbtreeCkSource(), "bench_rbtree_ck", 60, 7696},
+      {derivSource(), "bench_deriv", 4, 896},
+      {nqueensSource(), "bench_nqueens", 6, 5696},
+      {cfoldSource(), "bench_cfold", 6, 3552},
+  };
+  const std::pair<EngineKind, bool> Engines[] = {
+      {EngineKind::Cek, false}, {EngineKind::Vm, false}, {EngineKind::Vm, true}};
+  for (const Case &C : Cases) {
+    for (const auto &[Engine, Peephole] : Engines) {
+      SCOPED_TRACE(std::string(C.Entry) + (Engine == EngineKind::Cek ? " cek"
+                                           : Peephole ? " vm+peephole"
+                                                      : " vm"));
+      Runner R(C.Source, PassConfig::perceusFull(),
+               EngineConfig{}.withEngine(Engine).withPeephole(Peephole));
+      ASSERT_TRUE(R.ok()) << R.diagnostics().str();
+      RunResult Res = R.callInt(C.Entry, {C.N});
+      ASSERT_TRUE(Res.Ok) << Res.Error;
+      EXPECT_EQ(R.heap().stats().PeakBytes, C.PeakBytes);
+      EXPECT_TRUE(R.heapIsEmpty());
+    }
+  }
 }
 
 } // namespace
