@@ -140,10 +140,10 @@ enum class Op : uint8_t {
                  ///< JumpIfFalse consuming the compare's dead temp: the
                  ///< loop-rotation shape every while-style recursion
                  ///< compiles into. Skips the target test entirely.
-  MoveArith,     ///< A=0 add/1 sub/2 mul, B=dst, C=lhs, D=rhs,
+  MoveArith,     ///< A=ArithKind (Add/Sub/Mul), B=dst, C=lhs, D=rhs,
                  ///< E=(move dst<<16)|move src — move first, then arith
   ArithMove,     ///< same fields as MoveArith; arith first, then move
-  ArithConst,    ///< A=0 x+K/1 x-K/2 K-x/3 x*K, B=dst, C=x,
+  ArithConst,    ///< A=ArithKind (x+K/x-K/K-x/x*K), B=dst, C=x,
                  ///< D=constant-pool index of K
   Move3,         ///< B=dst1, C=src1, D=dst2, E=(dst3<<16)|src2, A=src3
                  ///< (sequential; src3 must fit in 8 bits)
@@ -166,7 +166,7 @@ enum class Op : uint8_t {
   Dup2Move2,        ///< B=dst1, C=dup1 (also src1), D=dst2,
                     ///< E=dup2 (also src2) — two dup-then-copy pairs
   MoveDupMove,      ///< B=dst1, C=src1, D=dup slot (also src2), E=dst2
-  MoveArithConst,   ///< A=0 x+K/1 x-K/2 K-x/3 x*K, B=dst, C=x,
+  MoveArithConst,   ///< A=ArithKind (x+K/x-K/K-x/x*K), B=dst, C=x,
                     ///< D=constant-pool index of K,
                     ///< E=(move dst<<16)|move src — move first, then arith
   ArithConstMove,   ///< same fields as MoveArithConst; arith first
@@ -184,6 +184,11 @@ enum class Op : uint8_t {
 /// The compare kind carried in CmpConstBr's A field; numbering matches
 /// the LtBr..NeBr opcode order.
 enum class CmpBrKind : uint8_t { Lt, Le, Gt, Ge, Eq, Ne };
+
+/// The arithmetic kind carried in the A field of the fused arithmetic
+/// opcodes: lhs+rhs, lhs-rhs, rhs-lhs (ArithConst family only: K-x),
+/// lhs*rhs.
+enum class ArithKind : uint8_t { Add, Sub, RSub, Mul };
 
 constexpr size_t NumOpcodes = static_cast<size_t>(Op::IsUniqueReuseJmp) + 1;
 
@@ -203,6 +208,7 @@ struct Instr {
 /// traps even when a default exists).
 struct MatchArmCode {
   ArmKind Kind = ArmKind::Default;
+  uint32_t DataId = 0;     ///< Ctor arms: the constructor's data type
   uint32_t Tag = 0;        ///< Ctor arms: the constructor tag
   int64_t Lit = 0;         ///< IntLit/BoolLit arms
   uint32_t BinderBase = 0; ///< into CompiledProgram::BinderSlots

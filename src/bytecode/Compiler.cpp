@@ -411,8 +411,10 @@ private:
       for (const MatchArm &Arm : M->arms()) {
         MatchArmCode AC;
         AC.Kind = Arm.Kind;
-        if (Arm.Kind == ArmKind::Ctor)
+        if (Arm.Kind == ArmKind::Ctor) {
+          AC.DataId = P.ctor(Arm.Ctor).DataId;
           AC.Tag = P.ctor(Arm.Ctor).Tag;
+        }
         AC.Lit = Arm.Lit.Int;
         AC.BinderBase = static_cast<uint32_t>(CP.BinderSlots.size());
         AC.NumBinders = static_cast<uint32_t>(Arm.Binders.size());

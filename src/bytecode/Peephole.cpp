@@ -41,20 +41,20 @@ bool isBranchOp(Op O) {
   }
 }
 
-/// Maps an arithmetic opcode to the kind byte shared by MoveArith /
-/// ArithMove (0 add, 1 sub, 2 mul), or returns false. Div/Mod/Neg stay
-/// unfused: their trap repertoire (zero divisors, INT64_MIN overflow)
-/// is pinned by dedicated tests and they are cold in every benchmark.
+/// Maps an arithmetic opcode to the ArithKind byte of MoveArith /
+/// ArithMove, or returns false. Div/Mod/Neg stay unfused: their trap
+/// repertoire (zero divisors, INT64_MIN overflow) is pinned by dedicated
+/// tests and they are cold in every benchmark.
 bool arithKind(Op O, uint8_t &K) {
   switch (O) {
   case Op::Add:
-    K = 0;
+    K = static_cast<uint8_t>(ArithKind::Add);
     return true;
   case Op::Sub:
-    K = 1;
+    K = static_cast<uint8_t>(ArithKind::Sub);
     return true;
   case Op::Mul:
-    K = 2;
+    K = static_cast<uint8_t>(ArithKind::Mul);
     return true;
   default:
     return false;

@@ -6,9 +6,11 @@
 //
 // Dispatch is threaded (computed goto) on GCC/Clang and a plain switch
 // elsewhere; the handler bodies are written once and shared by both
-// forms through the VM_CASE/VM_NEXT macros, whose control transfer is
-// goto-based in both modes so handlers may use VM_NEXT from inside
-// nested loops without capture-by-break surprises.
+// forms through the VM_CASE/VM_NEXT/VM_JUMP macros, whose control
+// transfer is goto-based in both modes so handlers may dispatch from
+// inside nested loops without capture-by-break surprises. Handlers read
+// their operands through I, the program counter, which points into the
+// current chunk; every dispatch pays one budget compare (see Budget).
 //
 // Parity note: every heap call, telemetry stamp, counter increment and
 // trap message below mirrors eval/Machine.cpp line for line — when
@@ -49,8 +51,8 @@ uint64_t VmPairProfile[NumOpcodes][NumOpcodes];
 }
 #define VM_PROFILE_PAIR()                                                      \
   do {                                                                         \
-    VmPairProfile[ProfPrevOp][static_cast<size_t>(I.O)]++;                     \
-    ProfPrevOp = static_cast<size_t>(I.O);                                     \
+    VmPairProfile[ProfPrevOp][static_cast<size_t>(I->O)]++;                    \
+    ProfPrevOp = static_cast<size_t>(I->O);                                    \
   } while (0)
 #else
 #define VM_PROFILE_PAIR() (void)0
@@ -92,6 +94,41 @@ void RegStack::grow(size_t N) {
   std::copy(Mem.get(), Mem.get() + Sz, NewMem.get());
   Mem = std::move(NewMem);
   Cap = NewCap;
+}
+
+/// The step at which the dispatch loop next takes its budget branch:
+/// one past the fuel limit (0 = none), or the next safepoint when they
+/// are armed, whichever comes first.
+static uint64_t nextBudgetCheck(uint64_t Steps, uint64_t Fuel,
+                                bool HasSafepoint) {
+  uint64_t Next = Fuel && Fuel != UINT64_MAX ? Fuel + 1 : UINT64_MAX;
+  if (HasSafepoint)
+    Next = std::min(Next, (Steps | (Engine::DeadlineCheckInterval - 1)) + 1);
+  return Next;
+}
+
+/// Add, Sub and Mul on int64, checked, for the plain handlers and the
+/// fused ones' kind byte. Returns the trap message when the exact result
+/// does not fit, else null with the result in \p Out.
+static const char *checkedArith(ArithKind Kind, int64_t X, int64_t Y,
+                                int64_t &Out) {
+  switch (Kind) {
+  case ArithKind::Add:
+    return __builtin_add_overflow(X, Y, &Out) ? "integer overflow in addition"
+                                              : nullptr;
+  case ArithKind::Sub:
+    return __builtin_sub_overflow(X, Y, &Out)
+               ? "integer overflow in subtraction"
+               : nullptr;
+  case ArithKind::RSub:
+    return __builtin_sub_overflow(Y, X, &Out)
+               ? "integer overflow in subtraction"
+               : nullptr;
+  default:
+    return __builtin_mul_overflow(X, Y, &Out)
+               ? "integer overflow in multiplication"
+               : nullptr;
+  }
 }
 
 void VM::trap(std::string Msg, TrapKind Kind) {
@@ -206,15 +243,11 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
 void VM::execute(const Chunk *Entry, RunResult &R) {
   const Chunk *Ch = Entry;
   const Instr *Code = Ch->Code.data();
-  const Expr *const *Sites = Ch->Sites.data();
-  const Expr *const *Sites2 = Ch->Sites2.data();
-  const Expr *const *Sites3 = Ch->Sites3.data();
   const std::vector<Chunk> &FuncTab = UseRawChunks ? CP.RawFuncs : CP.Funcs;
   const std::vector<Chunk> &LamTab = UseRawChunks ? CP.RawLams : CP.Lams;
   uint32_t BaseL = 0;
   Value *RF = Regs.data();
   const Value *Consts = CP.Consts.data();
-  uint32_t Pc = 0;
   uint64_t Steps = 0;
   const uint64_t Fuel = StepLimit;
   const bool HasDeadline = DeadlineMs != 0;
@@ -222,7 +255,9 @@ void VM::execute(const Chunk *Entry, RunResult &R) {
   // set, or the heap coalesces shared counts and must flush buffered
   // deltas periodically so other workers observe bounded-stale counts.
   const bool HasSafepoint = HasDeadline || H.sharedCoalescingEnabled();
-  Instr I{};
+  uint64_t NextCheck = nextBudgetCheck(Steps, Fuel, HasSafepoint);
+  // The program counter: the instruction being dispatched, read in place.
+  const Instr *I = Code;
 #if PERCEUS_VM_PROFILE
   size_t ProfPrevOp = 0;
 #endif
@@ -233,30 +268,23 @@ void VM::execute(const Chunk *Entry, RunResult &R) {
     goto Exit;                                                                 \
   } while (0)
 
-#define VM_FUEL_CHECK()                                                        \
-  do {                                                                         \
-    ++Steps;                                                                   \
-    if (Fuel && Steps > Fuel)                                                  \
-      VM_TRAP("step limit exceeded (out of fuel)", TrapKind::OutOfFuel);       \
-    if (HasSafepoint && (Steps & (DeadlineCheckInterval - 1)) == 0) {          \
-      if ((Steps &                                                             \
-           (DeadlineCheckInterval * SharedFlushSafepointStride - 1)) == 0)     \
-        H.flushSharedDeltas();                                                 \
-      if (HasDeadline && std::chrono::steady_clock::now() >= DeadlineAt)       \
-        VM_TRAP("wall-clock deadline exceeded", TrapKind::Deadline);           \
-    }                                                                          \
-  } while (0)
-
-  // Re-derive the cached frame pointer / chunk pointers after anything
-  // that resizes the register stack or switches frames.
+  // Re-derive the cached frame pointer after anything that resizes the
+  // register stack or switches frames.
 #define VM_REFRAME() (RF = Regs.data() + BaseL)
 #define VM_SWITCH_CHUNK(NewCh)                                                 \
   do {                                                                         \
     Ch = (NewCh);                                                              \
     Code = Ch->Code.data();                                                    \
-    Sites = Ch->Sites.data();                                                  \
-    Sites2 = Ch->Sites2.data();                                                \
-    Sites3 = Ch->Sites3.data();                                                \
+  } while (0)
+
+  // The telemetry site of the current instruction in column Col (Sites,
+  // or Sites2/Sites3 for a fused instruction's later components);
+  // VM_STAMP reads it only when a sink is installed.
+#define VM_SITE(Col) (Ch->Col[I - Code])
+#define VM_STAMP(Col, What)                                                    \
+  do {                                                                         \
+    if (Sink)                                                                  \
+      Sink->setSite(VM_SITE(Col), What, VM_SITE(Col)->loc());                  \
   } while (0)
 
 #if PERCEUS_VM_COMPUTED_GOTO
@@ -268,59 +296,146 @@ void VM::execute(const Chunk *Entry, RunResult &R) {
   static_assert(sizeof(Tab) / sizeof(Tab[0]) == NumOpcodes,
                 "dispatch table out of sync with the Op enum");
 #define VM_CASE(Name) L_##Name:
-#define VM_NEXT()                                                              \
+#define VM_DISPATCH()                                                          \
   do {                                                                         \
-    VM_FUEL_CHECK();                                                           \
-    I = Code[Pc++];                                                            \
+    if (++Steps >= NextCheck)                                                  \
+      goto Budget;                                                             \
     VM_PROFILE_PAIR();                                                         \
-    goto *Tab[static_cast<size_t>(I.O)];                                       \
+    goto *Tab[static_cast<size_t>(I->O)];                                      \
   } while (0)
-  VM_NEXT();
+#define VM_RESUME()                                                            \
+  do {                                                                         \
+    VM_PROFILE_PAIR();                                                         \
+    goto *Tab[static_cast<size_t>(I->O)];                                      \
+  } while (0)
 #else
 #define VM_CASE(Name) case Op::Name:
-#define VM_NEXT() goto NextInstr
-NextInstr:
-  VM_FUEL_CHECK();
-  I = Code[Pc++];
+#define VM_DISPATCH() goto Dispatch
+#define VM_RESUME() goto Execute
+#endif
+  // Execute *I (after the budget), the next instruction, or the one at
+  // index Target of the current chunk.
+#define VM_NEXT()                                                              \
+  do {                                                                         \
+    ++I;                                                                       \
+    VM_DISPATCH();                                                             \
+  } while (0)
+#define VM_JUMP(Target)                                                        \
+  do {                                                                         \
+    I = Code + (Target);                                                       \
+    VM_DISPATCH();                                                             \
+  } while (0)
+
+  // Calls push a frame holding the caller's resume index, then enter the
+  // callee with its frame based at BaseL and its NArgs arguments already
+  // in place: size the frame, clear the rest, start at instruction 0.
+#define VM_PUSH_FRAME()                                                        \
+  do {                                                                         \
+    if (CallDepthLimit && CallDepth >= CallDepthLimit)                         \
+      VM_TRAP("call depth limit exceeded (stack overflow)",                    \
+              TrapKind::StackOverflow);                                        \
+    ++CallDepth;                                                               \
+    if (CallDepth > R.MaxCallDepth)                                            \
+      R.MaxCallDepth = CallDepth;                                              \
+    Frames.push_back(                                                          \
+        Frame{Ch, static_cast<uint32_t>(I + 1 - Code), BaseL, I->B});          \
+  } while (0)
+#define VM_ENTER(T, NArgs)                                                     \
+  do {                                                                         \
+    Regs.reframe(BaseL + (T)->NumRegs, BaseL + (NArgs));                       \
+    if (Regs.size() > R.MaxLocalsSlots)                                        \
+      R.MaxLocalsSlots = Regs.size();                                          \
+    VM_SWITCH_CHUNK(T);                                                        \
+    VM_REFRAME();                                                              \
+    I = Code;                                                                  \
+  } while (0)
+  // Returns Val to the caller's Dst register and resumes the caller, or
+  // ends the run from the entry frame.
+#define VM_RETURN(Val)                                                         \
+  do {                                                                         \
+    Value Ret_ = (Val);                                                        \
+    if (Frames.empty()) {                                                      \
+      Result = Ret_;                                                           \
+      goto Done;                                                               \
+    }                                                                          \
+    Frame F_ = Frames.back();                                                  \
+    Frames.pop_back();                                                         \
+    --CallDepth;                                                               \
+    BaseL = F_.Base;                                                           \
+    Regs.resize(BaseL + F_.Ch->NumRegs);                                       \
+    VM_SWITCH_CHUNK(F_.Ch);                                                    \
+    VM_REFRAME();                                                              \
+    RF[F_.Dst] = Ret_;                                                         \
+    I = Code + F_.Pc;                                                          \
+    VM_DISPATCH();                                                             \
+  } while (0)
+
+  VM_DISPATCH();
+
+  // The budget branch, taken once Steps reaches NextCheck: one past the
+  // fuel limit, or a safepoint (every DeadlineCheckInterval dispatches,
+  // when armed). So every dispatch pays one compare, and the checks
+  // below trap on exactly the step they would if run on every dispatch.
+Budget:
+  if (Fuel && Steps > Fuel)
+    VM_TRAP("step limit exceeded (out of fuel)", TrapKind::OutOfFuel);
+  if (HasSafepoint && (Steps & (DeadlineCheckInterval - 1)) == 0) {
+    if ((Steps & (DeadlineCheckInterval * SharedFlushSafepointStride - 1)) ==
+        0)
+      H.flushSharedDeltas();
+    if (HasDeadline && std::chrono::steady_clock::now() >= DeadlineAt)
+      VM_TRAP("wall-clock deadline exceeded", TrapKind::Deadline);
+  }
+  NextCheck = nextBudgetCheck(Steps, Fuel, HasSafepoint);
+  VM_RESUME();
+
+#if !PERCEUS_VM_COMPUTED_GOTO
+Dispatch:
+  if (++Steps >= NextCheck)
+    goto Budget;
+Execute:
   VM_PROFILE_PAIR();
-  switch (I.O) {
+  switch (I->O) {
 #endif
 
   VM_CASE(LoadConst) {
-    RF[I.B] = Consts[I.E];
+    RF[I->B] = Consts[I->E];
     VM_NEXT();
   }
   VM_CASE(Move) {
-    RF[I.B] = RF[I.C];
+    RF[I->B] = RF[I->C];
     VM_NEXT();
   }
 
   //===--- Control flow ---------------------------------------------------===//
   VM_CASE(Jump) {
-    Pc = I.E;
-    VM_NEXT();
+    VM_JUMP(I->E);
   }
   VM_CASE(JumpIfFalse) {
-    Value V = RF[I.B];
+    Value V = RF[I->B];
     if (V.Kind != ValueKind::Bool)
       VM_TRAP("if condition is not a boolean", TrapKind::RuntimeError);
     if (!V.asBool())
-      Pc = I.E;
+      VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(MatchOp) {
-    Value V = RF[I.B];
-    const MatchTable &T = CP.Matches[I.E];
+    Value V = RF[I->B];
+    const MatchTable &T = CP.Matches[I->E];
     const MatchArmCode *Default = nullptr;
     for (const MatchArmCode &Arm : T.Arms) {
       bool Matches = false;
       switch (Arm.Kind) {
       case ArmKind::Ctor:
+        // Only a value the arm can bind: its own constructor's immediate,
+        // or a cell with its tag and one field per binder. A same-tag
+        // value of another type falls through (CEK parity).
         if (V.Kind == ValueKind::Enum)
-          Matches = V.enumTag() == Arm.Tag;
+          Matches = V.Bits == Value::makeEnum(Arm.DataId, Arm.Tag).Bits;
         else if (V.Kind == ValueKind::HeapRef &&
                  V.Ref->H.Kind == CellKind::Ctor)
-          Matches = V.Ref->H.Tag == Arm.Tag;
+          Matches = V.Ref->H.Tag == Arm.Tag &&
+                    V.Ref->H.Arity == Arm.NumBinders;
         else if (V.Kind != ValueKind::Enum && V.Kind != ValueKind::HeapRef)
           VM_TRAP("match on a non-constructor value", TrapKind::RuntimeError);
         break;
@@ -346,43 +461,29 @@ NextInstr:
         const uint16_t *Binders = CP.BinderSlots.data() + Arm.BinderBase;
         for (uint32_t J = 0; J != Arm.NumBinders; ++J)
           RF[Binders[J]] = V.Ref->field(J);
-        Pc = Arm.Target;
-        VM_NEXT();
+        VM_JUMP(Arm.Target);
       }
     }
-    if (Default) {
-      Pc = Default->Target;
-      VM_NEXT();
-    }
+    if (Default)
+      VM_JUMP(Default->Target);
     VM_TRAP("non-exhaustive match", TrapKind::RuntimeError);
   }
 
   //===--- Calls ----------------------------------------------------------===//
   VM_CASE(CallStatic) {
-    const Chunk *T = &FuncTab[I.E];
-    if (CallDepthLimit && CallDepth >= CallDepthLimit)
-      VM_TRAP("call depth limit exceeded (stack overflow)",
-              TrapKind::StackOverflow);
-    ++CallDepth;
-    if (CallDepth > R.MaxCallDepth)
-      R.MaxCallDepth = CallDepth;
-    Frames.push_back(Frame{Ch, Pc, BaseL, I.B});
-    BaseL += I.C; // the argument window is the callee's parameter region
-    Regs.reframe(BaseL + T->NumRegs, BaseL + I.A);
-    if (Regs.size() > R.MaxLocalsSlots)
-      R.MaxLocalsSlots = Regs.size();
-    VM_SWITCH_CHUNK(T);
-    VM_REFRAME();
-    Pc = 0;
-    VM_NEXT();
+    const Chunk *T = &FuncTab[I->E];
+    VM_PUSH_FRAME();
+    BaseL += I->C; // the argument window is the callee's parameter region
+    VM_ENTER(T, I->A);
+    VM_DISPATCH();
   }
   VM_CASE(Call) {
-    Value Callee = RF[I.C];
+    Value Callee = RF[I->C];
     const Chunk *T;
     Cell *Clo = nullptr;
     if (Callee.Kind == ValueKind::FnRef) {
       T = &FuncTab[Callee.fnId()];
-      if (T->NumParams != I.A)
+      if (T->NumParams != I->A)
         VM_TRAP("arity mismatch calling '" +
                     std::string(CP.Prog->symbols().name(T->Fn->Name)) + "'",
                 TrapKind::RuntimeError);
@@ -391,50 +492,34 @@ NextInstr:
       Clo = Callee.Ref;
       const auto *Lm = static_cast<const LamExpr *>(Clo->field(0).rawPtr());
       T = &LamTab[Lm->lamId()];
-      if (T->NumParams != I.A)
+      if (T->NumParams != I->A)
         VM_TRAP("arity mismatch calling a closure", TrapKind::RuntimeError);
     } else {
       VM_TRAP("calling a non-function value", TrapKind::RuntimeError);
     }
-    if (CallDepthLimit && CallDepth >= CallDepthLimit)
-      VM_TRAP("call depth limit exceeded (stack overflow)",
-              TrapKind::StackOverflow);
-    ++CallDepth;
-    if (CallDepth > R.MaxCallDepth)
-      R.MaxCallDepth = CallDepth;
-    const Expr *SiteE = Sites[Pc - 1];
-    Frames.push_back(Frame{Ch, Pc, BaseL, I.B});
-    BaseL += I.C + 1; // arguments start one past the callee register
-    Regs.reframe(BaseL + T->NumRegs, BaseL + I.A);
-    if (Regs.size() > R.MaxLocalsSlots)
-      R.MaxLocalsSlots = Regs.size();
-    VM_SWITCH_CHUNK(T);
-    VM_REFRAME();
-    Pc = 0;
+    VM_PUSH_FRAME();
+    const Expr *SiteE = VM_SITE(Sites);
+    BaseL += I->C + 1; // arguments start one past the callee register
+    VM_ENTER(T, I->A);
     if (Clo)
       applyClosure(T, Clo, SiteE, RF);
-    VM_NEXT();
+    VM_DISPATCH();
   }
   VM_CASE(TailCallStatic) {
-    const Chunk *T = &FuncTab[I.E];
+    const Chunk *T = &FuncTab[I->E];
     ++R.TailCalls;
-    for (uint32_t J = 0; J != I.A; ++J) // forward copy; window >= dst
-      RF[J] = RF[I.C + J];
-    Regs.reframe(BaseL + T->NumRegs, BaseL + I.A);
-    if (Regs.size() > R.MaxLocalsSlots)
-      R.MaxLocalsSlots = Regs.size();
-    VM_SWITCH_CHUNK(T);
-    VM_REFRAME();
-    Pc = 0;
-    VM_NEXT();
+    for (uint32_t J = 0; J != I->A; ++J) // forward copy; window >= dst
+      RF[J] = RF[I->C + J];
+    VM_ENTER(T, I->A);
+    VM_DISPATCH();
   }
   VM_CASE(TailCall) {
-    Value Callee = RF[I.C];
+    Value Callee = RF[I->C];
     const Chunk *T;
     Cell *Clo = nullptr;
     if (Callee.Kind == ValueKind::FnRef) {
       T = &FuncTab[Callee.fnId()];
-      if (T->NumParams != I.A)
+      if (T->NumParams != I->A)
         VM_TRAP("arity mismatch calling '" +
                     std::string(CP.Prog->symbols().name(T->Fn->Name)) + "'",
                 TrapKind::RuntimeError);
@@ -443,46 +528,27 @@ NextInstr:
       Clo = Callee.Ref;
       const auto *Lm = static_cast<const LamExpr *>(Clo->field(0).rawPtr());
       T = &LamTab[Lm->lamId()];
-      if (T->NumParams != I.A)
+      if (T->NumParams != I->A)
         VM_TRAP("arity mismatch calling a closure", TrapKind::RuntimeError);
     } else {
       VM_TRAP("calling a non-function value", TrapKind::RuntimeError);
     }
     ++R.TailCalls;
-    const Expr *SiteE = Sites[Pc - 1];
-    for (uint32_t J = 0; J != I.A; ++J) // forward copy; window+1 > dst
-      RF[J] = RF[I.C + 1 + J];
-    Regs.reframe(BaseL + T->NumRegs, BaseL + I.A);
-    if (Regs.size() > R.MaxLocalsSlots)
-      R.MaxLocalsSlots = Regs.size();
-    VM_SWITCH_CHUNK(T);
-    VM_REFRAME();
-    Pc = 0;
+    const Expr *SiteE = VM_SITE(Sites);
+    for (uint32_t J = 0; J != I->A; ++J) // forward copy; window+1 > dst
+      RF[J] = RF[I->C + 1 + J];
+    VM_ENTER(T, I->A);
     if (Clo)
       applyClosure(T, Clo, SiteE, RF);
-    VM_NEXT();
+    VM_DISPATCH();
   }
   VM_CASE(Ret) {
-    Value V = RF[I.B];
-    if (Frames.empty()) {
-      Result = V;
-      goto Done;
-    }
-    Frame F = Frames.back();
-    Frames.pop_back();
-    --CallDepth;
-    BaseL = F.Base;
-    Regs.resize(BaseL + F.Ch->NumRegs);
-    VM_SWITCH_CHUNK(F.Ch);
-    VM_REFRAME();
-    Pc = F.Pc;
-    RF[F.Dst] = V;
-    VM_NEXT();
+    VM_RETURN(RF[I->B]);
   }
 
   //===--- Heap allocation ------------------------------------------------===//
   VM_CASE(MakeClosure) {
-    const Chunk *LC = &LamTab[I.E];
+    const Chunk *LC = &LamTab[I->E];
     size_t NCaps = LC->CaptureSrc.size();
     if (Sink)
       Sink->setSite(LC->Lam, "lambda", LC->Lam->loc());
@@ -495,77 +561,72 @@ NextInstr:
     C->setField(0, Value::makeRaw(LC->Lam));
     for (size_t J = 0; J != NCaps; ++J) // ownership moves in
       C->setField(1 + J, RF[LC->CaptureSrc[J]]);
-    RF[I.B] = Value::makeRef(C);
+    RF[I->B] = Value::makeRef(C);
     VM_NEXT();
   }
   VM_CASE(Con) {
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "con", Sites[Pc - 1]->loc());
-    Cell *C = H.alloc(I.A, I.D, CellKind::Ctor);
+    VM_STAMP(Sites, "con");
+    Cell *C = H.alloc(I->A, I->D, CellKind::Ctor);
     if (!C)
       VM_TRAP("out of memory allocating a constructor", TrapKind::OutOfMemory);
     VM_REFRAME();
-    for (uint32_t J = 0; J != I.A; ++J)
-      C->setField(J, RF[I.C + J]);
-    RF[I.B] = Value::makeRef(C);
+    for (uint32_t J = 0; J != I->A; ++J)
+      C->setField(J, RF[I->C + J]);
+    RF[I->B] = Value::makeRef(C);
     VM_NEXT();
   }
   VM_CASE(ConReuse) {
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "con@ru", Sites[Pc - 1]->loc());
-    Value Tok = RF[I.D];
+    VM_STAMP(Sites, "con@ru");
+    Value Tok = RF[I->D];
     if (Tok.Kind != ValueKind::Token)
       VM_TRAP("constructor reuse with a non-token", TrapKind::RuntimeError);
     Cell *C = nullptr;
     if (Tok.Tok) {
       C = Tok.Tok; // in-place reuse: same memory, fresh identity
-      assert(C->H.Arity == I.A && "reuse token arity mismatch");
+      assert(C->H.Arity == I->A && "reuse token arity mismatch");
       C->H.Rc.store(1, std::memory_order_relaxed);
-      C->H.Tag = static_cast<uint8_t>(I.E);
+      C->H.Tag = static_cast<uint8_t>(I->E);
       C->H.Kind = CellKind::Ctor;
       ++R.ReuseHits;
       if (Sink)
-        Sink->record(RcEvent::ReuseHit, Cell::allocSize(I.A));
+        Sink->record(RcEvent::ReuseHit, Cell::allocSize(I->A));
     } else {
       ++R.ReuseMisses;
       if (Sink)
         Sink->record(RcEvent::ReuseMiss, 0);
     }
     if (!C) {
-      C = H.alloc(I.A, I.E, CellKind::Ctor);
+      C = H.alloc(I->A, I->E, CellKind::Ctor);
       if (!C)
         VM_TRAP("out of memory allocating a constructor",
                 TrapKind::OutOfMemory);
       VM_REFRAME();
     }
-    for (uint32_t J = 0; J != I.A; ++J)
-      C->setField(J, RF[I.C + J]);
-    RF[I.B] = Value::makeRef(C);
+    for (uint32_t J = 0; J != I->A; ++J)
+      C->setField(J, RF[I->C + J]);
+    RF[I->B] = Value::makeRef(C);
     VM_NEXT();
   }
 
   //===--- RC instructions ------------------------------------------------===//
   VM_CASE(Dup) {
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "dup", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.C]);
+    H.dup(RF[I->C]);
     VM_NEXT();
   }
   VM_CASE(Drop) {
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "drop", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "drop");
     ++R.Rc.Drops;
-    H.drop(RF[I.C]);
+    H.drop(RF[I->C]);
     VM_NEXT();
   }
   VM_CASE(FreeOp) {
     // `free` is memory-only disposal, not an RC operation (Rc.Frees
     // only; see Machine.cpp).
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "free", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "free");
     ++R.Rc.Frees;
-    Value V = RF[I.C];
+    Value V = RF[I->C];
     if (V.Kind == ValueKind::HeapRef) {
       H.freeMemoryOnly(V.Ref);
     } else if (V.Kind == ValueKind::Token) {
@@ -575,167 +636,173 @@ NextInstr:
     VM_NEXT();
   }
   VM_CASE(DecRef) {
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "decref", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "decref");
     ++R.Rc.DecRefs;
-    H.decref(RF[I.C]);
+    H.decref(RF[I->C]);
     VM_NEXT();
   }
   VM_CASE(IsUniqueBr) {
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "is-unique", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "is-unique");
     ++R.Rc.IsUniques;
-    if (!H.isUnique(RF[I.C]))
-      Pc = I.E;
+    if (!H.isUnique(RF[I->C]))
+      VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(DropReuse) {
-    Value V = RF[I.C];
+    Value V = RF[I->C];
     if (V.Kind != ValueKind::HeapRef)
       VM_TRAP("drop-reuse of a non-heap value", TrapKind::RuntimeError);
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "drop-reuse", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "drop-reuse");
     ++R.Rc.DropReuses;
     ++R.Rc.IsUniques; // the probe below is a real is-unique test
     if (H.isUnique(V)) {
       R.Rc.ImplicitDrops += V.Ref->H.Arity; // dropChildren drops each
       H.dropChildren(V.Ref);
-      RF[I.D] = Value::makeToken(V.Ref);
+      RF[I->D] = Value::makeToken(V.Ref);
     } else {
       ++R.Rc.ImplicitDecRefs;
       H.decref(V);
-      RF[I.D] = Value::makeToken(nullptr);
+      RF[I->D] = Value::makeToken(nullptr);
     }
     VM_NEXT();
   }
   VM_CASE(ReuseAddr) {
-    Value V = RF[I.C];
+    Value V = RF[I->C];
     if (V.Kind != ValueKind::HeapRef)
       VM_TRAP("reuse-addr of a non-heap value", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeToken(V.Ref);
+    RF[I->B] = Value::makeToken(V.Ref);
     VM_NEXT();
   }
   VM_CASE(IsNullTokenBr) {
     // Blind union read, like the CEK machine: layout guarantees the slot
     // holds a token here.
-    if (RF[I.C].Tok == nullptr) {
+    if (RF[I->C].Tok == nullptr) {
       // The reuse-specialized fresh path: the pairing missed.
       ++R.ReuseMisses;
       if (Sink) {
-        Sink->setSite(Sites[Pc - 1], "is-null-token", Sites[Pc - 1]->loc());
+        Sink->setSite(VM_SITE(Sites), "is-null-token", VM_SITE(Sites)->loc());
         Sink->record(RcEvent::ReuseMiss, 0);
       }
     } else {
-      Pc = I.E;
+      VM_JUMP(I->E);
     }
     VM_NEXT();
   }
   VM_CASE(SetField) {
-    Value Tok = RF[I.C];
+    Value Tok = RF[I->C];
     if (Tok.Kind != ValueKind::Token || !Tok.Tok)
       VM_TRAP("field assignment through a null token", TrapKind::RuntimeError);
-    Tok.Tok->setField(I.A, RF[I.D]);
+    Tok.Tok->setField(I->A, RF[I->D]);
     VM_NEXT();
   }
   VM_CASE(TokenValue) {
-    Value V = RF[I.C];
+    Value V = RF[I->C];
     if (V.Kind != ValueKind::Token || !V.Tok)
       VM_TRAP("token value of a null or non-token", TrapKind::RuntimeError);
     Cell *C = V.Tok;
-    C->H.Tag = static_cast<uint8_t>(I.D);
+    C->H.Tag = static_cast<uint8_t>(I->D);
     C->H.Kind = CellKind::Ctor;
     ++R.ReuseHits;
     if (Sink) {
-      Sink->setSite(Sites[Pc - 1], "token-value", Sites[Pc - 1]->loc());
+      Sink->setSite(VM_SITE(Sites), "token-value", VM_SITE(Sites)->loc());
       Sink->record(RcEvent::ReuseHit, Cell::allocSize(C->H.Arity));
     }
-    RF[I.B] = Value::makeRef(C);
+    RF[I->B] = Value::makeRef(C);
     VM_NEXT();
   }
 
   //===--- Primitives -----------------------------------------------------===//
   VM_CASE(Add) {
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(A.Int + B.Int);
+    int64_t V = 0;
+    if (const char *Msg = checkedArith(ArithKind::Add, A.Int, B.Int, V))
+      VM_TRAP(Msg, TrapKind::RuntimeError);
+    RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(Sub) {
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(A.Int - B.Int);
+    int64_t V = 0;
+    if (const char *Msg = checkedArith(ArithKind::Sub, A.Int, B.Int, V))
+      VM_TRAP(Msg, TrapKind::RuntimeError);
+    RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(Mul) {
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(A.Int * B.Int);
+    int64_t V = 0;
+    if (const char *Msg = checkedArith(ArithKind::Mul, A.Int, B.Int, V))
+      VM_TRAP(Msg, TrapKind::RuntimeError);
+    RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(Div) {
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
     if (B.Int == 0)
       VM_TRAP("division by zero", TrapKind::RuntimeError);
     if (A.Int == INT64_MIN && B.Int == -1)
       VM_TRAP("integer overflow in division", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(A.Int / B.Int);
+    RF[I->B] = Value::makeInt(A.Int / B.Int);
     VM_NEXT();
   }
   VM_CASE(Mod) {
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
     if (B.Int == 0)
       VM_TRAP("modulo by zero", TrapKind::RuntimeError);
     if (A.Int == INT64_MIN && B.Int == -1)
       VM_TRAP("integer overflow in modulo", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(A.Int % B.Int);
+    RF[I->B] = Value::makeInt(A.Int % B.Int);
     VM_NEXT();
   }
   VM_CASE(Neg) {
-    Value A = RF[I.C];
+    Value A = RF[I->C];
     if (A.Kind != ValueKind::Int)
       VM_TRAP("negation of a non-integer", TrapKind::RuntimeError);
     if (A.Int == INT64_MIN)
       VM_TRAP("integer overflow in negation", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(-A.Int);
+    RF[I->B] = Value::makeInt(-A.Int);
     VM_NEXT();
   }
   VM_CASE(Lt) {
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeBool(A.Int < B.Int);
+    RF[I->B] = Value::makeBool(A.Int < B.Int);
     VM_NEXT();
   }
   VM_CASE(Le) {
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeBool(A.Int <= B.Int);
+    RF[I->B] = Value::makeBool(A.Int <= B.Int);
     VM_NEXT();
   }
   VM_CASE(Gt) {
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeBool(A.Int > B.Int);
+    RF[I->B] = Value::makeBool(A.Int > B.Int);
     VM_NEXT();
   }
   VM_CASE(Ge) {
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeBool(A.Int >= B.Int);
+    RF[I->B] = Value::makeBool(A.Int >= B.Int);
     VM_NEXT();
   }
   VM_CASE(EqVal) {
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     bool Eq;
     if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
       Eq = A.Int == B.Int;
@@ -746,11 +813,11 @@ NextInstr:
     else
       VM_TRAP("equality on incompatible or heap values",
               TrapKind::RuntimeError);
-    RF[I.B] = Value::makeBool(Eq);
+    RF[I->B] = Value::makeBool(Eq);
     VM_NEXT();
   }
   VM_CASE(NeVal) {
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     bool Eq;
     if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
       Eq = A.Int == B.Int;
@@ -761,18 +828,18 @@ NextInstr:
     else
       VM_TRAP("equality on incompatible or heap values",
               TrapKind::RuntimeError);
-    RF[I.B] = Value::makeBool(!Eq);
+    RF[I->B] = Value::makeBool(!Eq);
     VM_NEXT();
   }
   VM_CASE(Not) {
-    Value A = RF[I.C];
+    Value A = RF[I->C];
     if (A.Kind != ValueKind::Bool)
       VM_TRAP("negation of a non-boolean", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeBool(!A.asBool());
+    RF[I->B] = Value::makeBool(!A.asBool());
     VM_NEXT();
   }
   VM_CASE(PrintLn) {
-    Value A = RF[I.C];
+    Value A = RF[I->C];
     if (A.Kind == ValueKind::Int)
       R.Output += std::to_string(A.Int);
     else if (A.Kind == ValueKind::Bool)
@@ -782,17 +849,16 @@ NextInstr:
     else
       VM_TRAP("println of a non-printable value", TrapKind::RuntimeError);
     R.Output += '\n';
-    RF[I.B] = Value::unit();
+    RF[I->B] = Value::unit();
     VM_NEXT();
   }
   VM_CASE(MarkSharedOp) {
     // tshare consumes its argument (the reference is transferred in).
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "tshare", Sites[Pc - 1]->loc());
-    H.markShared(RF[I.C]);
+    VM_STAMP(Sites, "tshare");
+    H.markShared(RF[I->C]);
     ++R.Rc.ImplicitDrops;
-    H.drop(RF[I.C]);
-    RF[I.B] = Value::unit();
+    H.drop(RF[I->C]);
+    RF[I->B] = Value::unit();
     VM_NEXT();
   }
   VM_CASE(AbortOp) {
@@ -801,48 +867,45 @@ NextInstr:
   }
   VM_CASE(RefNew) {
     // Ownership of the content moves into the cell.
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "ref-new", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "ref-new");
     Cell *C = H.alloc(1, 0, CellKind::Ref);
     if (!C)
       VM_TRAP("out of memory allocating a reference", TrapKind::OutOfMemory);
     VM_REFRAME();
-    C->setField(0, RF[I.C]);
-    RF[I.B] = Value::makeRef(C);
+    C->setField(0, RF[I->C]);
+    RF[I->B] = Value::makeRef(C);
     VM_NEXT();
   }
   VM_CASE(RefGet) {
-    Value Rv = RF[I.C];
+    Value Rv = RF[I->C];
     if (Rv.Kind != ValueKind::HeapRef || Rv.Ref->H.Kind != CellKind::Ref)
       VM_TRAP("deref of a non-reference", TrapKind::RuntimeError);
     Value Out = Rv.Ref->field(0);
     // The paper's read: dup the content, then release the handle.
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "ref-get", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "ref-get");
     ++R.Rc.ImplicitDups;
     H.dup(Out);
     ++R.Rc.ImplicitDrops;
     H.drop(Rv);
-    RF[I.B] = Out;
+    RF[I->B] = Out;
     VM_NEXT();
   }
   VM_CASE(RefSet) {
-    Value Rv = RF[I.C];
+    Value Rv = RF[I->C];
     if (Rv.Kind != ValueKind::HeapRef || Rv.Ref->H.Kind != CellKind::Ref)
       VM_TRAP("set-ref of a non-reference", TrapKind::RuntimeError);
     Value Old = Rv.Ref->field(0);
-    Rv.Ref->setField(0, RF[I.D]); // content ownership moves in
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "ref-set", Sites[Pc - 1]->loc());
+    Rv.Ref->setField(0, RF[I->D]); // content ownership moves in
+    VM_STAMP(Sites, "ref-set");
     R.Rc.ImplicitDrops += 2;
     H.drop(Old);
     H.drop(Rv); // release the handle
-    RF[I.B] = Value::unit();
+    RF[I->B] = Value::unit();
     VM_NEXT();
   }
 
   VM_CASE(TrapOp) {
-    VM_TRAP(CP.Messages[I.E], TrapKind::RuntimeError);
+    VM_TRAP(CP.Messages[I->E], TrapKind::RuntimeError);
   }
 
   //===--- Superinstructions (peephole tier) ------------------------------===//
@@ -855,110 +918,86 @@ NextInstr:
   VM_CASE(DupMove) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "dup", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.D]);
-    RF[I.B] = RF[I.C];
+    H.dup(RF[I->D]);
+    RF[I->B] = RF[I->C];
     VM_NEXT();
   }
   VM_CASE(Dup2) {
     ++R.Rc.FusedOps;
     R.Rc.FusedRcOps += 2;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "dup", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.C]);
-    if (Sink)
-      Sink->setSite(Sites2[Pc - 1], "dup", Sites2[Pc - 1]->loc());
+    H.dup(RF[I->C]);
+    VM_STAMP(Sites2, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.D]);
+    H.dup(RF[I->D]);
     VM_NEXT();
   }
   VM_CASE(Drop2) {
     ++R.Rc.FusedOps;
     R.Rc.FusedRcOps += 2;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "drop", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "drop");
     ++R.Rc.Drops;
-    H.drop(RF[I.C]);
-    if (Sink)
-      Sink->setSite(Sites2[Pc - 1], "drop", Sites2[Pc - 1]->loc());
+    H.drop(RF[I->C]);
+    VM_STAMP(Sites2, "drop");
     ++R.Rc.Drops;
-    H.drop(RF[I.D]);
+    H.drop(RF[I->D]);
     VM_NEXT();
   }
   VM_CASE(Dup3) {
     ++R.Rc.FusedOps;
     R.Rc.FusedRcOps += 3;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "dup", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.C]);
-    if (Sink)
-      Sink->setSite(Sites2[Pc - 1], "dup", Sites2[Pc - 1]->loc());
+    H.dup(RF[I->C]);
+    VM_STAMP(Sites2, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.D]);
-    if (Sink)
-      Sink->setSite(Sites3[Pc - 1], "dup", Sites3[Pc - 1]->loc());
+    H.dup(RF[I->D]);
+    VM_STAMP(Sites3, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[static_cast<uint16_t>(I.E)]);
+    H.dup(RF[static_cast<uint16_t>(I->E)]);
     VM_NEXT();
   }
   VM_CASE(Drop3) {
     ++R.Rc.FusedOps;
     R.Rc.FusedRcOps += 3;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "drop", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "drop");
     ++R.Rc.Drops;
-    H.drop(RF[I.C]);
-    if (Sink)
-      Sink->setSite(Sites2[Pc - 1], "drop", Sites2[Pc - 1]->loc());
+    H.drop(RF[I->C]);
+    VM_STAMP(Sites2, "drop");
     ++R.Rc.Drops;
-    H.drop(RF[I.D]);
-    if (Sink)
-      Sink->setSite(Sites3[Pc - 1], "drop", Sites3[Pc - 1]->loc());
+    H.drop(RF[I->D]);
+    VM_STAMP(Sites3, "drop");
     ++R.Rc.Drops;
-    H.drop(RF[static_cast<uint16_t>(I.E)]);
+    H.drop(RF[static_cast<uint16_t>(I->E)]);
     VM_NEXT();
   }
   VM_CASE(DupCallStatic) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "dup", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.D]);
-    const Chunk *T = &FuncTab[I.E];
-    if (CallDepthLimit && CallDepth >= CallDepthLimit)
-      VM_TRAP("call depth limit exceeded (stack overflow)",
-              TrapKind::StackOverflow);
-    ++CallDepth;
-    if (CallDepth > R.MaxCallDepth)
-      R.MaxCallDepth = CallDepth;
-    Frames.push_back(Frame{Ch, Pc, BaseL, I.B});
-    BaseL += I.C; // the argument window is the callee's parameter region
-    Regs.reframe(BaseL + T->NumRegs, BaseL + I.A);
-    if (Regs.size() > R.MaxLocalsSlots)
-      R.MaxLocalsSlots = Regs.size();
-    VM_SWITCH_CHUNK(T);
-    VM_REFRAME();
-    Pc = 0;
-    VM_NEXT();
+    H.dup(RF[I->D]);
+    const Chunk *T = &FuncTab[I->E];
+    VM_PUSH_FRAME();
+    BaseL += I->C; // the argument window is the callee's parameter region
+    VM_ENTER(T, I->A);
+    VM_DISPATCH();
   }
   VM_CASE(DupCall) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
-    if (Sink)
-      Sink->setSite(Sites2[Pc - 1], "dup", Sites2[Pc - 1]->loc());
+    VM_STAMP(Sites2, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.D]);
-    Value Callee = RF[I.C];
+    H.dup(RF[I->D]);
+    Value Callee = RF[I->C];
     const Chunk *T;
     Cell *Clo = nullptr;
     if (Callee.Kind == ValueKind::FnRef) {
       T = &FuncTab[Callee.fnId()];
-      if (T->NumParams != I.A)
+      if (T->NumParams != I->A)
         VM_TRAP("arity mismatch calling '" +
                     std::string(CP.Prog->symbols().name(T->Fn->Name)) + "'",
                 TrapKind::RuntimeError);
@@ -967,129 +1006,103 @@ NextInstr:
       Clo = Callee.Ref;
       const auto *Lm = static_cast<const LamExpr *>(Clo->field(0).rawPtr());
       T = &LamTab[Lm->lamId()];
-      if (T->NumParams != I.A)
+      if (T->NumParams != I->A)
         VM_TRAP("arity mismatch calling a closure", TrapKind::RuntimeError);
     } else {
       VM_TRAP("calling a non-function value", TrapKind::RuntimeError);
     }
-    if (CallDepthLimit && CallDepth >= CallDepthLimit)
-      VM_TRAP("call depth limit exceeded (stack overflow)",
-              TrapKind::StackOverflow);
-    ++CallDepth;
-    if (CallDepth > R.MaxCallDepth)
-      R.MaxCallDepth = CallDepth;
-    const Expr *SiteE = Sites[Pc - 1];
-    Frames.push_back(Frame{Ch, Pc, BaseL, I.B});
-    BaseL += I.C + 1; // arguments start one past the callee register
-    Regs.reframe(BaseL + T->NumRegs, BaseL + I.A);
-    if (Regs.size() > R.MaxLocalsSlots)
-      R.MaxLocalsSlots = Regs.size();
-    VM_SWITCH_CHUNK(T);
-    VM_REFRAME();
-    Pc = 0;
+    VM_PUSH_FRAME();
+    const Expr *SiteE = VM_SITE(Sites);
+    BaseL += I->C + 1; // arguments start one past the callee register
+    VM_ENTER(T, I->A);
     if (Clo)
       applyClosure(T, Clo, SiteE, RF);
-    VM_NEXT();
+    VM_DISPATCH();
   }
   VM_CASE(IsUniqueReuse) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "is-unique", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "is-unique");
     ++R.Rc.IsUniques;
-    Value V = RF[I.C];
+    Value V = RF[I->C];
     if (H.isUnique(V))
-      RF[I.B] = Value::makeToken(V.Ref); // the fused ReuseAddr
+      RF[I->B] = Value::makeToken(V.Ref); // the fused ReuseAddr
     else
-      Pc = I.E;
+      VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(SetFieldToken) {
     ++R.Rc.FusedOps;
-    Value Tok = RF[I.C];
+    Value Tok = RF[I->C];
     if (Tok.Kind != ValueKind::Token || !Tok.Tok)
       VM_TRAP("field assignment through a null token", TrapKind::RuntimeError);
     Cell *C = Tok.Tok;
-    C->setField(I.A, RF[I.D]);
-    C->H.Tag = static_cast<uint8_t>(I.E);
+    C->setField(I->A, RF[I->D]);
+    C->H.Tag = static_cast<uint8_t>(I->E);
     C->H.Kind = CellKind::Ctor;
     ++R.ReuseHits;
     if (Sink) {
-      Sink->setSite(Sites[Pc - 1], "token-value", Sites[Pc - 1]->loc());
+      Sink->setSite(VM_SITE(Sites), "token-value", VM_SITE(Sites)->loc());
       Sink->record(RcEvent::ReuseHit, Cell::allocSize(C->H.Arity));
     }
-    RF[I.B] = Value::makeRef(C);
+    RF[I->B] = Value::makeRef(C);
     VM_NEXT();
   }
   VM_CASE(Move2) {
     ++R.Rc.FusedOps;
-    RF[I.B] = RF[I.C];
-    RF[I.D] = RF[static_cast<uint16_t>(I.E)];
+    RF[I->B] = RF[I->C];
+    RF[I->D] = RF[static_cast<uint16_t>(I->E)];
     VM_NEXT();
   }
   VM_CASE(LoadConstMove) {
     ++R.Rc.FusedOps;
-    RF[I.D] = Consts[I.E];
-    RF[I.B] = RF[I.C];
+    RF[I->D] = Consts[I->E];
+    RF[I->B] = RF[I->C];
     VM_NEXT();
   }
   VM_CASE(RetConst) {
     ++R.Rc.FusedOps;
-    Value V = Consts[I.E];
-    if (Frames.empty()) {
-      Result = V;
-      goto Done;
-    }
-    Frame F = Frames.back();
-    Frames.pop_back();
-    --CallDepth;
-    BaseL = F.Base;
-    Regs.resize(BaseL + F.Ch->NumRegs);
-    VM_SWITCH_CHUNK(F.Ch);
-    VM_REFRAME();
-    Pc = F.Pc;
-    RF[F.Dst] = V;
-    VM_NEXT();
+    VM_RETURN(Consts[I->E]);
   }
   VM_CASE(LtBr) {
     ++R.Rc.FusedOps;
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
     if (!(A.Int < B.Int))
-      Pc = I.E;
+      VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(LeBr) {
     ++R.Rc.FusedOps;
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
     if (!(A.Int <= B.Int))
-      Pc = I.E;
+      VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(GtBr) {
     ++R.Rc.FusedOps;
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
     if (!(A.Int > B.Int))
-      Pc = I.E;
+      VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(GeBr) {
     ++R.Rc.FusedOps;
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
     if (!(A.Int >= B.Int))
-      Pc = I.E;
+      VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(EqBr) {
     ++R.Rc.FusedOps;
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     bool Eq;
     if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
       Eq = A.Int == B.Int;
@@ -1101,12 +1114,12 @@ NextInstr:
       VM_TRAP("equality on incompatible or heap values",
               TrapKind::RuntimeError);
     if (!Eq)
-      Pc = I.E;
+      VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(NeBr) {
     ++R.Rc.FusedOps;
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     bool Eq;
     if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
       Eq = A.Int == B.Int;
@@ -1118,13 +1131,13 @@ NextInstr:
       VM_TRAP("equality on incompatible or heap values",
               TrapKind::RuntimeError);
     if (Eq)
-      Pc = I.E;
+      VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(CmpConstBr) {
     ++R.Rc.FusedOps;
-    Value A = RF[I.C], B = Consts[I.D];
-    CmpBrKind K = static_cast<CmpBrKind>(I.A);
+    Value A = RF[I->C], B = Consts[I->D];
+    CmpBrKind K = static_cast<CmpBrKind>(I->A);
     bool Res;
     if (K == CmpBrKind::Eq || K == CmpBrKind::Ne) {
       bool Eq;
@@ -1157,7 +1170,7 @@ NextInstr:
       }
     }
     if (!Res)
-      Pc = I.E;
+      VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(CmpJmp) {
@@ -1166,8 +1179,8 @@ NextInstr:
     // skipped JumpIfFalse's non-boolean trap was unreachable, and its
     // condition temp is dead on this path (the write is elided).
     ++R.Rc.FusedOps;
-    Value A = RF[I.C], B = RF[I.D];
-    CmpBrKind K = static_cast<CmpBrKind>(I.A);
+    Value A = RF[I->C], B = RF[I->D];
+    CmpBrKind K = static_cast<CmpBrKind>(I->A);
     bool Res;
     if (K == CmpBrKind::Eq || K == CmpBrKind::Ne) {
       bool Eq;
@@ -1199,29 +1212,32 @@ NextInstr:
         break;
       }
     }
-    Pc = Res ? I.B : I.E;
-    VM_NEXT();
+    VM_JUMP(Res ? I->B : I->E);
   }
   VM_CASE(MoveArith) {
     ++R.Rc.FusedOps;
-    RF[static_cast<uint16_t>(I.E >> 16)] = RF[static_cast<uint16_t>(I.E)];
-    Value A = RF[I.C], B = RF[I.D];
+    RF[static_cast<uint16_t>(I->E >> 16)] = RF[static_cast<uint16_t>(I->E)];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(I.A == 0   ? A.Int + B.Int
-                             : I.A == 1 ? A.Int - B.Int
-                                        : A.Int * B.Int);
+    int64_t V = 0;
+    if (const char *Msg = checkedArith(static_cast<ArithKind>(I->A), A.Int,
+                                       B.Int, V))
+      VM_TRAP(Msg, TrapKind::RuntimeError);
+    RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(ArithMove) {
     ++R.Rc.FusedOps;
-    Value A = RF[I.C], B = RF[I.D];
+    Value A = RF[I->C], B = RF[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    RF[I.B] = Value::makeInt(I.A == 0   ? A.Int + B.Int
-                             : I.A == 1 ? A.Int - B.Int
-                                        : A.Int * B.Int);
-    RF[static_cast<uint16_t>(I.E >> 16)] = RF[static_cast<uint16_t>(I.E)];
+    int64_t V = 0;
+    if (const char *Msg = checkedArith(static_cast<ArithKind>(I->A), A.Int,
+                                       B.Int, V))
+      VM_TRAP(Msg, TrapKind::RuntimeError);
+    RF[I->B] = Value::makeInt(V);
+    RF[static_cast<uint16_t>(I->E >> 16)] = RF[static_cast<uint16_t>(I->E)];
     VM_NEXT();
   }
   VM_CASE(ArithConst) {
@@ -1229,48 +1245,32 @@ NextInstr:
     // condition (either operand non-integer) is checked exactly as the
     // component arith did, constants included.
     ++R.Rc.FusedOps;
-    Value A = RF[I.C], B = Consts[I.D];
+    Value A = RF[I->C], B = Consts[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    int64_t V;
-    switch (I.A) {
-    case 0:
-      V = A.Int + B.Int;
-      break;
-    case 1:
-      V = A.Int - B.Int;
-      break;
-    case 2:
-      V = B.Int - A.Int;
-      break;
-    default:
-      V = A.Int * B.Int;
-      break;
-    }
-    RF[I.B] = Value::makeInt(V);
+    int64_t V = 0;
+    if (const char *Msg = checkedArith(static_cast<ArithKind>(I->A), A.Int,
+                                       B.Int, V))
+      VM_TRAP(Msg, TrapKind::RuntimeError);
+    RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(Move3) {
     ++R.Rc.FusedOps;
-    RF[I.B] = RF[I.C];
-    RF[I.D] = RF[static_cast<uint16_t>(I.E)];
-    RF[static_cast<uint16_t>(I.E >> 16)] = RF[I.A];
+    RF[I->B] = RF[I->C];
+    RF[I->D] = RF[static_cast<uint16_t>(I->E)];
+    RF[static_cast<uint16_t>(I->E >> 16)] = RF[I->A];
     VM_NEXT();
   }
   VM_CASE(MoveTailCallStatic) {
     ++R.Rc.FusedOps;
-    RF[I.B] = RF[I.D]; // the fused move (an argument-window store)
-    const Chunk *T = &FuncTab[I.E];
+    RF[I->B] = RF[I->D]; // the fused move (an argument-window store)
+    const Chunk *T = &FuncTab[I->E];
     ++R.TailCalls;
-    for (uint32_t J = 0; J != I.A; ++J) // forward copy; window >= dst
-      RF[J] = RF[I.C + J];
-    Regs.reframe(BaseL + T->NumRegs, BaseL + I.A);
-    if (Regs.size() > R.MaxLocalsSlots)
-      R.MaxLocalsSlots = Regs.size();
-    VM_SWITCH_CHUNK(T);
-    VM_REFRAME();
-    Pc = 0;
-    VM_NEXT();
+    for (uint32_t J = 0; J != I->A; ++J) // forward copy; window >= dst
+      RF[J] = RF[I->C + J];
+    VM_ENTER(T, I->A);
+    VM_DISPATCH();
   }
   VM_CASE(IsUniqueBrDup2) {
     // The reuse-specialized match arm prologue: probe, then dup the two
@@ -1278,124 +1278,98 @@ NextInstr:
     // IsUniqueBr whose else-branch skipped them.
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "is-unique", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "is-unique");
     ++R.Rc.IsUniques;
-    if (H.isUnique(RF[I.C])) {
+    if (H.isUnique(RF[I->C])) {
       R.Rc.FusedRcOps += 2;
-      if (Sink)
-        Sink->setSite(Sites2[Pc - 1], "dup", Sites2[Pc - 1]->loc());
+      VM_STAMP(Sites2, "dup");
       ++R.Rc.Dups;
-      H.dup(RF[I.B]);
-      if (Sink)
-        Sink->setSite(Sites3[Pc - 1], "dup", Sites3[Pc - 1]->loc());
+      H.dup(RF[I->B]);
+      VM_STAMP(Sites3, "dup");
       ++R.Rc.Dups;
-      H.dup(RF[I.D]);
+      H.dup(RF[I->D]);
     } else {
-      Pc = I.E;
+      VM_JUMP(I->E);
     }
     VM_NEXT();
   }
   VM_CASE(DecLoadConst) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "decref", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "decref");
     ++R.Rc.DecRefs;
-    H.decref(RF[I.C]);
-    RF[I.B] = Consts[I.E];
+    H.decref(RF[I->C]);
+    RF[I->B] = Consts[I->E];
     VM_NEXT();
   }
   VM_CASE(JfMove) {
     ++R.Rc.FusedOps;
-    Value V = RF[I.B];
+    Value V = RF[I->B];
     if (V.Kind != ValueKind::Bool)
       VM_TRAP("if condition is not a boolean", TrapKind::RuntimeError);
     if (!V.asBool())
-      Pc = I.E;
+      VM_JUMP(I->E);
     else
-      RF[I.C] = RF[I.D];
+      RF[I->C] = RF[I->D];
     VM_NEXT();
   }
   VM_CASE(JfDrop) {
     ++R.Rc.FusedOps;
-    Value V = RF[I.B];
+    Value V = RF[I->B];
     if (V.Kind != ValueKind::Bool)
       VM_TRAP("if condition is not a boolean", TrapKind::RuntimeError);
     if (!V.asBool()) {
-      Pc = I.E;
+      VM_JUMP(I->E);
     } else {
       ++R.Rc.FusedRcOps;
-      if (Sink)
-        Sink->setSite(Sites2[Pc - 1], "drop", Sites2[Pc - 1]->loc());
+      VM_STAMP(Sites2, "drop");
       ++R.Rc.Drops;
-      H.drop(RF[I.C]);
+      H.drop(RF[I->C]);
     }
     VM_NEXT();
   }
   VM_CASE(DropLoadConst) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "drop", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "drop");
     ++R.Rc.Drops;
-    H.drop(RF[I.C]);
-    RF[I.B] = Consts[I.E];
+    H.drop(RF[I->C]);
+    RF[I->B] = Consts[I->E];
     VM_NEXT();
   }
   VM_CASE(DropRetConst) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "drop", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "drop");
     ++R.Rc.Drops;
-    H.drop(RF[I.C]);
-    Value V = Consts[I.E];
-    if (Frames.empty()) {
-      Result = V;
-      goto Done;
-    }
-    Frame F = Frames.back();
-    Frames.pop_back();
-    --CallDepth;
-    BaseL = F.Base;
-    Regs.resize(BaseL + F.Ch->NumRegs);
-    VM_SWITCH_CHUNK(F.Ch);
-    VM_REFRAME();
-    Pc = F.Pc;
-    RF[F.Dst] = V;
-    VM_NEXT();
+    H.drop(RF[I->C]);
+    VM_RETURN(Consts[I->E]);
   }
   VM_CASE(DupDecLoadConst) {
     ++R.Rc.FusedOps;
     R.Rc.FusedRcOps += 2;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "dup", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.C]);
-    if (Sink)
-      Sink->setSite(Sites2[Pc - 1], "decref", Sites2[Pc - 1]->loc());
+    H.dup(RF[I->C]);
+    VM_STAMP(Sites2, "decref");
     ++R.Rc.DecRefs;
-    H.decref(RF[I.D]);
-    RF[I.B] = Consts[I.E];
+    H.decref(RF[I->D]);
+    RF[I->B] = Consts[I->E];
     VM_NEXT();
   }
   VM_CASE(Dup2DecLoadConst) {
     ++R.Rc.FusedOps;
     R.Rc.FusedRcOps += 3;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "dup", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.C]);
-    if (Sink)
-      Sink->setSite(Sites2[Pc - 1], "dup", Sites2[Pc - 1]->loc());
+    H.dup(RF[I->C]);
+    VM_STAMP(Sites2, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.D]);
-    if (Sink)
-      Sink->setSite(Sites3[Pc - 1], "decref", Sites3[Pc - 1]->loc());
+    H.dup(RF[I->D]);
+    VM_STAMP(Sites3, "decref");
     ++R.Rc.DecRefs;
-    H.decref(RF[I.B]);
-    RF[I.A] = Consts[I.E];
+    H.decref(RF[I->B]);
+    RF[I->A] = Consts[I->E];
     VM_NEXT();
   }
   VM_CASE(Dup2Move2) {
@@ -1403,82 +1377,57 @@ NextInstr:
     // materialization every match arm opens with.
     ++R.Rc.FusedOps;
     R.Rc.FusedRcOps += 2;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "dup", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.C]);
-    RF[I.B] = RF[I.C];
-    if (Sink)
-      Sink->setSite(Sites2[Pc - 1], "dup", Sites2[Pc - 1]->loc());
+    H.dup(RF[I->C]);
+    RF[I->B] = RF[I->C];
+    VM_STAMP(Sites2, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[static_cast<uint16_t>(I.E)]);
-    RF[I.D] = RF[static_cast<uint16_t>(I.E)];
+    H.dup(RF[static_cast<uint16_t>(I->E)]);
+    RF[I->D] = RF[static_cast<uint16_t>(I->E)];
     VM_NEXT();
   }
   VM_CASE(MoveDupMove) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
-    RF[I.B] = RF[I.C];
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "dup", Sites[Pc - 1]->loc());
+    RF[I->B] = RF[I->C];
+    VM_STAMP(Sites, "dup");
     ++R.Rc.Dups;
-    H.dup(RF[I.D]);
-    RF[static_cast<uint16_t>(I.E)] = RF[I.D];
+    H.dup(RF[I->D]);
+    RF[static_cast<uint16_t>(I->E)] = RF[I->D];
     VM_NEXT();
   }
   VM_CASE(MoveArithConst) {
     ++R.Rc.FusedOps;
-    RF[static_cast<uint16_t>(I.E >> 16)] = RF[static_cast<uint16_t>(I.E)];
-    Value A = RF[I.C], B = Consts[I.D];
+    RF[static_cast<uint16_t>(I->E >> 16)] = RF[static_cast<uint16_t>(I->E)];
+    Value A = RF[I->C], B = Consts[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    int64_t V;
-    switch (I.A) {
-    case 0:
-      V = A.Int + B.Int;
-      break;
-    case 1:
-      V = A.Int - B.Int;
-      break;
-    case 2:
-      V = B.Int - A.Int;
-      break;
-    default:
-      V = A.Int * B.Int;
-      break;
-    }
-    RF[I.B] = Value::makeInt(V);
+    int64_t V = 0;
+    if (const char *Msg = checkedArith(static_cast<ArithKind>(I->A), A.Int,
+                                       B.Int, V))
+      VM_TRAP(Msg, TrapKind::RuntimeError);
+    RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(ArithConstMove) {
     ++R.Rc.FusedOps;
-    Value A = RF[I.C], B = Consts[I.D];
+    Value A = RF[I->C], B = Consts[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    int64_t V;
-    switch (I.A) {
-    case 0:
-      V = A.Int + B.Int;
-      break;
-    case 1:
-      V = A.Int - B.Int;
-      break;
-    case 2:
-      V = B.Int - A.Int;
-      break;
-    default:
-      V = A.Int * B.Int;
-      break;
-    }
-    RF[I.B] = Value::makeInt(V);
-    RF[static_cast<uint16_t>(I.E >> 16)] = RF[static_cast<uint16_t>(I.E)];
+    int64_t V = 0;
+    if (const char *Msg = checkedArith(static_cast<ArithKind>(I->A), A.Int,
+                                       B.Int, V))
+      VM_TRAP(Msg, TrapKind::RuntimeError);
+    RF[I->B] = Value::makeInt(V);
+    RF[static_cast<uint16_t>(I->E >> 16)] = RF[static_cast<uint16_t>(I->E)];
     VM_NEXT();
   }
   VM_CASE(MoveCmpConstBr) {
     ++R.Rc.FusedOps;
-    RF[I.C] = RF[I.B]; // the fused move feeds the compare's lhs
-    Value A = RF[I.C], B = Consts[I.D];
-    CmpBrKind K = static_cast<CmpBrKind>(I.A);
+    RF[I->C] = RF[I->B]; // the fused move feeds the compare's lhs
+    Value A = RF[I->C], B = Consts[I->D];
+    CmpBrKind K = static_cast<CmpBrKind>(I->A);
     bool Res;
     if (K == CmpBrKind::Eq || K == CmpBrKind::Ne) {
       bool Eq;
@@ -1511,96 +1460,52 @@ NextInstr:
       }
     }
     if (!Res)
-      Pc = I.E;
+      VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(ConRet) {
     ++R.Rc.FusedOps;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "con", Sites[Pc - 1]->loc());
-    Cell *C = H.alloc(I.A, I.D, CellKind::Ctor);
+    VM_STAMP(Sites, "con");
+    Cell *C = H.alloc(I->A, I->D, CellKind::Ctor);
     if (!C)
       VM_TRAP("out of memory allocating a constructor", TrapKind::OutOfMemory);
     VM_REFRAME();
-    for (uint32_t J = 0; J != I.A; ++J)
-      C->setField(J, RF[I.C + J]);
-    Value V = Value::makeRef(C);
-    RF[I.B] = V; // kept live for a clean unwind should the pop not happen
-    if (Frames.empty()) {
-      Result = V;
-      goto Done;
-    }
-    Frame F = Frames.back();
-    Frames.pop_back();
-    --CallDepth;
-    BaseL = F.Base;
-    Regs.resize(BaseL + F.Ch->NumRegs);
-    VM_SWITCH_CHUNK(F.Ch);
-    VM_REFRAME();
-    Pc = F.Pc;
-    RF[F.Dst] = V;
-    VM_NEXT();
+    for (uint32_t J = 0; J != I->A; ++J)
+      C->setField(J, RF[I->C + J]);
+    RF[I->B] = Value::makeRef(C); // live for a clean unwind until returned
+    VM_RETURN(RF[I->B]);
   }
   VM_CASE(DropMove) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "drop", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "drop");
     ++R.Rc.Drops;
-    H.drop(RF[I.C]);
-    RF[I.B] = RF[I.D];
+    H.drop(RF[I->C]);
+    RF[I->B] = RF[I->D];
     VM_NEXT();
   }
   VM_CASE(ArithConstRet) {
     ++R.Rc.FusedOps;
-    Value A = RF[I.C], B = Consts[I.D];
+    Value A = RF[I->C], B = Consts[I->D];
     if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
       VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    int64_t VI;
-    switch (I.A) {
-    case 0:
-      VI = A.Int + B.Int;
-      break;
-    case 1:
-      VI = A.Int - B.Int;
-      break;
-    case 2:
-      VI = B.Int - A.Int;
-      break;
-    default:
-      VI = A.Int * B.Int;
-      break;
-    }
-    Value V = Value::makeInt(VI);
-    if (Frames.empty()) {
-      Result = V;
-      goto Done;
-    }
-    Frame F = Frames.back();
-    Frames.pop_back();
-    --CallDepth;
-    BaseL = F.Base;
-    Regs.resize(BaseL + F.Ch->NumRegs);
-    VM_SWITCH_CHUNK(F.Ch);
-    VM_REFRAME();
-    Pc = F.Pc;
-    RF[F.Dst] = V;
-    VM_NEXT();
+    int64_t V = 0;
+    if (const char *Msg = checkedArith(static_cast<ArithKind>(I->A), A.Int,
+                                       B.Int, V))
+      VM_TRAP(Msg, TrapKind::RuntimeError);
+    VM_RETURN(Value::makeInt(V));
   }
   VM_CASE(IsUniqueReuseJmp) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
-    if (Sink)
-      Sink->setSite(Sites[Pc - 1], "is-unique", Sites[Pc - 1]->loc());
+    VM_STAMP(Sites, "is-unique");
     ++R.Rc.IsUniques;
-    Value V = RF[I.C];
+    Value V = RF[I->C];
     if (H.isUnique(V)) {
-      RF[I.B] = Value::makeToken(V.Ref); // the fused ReuseAddr
-      Pc = I.D;                          // the fused unique-path Jump
-    } else {
-      Pc = I.E;
+      RF[I->B] = Value::makeToken(V.Ref); // the fused ReuseAddr
+      VM_JUMP(I->D);                      // the fused unique-path Jump
     }
-    VM_NEXT();
+    VM_JUMP(I->E);
   }
 
 #if !PERCEUS_VM_COMPUTED_GOTO
@@ -1616,11 +1521,18 @@ Exit:
   return;
 
 #undef VM_CASE
+#undef VM_DISPATCH
+#undef VM_RESUME
 #undef VM_NEXT
+#undef VM_JUMP
 #undef VM_TRAP
-#undef VM_FUEL_CHECK
 #undef VM_REFRAME
 #undef VM_SWITCH_CHUNK
+#undef VM_SITE
+#undef VM_STAMP
+#undef VM_PUSH_FRAME
+#undef VM_ENTER
+#undef VM_RETURN
 }
 
 void VM::enumerateRoots(const std::function<void(Value)> &Fn) const {

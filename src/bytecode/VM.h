@@ -9,6 +9,9 @@
 /// bytecode/Bytecode.h chunks, dispatching with computed goto where the
 /// compiler supports it (GCC/Clang) and a portable switch otherwise
 /// (forced with -DPERCEUS_VM_FORCE_SWITCH for testing the fallback).
+/// Handlers read their operands in place through the program counter, a
+/// pointer into the current chunk, and each dispatch pays one compare
+/// for fuel, safepoints and deadlines together (see VM::execute).
 ///
 /// The VM implements the same Engine interface as the CEK machine and is
 /// observably identical to it (see the parity contract in Bytecode.h):
@@ -29,9 +32,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace perceus {
@@ -40,9 +45,9 @@ namespace perceus {
 /// std::vector<Value> whose size changes stay inline. Frames grow and
 /// shrink on every call and return, and libstdc++'s out-of-line
 /// default-append path showed up at ~5% of VM time on the Figure 9 set.
-/// Value is trivially copyable, so reframing is a size update plus a
-/// unit-fill of the fresh slots; only capacity growth leaves the fast
-/// path.
+/// Value is trivially copyable and the unit value is all-zero bytes, so
+/// reframing is a size update plus one memset of the fresh slots; only
+/// capacity growth leaves the fast path.
 class RegStack {
 public:
   Value *data() { return Mem.get(); }
@@ -70,11 +75,14 @@ public:
   /// — the combined frame-resize + argument-window-clear every call
   /// executes. \p From never exceeds \p N (arguments fit the frame).
   void reframe(size_t N, size_t From) {
+    static_assert(static_cast<uint8_t>(ValueKind::Unit) == 0 &&
+                      std::is_trivially_copyable_v<Value>,
+                  "a zeroed Value must be the unit value");
+    assert(From <= N && "arguments must fit the frame");
     if (N > Cap)
       grow(N);
-    Value *D = Mem.get();
-    for (size_t I = From; I < N; ++I)
-      D[I] = Value::unit();
+    std::memset(static_cast<void *>(Mem.get() + From), 0,
+                (N - From) * sizeof(Value));
     Sz = N;
   }
 
@@ -123,7 +131,7 @@ private:
   /// goes.
   struct Frame {
     const Chunk *Ch;
-    uint32_t Pc;   ///< resume pc
+    uint32_t Pc;   ///< resume index into Ch->Code
     uint32_t Base; ///< the caller frame's first register
     uint32_t Dst;  ///< caller register receiving the return value
   };

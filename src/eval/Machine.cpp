@@ -277,12 +277,16 @@ bool Machine::step() {
         bool Matches = false;
         switch (Arm.Kind) {
         case ArmKind::Ctor: {
+          // Only a value the arm can bind: its own constructor's
+          // immediate, or a cell with its tag and one field per binder.
+          // A same-tag value of another type falls through.
           const CtorDecl &C = P.ctor(Arm.Ctor);
           if (V.Kind == ValueKind::Enum)
-            Matches = V.enumTag() == C.Tag;
+            Matches = V.Bits == Value::makeEnum(C.DataId, C.Tag).Bits;
           else if (V.Kind == ValueKind::HeapRef &&
                    V.Ref->H.Kind == CellKind::Ctor)
-            Matches = V.Ref->H.Tag == C.Tag;
+            Matches = V.Ref->H.Tag == C.Tag &&
+                      V.Ref->H.Arity == Arm.Binders.size();
           else if (V.Kind != ValueKind::Enum &&
                    V.Kind != ValueKind::HeapRef) {
             trap("match on a non-constructor value");
@@ -752,15 +756,28 @@ void Machine::finishPrim(const PrimExpr *Pr, size_t OperandBase) {
       trap("arithmetic on a non-integer");
       return;
     }
+    int64_t V = 0;
     switch (Pr->op()) {
     case PrimOp::Add:
-      Out = Value::makeInt(A + B);
+      if (__builtin_add_overflow(A, B, &V)) {
+        trap("integer overflow in addition");
+        return;
+      }
+      Out = Value::makeInt(V);
       break;
     case PrimOp::Sub:
-      Out = Value::makeInt(A - B);
+      if (__builtin_sub_overflow(A, B, &V)) {
+        trap("integer overflow in subtraction");
+        return;
+      }
+      Out = Value::makeInt(V);
       break;
     case PrimOp::Mul:
-      Out = Value::makeInt(A * B);
+      if (__builtin_mul_overflow(A, B, &V)) {
+        trap("integer overflow in multiplication");
+        return;
+      }
+      Out = Value::makeInt(V);
       break;
     case PrimOp::Div:
       if (B == 0) {

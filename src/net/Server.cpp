@@ -227,8 +227,8 @@ void Server::acceptAll() {
     if (Fd < 0)
       return; // EAGAIN or transient error; the poller will re-arm
     if (Conns.size() >= Config.MaxConnections || !setNonBlocking(Fd)) {
+      Stats.Refused.fetch_add(1, std::memory_order_relaxed); // see closeConn
       close(Fd);
-      Stats.Refused.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     int One = 1;
@@ -442,12 +442,13 @@ void Server::updateInterest(Conn &C) {
 }
 
 void Server::closeConn(Conn &C, bool Idle) {
-  P.remove(C.Fd);
-  close(C.Fd);
-  ConnById.erase(C.Id);
+  // Count before closing: a peer that sees the close may read the stats.
   Stats.Closed.fetch_add(1, std::memory_order_relaxed);
   if (Idle)
     Stats.IdleClosed.fetch_add(1, std::memory_order_relaxed);
+  P.remove(C.Fd);
+  close(C.Fd);
+  ConnById.erase(C.Id);
   Conns.erase(C.Fd); // invalidates C; must be last
 }
 

@@ -311,6 +311,20 @@ TEST(EngineDiff, OverflowAndMixedEqualityTrapIdenticallyOnEveryEngine) {
        IntMin},
       {"div-zero", "fun main(n) { n / (n - n) }", "division by zero", 7},
       {"mod-zero", "fun main(n) { n % (n - n) }", "modulo by zero", 7},
+      // + - * at the int64 edges; on the peephole VM the constant forms
+      // run as ArithConst (x+K, x-K, K-x, x*K) and must trap the same.
+      {"add-max", "fun main(n) { n + 1 }", "integer overflow in addition",
+       INT64_MAX},
+      {"add-min", "fun main(n) { n + n }", "integer overflow in addition",
+       IntMin},
+      {"sub-min", "fun main(n) { n - 1 }", "integer overflow in subtraction",
+       IntMin},
+      {"rsub-min", "fun main(n) { 0 - n }", "integer overflow in subtraction",
+       IntMin},
+      {"mul-max", "fun main(n) { 2 * n }",
+       "integer overflow in multiplication", INT64_MAX},
+      {"mul-min", "fun main(n) { n * (0 - 1) }",
+       "integer overflow in multiplication", IntMin},
       {"eq-int-bool", "fun main(n) { if n == True then 1 else 0 }",
        "equality on incompatible or heap values", 1},
       {"ne-int-bool", "fun main(n) { if n != False then 1 else 0 }",
@@ -358,6 +372,11 @@ TEST(EngineDiff, OverflowBoundaryNeighborsStillSucceed) {
       {"fun main(n) { (n + 1) / (0 - 1) }", IntMin, INT64_MAX},
       {"fun main(n) { n % 1 }", IntMin, 0},
       {"fun main(n) { -(n + 1) }", IntMin, INT64_MAX},
+      {"fun main(n) { n - 1 }", INT64_MAX, INT64_MAX - 1},
+      {"fun main(n) { n + 1 }", IntMin, IntMin + 1},
+      {"fun main(n) { (0 - 1) - n }", INT64_MAX, IntMin},
+      {"fun main(n) { 2 * n }", IntMin / 2, IntMin},
+      {"fun main(n) { n * (0 - 1) }", INT64_MAX, -INT64_MAX},
   };
   for (const OkCase &C : Cases) {
     for (bool Peephole : {false, true}) {
@@ -369,6 +388,66 @@ TEST(EngineDiff, OverflowBoundaryNeighborsStillSucceed) {
         RunResult Res = R.callInt("main", {C.N});
         ASSERT_TRUE(Res.Ok) << Res.Error;
         EXPECT_EQ(Res.Result.Int, C.Expect);
+      }
+    }
+  }
+}
+
+/// A constructor arm matches only a value it can bind. A value of another
+/// type with the same tag — an enum immediate, or a cell of another
+/// arity — falls through to the default arm or the non-exhaustive-match
+/// trap, identically on all three engine variants; no field it lacks is
+/// ever read.
+TEST(EngineDiff, SameTagValueOfAnotherTypeFallsThrough) {
+  const char *Enums = "type a { A0  A1 }\ntype b { B0  B1(x) }\n";
+  const char *Cells = "type a { A0  A1(x, y) }\ntype b { B0  B1(x, y, z) }\n";
+  struct MatchCase {
+    const char *Name;
+    std::string Source;
+    bool Ok;
+  };
+  std::vector<MatchCase> Cases = {
+      {"enum-default",
+       std::string(Enums) + "fun main(n) { match A1 { B1(x) -> x  _ -> 0 } }",
+       true},
+      {"enum-no-default",
+       std::string(Enums) + "fun main(n) { match A1 { B1(x) -> x  B0 -> 1 } }",
+       false},
+      {"cell-default",
+       std::string(Cells) +
+           "fun main(n) { match A1(n, n) { B1(x, y, z) -> x + y + z  "
+           "_ -> 0 } }",
+       true},
+      {"cell-no-default",
+       std::string(Cells) +
+           "fun main(n) { match A1(n, n) { B1(x, y, z) -> x + y + z  "
+           "B0 -> 1 } }",
+       false},
+  };
+  for (const MatchCase &M : Cases) {
+    for (const auto &[CfgName, Config] : allConfigs()) {
+      SCOPED_TRACE(std::string(M.Name) + " / " + CfgName);
+      DiffCase C{M.Name, M.Source.c_str(), "main", 5};
+      bool GcMode = Config.Mode == RcMode::None;
+      Observed Cek = runOn(C, Config, EngineKind::Cek);
+      Observed Vm = runOn(C, Config, EngineKind::Vm);
+      Observed VmPeep = runOn(C, Config, EngineKind::Vm, nullptr,
+                              /*Peephole=*/true);
+      ASSERT_EQ(Cek.Run.Ok, M.Ok) << Cek.Run.Error;
+      if (M.Ok) {
+        EXPECT_EQ(Cek.Run.Result.Int, 0);
+      } else {
+        EXPECT_EQ(Cek.Run.Trap, TrapKind::RuntimeError);
+        EXPECT_EQ(Cek.Run.Error, "non-exhaustive match");
+      }
+      expectEqualObservations(Cek, Vm, GcMode);
+      expectEqualObservations(Cek, VmPeep, GcMode, /*Semantic=*/true);
+      EXPECT_EQ(Vm.Run.Result.Int, Cek.Run.Result.Int);
+      EXPECT_EQ(VmPeep.Run.Result.Int, Cek.Run.Result.Int);
+      if (!GcMode) {
+        EXPECT_TRUE(Cek.HeapEmpty);
+        EXPECT_TRUE(Vm.HeapEmpty);
+        EXPECT_TRUE(VmPeep.HeapEmpty);
       }
     }
   }

@@ -142,6 +142,41 @@ TEST(PercCli, OverWideProgramsAreCompileErrorsOnBothEngines) {
   }
 }
 
+TEST(PercCli, AddSubMulOverflowTrapsWithItsMessage) {
+  // + - * whose exact result leaves int64 trap instead of wrapping (and
+  // instead of executing the undefined C++ operation), on every engine
+  // variant; the constant forms run fused on the peephole VM.
+  struct Case {
+    const char *Name;
+    const char *Source;
+    std::string Args;
+    const char *Msg;
+  };
+  const std::string Max = "9223372036854775807";
+  const std::string Min = "-9223372036854775808";
+  std::vector<Case> Cases = {
+      {"add", "fun main(a, b) { a + b }", Max + " 1", "in addition"},
+      {"sub", "fun main(a, b) { a - b }", Min + " 1", "in subtraction"},
+      {"mul", "fun main(a, b) { a * b }", Max + " 2", "in multiplication"},
+      {"inc", "fun main(n) { n + 1 }", Max, "in addition"},
+      {"dec", "fun main(n) { n - 1 }", Min, "in subtraction"},
+      {"dbl", "fun main(n) { 2 * n }", Max, "in multiplication"},
+  };
+  for (const Case &C : Cases) {
+    std::string File = testing::TempDir() + "/overflow_" + C.Name + ".perc";
+    std::ofstream(File) << C.Source << "\n";
+    for (const std::string E : {"--engine=cek", "--engine=vm",
+                                "--engine=vm --no-peephole"}) {
+      int Exit = -1;
+      std::string Out = runPercCapture(File + " " + E + " " + C.Args, Exit);
+      EXPECT_EQ(Exit, 1) << C.Name << " " << E;
+      EXPECT_NE(Out.find(std::string("integer overflow ") + C.Msg),
+                std::string::npos)
+          << C.Name << " " << E << ": " << Out;
+    }
+  }
+}
+
 TEST(PercCli, BadFlagValuesAreRejected) {
   EXPECT_EQ(runPerc(prog("nqueens.perc") + " --engine=jit 6"), 1);
   EXPECT_EQ(runPerc(prog("nqueens.perc") + " --config=bogus 6"), 1);
@@ -257,6 +292,56 @@ TEST(PercCli, ServeModeThreadsTenantThroughResponses) {
       << Lines[0];
   EXPECT_NE(Lines[1].find("\"tenant\":\"other\""), std::string::npos)
       << Lines[1];
+}
+
+TEST(PercCli, SameTagMatchOfAnotherTypeNeverCrashes) {
+  // A constructor arm binds only its own type's values: a same-tag value
+  // of another type reaches the default arm (exit 0) or the
+  // non-exhaustive-match trap (exit 1), never a read of fields it lacks.
+  const char *Enums = "type a { A0  A1 }\ntype b { B0  B1(x) }\n";
+  const char *Cells = "type a { A0  A1(x, y) }\ntype b { B0  B1(x, y, z) }\n";
+  struct Case {
+    const char *Name;
+    std::string Source;
+    int Exit;
+  };
+  std::vector<Case> Cases = {
+      {"enum_default",
+       std::string(Enums) + "fun main(n) { match A1 { B1(x) -> x  _ -> 0 } }",
+       0},
+      {"enum_no_default",
+       std::string(Enums) + "fun main(n) { match A1 { B1(x) -> x  B0 -> 1 } }",
+       1},
+      {"cell_default",
+       std::string(Cells) +
+           "fun main(n) { match A1(n, n) { B1(x, y, z) -> x + y + z  "
+           "_ -> 0 } }",
+       0},
+      {"cell_no_default",
+       std::string(Cells) +
+           "fun main(n) { match A1(n, n) { B1(x, y, z) -> x + y + z  "
+           "B0 -> 1 } }",
+       1},
+  };
+  for (const Case &C : Cases) {
+    std::string File = testing::TempDir() + "/match_" + C.Name + ".perc";
+    std::ofstream(File) << C.Source << "\n";
+    for (const std::string E : {"--engine=cek", "--engine=vm",
+                                "--engine=vm --no-peephole"}) {
+      EXPECT_EQ(runPerc(File + " " + E + " 5"), C.Exit) << C.Name << " " << E;
+    }
+    // A serving process answers the request and lives on.
+    int Exit = -1;
+    std::vector<std::string> Lines =
+        runPercServe(File + " --serve --engine=vm", "main 5\n", Exit);
+    EXPECT_EQ(Exit, 0) << C.Name;
+    ASSERT_EQ(Lines.size(), 1u) << C.Name;
+    EXPECT_NE(Lines[0].find("\"status\":\"ok\""), std::string::npos)
+        << Lines[0];
+    EXPECT_EQ(Lines[0].find("\"trap\":\"runtime-error\"") != std::string::npos,
+              C.Exit == 1)
+        << Lines[0];
+  }
 }
 
 } // namespace

@@ -152,6 +152,43 @@ TEST(FuelSweep, EveryFuelLevelUnwindsCleanly) {
   }
 }
 
+/// The VM folds fuel and the safepoint cadence into one budget compare
+/// per dispatch. With a far deadline armed, safepoints run every
+/// DeadlineCheckInterval dispatches; fuel just below, at and above a
+/// safepoint, a shared-flush stride and beyond must still trap on
+/// exactly the step past the limit, on the raw and the peephole VM.
+TEST(FuelSweep, BudgetTrapsOnTheExactStepWithSafepointsArmed) {
+  for (bool Peephole : {false, true}) {
+    SCOPED_TRACE(Peephole ? "peephole vm" : "raw vm");
+    Runner R(msortSource(), PassConfig::perceusFull(),
+             EngineConfig{}.withEngine(EngineKind::Vm).withPeephole(Peephole));
+    ASSERT_TRUE(R.ok());
+    RunLimits L;
+    L.DeadlineMs = 600000; // arms the safepoints; never expires here
+    R.setLimits(L);
+    RunResult Clean = R.callInt("bench_msort", {1000});
+    ASSERT_TRUE(Clean.Ok) << Clean.Error;
+    ASSERT_GT(Clean.Steps, 70000u);
+    for (uint64_t Fuel : {1023, 1024, 1025, 32767, 32768, 32769, 65537}) {
+      SCOPED_TRACE("fuel=" + std::to_string(Fuel));
+      L.Fuel = Fuel;
+      R.setLimits(L);
+      RunResult Res = R.callInt("bench_msort", {1000});
+      ASSERT_FALSE(Res.Ok);
+      EXPECT_EQ(Res.Trap, TrapKind::OutOfFuel) << Res.Error;
+      EXPECT_EQ(Res.Steps, Fuel + 1);
+      EXPECT_TRUE(R.heapIsEmpty())
+          << "leaked " << R.heap().stats().LiveCells << " cells";
+    }
+    L.Fuel = Clean.Steps;
+    R.setLimits(L);
+    RunResult Res = R.callInt("bench_msort", {1000});
+    ASSERT_TRUE(Res.Ok) << Res.Error;
+    EXPECT_EQ(Res.Steps, Clean.Steps);
+    EXPECT_EQ(Res.Result.Int, Clean.Result.Int);
+  }
+}
+
 const char *DeepSource = R"(
 type list {
   Cons(head, tail)
