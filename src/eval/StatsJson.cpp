@@ -35,8 +35,17 @@ void writeHeapStatsJson(JsonWriter &W, const HeapStats &S) {
 void writeRunResultJson(JsonWriter &W, const RunResult &R) {
   W.beginObject()
       .member("ok", R.Ok)
-      .member("trap", trapKindName(R.Trap))
-      .member("steps", R.Steps)
+      .member("trap", trapKindName(R.Trap));
+  // The program's answer when it is an immediate the document can carry;
+  // null for a trap, unit, a constructor or a (dropped) heap value.
+  W.key("result");
+  if (R.Ok && R.Result.Kind == ValueKind::Int)
+    W.value(R.Result.Int);
+  else if (R.Ok && R.Result.Kind == ValueKind::Bool)
+    W.value(R.Result.asBool());
+  else
+    W.null();
+  W.member("steps", R.Steps)
       .member("reuse_hits", R.ReuseHits)
       .member("reuse_misses", R.ReuseMisses)
       .member("tail_calls", R.TailCalls)

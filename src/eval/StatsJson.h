@@ -25,7 +25,8 @@ struct RunResult;
 /// {"allocs":..,"frees":..,"dup_ops":..,...,"peak_bytes":..}
 void writeHeapStatsJson(JsonWriter &W, const HeapStats &S);
 
-/// {"ok":..,"trap":..,"steps":..,...,"rc_instrs":{...}}
+/// {"ok":..,"trap":..,"result":..,"steps":..,...,"rc_instrs":{...}};
+/// "result" is the integer or boolean the run returned, else null.
 void writeRunResultJson(JsonWriter &W, const RunResult &R);
 
 } // namespace perceus

@@ -7,6 +7,7 @@
 #include "net/ShardedService.h"
 
 #include <algorithm>
+#include <functional>
 
 using namespace perceus;
 
@@ -26,20 +27,13 @@ void ShardedService::stop() {
 
 size_t ShardedService::shardFor(std::string_view Tenant,
                                 std::string_view Source) const {
-  // FNV-1a 64, tenant then a non-text separator then source, so
-  // ("ab", "c") and ("a", "bc") hash apart.
-  uint64_t H = 1469598103934665603ull;
-  auto Mix = [&H](std::string_view S) {
-    for (unsigned char C : S) {
-      H ^= C;
-      H *= 1099511628211ull;
-    }
-  };
-  Mix(Tenant);
-  H ^= 0x1f;
-  H *= 1099511628211ull;
-  Mix(Source);
-  return static_cast<size_t>(H % Shards.size());
+  // Each part hashed whole by the word-at-a-time std::hash, then
+  // combined (boost's hash_combine step), so ("ab", "c") and ("a", "bc")
+  // hash apart. Runs on the event-loop thread over the full source.
+  std::hash<std::string_view> Hash;
+  size_t H = Hash(Tenant);
+  H ^= Hash(Source) + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
+  return H % Shards.size();
 }
 
 void ShardedService::submitWith(ServiceRequest R, ResponseCallback Done) {

@@ -14,7 +14,6 @@
 #include "lang/Resolver.h"
 #include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
-#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <chrono>
@@ -660,9 +659,11 @@ ServiceResponse Service::execute(WorkerState &WS, Pending &P, unsigned Index) {
     return Resp;
   }
 
-  // Per-request installs: limits (deadline reduced by the queue wait),
-  // fault injection, telemetry. All are uninstalled afterwards so the
-  // pooled heap carries nothing from one request into the next.
+  // Per-request installs: limits (deadline reduced by the queue wait)
+  // and fault injection. Both are uninstalled afterwards so the pooled
+  // heap carries nothing from one request into the next. No telemetry
+  // sink: the engines run on the inline RC fast path, and the wire's
+  // rc_calls is the heap's classification sum (writeServiceObjectJson).
   if (L.DeadlineMs)
     L.DeadlineMs -= QueueMs;
   H.setLimits(L.Heap);
@@ -673,13 +674,13 @@ ServiceResponse Service::execute(WorkerState &WS, Pending &P, unsigned Index) {
   FaultInjector FI = FaultInjector::failNth(FailAlloc);
   if (FailAlloc)
     H.setFaultInjector(&FI);
-  CountingSink Sink;
-  H.setStatsSink(&Sink);
 
   HeapStats Before = H.stats();
   H.stats().PeakBytes = H.stats().LiveBytes; // per-request peak
   Resp.Run = WS.Eng->run(It->second, Req.Args);
   Resp.Executed = true;
+  if (!Resp.Run.Ok)
+    Resp.Error = Resp.Run.Error;
 
   // In GC mode a clean run leaves unreachable cells behind (drops are
   // no-ops); sweep them so the pooled heap is empty and reusable, the
@@ -689,9 +690,7 @@ ServiceResponse Service::execute(WorkerState &WS, Pending &P, unsigned Index) {
     H.resetGcThreshold();
   }
   Resp.Heap = diffStats(H.stats(), Before);
-  Resp.RcCalls = Sink.totalRcCalls();
   Resp.HeapEmpty = H.empty();
-  H.setStatsSink(nullptr);
   H.setFaultInjector(nullptr);
   H.setLimits(HeapLimits{});
 

@@ -128,7 +128,7 @@ struct ServiceResponse {
   bool Executed = false;  ///< an engine ran (Run is meaningful)
   RejectKind Reject = RejectKind::None;
   uint64_t RetryAfterMs = 0; ///< backoff hint on rejections (0 = none)
-  std::string Error;      ///< rejection / lookup diagnostics
+  std::string Error;      ///< rejection / lookup / trap diagnostics
   RunResult Run;          ///< engine result when Executed
   HeapStats Heap;         ///< this request's stats delta on its worker heap
   bool CacheHit = false;  ///< artifact served from cache
@@ -137,7 +137,6 @@ struct ServiceResponse {
   double QueueSeconds = 0;///< time spent queued before a worker took it
   double RunSeconds = 0;  ///< compile-wait + engine time on the worker
   size_t RetainedBytes = 0; ///< worker slab bytes held after the request
-  uint64_t RcCalls = 0;   ///< telemetry: RC calls the sink observed
 };
 
 /// Resolves a 0 = "auto" parallelism knob to the hardware:

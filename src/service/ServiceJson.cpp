@@ -16,6 +16,10 @@
 namespace perceus {
 
 void writeServiceObjectJson(JsonWriter &W, const ServiceResponse &R) {
+  // rc_calls: every executed RC call lands in exactly one of these
+  // classification counters (the stats invariant), so their sum is the
+  // call count a CountingSink would have seen, with no sink installed.
+  const HeapStats &H = R.Heap;
   W.beginObject()
       .member("id", R.Id)
       .member("seq", R.Seq)
@@ -30,7 +34,8 @@ void writeServiceObjectJson(JsonWriter &W, const ServiceResponse &R) {
       .member("retry_after_ms", R.RetryAfterMs)
       .member("retained_bytes", R.RetainedBytes)
       .member("heap_empty", R.HeapEmpty)
-      .member("rc_calls", R.RcCalls)
+      .member("rc_calls", H.DupOps + H.DropOps + H.DecRefOps +
+                              H.IsUniqueTests + H.NonHeapRcOps)
       .member("error", std::string_view(R.Error))
       .endObject();
 }

@@ -174,7 +174,11 @@ CircuitBreaker::Decision CircuitBreaker::admit(const std::string &SourceKey,
   if (!enabled())
     return D;
   std::lock_guard<std::mutex> Lock(M);
-  Entry &E = Entries[SourceKey];
+  // No entry means Closed with a clean record: admit without inserting.
+  auto It = Entries.find(SourceKey);
+  if (It == Entries.end())
+    return D;
+  Entry &E = It->second;
   switch (E.St) {
   case State::Closed:
     return D;
@@ -208,17 +212,18 @@ void CircuitBreaker::onOutcome(const std::string &SourceKey, bool Executed,
   if (!enabled())
     return;
   std::lock_guard<std::mutex> Lock(M);
-  // Trap accounting must not depend on a prior admit() for the key —
-  // the breaker learns from every executed run it is told about.
-  Entry &E = Entries[SourceKey];
+  auto It = Entries.find(SourceKey);
   if (!Executed) {
     // Shed before running: releases a half-open probe slot but is no
     // evidence either way.
-    if (E.St == State::HalfOpen)
-      E.ProbeInFlight = false;
+    if (It != Entries.end() && It->second.St == State::HalfOpen)
+      It->second.ProbeInFlight = false;
     return;
   }
   if (Trapped) {
+    // Trap accounting must not depend on a prior admit() for the key —
+    // the breaker learns from every executed run it is told about.
+    Entry &E = It != Entries.end() ? It->second : Entries[SourceKey];
     if (E.St == State::HalfOpen) {
       // The probe trapped too: straight back to Open for a fresh
       // cooldown.
@@ -234,10 +239,16 @@ void CircuitBreaker::onOutcome(const std::string &SourceKey, bool Executed,
     }
     return;
   }
-  // Success closes from any state.
-  E.St = State::Closed;
-  E.ConsecutiveTraps = 0;
-  E.ProbeInFlight = false;
+  // Success closes from any state, and a Closed entry with no traps and
+  // no probe is exactly the default one: erase it, so the map holds only
+  // sources with a trap on record, not every source ever served.
+  if (It != Entries.end())
+    Entries.erase(It);
+}
+
+size_t CircuitBreaker::trackedSources() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return Entries.size();
 }
 
 CircuitBreaker::State

@@ -29,6 +29,8 @@
 ///   for `CooldownMs`; while open, requests reject with `CircuitOpen`
 ///   and a precise `RetryAfterMs`. After the cooldown one probe runs
 ///   (half-open): success closes the breaker, another trap re-opens it.
+///   Only sources with a trap on record keep an entry; a success erases
+///   it, so a stream of distinct healthy sources leaves nothing behind.
 ///
 /// Both are internally locked and safe to call from submit() and worker
 /// threads concurrently; neither ever calls back into Service, so the
@@ -194,6 +196,10 @@ public:
 
   /// Test introspection: the breaker state for \p SourceKey.
   State state(const std::string &SourceKey) const;
+
+  /// Test introspection: source keys with state on record. A key is
+  /// tracked from its first trap until a success closes it again.
+  size_t trackedSources() const;
 
 private:
   struct Entry {

@@ -7,6 +7,7 @@
 #include "support/JsonWriter.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -115,29 +116,29 @@ JsonWriter &JsonWriter::value(bool B) {
   return *this;
 }
 
-JsonWriter &JsonWriter::value(int64_t N) {
+template <typename T> void JsonWriter::writeNumber(T N) {
   beforeValue();
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(N));
-  Out += Buf;
+  char Buf[32]; // enough for any int64, uint64 or shortest double
+  std::to_chars_result R = std::to_chars(Buf, Buf + sizeof(Buf), N);
+  assert(R.ec == std::errc() && "number buffer too small");
+  Out.append(Buf, R.ptr);
+}
+
+JsonWriter &JsonWriter::value(int64_t N) {
+  writeNumber(N);
   return *this;
 }
 
 JsonWriter &JsonWriter::value(uint64_t N) {
-  beforeValue();
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%llu", static_cast<unsigned long long>(N));
-  Out += Buf;
+  writeNumber(N);
   return *this;
 }
 
 JsonWriter &JsonWriter::value(double D) {
   if (!std::isfinite(D))
     return null();
-  beforeValue();
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", D);
-  Out += Buf;
+  // Shortest text that parses back to exactly D.
+  writeNumber(D);
   return *this;
 }
 

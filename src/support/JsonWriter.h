@@ -79,6 +79,7 @@ public:
 private:
   void beforeValue();
   void writeEscaped(std::string_view S);
+  template <typename T> void writeNumber(T N);
 
   enum class Scope : uint8_t { Object, Array };
   struct Frame {

@@ -294,6 +294,64 @@ TEST(PercCli, ServeModeThreadsTenantThroughResponses) {
       << Lines[1];
 }
 
+/// The line of \p Lines whose service object carries "seq":\p Seq, or
+/// an empty string.
+std::string lineWithSeq(const std::vector<std::string> &Lines, int Seq) {
+  std::string Key = "\"seq\":" + std::to_string(Seq) + ",";
+  for (const std::string &L : Lines)
+    if (L.find(Key) != std::string::npos)
+      return L;
+  return "";
+}
+
+TEST(PercCli, ServeModeCarriesTheTrapMessageAndTheAnswer) {
+  // A trapped request names its trap in service.error; a clean one
+  // carries the program's value in run.result (an integer, a boolean,
+  // or null when the value is not an immediate). Both engines.
+  std::string Div = testing::TempDir() + "/serve_div.perc";
+  std::ofstream(Div) << "fun main(a, b) { a / b }\n";
+  std::string Cmp = testing::TempDir() + "/serve_cmp.perc";
+  std::ofstream(Cmp) << "fun main(n) { n > 3 }\n";
+  for (const std::string E : {"cek", "vm"}) {
+    int Exit = -1;
+    std::vector<std::string> Lines = runPercServe(
+        Div + " --serve --engine=" + E,
+        "{\"entry\":\"main\",\"args\":[-9223372036854775808,-1]}\n"
+        "{\"entry\":\"main\",\"args\":[-9223372036854775808,2]}\n"
+        "{\"entry\":\"main\",\"args\":[10,0]}\n",
+        Exit);
+    EXPECT_EQ(Exit, 0) << E;
+    ASSERT_EQ(Lines.size(), 3u) << E;
+    std::string Overflow = lineWithSeq(Lines, 1);
+    EXPECT_NE(Overflow.find("\"error\":\"integer overflow in division\""),
+              std::string::npos)
+        << E << ": " << Overflow;
+    EXPECT_NE(Overflow.find("\"result\":null"), std::string::npos)
+        << E << ": " << Overflow;
+    std::string Clean = lineWithSeq(Lines, 2);
+    EXPECT_NE(Clean.find("\"result\":-4611686018427387904,"),
+              std::string::npos)
+        << E << ": " << Clean;
+    EXPECT_NE(Clean.find("\"error\":\"\""), std::string::npos)
+        << E << ": " << Clean;
+    std::string DivZero = lineWithSeq(Lines, 3);
+    EXPECT_NE(DivZero.find("\"error\":\"division by zero\""),
+              std::string::npos)
+        << E << ": " << DivZero;
+
+    Lines = runPercServe(Cmp + " --serve --engine=" + E, "main 5\nmain 2\n",
+                         Exit);
+    EXPECT_EQ(Exit, 0) << E;
+    ASSERT_EQ(Lines.size(), 2u) << E;
+    EXPECT_NE(lineWithSeq(Lines, 1).find("\"result\":true,"),
+              std::string::npos)
+        << E << ": " << Lines[0];
+    EXPECT_NE(lineWithSeq(Lines, 2).find("\"result\":false,"),
+              std::string::npos)
+        << E << ": " << Lines[1];
+  }
+}
+
 TEST(PercCli, SameTagMatchOfAnotherTypeNeverCrashes) {
   // A constructor arm binds only its own type's values: a same-tag value
   // of another type reaches the default arm (exit 0) or the
@@ -340,6 +398,11 @@ TEST(PercCli, SameTagMatchOfAnotherTypeNeverCrashes) {
         << Lines[0];
     EXPECT_EQ(Lines[0].find("\"trap\":\"runtime-error\"") != std::string::npos,
               C.Exit == 1)
+        << Lines[0];
+    // The default arm answers 0; the trap names the failed match.
+    EXPECT_NE(Lines[0].find(C.Exit == 1 ? "\"error\":\"non-exhaustive match\""
+                                        : "\"result\":0,"),
+              std::string::npos)
         << Lines[0];
   }
 }

@@ -272,8 +272,14 @@ TEST(Frontend, IntMinDivOverflowTrapsStructuredOnALiveServer) {
     EXPECT_FALSE(Run->find("ok", JsonValue::Kind::Bool)->B);
     EXPECT_EQ(Run->find("trap", JsonValue::Kind::String)->Str,
               "runtime-error");
+    EXPECT_NE(Run->find("result", JsonValue::Kind::Null), nullptr);
+    // The trap message reaches the client, not just the trap kind.
+    EXPECT_EQ(Svc->find("error", JsonValue::Kind::String)->Str,
+              "integer overflow in division")
+        << Engine;
     EXPECT_TRUE(Svc->find("heap_empty", JsonValue::Kind::Bool)->B);
-    // Same connection, non-overflowing operands: still serviceable.
+    // Same connection, non-overflowing operands: still serviceable, and
+    // the answer is on the wire as exact integer text.
     ASSERT_TRUE(C.sendFrame(
         FrameMode::Line,
         std::string("{\"entry\":\"main\",\"engine\":\"") + Engine +
@@ -281,9 +287,14 @@ TEST(Frontend, IntMinDivOverflowTrapsStructuredOnALiveServer) {
     ASSERT_TRUE(C.recvFrame(FrameMode::Line, Payload));
     Doc = parseWire(Payload);
     ASSERT_TRUE(Doc.has_value());
-    EXPECT_TRUE(Doc->find("run", JsonValue::Kind::Object)
-                    ->find("ok", JsonValue::Kind::Bool)
-                    ->B);
+    Run = Doc->find("run", JsonValue::Kind::Object);
+    ASSERT_NE(Run, nullptr);
+    EXPECT_TRUE(Run->find("ok", JsonValue::Kind::Bool)->B);
+    EXPECT_NE(Payload.find("\"result\":-4611686018427387904,"),
+              std::string::npos)
+        << Payload;
+    EXPECT_EQ(serviceObj(*Doc)->find("error", JsonValue::Kind::String)->Str,
+              "");
   }
 }
 

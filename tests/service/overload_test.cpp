@@ -180,12 +180,52 @@ TEST(CircuitBreaker, ShedProbeReleasesTheSlotWithoutVerdict) {
   EXPECT_TRUE(B.admit("src", at(62)).Allow);
 }
 
+TEST(CircuitBreaker, KeepsOnlySourcesWithATrapOnRecord) {
+  CircuitBreaker B(/*TrapThreshold=*/3, /*CooldownMs=*/50);
+  auto Serve = [&B](int From, int To, int T) {
+    for (int I = From; I != To; ++I) {
+      std::string Src = "src" + std::to_string(I);
+      ASSERT_TRUE(B.admit(Src, at(T)).Allow);
+      B.onOutcome(Src, /*Executed=*/true, /*Trapped=*/false, at(T));
+    }
+  };
+  // A stream of distinct healthy sources (service-cold's traffic) leaves
+  // nothing behind, and neither does a shed request for an unseen one.
+  Serve(0, 1000, 0);
+  EXPECT_EQ(B.trackedSources(), 0u);
+  ASSERT_TRUE(B.admit("shed", at(1)).Allow);
+  B.onOutcome("shed", /*Executed=*/false, false, at(1));
+  EXPECT_EQ(B.trackedSources(), 0u);
+
+  // A trapping source stays on record through open and half-open, while
+  // healthy sources around it still come and go, until a success.
+  for (int I = 0; I != 3; ++I)
+    B.onOutcome("bad", true, /*Trapped=*/true, at(2));
+  EXPECT_EQ(B.state("bad"), CircuitBreaker::State::Open);
+  Serve(1000, 2000, 3);
+  EXPECT_EQ(B.trackedSources(), 1u);
+  ASSERT_TRUE(B.admit("bad", at(60)).Allow); // the half-open probe
+  B.onOutcome("bad", /*Executed=*/false, false, at(61)); // probe shed
+  EXPECT_EQ(B.trackedSources(), 1u);
+  ASSERT_TRUE(B.admit("bad", at(62)).Allow);
+  B.onOutcome("bad", true, /*Trapped=*/false, at(63));
+  EXPECT_EQ(B.state("bad"), CircuitBreaker::State::Closed);
+  EXPECT_EQ(B.trackedSources(), 0u);
+
+  // One trap below the threshold is on record too, until a success.
+  B.onOutcome("flaky", true, true, at(70));
+  EXPECT_EQ(B.trackedSources(), 1u);
+  B.onOutcome("flaky", true, false, at(71));
+  EXPECT_EQ(B.trackedSources(), 0u);
+}
+
 TEST(CircuitBreaker, DisabledBreakerKeepsNoState) {
   CircuitBreaker B(0, 50);
   for (int I = 0; I != 100; ++I)
     B.onOutcome("src", true, true, at(I));
   EXPECT_TRUE(B.admit("src", at(200)).Allow);
   EXPECT_EQ(B.state("src"), CircuitBreaker::State::Closed);
+  EXPECT_EQ(B.trackedSources(), 0u);
 }
 
 //===--- Service integration: governor -----------------------------------===//

@@ -16,11 +16,16 @@
 #include "service/Service.h"
 #include "service/ServiceJson.h"
 
+#include "Common.h"
 #include "eval/Runner.h"
 #include "programs/Programs.h"
+#include "support/FaultInjector.h"
 #include "support/JsonWriter.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace perceus;
 
@@ -250,6 +255,105 @@ TEST(Service, FaultInjectedOomIsCleanlyUnwound) {
     EXPECT_TRUE(R.HeapEmpty) << engineKindName(Engine);
     EXPECT_EQ(R.Heap.FailedAllocs, 1u);
   }
+}
+
+/// service.rc_calls of \p R's wire document.
+uint64_t wireRcCalls(const ServiceResponse &R) {
+  std::optional<JsonValue> Doc = parseJson(wireResponseJson(R));
+  const JsonValue *Svc =
+      Doc ? Doc->find("service", JsonValue::Kind::Object) : nullptr;
+  const JsonValue *N =
+      Svc ? Svc->find("rc_calls", JsonValue::Kind::Number) : nullptr;
+  EXPECT_NE(N, nullptr);
+  return N ? static_cast<uint64_t>(N->Num) : ~uint64_t(0);
+}
+
+TEST(ServiceRcCalls, WireCountEqualsAnInProcessSinkCleanAndTrapped) {
+  // The wire's rc_calls must be the number a CountingSink counts when
+  // the same entry and arguments run in process through Runner, and the
+  // engine's own count of RC calls, whether or not the service installs
+  // a sink itself: every Figure 9 program, four configurations, both
+  // engines, clean and trapped on fuel, an injected allocation failure
+  // and the wall-clock deadline.
+  Service S;
+  const std::pair<const char *, PassConfig> Configs[] = {
+      {"perceus", PassConfig::perceusFull()},
+      {"perceus-noopt", PassConfig::perceusNoOpt()},
+      {"scoped-rc", PassConfig::scoped()},
+      {"gc", PassConfig::gc()}};
+  // Small n for the clean, fuel and alloc runs; for the deadline runs,
+  // sizes that take 50 ms or more on the faster engine.
+  const std::map<std::string, int64_t> LateN = {{"rbtree", 400000},
+                                                {"rbtree-ck", 80000},
+                                                {"deriv", 26},
+                                                {"nqueens", 10},
+                                                {"cfold", 18}};
+  for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm})
+    for (const bench::BenchProgram &Prog : bench::figure9Programs(0.01))
+      for (const auto &[Name, Config] : Configs) {
+        SCOPED_TRACE(std::string(Prog.Name) + " / " + Name + " / " +
+                     engineKindName(Engine));
+        Session Sess(S, Prog.Source, Config, Engine);
+        // One request and its in-process twin under the same limits
+        // and injected fault; returns the twin's run.
+        auto Compare = [&](int64_t N, const RunLimits &L, uint64_t FailAlloc,
+                           const ServiceResponse &Resp) {
+          CountingSink Sink;
+          FaultInjector FI = FaultInjector::failNth(FailAlloc);
+          EngineConfig EC =
+              EngineConfig{}.withEngine(Engine).withLimits(L).withSink(&Sink);
+          if (FailAlloc)
+            EC.Injector = &FI;
+          Runner R(Prog.Source, Config, EC);
+          EXPECT_TRUE(R.ok());
+          RunResult Twin = R.callInt(Prog.Entry, {N});
+          EXPECT_TRUE(Resp.Executed);
+          EXPECT_EQ(Resp.Run.Steps, Twin.Steps);
+          EXPECT_EQ(wireRcCalls(Resp), Sink.totalRcCalls());
+          EXPECT_EQ(wireRcCalls(Resp), Resp.Run.Rc.totalCalls());
+          EXPECT_TRUE(Resp.HeapEmpty);
+          return Twin;
+        };
+        int64_t N = Prog.BaseScale;
+
+        ServiceResponse Clean = Sess.call(Prog.Entry, {Value::makeInt(N)});
+        ASSERT_TRUE(Clean.Run.Ok) << Clean.Run.Error;
+        EXPECT_TRUE(Compare(N, RunLimits{}, 0, Clean).Ok);
+        if (Config.Mode != RcMode::None) {
+          EXPECT_GT(wireRcCalls(Clean), 0u);
+        }
+
+        RunLimits Fuel;
+        Fuel.Fuel = Clean.Run.Steps / 2;
+        ServiceResponse Starved =
+            Sess.call(Prog.Entry, {Value::makeInt(N)}, Fuel);
+        EXPECT_EQ(Starved.Run.Trap, TrapKind::OutOfFuel);
+        EXPECT_EQ(Compare(N, Fuel, 0, Starved).Trap, TrapKind::OutOfFuel);
+
+        uint64_t FailAt = Clean.Heap.Allocs / 2 + 1;
+        ServiceResponse Oom =
+            Sess.call(Prog.Entry, {Value::makeInt(N)}, RunLimits{}, FailAt);
+        EXPECT_EQ(Oom.Run.Trap, TrapKind::OutOfMemory);
+        EXPECT_EQ(Compare(N, RunLimits{}, FailAt, Oom).Trap,
+                  TrapKind::OutOfMemory);
+
+        // The deadline trap lands on a timing-dependent step. Both
+        // engines take it where a fuel trap one step earlier would land,
+        // so the twin replays it as exactly that fuel trap.
+        int64_t Big = LateN.at(Prog.Name);
+        RunLimits Deadline;
+        Deadline.DeadlineMs = 20;
+        ServiceResponse Late;
+        for (int Attempt = 0; Attempt != 50; ++Attempt) {
+          Late = Sess.call(Prog.Entry, {Value::makeInt(Big)}, Deadline);
+          if (Late.Executed)
+            break; // else shed: the budget burned in the queue
+        }
+        ASSERT_EQ(Late.Run.Trap, TrapKind::Deadline);
+        RunLimits Replay;
+        Replay.Fuel = Late.Run.Steps - 1;
+        EXPECT_EQ(Compare(Big, Replay, 0, Late).Trap, TrapKind::OutOfFuel);
+      }
 }
 
 TEST(ServiceJson, ResponsesSerializeToTheWireSchema) {

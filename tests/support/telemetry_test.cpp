@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <optional>
 
 using namespace perceus;
 
@@ -52,6 +55,41 @@ TEST(JsonWriter, LargeUnsignedSurvives) {
   JsonWriter W;
   W.beginArray().value(uint64_t(1) << 63).endArray();
   EXPECT_EQ(W.str(), "[9223372036854775808]");
+}
+
+TEST(JsonWriter, IntegersPrintExactlyAndDoublesShortestRoundTrip) {
+  JsonWriter W;
+  W.beginArray()
+      .value(std::numeric_limits<int64_t>::min())
+      .value(std::numeric_limits<int64_t>::max())
+      .value(std::numeric_limits<uint64_t>::max())
+      .value(int64_t(0))
+      .value(-1)
+      .endArray();
+  EXPECT_EQ(W.str(), "[-9223372036854775808,9223372036854775807,"
+                     "18446744073709551615,0,-1]");
+
+  // Doubles print in the shortest form that parses back to the same
+  // value: no %.17g tail of noise digits.
+  W = JsonWriter();
+  W.beginArray().value(0.1).value(0.085341).value(1e21).value(-0.0).endArray();
+  EXPECT_EQ(W.str(), "[0.1,0.085341,1e+21,-0]");
+  const double Cases[] = {0.1 * 3,
+                          1.8083179999999999,
+                          1e-300,
+                          5e-324,
+                          std::numeric_limits<double>::max(),
+                          -123456.789e-3,
+                          2.0 / 3.0,
+                          4096.0};
+  for (double D : Cases) {
+    W = JsonWriter();
+    W.value(D);
+    EXPECT_EQ(std::strtod(W.str().c_str(), nullptr), D) << W.str();
+    std::optional<JsonValue> V = parseJson(W.str());
+    ASSERT_TRUE(V) << W.str();
+    EXPECT_EQ(V->Num, D) << W.str();
+  }
 }
 
 //===--- parseJson -----------------------------------------------------------//
@@ -201,6 +239,9 @@ TEST(StatsJson, PercStatsDocumentHasTheDocumentedShape) {
     EXPECT_NE(Heap->find(Key, JsonValue::Kind::Number), nullptr) << Key;
   const JsonValue *Run = Doc->find("run", JsonValue::Kind::Object);
   ASSERT_NE(Run, nullptr);
+  const JsonValue *Result = Run->find("result", JsonValue::Kind::Number);
+  ASSERT_NE(Result, nullptr);
+  EXPECT_EQ(Result->Num, static_cast<double>(Res.Result.Int));
   const JsonValue *Rc = Run->find("rc_instrs", JsonValue::Kind::Object);
   ASSERT_NE(Rc, nullptr);
   for (const char *Key : {"dups", "drops", "frees", "decrefs", "is_uniques",
