@@ -11,11 +11,41 @@
 using namespace perceus;
 
 const VarSet &FreeVarAnalysis::freeVars(const Expr *E) {
-  auto It = Cache.find(E);
-  if (It != Cache.end())
-    return It->second;
-  VarSet S = compute(E);
-  return Cache.emplace(E, std::move(S)).first->second;
+  if (!Slots.empty()) {
+    const Slot &S = slotFor(E);
+    if (S.Key)
+      return Chunks[S.Index / ChunkSets][S.Index % ChunkSets];
+  }
+  // Computing E queries its children first, which may grow the table;
+  // E's slot is looked up only afterwards.
+  VarSet Set = compute(E);
+  if (2 * (NumSets + 1) > Slots.size())
+    grow();
+  uint32_t Index = NumSets++;
+  if (Index % ChunkSets == 0)
+    Chunks.push_back(std::make_unique<VarSet[]>(ChunkSets));
+  VarSet &Stored = Chunks[Index / ChunkSets][Index % ChunkSets];
+  Stored = std::move(Set);
+  slotFor(E) = {E, Index};
+  return Stored;
+}
+
+FreeVarAnalysis::Slot &FreeVarAnalysis::slotFor(const Expr *E) {
+  // Fibonacci hashing of the node address; arena nodes are 8-aligned.
+  size_t Mask = Slots.size() - 1;
+  size_t I = (((reinterpret_cast<uintptr_t>(E) >> 3) *
+               0x9E3779B97F4A7C15ull) >> 32) & Mask;
+  while (Slots[I].Key && Slots[I].Key != E)
+    I = (I + 1) & Mask;
+  return Slots[I];
+}
+
+void FreeVarAnalysis::grow() {
+  std::vector<Slot> Old(Slots.empty() ? 64 : 2 * Slots.size());
+  Old.swap(Slots);
+  for (const Slot &S : Old)
+    if (S.Key)
+      slotFor(S.Key) = S;
 }
 
 VarSet FreeVarAnalysis::compute(const Expr *E) {

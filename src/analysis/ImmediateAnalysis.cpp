@@ -162,9 +162,9 @@ private:
     const FunctionDecl &Fn = P.function(F);
     if (!Fn.Body)
       return;
-    Env.clear();
+    Env.assign(P.symbols().size(), Unbound);
     for (size_t I = 0; I != Fn.Params.size(); ++I)
-      Env[Fn.Params[I]] = ParamImm[F][I];
+      Env[Fn.Params[I].id()] = ParamImm[F][I] ? Immediate : Unknown;
     bool R = eval(Fn.Body);
     constrainRet(F, R);
   }
@@ -193,17 +193,12 @@ private:
   void bind(Symbol S, bool V) {
     // Binders are alpha-renamed unique, but rewritten trees may share
     // subtrees; meet across rebinds so sharing can only lose precision.
-    auto It = Env.find(S);
-    if (It == Env.end())
-      Env.emplace(S, V);
-    else
-      It->second = It->second && V;
+    char &Slot = Env[S.id()];
+    if (Slot == Unbound || !V)
+      Slot = V ? Immediate : Unknown;
   }
 
-  bool lookup(Symbol S) const {
-    auto It = Env.find(S);
-    return It != Env.end() && It->second;
-  }
+  bool lookup(Symbol S) const { return Env[S.id()] == Immediate; }
 
   /// Evaluates \p E to its immediacy, applying constraints along the way.
   bool eval(const Expr *E) {
@@ -353,7 +348,10 @@ private:
   std::vector<std::vector<char>> ParamImm;
   std::vector<char> RetImm;
   std::vector<char> Escapes;
-  std::unordered_map<Symbol, bool> Env;
+  /// Per function: each symbol's immediacy, indexed by symbol id (the
+  /// program's symbols are all minted before the analysis runs).
+  enum : char { Unbound, Unknown, Immediate };
+  std::vector<char> Env;
   std::unordered_map<const Expr *, bool> Marks;
   bool Changed = false;
   bool Marking = false;

@@ -60,7 +60,6 @@ public:
     case ExprKind::Lam: {
       const auto *L = cast<LamExpr>(E);
       // The capture list must be exactly the free variables of the lambda.
-      FreeVarAnalysis FV;
       VarSet BodyFree = FV.freeVars(L->body());
       for (Symbol Pm : L->params())
         BodyFree.erase(Pm);
@@ -235,6 +234,7 @@ public:
 
 private:
   const Program &P;
+  FreeVarAnalysis FV; // one memo for all lambdas, nested ones included
   std::unordered_set<Symbol> AllBinders;
 };
 

@@ -33,6 +33,14 @@ constexpr uint32_t MaxCellFields = 255; ///< constructor fields; captures + 1
 constexpr uint32_t MaxTypeCtors = 256;  ///< constructors of one type
 constexpr uint32_t MaxCallArgs = 255;   ///< parameters; call arguments
 
+/// Depth limit of the expression tree, which the parser enforces (see
+/// lang/Parser.cpp for how levels are counted): the resolver, the Perceus
+/// passes and the bytecode compiler all recurse over the tree, so a
+/// deeper program would exhaust a worker thread's native stack. Set at
+/// least 2x below the depth an 8 MB thread stack still compiles and runs
+/// in the AddressSanitizer build, whose frames are the largest.
+constexpr uint32_t MaxExprDepth = 256;
+
 /// One constructor of an algebraic data type.
 ///
 /// Nullary constructors (like `Nil`, `Red`, `Black`) are *enum-like*: they

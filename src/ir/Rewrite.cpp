@@ -8,11 +8,44 @@
 
 #include "support/Casting.h"
 
+#include <vector>
+
 using namespace perceus;
 
-const Expr *perceus::mapChildren(
-    IRBuilder &B, const Expr *E,
-    const std::function<const Expr *(const Expr *)> &Fn) {
+namespace {
+
+using ChildFn = std::function<const Expr *(const Expr *)>;
+
+/// Children of one node are rewritten into a buffer on the stack; only a
+/// node with more children than this (a rare, wide call) spills to the
+/// heap.
+constexpr size_t InlineChildren = 8;
+
+/// Writes `Fn(C)` for each of \p Children into \p Out, in order; returns
+/// whether any child changed.
+bool rewriteInto(std::span<const Expr *const> Children, const Expr **Out,
+                 const ChildFn &Fn) {
+  bool Changed = false;
+  for (size_t I = 0; I != Children.size(); ++I) {
+    Out[I] = Fn(Children[I]);
+    Changed |= Out[I] != Children[I];
+  }
+  return Changed;
+}
+
+} // namespace
+
+const Expr *perceus::mapChildren(IRBuilder &B, const Expr *E,
+                                 const ChildFn &Fn) {
+  const Expr *Inline[InlineChildren];
+  std::vector<const Expr *> Spill;
+  auto buffer = [&](size_t N) {
+    if (N <= InlineChildren)
+      return Inline;
+    Spill.resize(N);
+    return Spill.data();
+  };
+
   switch (E->kind()) {
   case ExprKind::Lit:
   case ExprKind::Var:
@@ -34,16 +67,12 @@ const Expr *perceus::mapChildren(
   case ExprKind::App: {
     const auto *A = cast<AppExpr>(E);
     const Expr *FnE = Fn(A->fn());
-    bool Changed = FnE != A->fn();
-    std::vector<const Expr *> Args;
-    for (const Expr *Arg : A->args()) {
-      Args.push_back(Fn(Arg));
-      Changed |= Args.back() != Arg;
-    }
+    size_t N = A->args().size();
+    const Expr **Args = buffer(N);
+    bool Changed = rewriteInto(A->args(), Args, Fn) || FnE != A->fn();
     if (!Changed)
       return E;
-    return B.app(FnE, std::span<const Expr *const>(Args.data(), Args.size()),
-                 E->loc());
+    return B.app(FnE, std::span<const Expr *const>(Args, N), E->loc());
   }
 
   case ExprKind::Let: {
@@ -76,48 +105,43 @@ const Expr *perceus::mapChildren(
 
   case ExprKind::Match: {
     const auto *M = cast<MatchExpr>(E);
+    std::span<const MatchArm> Arms = M->arms();
+    size_t N = Arms.size();
+    const Expr **Bodies = buffer(N);
     bool Changed = false;
-    std::vector<MatchArm> Arms;
-    for (const MatchArm &Arm : M->arms()) {
-      MatchArm NewArm = Arm;
-      NewArm.Body = Fn(Arm.Body);
-      Changed |= NewArm.Body != Arm.Body;
-      Arms.push_back(NewArm);
+    for (size_t I = 0; I != N; ++I) {
+      Bodies[I] = Fn(Arms[I].Body);
+      Changed |= Bodies[I] != Arms[I].Body;
     }
     if (!Changed)
       return E;
-    return B.match(M->scrutinee(),
-                   std::span<const MatchArm>(Arms.data(), Arms.size()),
-                   E->loc());
+    // The arms go straight to the arena, as IRBuilder::match would copy
+    // them there.
+    Arena &A = B.program().arena();
+    MatchArm *NewArms = A.copyArray(Arms.data(), N);
+    for (size_t I = 0; I != N; ++I)
+      NewArms[I].Body = Bodies[I];
+    return A.make<MatchExpr>(M->scrutinee(),
+                             std::span<const MatchArm>(NewArms, N), E->loc());
   }
 
   case ExprKind::Con: {
     const auto *C = cast<ConExpr>(E);
-    bool Changed = false;
-    std::vector<const Expr *> Args;
-    for (const Expr *Arg : C->args()) {
-      Args.push_back(Fn(Arg));
-      Changed |= Args.back() != Arg;
-    }
-    if (!Changed)
+    size_t N = C->args().size();
+    const Expr **Args = buffer(N);
+    if (!rewriteInto(C->args(), Args, Fn))
       return E;
-    return B.con(C->ctor(),
-                 std::span<const Expr *const>(Args.data(), Args.size()),
+    return B.con(C->ctor(), std::span<const Expr *const>(Args, N),
                  C->reuseToken(), E->loc());
   }
 
   case ExprKind::Prim: {
     const auto *Pr = cast<PrimExpr>(E);
-    bool Changed = false;
-    std::vector<const Expr *> Args;
-    for (const Expr *Arg : Pr->args()) {
-      Args.push_back(Fn(Arg));
-      Changed |= Args.back() != Arg;
-    }
-    if (!Changed)
+    size_t N = Pr->args().size();
+    const Expr **Args = buffer(N);
+    if (!rewriteInto(Pr->args(), Args, Fn))
       return E;
-    return B.prim(Pr->op(),
-                  std::span<const Expr *const>(Args.data(), Args.size()),
+    return B.prim(Pr->op(), std::span<const Expr *const>(Args, N),
                   E->loc());
   }
 

@@ -6,6 +6,8 @@
 
 #include "lang/Parser.h"
 
+#include "ir/Program.h"
+
 #include <cassert>
 
 using namespace perceus;
@@ -58,11 +60,53 @@ private:
     return cur();
   }
 
-  void error(std::string Msg) { Diags.error(cur().Loc, std::move(Msg)); }
+  void error(std::string Msg) {
+    if (!TooDeep)
+      Diags.error(cur().Loc, std::move(Msg));
+  }
 
   void recoverToDecl() {
     while (!at(TokKind::Eof) && !at(TokKind::KwFun) && !at(TokKind::KwType))
       advance();
+  }
+
+  //===--- Nesting budget --------------------------------------------------//
+  //
+  // Every stage after the parser recurses over the tree, so its depth is
+  // native stack. Depth counts the levels open where the parser stands:
+  // one per block, if, lambda, parenthesis, unary operator, and
+  // constructor or call argument list; two per match and per nested
+  // pattern, which pattern compilation turns into two recursive steps
+  // each; and one per term of a chain the parser builds in a loop (a
+  // binary operator, a block statement after the first, a call in
+  // `f(a)(b)`), counted from that term on. Past MaxExprDepth the parser
+  // reports once and jumps to the end of input, so every open level
+  // unwinds without descending.
+
+  /// Restores the depth when the construct that raised it ends.
+  class DepthScope {
+  public:
+    explicit DepthScope(ParserImpl &P) : P(P), Saved(P.Depth) {}
+    ~DepthScope() { P.Depth = Saved; }
+
+  private:
+    ParserImpl &P;
+    uint32_t Saved;
+  };
+
+  /// Opens \p Levels more levels; false (after the one diagnostic) past
+  /// the budget.
+  bool deeper(uint32_t Levels = 1) {
+    Depth += Levels;
+    if (Depth <= MaxExprDepth)
+      return true;
+    if (!TooDeep) {
+      error("expression nests " + std::to_string(Depth) + " levels; at most " +
+            std::to_string(MaxExprDepth) + " are supported");
+      TooDeep = true;
+      Pos = Toks.size() - 1; // the Eof token
+    }
+    return false;
   }
 
   SExprPtr makeExpr(SExpr::K Kind, SourceLoc Loc) {
@@ -143,11 +187,16 @@ private:
 
   SExprPtr parseBlock() {
     SourceLoc Loc = cur().Loc;
+    DepthScope Scope(*this);
+    deeper();
     expect(TokKind::LBrace, "to begin a block");
     auto B = makeExpr(SExpr::K::Block, Loc);
     while (!at(TokKind::RBrace) && !at(TokKind::Eof)) {
       if (accept(TokKind::Semi))
         continue;
+      // Each statement nests the rest of the block (a let or a sequence).
+      if (!B->Stmts.empty() && !deeper())
+        break;
       SStmt S;
       S.Loc = cur().Loc;
       if (accept(TokKind::KwVal)) {
@@ -183,6 +232,8 @@ private:
 
   SExprPtr parseIf() {
     SourceLoc Loc = cur().Loc;
+    DepthScope Scope(*this);
+    deeper();
     expect(TokKind::KwIf, "to begin an if");
     auto E = makeExpr(SExpr::K::If, Loc);
     E->A = parseExpr();
@@ -210,6 +261,8 @@ private:
 
   SExprPtr parseMatch() {
     SourceLoc Loc = cur().Loc;
+    DepthScope Scope(*this);
+    deeper(2);
     expect(TokKind::KwMatch, "to begin a match");
     auto E = makeExpr(SExpr::K::Match, Loc);
     // Scrutinee: parenthesized or bare expression.
@@ -243,7 +296,8 @@ private:
       P->Kind = SPat::K::Ctor;
       P->Name = std::string(advance().Text);
       if (accept(TokKind::LParen)) {
-        if (!at(TokKind::RParen)) {
+        DepthScope Scope(*this);
+        if (deeper(2) && !at(TokKind::RParen)) {
           do {
             P->Sub.push_back(parsePattern());
           } while (accept(TokKind::Comma));
@@ -317,12 +371,15 @@ private:
   }
 
   SExprPtr parseBinary(int MinPrec) {
+    DepthScope Scope(*this);
     SExprPtr Lhs = parseUnary();
     for (;;) {
       int Prec = precedenceOf(cur().Kind);
       if (Prec < 0 || Prec < MinPrec)
         return Lhs;
       Token Op = advance();
+      if (!deeper()) // the new node holds the chain so far
+        return Lhs;
       SExprPtr Rhs = parseBinary(Prec + 1);
       auto E = makeExpr(SExpr::K::Binop, Op.Loc);
       E->Op = Op.Kind;
@@ -334,6 +391,9 @@ private:
 
   SExprPtr parseUnary() {
     if (at(TokKind::Bang) || at(TokKind::Minus)) {
+      DepthScope Scope(*this);
+      if (!deeper())
+        return makeExpr(SExpr::K::Unit, cur().Loc);
       Token Op = advance();
       auto E = makeExpr(SExpr::K::Unop, Op.Loc);
       E->Op = Op.Kind;
@@ -344,8 +404,11 @@ private:
   }
 
   SExprPtr parsePostfix() {
+    DepthScope Scope(*this);
     SExprPtr E = parsePrimary();
     while (at(TokKind::LParen)) {
+      if (!deeper())
+        return E;
       SourceLoc Loc = cur().Loc;
       advance();
       auto Call = makeExpr(SExpr::K::Call, Loc);
@@ -391,7 +454,8 @@ private:
       E->Name = std::string(advance().Text);
       if (at(TokKind::LParen)) {
         advance();
-        if (!at(TokKind::RParen)) {
+        DepthScope Scope(*this);
+        if (deeper() && !at(TokKind::RParen)) {
           do {
             E->Args.push_back(parseExpr());
           } while (accept(TokKind::Comma));
@@ -403,6 +467,9 @@ private:
     case TokKind::LParen: {
       advance();
       if (accept(TokKind::RParen))
+        return makeExpr(SExpr::K::Unit, Loc);
+      DepthScope Scope(*this);
+      if (!deeper())
         return makeExpr(SExpr::K::Unit, Loc);
       SExprPtr E = parseExpr();
       expect(TokKind::RParen, "to close the parenthesized expression");
@@ -426,6 +493,8 @@ private:
 
   SExprPtr parseLambda() {
     SourceLoc Loc = cur().Loc;
+    DepthScope Scope(*this);
+    deeper();
     expect(TokKind::KwFn, "to begin a lambda");
     auto E = makeExpr(SExpr::K::Lambda, Loc);
     expect(TokKind::LParen, "to begin the lambda parameters");
@@ -443,6 +512,8 @@ private:
   std::vector<Token> Toks;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
+  uint32_t Depth = 0;   ///< levels open where the parser stands
+  bool TooDeep = false; ///< the budget was exceeded; parsing has stopped
 };
 
 } // namespace

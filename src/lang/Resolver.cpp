@@ -341,7 +341,6 @@ private:
     popScope(Mark);
     // Captures: free variables of the body minus the parameters
     // (Figure 4: lambda_ys x. e with ys = fv(lambda)).
-    FreeVarAnalysis FV;
     VarSet Free = FV.freeVars(Body);
     for (Symbol Pm : Params)
       Free.erase(Pm);
@@ -650,6 +649,9 @@ private:
   Program &P;
   IRBuilder B;
   DiagnosticEngine &Diags;
+  /// One memo for the module: an enclosing lambda reuses the sets of the
+  /// lambdas nested in its body.
+  FreeVarAnalysis FV;
   std::vector<ScopeEntry> Scope;
   std::unordered_set<std::string> UsedBinderNames;
 };

@@ -6,8 +6,9 @@
 
 #include "perceus/Borrow.h"
 
-#include "analysis/FreeVars.h"
 #include "support/Casting.h"
+
+#include <algorithm>
 
 using namespace perceus;
 
@@ -147,9 +148,12 @@ public:
           return false;
       return true;
     }
-    case ExprKind::Lam:
-      // Capturing X stores it in a closure: owned.
-      return !FreeVarAnalysis().freeVars(E).contains(X);
+    case ExprKind::Lam: {
+      // Capturing X stores it in a closure: owned. The captures are
+      // exactly fv(lambda) (the resolver computes them, Verifier checks).
+      std::span<const Symbol> Caps = cast<LamExpr>(E)->captures();
+      return std::find(Caps.begin(), Caps.end(), X) == Caps.end();
+    }
     default:
       return false; // RC forms: not expected pre-insertion
     }

@@ -136,8 +136,9 @@ private:
 } // namespace
 
 void perceus::runDropSpecialization(Program &P) {
+  DropSpecializer S(P);
   for (FuncId F = 0; F != P.numFunctions(); ++F)
-    runDropSpecialization(P, F);
+    S.runOnFunction(F);
 }
 
 void perceus::runDropSpecialization(Program &P, FuncId F) {

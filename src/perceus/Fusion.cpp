@@ -161,8 +161,9 @@ private:
 } // namespace
 
 void perceus::runFusion(Program &P) {
+  Fuser F_(P);
   for (FuncId F = 0; F != P.numFunctions(); ++F)
-    runFusion(P, F);
+    F_.runOnFunction(F);
 }
 
 void perceus::runFusion(Program &P, FuncId F) {

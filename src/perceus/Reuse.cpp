@@ -388,7 +388,6 @@ private:
     size_t N = Args.size();
     assert(Origin.Binders.size() == N && "token origin arity mismatch");
 
-    FreeVarAnalysis FV;
     std::vector<bool> Unchanged(N, false);
     std::vector<bool> HasDup(N, false);
     unsigned NumUnchanged = 0;
@@ -462,6 +461,7 @@ private:
 
   Program &P;
   IRBuilder B;
+  FreeVarAnalysis FV;
   std::unordered_map<Symbol, TokenOrigin> Shape;
   std::unordered_map<Symbol, TokenOrigin> Tokens;
 };
@@ -469,8 +469,9 @@ private:
 } // namespace
 
 void perceus::runReuseAnalysis(Program &P) {
+  ReuseAnalyzer A(P);
   for (FuncId F = 0; F != P.numFunctions(); ++F)
-    runReuseAnalysis(P, F);
+    A.runOnFunction(F);
 }
 
 void perceus::runReuseAnalysis(Program &P, FuncId F) {
@@ -479,8 +480,9 @@ void perceus::runReuseAnalysis(Program &P, FuncId F) {
 }
 
 void perceus::runReuseSpecialization(Program &P) {
+  ReuseSpecializer S(P);
   for (FuncId F = 0; F != P.numFunctions(); ++F)
-    runReuseSpecialization(P, F);
+    S.runOnFunction(F);
 }
 
 void perceus::runReuseSpecialization(Program &P, FuncId F) {

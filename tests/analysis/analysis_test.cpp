@@ -8,9 +8,23 @@
 #include "analysis/LinearCheck.h"
 #include "analysis/VarSet.h"
 #include "analysis/Verifier.h"
+#include "calculus/Generator.h"
 #include "ir/Builder.h"
+#include "ir/Rewrite.h"
+#include "lang/Resolver.h"
+#include "perceus/DropSpec.h"
+#include "perceus/Fusion.h"
+#include "perceus/Perceus.h"
+#include "perceus/Reuse.h"
+#include "programs/Programs.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <functional>
+#include <set>
+#include <sstream>
 
 using namespace perceus;
 
@@ -41,6 +55,347 @@ TEST(VarSet, IterationIsOrderedById) {
   VarSet S{C, A, B};
   std::vector<Symbol> Order(S.begin(), S.end());
   EXPECT_EQ(Order, (std::vector<Symbol>{A, B, C}));
+}
+
+std::set<uint32_t> idsOf(const VarSet &S) {
+  std::set<uint32_t> Ids;
+  for (Symbol X : S)
+    Ids.insert(X.id());
+  return Ids;
+}
+
+/// Checks \p S against \p Ref: same members, in ascending order.
+void expectSame(const VarSet &S, const std::set<uint32_t> &Ref) {
+  std::vector<uint32_t> Got;
+  for (Symbol X : S)
+    Got.push_back(X.id());
+  EXPECT_EQ(Got, std::vector<uint32_t>(Ref.begin(), Ref.end()));
+  EXPECT_EQ(S.size(), Ref.size());
+  EXPECT_EQ(S.empty(), Ref.empty());
+}
+
+VarSet randomSet(Rng &R, uint32_t MaxSize, uint32_t Universe) {
+  VarSet S;
+  for (uint64_t I = 0, N = R.below(MaxSize + 1); I != N; ++I)
+    S.insert(Symbol::fromId(1 + uint32_t(R.below(Universe))));
+  return S;
+}
+
+TEST(VarSet, MatchesStdSetAcrossTheInlineCapacity) {
+  // Seeded random operation sequences whose sizes grow past the inline
+  // capacity and shrink back below it, checked after every step.
+  const uint32_t Cap = VarSet::InlineCapacity;
+  for (uint64_t Seed = 1; Seed != 41; ++Seed) {
+    Rng R(Seed);
+    const uint32_t Universe = 4 * Cap;
+    VarSet S;
+    std::set<uint32_t> Ref;
+    for (int Step = 0; Step != 400; ++Step) {
+      // Bias toward growth in the first half, shrinking in the second.
+      bool Grow = Step < 200 ? !R.chance(1, 4) : R.chance(1, 4);
+      Symbol X = Symbol::fromId(1 + uint32_t(R.below(Universe)));
+      switch (R.below(7)) {
+      case 0:
+        if (Grow)
+          EXPECT_EQ(S.insert(X), Ref.insert(X.id()).second);
+        else
+          EXPECT_EQ(S.erase(X), Ref.erase(X.id()) == 1);
+        break;
+      case 1:
+        EXPECT_EQ(S.erase(X), Ref.erase(X.id()) == 1);
+        break;
+      case 2: {
+        VarSet O = randomSet(R, 2 * Cap, Universe);
+        if (Grow) {
+          S.insertAll(O);
+          for (Symbol Y : O)
+            Ref.insert(Y.id());
+        } else {
+          S.eraseAll(O);
+          for (Symbol Y : O)
+            Ref.erase(Y.id());
+        }
+        break;
+      }
+      case 3: {
+        VarSet O = randomSet(R, 2 * Cap, Universe);
+        S.eraseAll(O);
+        for (Symbol Y : O)
+          Ref.erase(Y.id());
+        break;
+      }
+      default: {
+        // The three set-valued operations, against the reference, then
+        // one of them becomes the set under test.
+        VarSet O = randomSet(R, 2 * Cap, Universe);
+        std::set<uint32_t> RO = idsOf(O), I, M, U;
+        std::set_intersection(Ref.begin(), Ref.end(), RO.begin(), RO.end(),
+                              std::inserter(I, I.end()));
+        std::set_difference(Ref.begin(), Ref.end(), RO.begin(), RO.end(),
+                            std::inserter(M, M.end()));
+        std::set_union(Ref.begin(), Ref.end(), RO.begin(), RO.end(),
+                       std::inserter(U, U.end()));
+        expectSame(S.intersect(O), I);
+        expectSame(S.minus(O), M);
+        expectSame(S.unite(O), U);
+        if (Grow) {
+          S = S.unite(O);
+          Ref = U;
+        } else {
+          S = R.chance(1, 2) ? S.minus(O) : S.intersect(O);
+          Ref = idsOf(S);
+        }
+        break;
+      }
+      }
+      expectSame(S, Ref);
+      EXPECT_EQ(S.contains(X), Ref.count(X.id()) == 1);
+      if (testing::Test::HasFailure())
+        FAIL() << "seed " << Seed << " step " << Step;
+    }
+  }
+}
+
+TEST(VarSet, CopyMoveAndSelfAssignmentOfInlineAndSpilledSets) {
+  const uint32_t Cap = VarSet::InlineCapacity;
+  for (uint32_t N : {0u, 1u, Cap, Cap + 1, 4 * Cap}) {
+    VarSet S;
+    std::set<uint32_t> Ref;
+    for (uint32_t I = 0; I != N; ++I) {
+      S.insert(Symbol::fromId(3 * I + 1));
+      Ref.insert(3 * I + 1);
+    }
+    VarSet Copy(S);
+    expectSame(Copy, Ref);
+    expectSame(S, Ref);
+    Copy.insert(Symbol::fromId(1000)); // the copy owns its own storage
+    expectSame(S, Ref);
+
+    VarSet Assigned{Symbol::fromId(7)};
+    for (uint32_t I = 0; I != 2 * Cap; ++I) // spilled before assignment
+      Assigned.insert(Symbol::fromId(500 + I));
+    Assigned = S;
+    expectSame(Assigned, Ref);
+
+    VarSet Moved(std::move(Copy));
+    Ref.insert(1000);
+    expectSame(Moved, Ref);
+    EXPECT_TRUE(Copy.empty()); // NOLINT(bugprone-use-after-move)
+    Copy.insert(Symbol::fromId(2));  // a moved-from set is usable
+    expectSame(Copy, {2});
+
+    VarSet MoveAssigned{Symbol::fromId(9)};
+    MoveAssigned = std::move(Moved);
+    expectSame(MoveAssigned, Ref);
+
+    VarSet &Alias = MoveAssigned;
+    MoveAssigned = Alias; // self copy-assignment
+    expectSame(MoveAssigned, Ref);
+    MoveAssigned = std::move(Alias); // self move-assignment
+    expectSame(MoveAssigned, Ref);
+  }
+}
+
+/// fv(e) by plain recursion, with no memo: the reference for
+/// FreeVarAnalysis.
+std::set<uint32_t> referenceFreeVars(const Expr *E) {
+  std::set<uint32_t> S;
+  auto add = [&](const Expr *C) {
+    std::set<uint32_t> F = referenceFreeVars(C);
+    S.insert(F.begin(), F.end());
+  };
+  switch (E->kind()) {
+  case ExprKind::Lit:
+  case ExprKind::Global:
+  case ExprKind::NullToken:
+    break;
+  case ExprKind::Var:
+    S.insert(cast<VarExpr>(E)->name().id());
+    break;
+  case ExprKind::Lam: {
+    const auto *L = cast<LamExpr>(E);
+    add(L->body());
+    for (Symbol Pm : L->params())
+      S.erase(Pm.id());
+    break;
+  }
+  case ExprKind::App:
+    add(cast<AppExpr>(E)->fn());
+    for (const Expr *A : cast<AppExpr>(E)->args())
+      add(A);
+    break;
+  case ExprKind::Let: {
+    const auto *L = cast<LetExpr>(E);
+    add(L->body());
+    S.erase(L->name().id());
+    add(L->bound());
+    break;
+  }
+  case ExprKind::Seq:
+    add(cast<SeqExpr>(E)->first());
+    add(cast<SeqExpr>(E)->second());
+    break;
+  case ExprKind::If:
+    add(cast<IfExpr>(E)->cond());
+    add(cast<IfExpr>(E)->thenExpr());
+    add(cast<IfExpr>(E)->elseExpr());
+    break;
+  case ExprKind::Match: {
+    const auto *M = cast<MatchExpr>(E);
+    S.insert(M->scrutinee().id());
+    for (const MatchArm &Arm : M->arms()) {
+      std::set<uint32_t> F = referenceFreeVars(Arm.Body);
+      for (Symbol Bv : Arm.Binders)
+        F.erase(Bv.id());
+      S.insert(F.begin(), F.end());
+    }
+    break;
+  }
+  case ExprKind::Con: {
+    const auto *C = cast<ConExpr>(E);
+    for (const Expr *A : C->args())
+      add(A);
+    if (C->hasReuseToken())
+      S.insert(C->reuseToken().id());
+    break;
+  }
+  case ExprKind::Prim:
+    for (const Expr *A : cast<PrimExpr>(E)->args())
+      add(A);
+    break;
+  case ExprKind::Dup:
+  case ExprKind::Drop:
+  case ExprKind::Free:
+  case ExprKind::DecRef:
+    add(cast<RcStmtExpr>(E)->rest());
+    S.insert(cast<RcStmtExpr>(E)->var().id());
+    break;
+  case ExprKind::IsUnique:
+    add(cast<IsUniqueExpr>(E)->thenExpr());
+    add(cast<IsUniqueExpr>(E)->elseExpr());
+    S.insert(cast<IsUniqueExpr>(E)->var().id());
+    break;
+  case ExprKind::DropReuse: {
+    const auto *D = cast<DropReuseExpr>(E);
+    add(D->rest());
+    S.erase(D->token().id());
+    S.insert(D->var().id());
+    break;
+  }
+  case ExprKind::ReuseAddr:
+    S.insert(cast<ReuseAddrExpr>(E)->var().id());
+    break;
+  case ExprKind::IsNullToken:
+    add(cast<IsNullTokenExpr>(E)->thenExpr());
+    add(cast<IsNullTokenExpr>(E)->elseExpr());
+    S.insert(cast<IsNullTokenExpr>(E)->token().id());
+    break;
+  case ExprKind::SetField:
+    add(cast<SetFieldExpr>(E)->value());
+    add(cast<SetFieldExpr>(E)->rest());
+    S.insert(cast<SetFieldExpr>(E)->token().id());
+    break;
+  case ExprKind::TokenValue: {
+    const auto *T = cast<TokenValueExpr>(E);
+    S.insert(T->token().id());
+    for (Symbol K : T->keptFields())
+      S.insert(K.id());
+    break;
+  }
+  }
+  return S;
+}
+
+/// Checks FV against the reference at every node of \p E, children
+/// first and then again top-down, so queries hit both fresh and
+/// memoized entries; returns the number of nodes checked.
+size_t checkEveryNode(Program &P, FreeVarAnalysis &FV, const Expr *E) {
+  IRBuilder B(P);
+  size_t N = 0;
+  std::function<const Expr *(const Expr *)> Visit = [&](const Expr *X) {
+    mapChildren(B, X, Visit); // returns X: every child is unchanged
+    EXPECT_EQ(idsOf(FV.freeVars(X)), referenceFreeVars(X));
+    ++N;
+    return X;
+  };
+  Visit(E);
+  EXPECT_EQ(idsOf(FV.freeVars(E)), referenceFreeVars(E));
+  return N;
+}
+
+TEST(FreeVarAnalysis, MatchesPlainRecursionOnGeneratedTerms) {
+  for (uint64_t Seed = 1; Seed != 61; ++Seed) {
+    Program P;
+    Rng R(Seed);
+    GeneratedTerm G = generateTerm(P, R, 6);
+    FreeVarAnalysis FV;
+    checkEveryNode(P, FV, G.Body);
+    ASSERT_FALSE(testing::Test::HasFailure()) << "seed " << Seed;
+  }
+}
+
+std::vector<std::pair<std::string, std::string>> builtinSources() {
+  std::vector<std::pair<std::string, std::string>> Out = {
+      {"rbtree", rbtreeSource()},   {"rbtree-ck", rbtreeCkSource()},
+      {"deriv", derivSource()},     {"nqueens", nqueensSource()},
+      {"cfold", cfoldSource()},     {"tmap", tmapSource()},
+      {"mapsum", mapSumSource()},   {"msort", msortSource()},
+      {"queue", queueSource()},     {"shared-tree", sharedTreeSource()}};
+  for (const char *F : {"hello", "msort", "nqueens", "rbtree", "shared_tree"}) {
+    std::ifstream In(std::string(PERCEUS_EXAMPLE_PROGRAMS_DIR) + "/" + F +
+                     ".perc");
+    std::stringstream Text;
+    Text << In.rdbuf();
+    Out.push_back({std::string("examples/") + F, Text.str()});
+  }
+  return Out;
+}
+
+TEST(FreeVarAnalysis, MatchesPlainRecursionAfterEveryPipelineStage) {
+  // One analysis across every stage: the earlier stages' nodes stay in
+  // the memo while each rewrite adds its own.
+  const std::pair<const char *, void (*)(Program &)> Stages[] = {
+      {"perceus insertion", [](Program &P) { insertPerceus(P); }},
+      {"reuse analysis", [](Program &P) { runReuseAnalysis(P); }},
+      {"reuse specialization", [](Program &P) { runReuseSpecialization(P); }},
+      {"drop specialization", [](Program &P) { runDropSpecialization(P); }},
+      {"fusion", [](Program &P) { runFusion(P); }},
+  };
+  for (const auto &[Name, Source] : builtinSources()) {
+    Program P;
+    DiagnosticEngine D;
+    ASSERT_TRUE(compileSource(Source, P, D)) << Name << ": " << D.str();
+    FreeVarAnalysis FV;
+    size_t Nodes = 0;
+    for (FuncId F = 0; F != P.numFunctions(); ++F)
+      Nodes += checkEveryNode(P, FV, P.function(F).Body);
+    for (const auto &[Stage, Run] : Stages) {
+      Run(P);
+      for (FuncId F = 0; F != P.numFunctions(); ++F)
+        Nodes += checkEveryNode(P, FV, P.function(F).Body);
+      ASSERT_FALSE(testing::Test::HasFailure()) << Name << " after " << Stage;
+    }
+    EXPECT_GT(Nodes, 0u) << Name;
+  }
+}
+
+TEST(FreeVarAnalysis, AnEarlyReferenceSurvivesTenThousandQueries) {
+  // PerceusInserter holds fv references across the recursive calls that
+  // add entries; the table may grow many times meanwhile. (A dangling
+  // reference reads freed memory, which the ASan build reports.)
+  Program P;
+  IRBuilder B(P);
+  Symbol X = B.sym("x"), Y = B.sym("y");
+  const Expr *First = B.prim(PrimOp::Add, {B.var(X), B.var(Y)});
+  FreeVarAnalysis FV;
+  const VarSet &Held = FV.freeVars(First);
+  std::set<uint32_t> Expected = idsOf(Held);
+  for (int I = 0; I != 10000; ++I) {
+    Symbol Z = B.freshSym("z");
+    FV.freeVars(B.let(Z, B.var(X), B.var(Z)));
+  }
+  EXPECT_EQ(idsOf(Held), Expected);
+  EXPECT_EQ(&Held, &FV.freeVars(First));
 }
 
 struct AnalysisTest : ::testing::Test {

@@ -9,10 +9,14 @@
 /// runs exit 0; trapped runs (injected OOM, fuel exhaustion, runtime
 /// errors) exit non-zero — including parallel runs where only workers
 /// trap; and unknown flag values are rejected before any execution.
-/// Programs wider than the runtime encodings are compile errors.
+/// Programs wider than the runtime encodings, or nested deeper than the
+/// parser's depth budget, are compile errors.
 /// Scripts and CI gate on these codes, so they are part of the API.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "../lang/DeepPrograms.h"
+#include "ir/Program.h"
 
 #include <gtest/gtest.h>
 
@@ -404,6 +408,68 @@ TEST(PercCli, SameTagMatchOfAnotherTypeNeverCrashes) {
                                         : "\"result\":0,"),
               std::string::npos)
         << Lines[0];
+  }
+}
+
+TEST(PercCli, EveryShapeAtTheDepthBudgetCompilesAndRunsOnBothEngines) {
+  std::vector<perceus::DeepProgram> Shapes =
+      perceus::deepPrograms(perceus::MaxExprDepth);
+  for (size_t I = 0; I != Shapes.size(); ++I) {
+    std::string File =
+        testing::TempDir() + "/deep_ok_" + std::to_string(I) + ".perc";
+    std::ofstream(File) << Shapes[I].Source;
+    for (const std::string E : {"cek", "vm"})
+      EXPECT_EQ(runPerc(File + " --engine=" + E + " 3"), 0)
+          << Shapes[I].Shape << " " << E;
+    // Served on a worker thread, whose stack is the one that must hold.
+    int Exit = -1;
+    std::vector<std::string> Lines = runPercServe(
+        File + " --serve", "main 3 --engine=cek\nmain 3 --engine=vm\n", Exit);
+    EXPECT_EQ(Exit, 0) << Shapes[I].Shape;
+    ASSERT_EQ(Lines.size(), 2u) << Shapes[I].Shape;
+    for (const std::string &L : Lines) {
+      EXPECT_NE(L.find("\"status\":\"ok\""), std::string::npos)
+          << Shapes[I].Shape << ": " << L;
+      EXPECT_NE(L.find("\"trap\":\"ok\""), std::string::npos)
+          << Shapes[I].Shape << ": " << L;
+    }
+  }
+}
+
+TEST(PercCli, OverDeepProgramsAreCompileErrorsOnBothEngines) {
+  // One level past the budget and far past it: exit 1 with the budget
+  // diagnostic, never a signal. A serving process answers each request
+  // with a structured compile-error (negatively cached after the first)
+  // and lives on.
+  const std::string Budget = "at most " +
+                             std::to_string(perceus::MaxExprDepth) +
+                             " are supported";
+  for (uint32_t Levels : {perceus::MaxExprDepth + 1, uint32_t(100000)}) {
+    std::vector<perceus::DeepProgram> Shapes = perceus::deepPrograms(Levels);
+    for (size_t I = 0; I != Shapes.size(); ++I) {
+      std::string File =
+          testing::TempDir() + "/deep_bad_" + std::to_string(I) + ".perc";
+      std::ofstream(File) << Shapes[I].Source;
+      for (const std::string E : {"cek", "vm"}) {
+        int Exit = -1;
+        std::string Out = runPercCapture(File + " --engine=" + E + " 3", Exit);
+        EXPECT_EQ(Exit, 1) << Shapes[I].Shape << " " << Levels << " " << E;
+        EXPECT_NE(Out.find(Budget), std::string::npos)
+            << Shapes[I].Shape << " " << Levels << " " << E << ": " << Out;
+      }
+      int Exit = -1;
+      std::vector<std::string> Lines =
+          runPercServe(File + " --serve",
+                       "main 3 --engine=cek\nmain 3 --engine=vm\n", Exit);
+      EXPECT_EQ(Exit, 1) << Shapes[I].Shape << " " << Levels;
+      ASSERT_EQ(Lines.size(), 2u) << Shapes[I].Shape << " " << Levels;
+      for (const std::string &L : Lines) {
+        EXPECT_NE(L.find("\"status\":\"compile-error\""), std::string::npos)
+            << Shapes[I].Shape << " " << Levels << ": " << L;
+        EXPECT_NE(L.find(Budget), std::string::npos)
+            << Shapes[I].Shape << " " << Levels << ": " << L;
+      }
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "DeepPrograms.h"
 #include "lang/Resolver.h"
 #include "programs/Programs.h"
 #include "support/Rng.h"
@@ -73,8 +74,8 @@ TEST(FrontEndFuzz, MutatedValidPrograms) {
 }
 
 TEST(FrontEndFuzz, DeeplyNestedInputTerminates) {
-  // Heavy nesting must not blow the parser's stack unreasonably; depth
-  // is bounded here to what the recursive-descent parser supports.
+  // Nesting past the parser's depth budget is an ordinary diagnostic,
+  // never a stack overflow in the parser or in any later stage.
   std::string Src = "fun f(x) { ";
   for (int I = 0; I != 2000; ++I)
     Src += "(";
@@ -83,6 +84,39 @@ TEST(FrontEndFuzz, DeeplyNestedInputTerminates) {
     Src += ")";
   Src += " }";
   mustNotCrash(Src);
+}
+
+TEST(FrontEndFuzz, EveryNestingShapeAtDepth100000IsACompileError) {
+  for (const DeepProgram &D : deepPrograms(100000)) {
+    Program P;
+    DiagnosticEngine Diags;
+    EXPECT_FALSE(compileSource(D.Source, P, Diags)) << D.Shape;
+    EXPECT_NE(Diags.str().find("at most " + std::to_string(MaxExprDepth) +
+                               " are supported"),
+              std::string::npos)
+        << D.Shape << ": " << Diags.str();
+  }
+}
+
+TEST(FrontEndFuzz, RandomlyNestedInputAt100000LevelsTerminates) {
+  // Seeded mixes of every opener, 10^5 deep, closed in reverse: the
+  // budget holds whichever constructs make up the depth.
+  const char *Open[] = {"(", "{ ", "if x then ", "match x { _ -> ",
+                        "fn(a) ", "- ", "x + ", "Box("};
+  const char *Close[] = {")", " }", " else x", " }", "", "", "", ")"};
+  Rng R(31337);
+  for (int Case = 0; Case != 4; ++Case) {
+    std::string Src = "type box { Box(v) }\nfun f(x) { ";
+    std::vector<size_t> Opened;
+    for (int I = 0; I != 100000; ++I) {
+      Opened.push_back(R.below(8));
+      Src += Open[Opened.back()];
+    }
+    Src += "x";
+    for (size_t I = Opened.size(); I-- > 0;)
+      Src += Close[Opened[I]];
+    mustNotCrash(Src + " }");
+  }
 }
 
 TEST(FrontEndFuzz, LongFlatProgramCompiles) {

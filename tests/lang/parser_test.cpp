@@ -6,6 +6,10 @@
 
 #include "lang/Parser.h"
 
+#include "DeepPrograms.h"
+#include "ir/Program.h"
+#include "lang/Resolver.h"
+
 #include <gtest/gtest.h>
 
 using namespace perceus;
@@ -175,6 +179,48 @@ TEST(Parser, MatchArmsWithoutSeparators) {
     }
   )");
   EXPECT_EQ(M.Funs[0].Body->Stmts[0].E->Arms.size(), 2u);
+}
+
+TEST(Parser, EveryShapeCompilesAtTheDepthBudget) {
+  for (const DeepProgram &D : deepPrograms(MaxExprDepth)) {
+    Program P;
+    DiagnosticEngine Diags;
+    EXPECT_TRUE(compileSource(D.Source, P, Diags)) << D.Shape << ": "
+                                                   << Diags.str();
+  }
+}
+
+TEST(Parser, OverDeepProgramsAreOneDiagnostic) {
+  // One level past the budget, and far past it: a single ordinary
+  // diagnostic that names the budget, and no cascade of follow-on errors
+  // from the input the parser skipped. (A two-level step can overshoot
+  // the budget by two, so only the first case pins the depth.)
+  const std::string Budget =
+      " levels; at most " + std::to_string(MaxExprDepth) + " are supported";
+  for (uint32_t Levels : {MaxExprDepth + 1, uint32_t(100000)}) {
+    for (const DeepProgram &D : deepPrograms(Levels)) {
+      DiagnosticEngine Diags;
+      parseModule(D.Source, Diags);
+      EXPECT_EQ(Diags.errorCount(), 1u) << D.Shape << " at " << Levels << ": "
+                                        << Diags.str();
+      std::string Msg = Levels == MaxExprDepth + 1
+                            ? "expression nests " +
+                                  std::to_string(MaxExprDepth + 1) + Budget
+                            : Budget;
+      EXPECT_NE(Diags.str().find(Msg), std::string::npos)
+          << D.Shape << " at " << Levels << ": " << Diags.str();
+    }
+  }
+}
+
+TEST(Parser, DepthIsCountedPerFunction) {
+  // Levels close with the construct that opened them: many functions,
+  // each just under the budget, parse.
+  std::string Src;
+  for (int I = 0; I != 8; ++I)
+    Src += "fun f" + std::to_string(I) + "(n) { n" +
+           repeatText(" + n", MaxExprDepth - 1) + " }\n";
+  parseOk(Src);
 }
 
 } // namespace

@@ -285,7 +285,7 @@ TEST(ServiceRcCalls, WireCountEqualsAnInProcessSinkCleanAndTrapped) {
   // sizes that take 50 ms or more on the faster engine.
   const std::map<std::string, int64_t> LateN = {{"rbtree", 400000},
                                                 {"rbtree-ck", 80000},
-                                                {"deriv", 26},
+                                                {"deriv", 40},
                                                 {"nqueens", 10},
                                                 {"cfold", 18}};
   for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm})
