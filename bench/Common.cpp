@@ -69,12 +69,6 @@ Measurement perceus::bench::measure(const BenchProgram &Prog,
   return M;
 }
 
-Measurement perceus::bench::measure(const BenchProgram &Prog,
-                                    const PassConfig &Config,
-                                    StatsSink *Sink) {
-  return measure(Prog, Config, EngineConfig{}.withSink(Sink));
-}
-
 Measurement perceus::bench::measureNative(const BenchProgram &Prog) {
   Measurement M;
   if (!Prog.Native)
@@ -127,20 +121,6 @@ double perceus::bench::parseScale(int Argc, char **Argv, double Default) {
       return std::atof(Argv[I] + 8);
   }
   return Default;
-}
-
-EngineKind perceus::bench::parseEngine(int Argc, char **Argv,
-                                       EngineKind Default) {
-  EngineKind K = Default;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strncmp(Argv[I], "--engine=", 9) == 0 &&
-        !parseEngineKind(Argv[I] + 9, K)) {
-      std::fprintf(stderr, "bench: unknown engine '%s' (cek or vm)\n",
-                   Argv[I] + 9);
-      std::exit(2);
-    }
-  }
-  return K;
 }
 
 BenchReport::BenchReport(std::string Bench, double Scale)

@@ -111,16 +111,13 @@ struct Measurement {
   ShardInfo Shard;  ///< sharded-front-end rows only (see ShardInfo)
 };
 
-/// Runs \p Prog under \p Config on the engine \p EC selects, once, and
-/// measures it. When \p EC.Sink is non-null it is installed on the heap
-/// for the run, so per-site RC event attribution rides along (note: the
-/// hooked run is slower; don't compare its time against unhooked rows).
+/// Runs \p Prog under \p Config on the VM configured by \p EC, once,
+/// and measures it. When \p EC.Sink is non-null it is installed on the
+/// heap for the run, so per-site RC event attribution rides along (note:
+/// the hooked run is slower; don't compare its time against unhooked
+/// rows).
 Measurement measure(const BenchProgram &Prog, const PassConfig &Config,
-                    const EngineConfig &EC);
-
-/// Back-compat overload: CEK engine, optional sink.
-Measurement measure(const BenchProgram &Prog, const PassConfig &Config,
-                    StatsSink *Sink = nullptr);
+                    const EngineConfig &EC = {});
 
 /// Runs the native C++ version (time only).
 Measurement measureNative(const BenchProgram &Prog);
@@ -135,12 +132,6 @@ void printRelativeTable(const char *Title, const char *Unit,
 
 /// Parses `--scale=X` (default 1.0) from argv.
 double parseScale(int Argc, char **Argv, double Default = 1.0);
-
-/// Parses `--engine=cek|vm` (default \p Default) from argv — the one
-/// engine-selection flag every harness shares with the perc CLI. Prints
-/// an error and exits on an unknown engine name.
-EngineKind parseEngine(int Argc, char **Argv,
-                       EngineKind Default = EngineKind::Cek);
 
 /// Machine-readable results ("perceus-bench-v1"): every harness appends
 /// one row per benchmark × configuration and writes `BENCH_<name>.json`

@@ -17,12 +17,13 @@
 ///   gc             <- OCaml/Haskell/Java (tracing collection)
 ///   native-c++     <- C++ (std::map rbtree; no-reclaim others)
 ///
-/// Times are interpreter times: comparable across rows (same machine,
-/// same dispatch cost), not to the paper's absolute numbers. The
+/// Times are bytecode-VM times (peephole tier): comparable across rows
+/// (same machine, same dispatch cost), not to the paper's absolute
+/// numbers. The
 /// native-c++ row runs compiled code and is reported for completeness
 /// with that caveat. Peak working set is exact live-heap bytes.
 ///
-/// Usage: bench_fig9 [--scale=X] [--engine=cek|vm] [--json=PATH | --no-json]
+/// Usage: bench_fig9 [--scale=X] [--json=PATH | --no-json]
 ///        (X=1 is the CI-friendly default; results also land in
 ///        BENCH_fig9.json at the repo root unless --no-json)
 ///
@@ -36,7 +37,6 @@ using namespace perceus::bench;
 int main(int Argc, char **Argv) {
   double Scale = parseScale(Argc, Argv);
   std::string JsonPath = parseJsonPath("fig9", Argc, Argv);
-  EngineKind Engine = parseEngine(Argc, Argv);
   std::vector<BenchProgram> Programs = figure9Programs(Scale);
   BenchReport Report("fig9", Scale);
 
@@ -71,8 +71,7 @@ int main(int Argc, char **Argv) {
     for (size_t CI = 0; CI != Programs.size(); ++CI) {
       Measurement M = Rows[RI].Native
                           ? measureNative(Programs[CI])
-                          : measure(Programs[CI], Rows[RI].Config,
-                                    EngineConfig{}.withEngine(Engine));
+                          : measure(Programs[CI], Rows[RI].Config);
       Report.add(Programs[CI].Name, Rows[RI].Name, M);
       Times[RI].push_back(M.Ran ? M.Seconds : -1);
       Peaks[RI].push_back(

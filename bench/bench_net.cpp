@@ -79,7 +79,7 @@ uint64_t parseFlag(int Argc, char **Argv, const char *Name,
 int64_t calibrateWorkload(const BenchProgram &P, double Scale) {
   int64_t Work = std::max<int64_t>(1, static_cast<int64_t>(50 * Scale));
   Service S(ServiceConfig{});
-  S.precompile(P.Source, PassConfig::perceusFull(), EngineKind::Cek);
+  S.precompile(P.Source, PassConfig::perceusFull());
   for (int Round = 0; Round != 4; ++Round) {
     ServiceRequest R;
     R.Source = P.Source;
@@ -238,7 +238,7 @@ PhaseResult runPhase(const BenchProgram &Prog, int64_t Work,
   for (unsigned T = 0; T != NumTenants; ++T) {
     std::string Err;
     if (!SS.precompile("tenant-" + std::to_string(T + 1), Prog.Source,
-                       PassConfig::perceusFull(), EngineKind::Cek, &Err)) {
+                       PassConfig::perceusFull(), EngineKind::Vm, &Err)) {
       std::fprintf(stderr, "bench_net: %s\n", Err.c_str());
       std::exit(1);
     }

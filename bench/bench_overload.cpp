@@ -94,8 +94,8 @@ int64_t calibrateWorkload(const BenchProgram &P, double Scale) {
   int64_t Work = std::max<int64_t>(1, static_cast<int64_t>(50 * Scale));
   Service S(ServiceConfig{});
   // Warm the artifact cache first: the calibration rounds must measure
-  // engine time, not the one-off compile.
-  S.precompile(P.Source, PassConfig::perceusFull(), EngineKind::Cek);
+  // VM time, not the one-off compile.
+  S.precompile(P.Source, PassConfig::perceusFull());
   for (int Round = 0; Round != 4; ++Round) {
     ServiceRequest R;
     R.Source = P.Source;
@@ -132,8 +132,7 @@ std::vector<TenantOutcome> runPhase(const BenchProgram &Prog, int64_t Work,
 
   // Compile off the measured path; every request is then a cache hit.
   std::string CompileError;
-  if (!S.precompile(Prog.Source, PassConfig::perceusFull(), EngineKind::Cek,
-                    &CompileError)) {
+  if (!S.precompile(Prog.Source, PassConfig::perceusFull(), &CompileError)) {
     std::fprintf(stderr, "bench_overload: %s\n", CompileError.c_str());
     std::exit(1);
   }

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Scaling curve for the parallel execution layer (src/parallel): runs
-/// 1/2/4/8 concurrent machine instances on three embarrassingly-parallel
+/// 1/2/4/8 concurrent VM instances on three embarrassingly-parallel
 /// Section 4 programs (rbtree, deriv, nqueens — private heaps, zero
 /// cross-thread RC traffic) plus the contended shared-tree traversal,
 /// where every worker hammers one tshare'd input and all RC updates on
@@ -18,7 +18,7 @@
 /// linearly — expect ~N× up to the host's core count and flat beyond it
 /// (a single-core host shows ~1× everywhere, honestly).
 ///
-///   bench_parallel [--scale=X] [--engine=cek|vm] [--json=PATH | --no-json]
+///   bench_parallel [--scale=X] [--json=PATH | --no-json]
 ///
 /// Writes BENCH_parallel.json ("perceus-bench-v1"; config = workers=N).
 ///
@@ -64,10 +64,9 @@ bool statsDiverge(const HeapStats &A, const HeapStats &B) {
 /// not-ran Measurement — if any worker's stats diverge from it: a
 /// speedup over differently-counted work would be meaningless.
 Measurement runOnce(ParallelRunner &PR, const ParallelWorkload &W,
-                    unsigned Workers, EngineKind Engine,
-                    const HeapStats *Baseline, HeapStats *CaptureBaseline) {
+                    unsigned Workers, const HeapStats *Baseline,
+                    HeapStats *CaptureBaseline) {
   EngineConfig EC;
-  EC.Engine = Engine;
   EC.Workers = Workers;
   if (W.Builder) {
     EC.SharedBuilder = W.Builder;
@@ -113,7 +112,6 @@ Measurement runOnce(ParallelRunner &PR, const ParallelWorkload &W,
 int main(int Argc, char **Argv) {
   double Scale = parseScale(Argc, Argv);
   std::string JsonPath = parseJsonPath("parallel", Argc, Argv);
-  EngineKind Engine = parseEngine(Argc, Argv);
   const unsigned WorkerCounts[] = {1, 2, 4, 8};
 
   const ParallelWorkload Workloads[] = {
@@ -138,7 +136,7 @@ int main(int Argc, char **Argv) {
     RowNames.push_back("workers=" + std::to_string(N));
 
   // One compile per workload, reused across every worker count — the
-  // Program and layout are read-only at run time by design.
+  // Program and bytecode are read-only at run time by design.
   std::vector<std::vector<Measurement>> Cells(std::size(WorkerCounts));
   for (const ParallelWorkload &W : Workloads) {
     ParallelRunner PR(W.Source, PassConfig::perceusFull());
@@ -152,8 +150,8 @@ int main(int Argc, char **Argv) {
     for (size_t R = 0; R != std::size(WorkerCounts); ++R) {
       bool First = R == 0;
       Measurement M =
-          runOnce(PR, W, WorkerCounts[R], Engine,
-                  First ? nullptr : &Baseline, First ? &Baseline : nullptr);
+          runOnce(PR, W, WorkerCounts[R], First ? nullptr : &Baseline,
+                  First ? &Baseline : nullptr);
       if (!M.Ran)
         return 1;
       Report.add(W.Name, RowNames[R], M);

@@ -63,7 +63,7 @@ struct DualSink : StatsSink {
 bool verifyReuseByteAccounting(const char *Label, const BenchProgram &Prog,
                                const PassConfig &Config, bool PrintSites) {
   DualSink Sink;
-  Measurement M = measure(Prog, Config, &Sink);
+  Measurement M = measure(Prog, Config, EngineConfig{}.withSink(&Sink));
   if (!M.Ran) {
     std::printf("  %-34s failed (accounting run)\n", Label);
     return false;

@@ -7,17 +7,17 @@
 /// \file
 /// What the long-lived session engine (src/service) buys over a
 /// cold-start per request: every request in the cold column constructs a
-/// fresh Runner (parse, resolve, Perceus pipeline, layout, and for the
-/// VM a bytecode compile), while the service column sends the same
+/// fresh Runner (parse, resolve, Perceus pipeline, layout, bytecode
+/// compile and peephole), while the service column sends the same
 /// requests through one Service whose artifact cache compiles each
-/// (source, config, engine) key exactly once and whose pooled worker
+/// (source, config) key exactly once and whose pooled worker
 /// heaps stay warm between requests.
 ///
 /// Requests are interactive-sized (the Figure 9 programs at the
 /// smallest meaningful workloads; --scale multiplies them): a request
 /// service amortizes compilation, so the win shows where per-request
 /// work does not drown it. Beyond time, every row cross-checks the
-/// cold-vs-service and CEK-vs-VM parity of checksums and heap ops — the
+/// cold-vs-service parity of checksums and heap ops — the
 /// pooled heaps and cached artifacts must be observably identical to
 /// fresh ones — and the report rows carry the "service" telemetry object
 /// (status, cache_hit, queue/run latency, retained bytes) the
@@ -25,8 +25,8 @@
 ///
 ///   bench_service [--scale=X] [--requests=N] [--json=PATH | --no-json]
 ///
-/// Writes BENCH_service.json (config = cold-cek | service-cek | cold-vm
-/// | service-vm) and prints per-program speedups plus the geomean.
+/// Writes BENCH_service.json (config = cold-vm | service-vm) and prints
+/// per-program speedups plus the geomean.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,13 +72,11 @@ std::vector<BenchProgram> requestPrograms(double Scale) {
 
 /// N cold-start requests: a fresh Runner (full compile) per request.
 /// Seconds is the whole batch; stats come from the last request.
-Measurement measureCold(const BenchProgram &Prog, EngineKind Engine,
-                        uint64_t Requests) {
+Measurement measureCold(const BenchProgram &Prog, uint64_t Requests) {
   Measurement M;
   auto T0 = std::chrono::steady_clock::now();
   for (uint64_t I = 0; I != Requests; ++I) {
-    Runner R(Prog.Source, PassConfig::perceusFull(),
-             EngineConfig{}.withEngine(Engine));
+    Runner R(Prog.Source, PassConfig::perceusFull());
     if (!R.ok())
       return M;
     RunResult Res = R.callInt(Prog.Entry, {Prog.BaseScale});
@@ -98,9 +96,9 @@ Measurement measureCold(const BenchProgram &Prog, EngineKind Engine,
 /// pooled heap). Seconds includes the first request's compile — that is
 /// the amortization being measured.
 Measurement measureService(Service &S, const BenchProgram &Prog,
-                           EngineKind Engine, uint64_t Requests) {
+                           uint64_t Requests) {
   Measurement M;
-  Session Sess(S, Prog.Source, PassConfig::perceusFull(), Engine);
+  Session Sess(S, Prog.Source, PassConfig::perceusFull());
   auto T0 = std::chrono::steady_clock::now();
   for (uint64_t I = 0; I != Requests; ++I) {
     ServiceResponse Resp =
@@ -157,35 +155,31 @@ int main(int Argc, char **Argv) {
   std::printf("Request service vs cold start (perceus config, "
               "--scale=%.2f, %llu requests per cell)\n\n",
               Scale, (unsigned long long)Requests);
-  std::printf("%-12s %-6s %12s %12s %10s\n", "benchmark", "engine",
-              "cold [s]", "service [s]", "speedup");
+  std::printf("%-12s %12s %12s %10s\n", "benchmark", "cold [s]",
+              "service [s]", "speedup");
 
   double LogSum = 0;
   size_t N = 0;
   bool Parity = true;
   Service S(ServiceConfig{});
   for (const BenchProgram &P : Programs) {
-    for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm}) {
-      const char *EngName = engineKindName(Engine);
-      Measurement Cold = measureCold(P, Engine, Requests);
-      Measurement Svc = measureService(S, P, Engine, Requests);
-      if (!Cold.Ran || !Svc.Ran) {
-        std::fprintf(stderr, "%s (%s) failed to run\n", P.Name, EngName);
-        return 1;
-      }
-      Parity = statsMatch(P.Name, "cold vs service", Cold, Svc) && Parity;
-      Report.add(P.Name, std::string("cold-") + EngName, Cold);
-      Report.add(P.Name, std::string("service-") + EngName, Svc);
-      double Speedup = Cold.Seconds / Svc.Seconds;
-      LogSum += std::log(Speedup);
-      ++N;
-      std::printf("%-12s %-6s %12.4f %12.4f %9.2fx\n", P.Name, EngName,
-                  Cold.Seconds, Svc.Seconds, Speedup);
+    Measurement Cold = measureCold(P, Requests);
+    Measurement Svc = measureService(S, P, Requests);
+    if (!Cold.Ran || !Svc.Ran) {
+      std::fprintf(stderr, "%s failed to run\n", P.Name);
+      return 1;
     }
+    Parity = statsMatch(P.Name, "cold vs service", Cold, Svc) && Parity;
+    Report.add(P.Name, "cold-vm", Cold);
+    Report.add(P.Name, "service-vm", Svc);
+    double Speedup = Cold.Seconds / Svc.Seconds;
+    LogSum += std::log(Speedup);
+    ++N;
+    std::printf("%-12s %12.4f %12.4f %9.2fx\n", P.Name, Cold.Seconds,
+                Svc.Seconds, Speedup);
   }
   double Geomean = std::exp(LogSum / double(N));
-  std::printf("%-12s %-6s %12s %12s %9.2fx  (geomean)\n", "", "", "", "",
-              Geomean);
+  std::printf("%-12s %12s %12s %9.2fx  (geomean)\n", "", "", "", Geomean);
 
   ServiceStats ST = S.stats();
   std::printf("\nservice: executed=%llu cache-hits=%llu compiles=%llu "

@@ -11,29 +11,27 @@
 ///
 ///   --config=NAME     perceus (default) | perceus-noopt |
 ///                     perceus-borrow | scoped-rc | gc
-///   --engine=NAME     cek (default) | vm — the tree-walking machine or
-///                     the bytecode interpreter (observably identical)
 ///   --no-peephole     run the VM on the raw compiler output, skipping
 ///                     the superinstruction/RC-elision rewrite (on by
-///                     default; the CEK machine ignores this)
+///                     default)
 ///   --entry=NAME      entry function (default: main)
 ///   --stats           print heap/machine statistics after the run
 ///   --stats-json=FILE run, then dump heap stats, run stats, and the
 ///                     per-site RC event table as JSON to FILE
 ///   --pass-stats      print static dup/drop/reuse instruction counts
 ///                     after each pipeline pass (plus the bytecode
-///                     peephole report with --engine=vm), then exit
+///                     peephole report), then exit
 ///   --dump=FN         print FN after the pipeline instead of running
 ///   --stages=FN       print FN at every Figure 1 pipeline stage
-///   --fuel=N          trap after N machine steps (out-of-fuel)
+///   --fuel=N          trap after N VM instructions (out-of-fuel)
 ///   --deadline-ms=N   trap when the run exceeds N ms of wall clock
 ///   --max-depth=N     trap at N live non-tail calls (stack-overflow)
 ///   --max-heap=N      trap when live heap would exceed N bytes
 ///   --max-cells=N     trap when live heap would exceed N cells
 ///   --alloc-budget=N  trap after N allocations (heap lifetime)
 ///   --fail-alloc=N    fault injection: fail the Nth allocation
-///   --workers=N       run N machine instances concurrently, each with a
-///                     private heap (the parallel engine, src/parallel)
+///   --workers=N       run N VM instances concurrently, each with a
+///                     private heap (the parallel runner, src/parallel)
 ///   --shared-input=FN build FN's result once, mark it thread-shared
 ///                     (tshare), and pass it as the entry's last argument
 ///   --shared-arg=N    integer argument for the shared-input builder
@@ -52,8 +50,7 @@
 /// perceus-wire-v1 JSON document per request. A request line is
 ///
 ///   ENTRY [ARGS...] [--fuel=N] [--deadline-ms=N] [--fail-alloc=N]
-///         [--max-depth=N] [--engine=cek|vm] [--config=NAME]
-///         [--tenant=NAME]
+///         [--max-depth=N] [--config=NAME] [--tenant=NAME]
 ///
 /// or a single flat JSON object ({"entry":"main","args":[3],...} — see
 /// parseServiceRequestJson). `#` starts a comment; blank lines are
@@ -120,7 +117,7 @@ namespace {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: perc FILE.perc [--config=NAME] [--engine=cek|vm] "
+               "usage: perc FILE.perc [--config=NAME] "
                "[--no-peephole] [--entry=NAME] [--stats] [--stats-json=FILE] "
                "[--pass-stats]\n"
                "            [--dump=FN] [--stages=FN] "
@@ -282,13 +279,6 @@ LineParse parseRequestLine(const std::string &Line, ServiceRequest &R,
         return LineParse::Bad;
       continue;
     }
-    if (Tok.compare(0, 9, "--engine=") == 0) {
-      if (!parseEngineKind(Tok.c_str() + 9, R.Engine)) {
-        Error = "unknown engine '" + Tok.substr(9) + "'";
-        return LineParse::Bad;
-      }
-      continue;
-    }
     if (Tok.compare(0, 9, "--config=") == 0) {
       if (!parsePassConfig(Tok.c_str() + 9, R.Config)) {
         Error = "unknown config '" + Tok.substr(9) + "'";
@@ -332,7 +322,7 @@ LineParse parseRequestLine(const std::string &Line, ServiceRequest &R,
 }
 
 int serveMain(const std::string &Source, const PassConfig &DefConfig,
-              EngineKind DefEngine, const RunLimits &DefLimits,
+              const RunLimits &DefLimits,
               const std::string &RequestsPath, const FrontEndConfig &FC,
               const std::string &DefTenant) {
   std::ifstream FileIn;
@@ -386,7 +376,6 @@ int serveMain(const std::string &Source, const PassConfig &DefConfig,
     R.Tenant = DefTenant;
     R.Source = Source;
     R.Config = DefConfig;
-    R.Engine = DefEngine;
     R.Limits = DefLimits;
     std::string ParseError;
     switch (parseRequestLine(Line, R, ParseError)) {
@@ -460,14 +449,13 @@ void printServiceStatsLine(const char *Tag, const ServiceStats &ST) {
 }
 
 int listenMain(const std::string &Source, const PassConfig &DefConfig,
-               EngineKind DefEngine, const RunLimits &DefLimits,
+               const RunLimits &DefLimits,
                const std::string &ListenAddr, const FrontEndConfig &FC,
                const std::string &DefTenant, uint64_t MaxRequests) {
   ServiceRequest Defaults;
   Defaults.Tenant = DefTenant;
   Defaults.Source = Source;
   Defaults.Config = DefConfig;
-  Defaults.Engine = DefEngine;
   Defaults.Limits = DefLimits;
 
   ShardedService SS(FC);
@@ -565,12 +553,6 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "error: unknown config '%s'\n", A + 9);
         return 1;
       }
-    } else if (std::strncmp(A, "--engine=", 9) == 0) {
-      if (!parseEngineKind(A + 9, EC.Engine)) {
-        std::fprintf(stderr, "error: unknown engine '%s' (cek or vm)\n",
-                     A + 9);
-        return 1;
-      }
     } else if (std::strncmp(A, "--entry=", 8) == 0) {
       Entry = A + 8;
     } else if (std::strncmp(A, "--dump=", 7) == 0) {
@@ -664,9 +646,9 @@ int main(int Argc, char **Argv) {
         .withIdleTimeoutMs(IdleTimeoutMs)
         .withMaxConnections(static_cast<size_t>(MaxConns));
     if (!Listen.empty())
-      return listenMain(Source, Config, EC.Engine, Limits, Listen, FC,
-                        Tenant, MaxRequests);
-    return serveMain(Source, Config, EC.Engine, Limits, Requests, FC, Tenant);
+      return listenMain(Source, Config, Limits, Listen, FC, Tenant,
+                        MaxRequests);
+    return serveMain(Source, Config, Limits, Requests, FC, Tenant);
   }
 
   if (PassStats) {
@@ -678,7 +660,7 @@ int main(int Argc, char **Argv) {
     }
     std::printf("config: %s\n", Config.name());
     printPassStats(runPipelineWithStats(P, Config));
-    if (EC.Engine == EngineKind::Vm && EC.Peephole) {
+    if (EC.Peephole) {
       // The bytecode tier's own rewrite, below the IR passes: what the
       // peephole deleted (proven-immediate RC ops) and fused.
       Runner R(Source, Config, EC);

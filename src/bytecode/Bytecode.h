@@ -8,7 +8,7 @@
 /// A flat, register-based bytecode for the RC-instrumented IR. The
 /// compiler (bytecode/Compiler.h) lowers each function and each lambda
 /// body into a Chunk of fixed-width instructions over the frame layout
-/// the CEK machine already uses: the layout pass's named slots become the
+/// (eval/Layout.h): the layout pass's named slots become the
 /// low registers of the frame, and expression temporaries live above
 /// them. Operand windows for calls, constructors and primitives are
 /// contiguous register ranges, Lua-style, so a call binds its arguments
@@ -16,14 +16,15 @@
 ///
 /// Design constraints, in priority order:
 ///
-///  1. *Observable parity with the CEK machine.* The VM must issue the
-///     exact same sequence of heap operations (alloc, dup, drop, decref,
-///     is-unique, free, markShared) with the same telemetry sites, so
-///     HeapStats, RcInstrCounts, reuse counters and fault-injection
-///     behaviour are bit-identical across engines. This dictates the
-///     evaluation order baked into the compiler (callee before
-///     arguments, constructor fields before the allocation, value before
-///     the token check in set-field) and the first-class RC opcodes.
+///  1. *The instrumented IR's heap semantics, exactly.* The VM issues
+///     one heap operation (alloc, dup, drop, decref, is-unique, free,
+///     markShared) per RC instruction of the IR, with the IR's telemetry
+///     sites, in a fixed evaluation order (callee before arguments,
+///     constructor fields before the allocation, value before the token
+///     check in set-field). So HeapStats, RcInstrCounts, reuse counters
+///     and fault-injection behaviour are bit-identical across the raw
+///     and peephole tiers, and equal the frozen goldens in
+///     tests/bytecode/engine_diff_test.cpp.
 ///  2. *Dispatch speed.* Every RC instruction, the is-unique and
 ///     null-token branches, and each primitive is a single opcode;
 ///     constructor tag/arity are inline immediates resolved at compile
@@ -72,7 +73,7 @@ enum class Op : uint8_t {
   Con,         ///< A=arity, B=dst, C=window (fields), D=ctor tag
   ConReuse,    ///< A=arity, B=dst, C=window, D=token slot, E=ctor tag
 
-  //===--- RC instructions (first-class; see eval/Machine.h) --------------===//
+  //===--- RC instructions (first-class; see ir/Expr.h) -------------------===//
   Dup,          ///< C=slot
   Drop,         ///< C=slot
   FreeOp,       ///< C=slot (memory-only disposal)
@@ -203,9 +204,9 @@ struct Instr {
 };
 
 /// One arm of a compiled match. Arms keep their source order — the VM
-/// scans them exactly like the CEK machine does, including recording a
-/// default arm and *continuing* the scan (a later ill-typed arm still
-/// traps even when a default exists).
+/// scans them in order, including recording a default arm and
+/// *continuing* the scan (a later ill-typed arm still traps even when a
+/// default exists).
 struct MatchArmCode {
   ArmKind Kind = ArmKind::Default;
   uint32_t DataId = 0;     ///< Ctor arms: the constructor's data type

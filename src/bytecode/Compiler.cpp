@@ -114,10 +114,8 @@ private:
   //===--- Expression compilation -----------------------------------------===//
 
   /// Compiles \p E in tail position: every path ends in Ret, a tail
-  /// call, or a trap. The CEK machine discovers tail calls dynamically
-  /// (the continuation on top is the frame return); syntactic tail
-  /// position is the same set of call sites, modulo the entry frame,
-  /// which the VM handles uniformly by replacing it.
+  /// call, or a trap. Tail calls are found syntactically; the entry
+  /// frame is handled uniformly by replacing it.
   void compileTail(const Expr *E) {
     switch (E->kind()) {
     case ExprKind::App:
@@ -403,7 +401,7 @@ private:
     CP.Matches.emplace_back();
     emit(Op::MatchOp, 0, M->layoutA(), 0, 0, TableIdx);
 
-    // Build the arm table in source order, mirroring the CEK scan.
+    // Build the arm table in source order; the VM scans it in order.
     const std::vector<uint32_t> &Binders = L.SlotLists[M->layoutB()];
     size_t Offset = 0;
     {

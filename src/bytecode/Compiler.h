@@ -7,12 +7,11 @@
 /// \file
 /// Lowers a laid-out program (ir/Expr.h trees annotated by
 /// eval/Layout.h) to the flat bytecode of bytecode/Bytecode.h. The
-/// compiler preserves the CEK machine's observable evaluation order
-/// exactly — see the parity contract in Bytecode.h — while resolving
+/// compiler keeps the IR's evaluation order and one heap operation per
+/// RC instruction — see the contract in Bytecode.h — while resolving
 /// everything resolvable at compile time: constructor tags/arities,
 /// match binder slots, capture slot lists, direct calls to top-level
-/// functions, and syntactic tail positions (which the CEK machine
-/// discovers dynamically from its continuation stack).
+/// functions, and syntactic tail positions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,8 +25,7 @@
 namespace perceus {
 
 /// Compiles every function (and reachable lambda) of \p P. \p Layout
-/// must have been produced from \p P *after* all passes ran — the same
-/// precondition the CEK machine has.
+/// must have been produced from \p P *after* all passes ran.
 CompiledProgram compileProgram(const Program &P, const ProgramLayout &Layout);
 
 } // namespace perceus

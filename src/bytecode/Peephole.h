@@ -10,7 +10,7 @@
 /// analysis (analysis/ImmediateAnalysis.h) proved to be dynamic no-ops,
 /// and (b) fuses hot adjacent instruction pairs/triples into the
 /// superinstructions at the tail of the Op enum. Both transforms
-/// preserve the engine parity contract from Bytecode.h:
+/// preserve the heap-semantics contract from Bytecode.h:
 ///
 ///   * Elision only removes dup/drop/decref whose operand is a proven
 ///     immediate — operations the heap classifies as NonHeapRcOps. Every

@@ -12,13 +12,6 @@
 // their operands through I, the program counter, which points into the
 // current chunk; every dispatch pays one budget compare (see Budget).
 //
-// Parity note: every heap call, telemetry stamp, counter increment and
-// trap message below mirrors eval/Machine.cpp line for line — when
-// changing one engine, change the other. Differences are confined to the
-// engine-specific metrics (Steps, TailCalls, MaxCallDepth,
-// MaxLocalsSlots), which count dispatches and frames at this engine's
-// own granularity.
-//
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/VM.h"
@@ -103,7 +96,7 @@ static uint64_t nextBudgetCheck(uint64_t Steps, uint64_t Fuel,
                                 bool HasSafepoint) {
   uint64_t Next = Fuel && Fuel != UINT64_MAX ? Fuel + 1 : UINT64_MAX;
   if (HasSafepoint)
-    Next = std::min(Next, (Steps | (Engine::DeadlineCheckInterval - 1)) + 1);
+    Next = std::min(Next, (Steps | (VM::DeadlineCheckInterval - 1)) + 1);
   return Next;
 }
 
@@ -429,7 +422,7 @@ Execute:
       case ArmKind::Ctor:
         // Only a value the arm can bind: its own constructor's immediate,
         // or a cell with its tag and one field per binder. A same-tag
-        // value of another type falls through (CEK parity).
+        // value of another type falls through.
         if (V.Kind == ValueKind::Enum)
           Matches = V.Bits == Value::makeEnum(Arm.DataId, Arm.Tag).Bits;
         else if (V.Kind == ValueKind::HeapRef &&
@@ -453,7 +446,7 @@ Execute:
         break;
       case ArmKind::Default:
         // Recorded, but the scan continues: a later ill-typed arm still
-        // traps even when a default exists (CEK parity).
+        // traps even when a default exists.
         Default = &Arm;
         break;
       }
@@ -623,7 +616,7 @@ Execute:
   }
   VM_CASE(FreeOp) {
     // `free` is memory-only disposal, not an RC operation (Rc.Frees
-    // only; see Machine.cpp).
+    // only).
     VM_STAMP(Sites, "free");
     ++R.Rc.Frees;
     Value V = RF[I->C];
@@ -674,8 +667,7 @@ Execute:
     VM_NEXT();
   }
   VM_CASE(IsNullTokenBr) {
-    // Blind union read, like the CEK machine: layout guarantees the slot
-    // holds a token here.
+    // Blind union read: layout guarantees the slot holds a token here.
     if (RF[I->C].Tok == nullptr) {
       // The reuse-specialized fresh path: the pairing missed.
       ++R.ReuseMisses;

@@ -13,10 +13,10 @@
 /// pointer into the current chunk, and each dispatch pays one compare
 /// for fuel, safepoints and deadlines together (see VM::execute).
 ///
-/// The VM implements the same Engine interface as the CEK machine and is
-/// observably identical to it (see the parity contract in Bytecode.h):
-/// same heap-operation sequence, same telemetry sites, same trap
-/// messages, same clean-unwind guarantee. Call frames overlap Lua-style
+/// It is the only execution engine. Every trap takes the clean-unwind
+/// path (the heap is empty afterwards), and the raw and peephole tiers
+/// issue the same heap-operation sequence (see the contract in
+/// Bytecode.h). Call frames overlap Lua-style
 /// in one register stack — a call's operand window becomes the callee's
 /// parameter registers, so argument binding is free — and tail calls are
 /// resolved statically by the compiler and reuse the frame in place.
@@ -98,33 +98,63 @@ private:
 
 /// Executes compiled programs; see the file comment. One VM per thread:
 /// the CompiledProgram is immutable and shareable, the VM is not.
-class VM : public Engine {
+class VM {
 public:
   /// \p CP must outlive the VM and have been compiled from the program
   /// whose cells \p H manages.
   VM(const CompiledProgram &CP, Heap &H) : CP(CP), H(H) {}
 
-  RunResult run(FuncId F, std::vector<Value> Args) override;
+  /// Runs function \p F on \p Args (ownership of heap arguments
+  /// transfers to the callee). A heap-valued result is dropped before
+  /// returning (reported in Result.Kind).
+  RunResult run(FuncId F, std::vector<Value> Args);
 
-  /// Fuel is measured in bytecode instructions here (the VM's dispatch
-  /// granularity), not expression nodes.
-  void setStepLimit(uint64_t Limit) override { StepLimit = Limit; }
+  /// Step fuel: maximum bytecode instructions before trapping with
+  /// OutOfFuel (0 = unlimited). A fused superinstruction counts once.
+  void setStepLimit(uint64_t Limit) { StepLimit = Limit; }
 
-  void setCallDepthLimit(uint64_t Limit) override { CallDepthLimit = Limit; }
+  /// Maximum simultaneously-live non-tail call frames before trapping
+  /// with StackOverflow (0 = unlimited). Tail calls reuse their frame
+  /// and never count against the limit.
+  void setCallDepthLimit(uint64_t Limit) { CallDepthLimit = Limit; }
 
-  /// Wall-clock budget per run (0 = none); armed at run() entry and
-  /// checked every DeadlineCheckInterval instructions.
-  void setDeadline(uint64_t Ms) override { DeadlineMs = Ms; }
+  /// Wall-clock budget per run in milliseconds (0 = none). The clock
+  /// starts at the next run() entry; when it expires the VM traps with
+  /// TrapKind::Deadline and clean-unwinds like every other trap. The
+  /// check is step-batched (one steady_clock read every
+  /// DeadlineCheckInterval instructions), so expiry is detected within a
+  /// batch, not on the exact instruction.
+  void setDeadline(uint64_t Ms) { DeadlineMs = Ms; }
+
+  /// How many instructions run between deadline clock reads.
+  static constexpr uint64_t DeadlineCheckInterval = 1024;
+
+  /// How many safepoints pass between full flushes of the heap's
+  /// shared-count coalescing buffer (Heap::flushSharedDeltas). Flushing
+  /// every safepoint would defeat coalescing: the dominant cancellation
+  /// is a dup from one traversal round netting against the decref from
+  /// the previous round, and a round usually spans many safepoint
+  /// intervals. A longer stride keeps staleness bounded (other workers
+  /// see counts at most this many instructions old) without forcing one
+  /// RMW per operation. Correctness never depends on the stride: a
+  /// shared count cannot reach zero while any worker still runs (the
+  /// segment owner retains its root reference until after join), and
+  /// trap unwind and join flush unconditionally.
+  static constexpr uint64_t SharedFlushSafepointStride = 32;
 
   /// Enumerates every register of every live frame, plus the pending
-  /// result.
-  void enumerateRoots(const std::function<void(Value)> &Fn) const override;
+  /// result: the GC roots.
+  void enumerateRoots(const std::function<void(Value)> &Fn) const;
 
-  void setResultInspector(std::function<void(Value)> Fn) override {
+  /// Called with the final value right before the VM releases it (heap
+  /// results are dropped to keep runs garbage free); lets callers
+  /// inspect structured results.
+  void setResultInspector(std::function<void(Value)> Fn) {
     ResultInspector = std::move(Fn);
   }
 
-  Heap &heap() override { return H; }
+  /// The heap this VM allocates from.
+  Heap &heap() { return H; }
 
 private:
   /// A suspended caller: where to resume and where the callee's value

@@ -378,7 +378,10 @@ SubstResult perceus::substEval(Program &P, const Expr *E, uint64_t Fuel) {
           continue;
         if (!spend())
           return nullptr;
-        const Expr *Body = Arm.Body;
+        // The arm may still name the let-bound scrutinee itself; it is
+        // bound to V like any other let (names are unique, so no binder
+        // can shadow it).
+        const Expr *Body = substitute(P, Arm.Body, M->scrutinee(), V);
         for (size_t I = 0; I != Arm.Binders.size(); ++I)
           Body = substitute(P, Body, Arm.Binders[I], C->args()[I]);
         return eval2(Body);

@@ -217,8 +217,8 @@ ExprKind peekRedex(const Expr *E) {
 /// redex is a dup/drop; our statement encoding spreads the specialized
 /// RC instructions over several administrative steps (the unit-valued
 /// is-unique statement, the Seq that discards it, the let that binds a
-/// reuse token, the NULL literal), so the whole administrative family is
-/// excluded. This is conservative but loses nothing: these steps do not
+/// reuse token, the `&x` that computes it, the NULL literal), so the
+/// whole administrative family is excluded. This is conservative but loses nothing: these steps do not
 /// allocate, so a genuinely garbage state persists to the next audited
 /// redex (application, allocation, or match) unless an intervening —
 /// legitimately pending — RC instruction frees it, which is exactly the
@@ -233,6 +233,7 @@ bool isRcRedex(ExprKind K) {
   case ExprKind::IsUnique:
   case ExprKind::Seq:
   case ExprKind::Let:
+  case ExprKind::ReuseAddr:
   case ExprKind::NullToken:
     return true;
   default:

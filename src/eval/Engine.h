@@ -1,24 +1,17 @@
-//===- eval/Engine.h - Execution-engine interface ---------------*- C++-*-===//
+//===- eval/Engine.h - Run results, traps and RC counters -------*- C++-*-===//
 //
 // Part of the perceus-cpp project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The abstract interface every execution engine implements, plus the
-/// result/trap/counter types shared by all of them. Two engines exist:
-///
-///   * eval/Machine.h   — the CEK-style tree-walking machine;
-///   * bytecode/VM.h    — the register-based bytecode interpreter.
-///
-/// Both run the same RC-instrumented IR against the same Heap, issue the
-/// same sequence of heap operations (dup/drop/decref/is-unique/alloc) and
-/// honor the same trap model with the clean-unwind guarantee: after every
-/// trap the engine has reclaimed everything it still referenced, so
-/// Heap::empty() holds on the error path too. Engine-independent
-/// statistics (RcInstrCounts, reuse hits/misses, the heap's own counters)
-/// are bit-identical across engines; dispatch-granularity metrics (Steps,
-/// TailCalls, MaxCallDepth, MaxLocalsSlots) are engine-specific.
+/// The result, trap and counter types of a run on the bytecode VM
+/// (bytecode/VM.h). Every trap takes the clean-unwind path: after it the
+/// VM has reclaimed everything it still referenced, so Heap::empty()
+/// holds on the error path too. RcInstrCounts, reuse hits/misses and the
+/// heap's own counters are bit-identical across the raw and peephole
+/// tiers; dispatch-granularity metrics (Steps, TailCalls, MaxCallDepth,
+/// MaxLocalsSlots) count bytecode instructions and frames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +21,6 @@
 #include "ir/Program.h"
 #include "runtime/Heap.h"
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -75,8 +67,8 @@ struct RcInstrCounts {
   uint64_t ImplicitDrops = 0;
   uint64_t ImplicitDecRefs = 0;
 
-  /// Superinstructions executed (VM peephole tier only; always 0 on the
-  /// CEK machine). Their RC components increment the counters above
+  /// Superinstructions executed (peephole tier only; always 0 on raw
+  /// bytecode). Their RC components increment the counters above
   /// exactly as the unfused instructions would — FusedOps counts the
   /// combined dispatches, FusedRcOps the RC operations that executed
   /// inside them, so dispatch savings stay auditable without touching
@@ -98,9 +90,8 @@ struct RunResult {
   Value Result;            ///< final value (immediates only; heap results
                            ///< are reported as kind HeapRef and dropped)
   std::string Output;      ///< accumulated println output
-  uint64_t Steps = 0;      ///< dispatches executed (engine granularity:
-                           ///< expression nodes on the CEK machine,
-                           ///< bytecode instructions on the VM)
+  uint64_t Steps = 0;      ///< bytecode instructions dispatched (a fused
+                           ///< superinstruction counts once)
   uint64_t ReuseHits = 0;  ///< Con@ru with a non-null token (in-place)
   uint64_t ReuseMisses = 0;///< Con@ru that had to allocate fresh
   uint64_t TailCalls = 0;  ///< frame-reusing calls
@@ -112,61 +103,6 @@ struct RunResult {
                               ///< slots (sums frame sizes, not depth)
   uint64_t UnwoundCells = 0;  ///< cells reclaimed by the trap unwind
   RcInstrCounts Rc;        ///< engine-side RC operation counts
-};
-
-/// The interface both engines implement; see the file comment.
-class Engine {
-public:
-  virtual ~Engine() = default;
-
-  /// Runs function \p F on \p Args (ownership of heap arguments
-  /// transfers to the callee). A heap-valued result is dropped before
-  /// returning (reported in Result.Kind).
-  virtual RunResult run(FuncId F, std::vector<Value> Args) = 0;
-
-  /// Step fuel: maximum dispatches before trapping with OutOfFuel
-  /// (0 = unlimited). The unit is the engine's own dispatch granularity.
-  virtual void setStepLimit(uint64_t Limit) = 0;
-
-  /// Maximum simultaneously-live non-tail call frames before trapping
-  /// with StackOverflow (0 = unlimited). Tail calls reuse their frame
-  /// and never count against the limit.
-  virtual void setCallDepthLimit(uint64_t Limit) = 0;
-
-  /// Wall-clock budget per run in milliseconds (0 = none). The clock
-  /// starts at the next run() entry; when it expires the engine traps
-  /// with TrapKind::Deadline and clean-unwinds like every other trap.
-  /// The check is step-batched (one steady_clock read every
-  /// DeadlineCheckInterval dispatches), so expiry is detected within a
-  /// batch, not on the exact instruction.
-  virtual void setDeadline(uint64_t Ms) = 0;
-
-  /// How many dispatches both engines run between deadline clock reads.
-  static constexpr uint64_t DeadlineCheckInterval = 1024;
-
-  /// How many safepoints pass between full flushes of the heap's
-  /// shared-count coalescing buffer (Heap::flushSharedDeltas). Flushing
-  /// every safepoint would defeat coalescing: the dominant cancellation
-  /// is a dup from one traversal round netting against the decref from
-  /// the previous round, and a round usually spans many safepoint
-  /// intervals. A longer stride keeps staleness bounded (other workers
-  /// see counts at most this many dispatches old) without forcing one
-  /// RMW per operation. Correctness never depends on the stride: a
-  /// shared count cannot reach zero while any worker still runs (the
-  /// segment owner retains its root reference until after join), and
-  /// trap unwind and join flush unconditionally.
-  static constexpr uint64_t SharedFlushSafepointStride = 32;
-
-  /// Enumerates every GC root the engine currently holds.
-  virtual void enumerateRoots(const std::function<void(Value)> &Fn) const = 0;
-
-  /// Called with the final value right before the engine releases it
-  /// (heap results are dropped to keep runs garbage free); lets callers
-  /// inspect structured results.
-  virtual void setResultInspector(std::function<void(Value)> Fn) = 0;
-
-  /// The heap this engine allocates from.
-  virtual Heap &heap() = 0;
 };
 
 } // namespace perceus

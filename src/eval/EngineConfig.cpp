@@ -1,4 +1,4 @@
-//===- eval/EngineConfig.cpp - Unified engine configuration -------------------===//
+//===- eval/EngineConfig.cpp - Engine configuration and trap names ------------===//
 //
 // Part of the perceus-cpp project, under the MIT license.
 //
@@ -6,12 +6,30 @@
 
 #include "eval/EngineConfig.h"
 
+#include "eval/Engine.h"
+
 using namespace perceus;
+
+const char *perceus::trapKindName(TrapKind K) {
+  switch (K) {
+  case TrapKind::Ok:
+    return "ok";
+  case TrapKind::OutOfMemory:
+    return "out-of-memory";
+  case TrapKind::OutOfFuel:
+    return "out-of-fuel";
+  case TrapKind::StackOverflow:
+    return "stack-overflow";
+  case TrapKind::RuntimeError:
+    return "runtime-error";
+  case TrapKind::Deadline:
+    return "deadline";
+  }
+  return "unknown";
+}
 
 const char *perceus::engineKindName(EngineKind K) {
   switch (K) {
-  case EngineKind::Cek:
-    return "cek";
   case EngineKind::Vm:
     return "vm";
   }
@@ -19,10 +37,6 @@ const char *perceus::engineKindName(EngineKind K) {
 }
 
 bool perceus::parseEngineKind(std::string_view Name, EngineKind &Out) {
-  if (Name == "cek") {
-    Out = EngineKind::Cek;
-    return true;
-  }
   if (Name == "vm") {
     Out = EngineKind::Vm;
     return true;

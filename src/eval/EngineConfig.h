@@ -5,14 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One configuration object for every way of running a program. It names
-/// the engine (the CEK tree-walker or the bytecode VM), bundles every
-/// resource limit, and carries the cross-cutting hooks (fault injector,
-/// stats sink) plus the parallel-run fields (worker count, shared
-/// segment). `Runner`, `ParallelRunner`, the `perc` CLI and the bench
-/// harnesses all consume the same struct, so a flag like `--engine=vm`
-/// or `--fuel=N` is parsed once and threaded everywhere — replacing the
-/// per-field setter sprawl that accumulated across Runner/ParallelOptions.
+/// One configuration object for every way of running a program on the
+/// bytecode VM. It bundles every resource limit, carries the
+/// cross-cutting hooks (fault injector, stats sink) plus the
+/// parallel-run fields (worker count, shared segment), and selects the
+/// peephole tier. `Runner`, `ParallelRunner`, the `perc` CLI and the
+/// bench harnesses all consume the same struct, so a flag like `--fuel=N`
+/// is parsed once and threaded everywhere.
 ///
 /// The pass configuration (PassConfig) stays separate on purpose: it
 /// selects what code the compiler emits, while EngineConfig selects how
@@ -34,24 +33,25 @@ namespace perceus {
 class FaultInjector;
 class StatsSink;
 
-/// Which execution engine runs the instrumented IR.
+/// The execution engine. The bytecode VM is the only one; the enum and
+/// its name functions remain because the repository benchmark's sources
+/// name them (ServiceRequest::Engine, ShardedService::precompile).
 enum class EngineKind : uint8_t {
-  Cek, ///< the tree-walking CEK machine (eval/Machine.h)
-  Vm,  ///< the register-based bytecode interpreter (bytecode/VM.h)
+  Vm, ///< the register-based bytecode interpreter (bytecode/VM.h)
 };
 
-/// Short stable name ("cek", "vm") for flags and tables.
+/// Short stable name ("vm") for flags and tables.
 const char *engineKindName(EngineKind K);
 
-/// Parses "cek" or "vm" into \p Out; returns false on anything else.
+/// Parses "vm" into \p Out; returns false on anything else.
 bool parseEngineKind(std::string_view Name, EngineKind &Out);
 
-/// Resource limits for one engine: heap governor plus fuel and call
+/// Resource limits for one VM: heap governor plus fuel and call
 /// depth. Zero fields mean "unlimited"; the default is the ungoverned
 /// fast path.
 struct RunLimits {
   HeapLimits Heap;            ///< live bytes / live cells / alloc budget
-  uint64_t Fuel = 0;          ///< max engine dispatches (0 = unlimited)
+  uint64_t Fuel = 0;          ///< max VM instructions (0 = unlimited)
   uint64_t MaxCallDepth = 0;  ///< max live non-tail frames (0 = unlimited)
   uint64_t DeadlineMs = 0;    ///< wall-clock budget per run in ms (0 =
                               ///< none); expiry traps with
@@ -63,11 +63,10 @@ struct RunLimits {
 /// See the file comment. Value-semantic and cheap to copy; the injector
 /// and sink are non-owning (null = not installed).
 struct EngineConfig {
-  EngineKind Engine = EngineKind::Cek; ///< which interpreter executes
-  RunLimits Limits;                    ///< governor + fuel + depth
+  RunLimits Limits; ///< governor + fuel + depth
 
   //===--- Parallel runs (consumed by ParallelRunner only) ----------------===//
-  unsigned Workers = 1;          ///< number of concurrent engines
+  unsigned Workers = 1;          ///< number of concurrent VMs
   std::string SharedBuilder;     ///< when non-empty: builder function whose
                                  ///< result becomes the tshare'd segment
   std::vector<Value> SharedArgs; ///< builder arguments (immediates)
@@ -78,17 +77,13 @@ struct EngineConfig {
 
   size_t GcThresholdBytes = 4u << 20; ///< GC collection threshold
 
-  /// Run the post-compile superinstruction/RC-elision pass on VM
+  /// Run the post-compile superinstruction/RC-elision pass on the
   /// bytecode (bytecode/Peephole.h). On by default; `--no-peephole`
   /// turns it off for debugging and for exact (rather than semantic)
-  /// cross-engine stats comparisons. Ignored by the CEK engine.
+  /// RC-instruction counts.
   bool Peephole = true;
 
   /// Convenience builders for the common axes.
-  EngineConfig &withEngine(EngineKind K) {
-    Engine = K;
-    return *this;
-  }
   EngineConfig &withLimits(const RunLimits &L) {
     Limits = L;
     return *this;

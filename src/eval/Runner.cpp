@@ -7,8 +7,7 @@
 #include "eval/Runner.h"
 
 #include "bytecode/Compiler.h"
-#include "bytecode/VM.h"
-#include "eval/Machine.h"
+#include "eval/Layout.h"
 #include "gc/MarkSweep.h"
 #include "lang/Resolver.h"
 
@@ -33,24 +32,18 @@ Runner::~Runner() = default;
 
 void Runner::finishSetup() {
   runPipeline(*Prog, Config);
-  Layout.emplace(layoutProgram(*Prog));
   TheHeap = std::make_unique<Heap>(
       Config.Mode == RcMode::None ? HeapMode::Gc : HeapMode::Rc,
       EC.GcThresholdBytes);
-  if (EC.Engine == EngineKind::Vm) {
-    Compiled.emplace(compileProgram(*Prog, *Layout));
-    if (EC.Peephole)
-      PeepReport = runPeephole(*Compiled);
-    TheEngine = std::make_unique<VM>(*Compiled, *TheHeap);
-  } else {
-    TheEngine = std::make_unique<Machine>(*Prog, *Layout, *TheHeap);
-  }
+  Compiled.emplace(compileProgram(*Prog, layoutProgram(*Prog)));
+  if (EC.Peephole)
+    PeepReport = runPeephole(*Compiled);
+  TheVM = std::make_unique<VM>(*Compiled, *TheHeap);
   if (TheHeap->mode() == HeapMode::Gc) {
-    Engine *E = TheEngine.get();
-    attachCollector(*TheHeap,
-                    [E](const std::function<void(Value)> &Fn) {
-                      E->enumerateRoots(Fn);
-                    });
+    VM *V = TheVM.get();
+    attachCollector(*TheHeap, [V](const std::function<void(Value)> &Fn) {
+      V->enumerateRoots(Fn);
+    });
   }
   Ok = true;
   setLimits(EC.Limits);
@@ -81,16 +74,16 @@ RunResult Runner::call(std::string_view Name, std::vector<Value> Args) {
     R.Error = "no such function: " + std::string(Name);
     return R;
   }
-  return TheEngine->run(F, std::move(Args));
+  return TheVM->run(F, std::move(Args));
 }
 
 void Runner::setLimits(const RunLimits &L) {
   if (!Ok)
     return;
   TheHeap->setLimits(L.Heap);
-  TheEngine->setStepLimit(L.Fuel);
-  TheEngine->setCallDepthLimit(L.MaxCallDepth);
-  TheEngine->setDeadline(L.DeadlineMs);
+  TheVM->setStepLimit(L.Fuel);
+  TheVM->setCallDepthLimit(L.MaxCallDepth);
+  TheVM->setDeadline(L.DeadlineMs);
 }
 
 void Runner::setFaultInjector(FaultInjector *FI) {

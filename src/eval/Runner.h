@@ -6,18 +6,12 @@
 ///
 /// \file
 /// Runner bundles the whole stack — parse, resolve, Perceus pipeline,
-/// frame layout, heap, collector, execution engine — behind the API the
-/// examples, tests and benchmarks use:
+/// frame layout, bytecode compile (plus the peephole tier unless
+/// EngineConfig::Peephole is off), heap, collector, VM — behind the API
+/// the examples, tests and benchmarks use:
 ///
 ///   Runner R(Source, PassConfig::perceusFull());
 ///   RunResult Res = R.callInt("main", {});
-///
-/// The execution engine is selected by EngineConfig::Engine: the CEK
-/// tree-walker (default) or the bytecode VM, which compiles the laid-out
-/// program once at setup:
-///
-///   Runner R(Source, PassConfig::perceusFull(),
-///            EngineConfig{}.withEngine(EngineKind::Vm));
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +20,9 @@
 
 #include "bytecode/Bytecode.h"
 #include "bytecode/Peephole.h"
+#include "bytecode/VM.h"
 #include "eval/Engine.h"
 #include "eval/EngineConfig.h"
-#include "eval/Layout.h"
 #include "perceus/Pipeline.h"
 #include "support/Diagnostics.h"
 
@@ -41,8 +35,8 @@ namespace perceus {
 /// See the file comment.
 class Runner {
 public:
-  /// Compiles \p Source under \p Config and sets up the engine \p EC
-  /// selects. Check `ok()` before running.
+  /// Compiles \p Source under \p Config and sets up a VM configured by
+  /// \p EC. Check `ok()` before running.
   Runner(std::string_view Source, const PassConfig &Config,
          const EngineConfig &EC = {});
 
@@ -58,15 +52,12 @@ public:
   const DiagnosticEngine &diagnostics() const { return Diags; }
   Program &program() { return *Prog; }
   Heap &heap() { return *TheHeap; }
-  /// The selected execution engine (CEK machine or bytecode VM).
-  Engine &engine() { return *TheEngine; }
-  /// Legacy name for engine(), from when the CEK machine was the only
-  /// engine; every member it exposes is on the Engine interface.
-  Engine &machine() { return *TheEngine; }
+  /// The VM that runs the compiled program.
+  VM &engine() { return *TheVM; }
   const PassConfig &config() const { return Config; }
   const EngineConfig &engineConfig() const { return EC; }
-  /// The peephole rewrite report (VM engine with EngineConfig::Peephole
-  /// only; empty otherwise). Consumed by `perc --pass-stats`.
+  /// The peephole rewrite report (empty when EngineConfig::Peephole is
+  /// off). Consumed by `perc --pass-stats`.
   const PeepholeReport &peepholeReport() const { return PeepReport; }
 
   /// Calls function \p Name with integer arguments.
@@ -80,7 +71,7 @@ public:
   /// this holds after trapped runs too.
   bool heapIsEmpty() const { return TheHeap->empty(); }
 
-  /// Installs resource limits on the heap and the engine. May be called
+  /// Installs resource limits on the heap and the VM. May be called
   /// between runs; RunLimits::unlimited() restores the ungoverned path.
   void setLimits(const RunLimits &L);
 
@@ -88,7 +79,7 @@ public:
   void setFaultInjector(FaultInjector *FI);
 
   /// Installs a telemetry sink on the heap (non-owning; null uninstalls).
-  /// The engine picks it up at the start of the next run and attributes
+  /// The VM picks it up at the start of the next run and attributes
   /// every RC/alloc/reuse event to its IR site.
   void setStatsSink(StatsSink *S);
 
@@ -100,11 +91,10 @@ private:
   DiagnosticEngine Diags;
   std::unique_ptr<Program> OwnedProg;
   Program *Prog = nullptr;
-  std::optional<ProgramLayout> Layout;
-  std::optional<CompiledProgram> Compiled; // VM engine only
-  PeepholeReport PeepReport;               // VM + peephole only
+  std::optional<CompiledProgram> Compiled;
+  PeepholeReport PeepReport; // peephole tier only
   std::unique_ptr<Heap> TheHeap;
-  std::unique_ptr<Engine> TheEngine;
+  std::unique_ptr<VM> TheVM;
   bool Ok = false;
 };
 

@@ -6,7 +6,7 @@
 
 #include "eval/StatsJson.h"
 
-#include "eval/Machine.h"
+#include "eval/Engine.h"
 #include "support/JsonWriter.h"
 
 namespace perceus {

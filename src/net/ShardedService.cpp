@@ -60,10 +60,9 @@ ServiceResponse ShardedService::call(ServiceRequest R) {
 
 bool ShardedService::precompile(const std::string &Tenant,
                                 const std::string &Source,
-                                const PassConfig &Config, EngineKind Engine,
+                                const PassConfig &Config, EngineKind,
                                 std::string *Error) {
-  return Shards[shardFor(Tenant, Source)]->precompile(Source, Config, Engine,
-                                                      Error);
+  return Shards[shardFor(Tenant, Source)]->precompile(Source, Config, Error);
 }
 
 void ShardedService::setTenantPolicy(const std::string &Tenant,

@@ -123,9 +123,10 @@ public:
   /// submit() + get().
   ServiceResponse call(ServiceRequest R);
 
-  /// Warms (tenant, source)'s owning shard.
+  /// Warms (tenant, source)'s owning shard. The EngineKind parameter
+  /// only keeps existing callers compiling: the VM is the only engine.
   bool precompile(const std::string &Tenant, const std::string &Source,
-                  const PassConfig &Config, EngineKind Engine,
+                  const PassConfig &Config, EngineKind,
                   std::string *Error = nullptr);
 
   /// Installs \p Tenant's policy on every shard (a tenant's requests

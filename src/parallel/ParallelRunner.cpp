@@ -9,7 +9,7 @@
 #include "bytecode/Compiler.h"
 #include "bytecode/Peephole.h"
 #include "bytecode/VM.h"
-#include "eval/Machine.h"
+#include "eval/Layout.h"
 #include "gc/MarkSweep.h"
 #include "lang/Resolver.h"
 #include "runtime/SharedPool.h"
@@ -33,7 +33,6 @@ ParallelRunner::ParallelRunner(std::string_view Source,
   if (!compileSource(Source, *Prog, Diags))
     return;
   runPipeline(*Prog, Config);
-  Layout.emplace(layoutProgram(*Prog));
   Ok = true;
 }
 
@@ -49,16 +48,16 @@ ParallelOutcome ParallelRunner::run(const EngineConfig &EC,
   }
   unsigned Workers = EC.Workers ? EC.Workers : 1;
 
-  // All symbol interning — and, for the VM, the one shared bytecode
-  // compilation — happens here, before any thread exists: the Program
-  // and CompiledProgram are strictly read-only once workers run.
+  // All symbol interning — and the one shared bytecode compilation —
+  // happens here, before any thread exists: the Program and
+  // CompiledProgram are strictly read-only once workers run.
   FuncId EntryFn = Prog->findFunction(Prog->symbols().intern(Entry));
   if (EntryFn == InvalidId) {
     Out.Error = "no such entry function: " + std::string(Entry);
     return Out;
   }
-  if (EC.Engine == EngineKind::Vm && !Compiled) {
-    Compiled.emplace(compileProgram(*Prog, *Layout));
+  if (!Compiled) {
+    Compiled.emplace(compileProgram(*Prog, layoutProgram(*Prog)));
     // The peephole flag is captured by whichever run compiles first (the
     // CompiledProgram is cached across runs). Shared-segment runs stay
     // correct either way: every worker's entry args include the shared
@@ -66,12 +65,6 @@ ParallelOutcome ParallelRunner::run(const EngineConfig &EC,
     if (EC.Peephole)
       runPeephole(*Compiled);
   }
-
-  auto makeEngine = [&](Heap &H) -> std::unique_ptr<Engine> {
-    if (EC.Engine == EngineKind::Vm)
-      return std::make_unique<VM>(*Compiled, H);
-    return std::make_unique<Machine>(*Prog, *Layout, H);
-  };
 
   bool HasShared = !EC.SharedBuilder.empty();
   FuncId Builder = InvalidId;
@@ -97,12 +90,12 @@ ParallelOutcome ParallelRunner::run(const EngineConfig &EC,
   Value Root = Value::unit();
   if (HasShared) {
     Owner.enableCellRegistry();
-    std::unique_ptr<Engine> B = makeEngine(Owner);
-    B->setResultInspector([&](Value V) {
+    VM B(*Compiled, Owner);
+    B.setResultInspector([&](Value V) {
       Root = V;
       Owner.dup(V);
     });
-    RunResult BR = B->run(Builder, EC.SharedArgs);
+    RunResult BR = B.run(Builder, EC.SharedArgs);
     if (!BR.Ok) {
       Out.Error = "shared-input builder trapped: " + BR.Error;
       return Out;
@@ -115,7 +108,7 @@ ParallelOutcome ParallelRunner::run(const EngineConfig &EC,
       Owner.dup(Root);
   }
 
-  // Phase 2: run the workers. Each owns a private heap and engine;
+  // Phase 2: run the workers. Each owns a private heap and VM;
   // frees of foreign shared cells park in the pool. Workers write their
   // outcomes into cache-line-padded slots — the elements of Out.Workers
   // are adjacent, and per-worker stores during the run must not bounce a
@@ -137,7 +130,7 @@ ParallelOutcome ParallelRunner::run(const EngineConfig &EC,
         Heap H(WorkerMode, EC.GcThresholdBytes);
         H.setSharedPool(&Pool);
         // Coalesce the shared-count traffic: net deltas accumulate in a
-        // per-worker buffer and flush in batches (engine safepoints, the
+        // per-worker buffer and flush in batches (VM safepoints, the
         // unconditional post-run flush below, and trap unwinds inside
         // run()). Safe here because the owner retains its root reference
         // until after join — no shared count can reach zero out from
@@ -145,21 +138,19 @@ ParallelOutcome ParallelRunner::run(const EngineConfig &EC,
         if (HasShared)
           H.enableSharedCoalescing();
         H.setLimits(EC.Limits.Heap);
-        std::unique_ptr<Engine> M = makeEngine(H);
-        M->setStepLimit(EC.Limits.Fuel);
-        M->setCallDepthLimit(EC.Limits.MaxCallDepth);
-        M->setDeadline(EC.Limits.DeadlineMs);
-        if (H.mode() == HeapMode::Gc) {
-          Engine *E = M.get();
-          attachCollector(H, [E](const std::function<void(Value)> &Fn) {
-            E->enumerateRoots(Fn);
+        VM M(*Compiled, H);
+        M.setStepLimit(EC.Limits.Fuel);
+        M.setCallDepthLimit(EC.Limits.MaxCallDepth);
+        M.setDeadline(EC.Limits.DeadlineMs);
+        if (H.mode() == HeapMode::Gc)
+          attachCollector(H, [&M](const std::function<void(Value)> &Fn) {
+            M.enumerateRoots(Fn);
           });
-        }
         std::vector<Value> WArgs = Args;
         if (HasShared)
           WArgs.push_back(Root);
         auto W0 = std::chrono::steady_clock::now();
-        WO.Run = M->run(EntryFn, std::move(WArgs));
+        WO.Run = M.run(EntryFn, std::move(WArgs));
         // Every buffered delta must be published before this worker's
         // stats and heap-empty flag are read at join.
         H.flushSharedDeltas();

@@ -5,15 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A worker-pool engine that executes N engine instances concurrently —
+/// A worker pool that executes N VM instances concurrently —
 /// the execution layer that puts Section 2.7.2's thread-shared counts
 /// under *real* threads.
 ///
-/// The program is compiled once (parse, pipeline, layout — plus one
-/// shared bytecode image when the VM engine is selected); the resulting
-/// Program, ProgramLayout and CompiledProgram are read-only at run time
-/// and shared by all workers. Each worker owns a private Heap and engine
-/// for its working set, so thread-local counts stay non-atomic.
+/// The program is compiled once (parse, pipeline, layout and one shared
+/// bytecode image); the resulting Program and CompiledProgram are
+/// read-only at run time and shared by all workers. Each worker owns a
+/// private Heap and VM for its working set, so thread-local counts stay
+/// non-atomic.
 /// Optionally a **shared segment** is built first: a builder function
 /// runs on a dedicated owner heap, its result is published with
 /// `markShared` (the paper's `tshare` contract — counts flip negative,
@@ -30,7 +30,7 @@
 /// shared cells via its cell registry (Heap::reclaimLeaked).
 ///
 /// Contract: worker programs must not call `tshare` themselves when a
-/// shared segment is configured — the engine performs the sharing on
+/// shared segment is configured — the runner performs the sharing on
 /// their behalf, exactly once, before any worker starts.
 ///
 //===----------------------------------------------------------------------===//
@@ -41,7 +41,6 @@
 #include "bytecode/Bytecode.h"
 #include "eval/Engine.h"
 #include "eval/EngineConfig.h"
-#include "eval/Layout.h"
 #include "perceus/Pipeline.h"
 #include "support/Diagnostics.h"
 
@@ -89,10 +88,10 @@ public:
   Program &program() { return *Prog; }
   const PassConfig &config() const { return Config; }
 
-  /// Executes \p EC.Workers engines of kind \p EC.Engine concurrently,
+  /// Executes \p EC.Workers VMs concurrently,
   /// each calling \p Entry on \p Args (plus the shared root when
   /// \p EC.SharedBuilder is set); blocks until all joined. May be called
-  /// repeatedly. EC's injector/sink hooks are single-engine facilities
+  /// repeatedly. EC's injector/sink hooks are single-VM facilities
   /// and are not installed on worker heaps.
   ParallelOutcome run(const EngineConfig &EC, std::string_view Entry = "main",
                       std::vector<Value> Args = {});
@@ -101,8 +100,7 @@ private:
   PassConfig Config;
   DiagnosticEngine Diags;
   std::unique_ptr<Program> Prog;
-  std::optional<ProgramLayout> Layout;
-  std::optional<CompiledProgram> Compiled; // VM engine, compiled on demand
+  std::optional<CompiledProgram> Compiled; // compiled by the first run()
   bool Ok = false;
 };
 

@@ -9,7 +9,7 @@
 #include "bytecode/Compiler.h"
 #include "bytecode/Peephole.h"
 #include "bytecode/VM.h"
-#include "eval/Machine.h"
+#include "eval/Layout.h"
 #include "gc/MarkSweep.h"
 #include "lang/Resolver.h"
 #include "support/Diagnostics.h"
@@ -53,17 +53,15 @@ uint64_t toMicros(double Seconds) {
   return Seconds <= 0 ? 0 : static_cast<uint64_t>(Seconds * 1e6);
 }
 
-/// The artifact cache key: every PassConfig axis and the engine, then the
-/// source verbatim. Field-by-field (not PassConfig::name()) because
+/// The artifact cache key: every PassConfig axis, then the source
+/// verbatim. Field-by-field (not PassConfig::name()) because
 /// name() collapses hand-built configurations onto the nearest stock one.
 /// Deliberately tenant-free: tenants over the same program share one
 /// artifact (and one circuit breaker — a trap storm is a property of the
 /// source, not of who submits it).
 std::string cacheKey(const ServiceRequest &R) {
   std::string Key;
-  Key.reserve(R.Source.size() + 16);
-  Key += engineKindName(R.Engine);
-  Key += '|';
+  Key.reserve(R.Source.size() + 8);
   Key += static_cast<char>('0' + static_cast<int>(R.Config.Mode));
   Key += static_cast<char>('0' + R.Config.EnableReuse);
   Key += static_cast<char>('0' + R.Config.EnableReuseSpec);
@@ -76,20 +74,15 @@ std::string cacheKey(const ServiceRequest &R) {
 }
 
 /// Estimated resident bytes of one artifact: the source, the IR arena
-/// (which owns every expression tree), the layout side tables, and the
-/// bytecode pools. An estimate — container headers and hash-map slack
-/// are approximated by a flat per-entry overhead — but a *monotone* one:
-/// bigger programs always report more, which is all LRU accounting needs.
+/// (which owns every expression tree), and the bytecode pools. An
+/// estimate — container headers and hash-map slack are approximated by a
+/// flat per-entry overhead — but a *monotone* one: bigger programs always
+/// report more, which is all LRU accounting needs.
 size_t artifactFootprint(const CompiledArtifact &Art,
                          const std::string &Source) {
   size_t B = sizeof(CompiledArtifact) + Source.size();
   if (Art.Prog)
     B += Art.Prog->arena().bytesAllocated();
-  if (Art.Layout) {
-    B += Art.Layout->FuncFrameSize.size() * sizeof(uint32_t);
-    for (const auto &Slots : Art.Layout->SlotLists)
-      B += sizeof(std::vector<uint32_t>) + Slots.size() * sizeof(uint32_t);
-  }
   if (Art.Code) {
     const CompiledProgram &C = *Art.Code;
     auto ChunkBytes = [](const Chunk &Ch) {
@@ -119,7 +112,6 @@ std::shared_ptr<const CompiledArtifact>
 compileArtifact(const ServiceRequest &R) {
   auto Art = std::make_shared<CompiledArtifact>();
   Art->Config = R.Config;
-  Art->Engine = R.Engine;
   Art->Prog = std::make_unique<Program>();
   DiagnosticEngine Diags;
   if (!compileSource(R.Source, *Art->Prog, Diags)) {
@@ -128,14 +120,11 @@ compileArtifact(const ServiceRequest &R) {
     return Art;
   }
   runPipeline(*Art->Prog, R.Config);
-  Art->Layout.emplace(layoutProgram(*Art->Prog));
-  if (R.Engine == EngineKind::Vm) {
-    Art->Code.emplace(compileProgram(*Art->Prog, *Art->Layout));
-    // Unconditional: artifacts are cached by (source, config, engine),
-    // so the peephole tier must not vary per request. Runs whose entry
-    // arguments include heap references use the retained raw chunks.
-    runPeephole(*Art->Code);
-  }
+  Art->Code.emplace(compileProgram(*Art->Prog, layoutProgram(*Art->Prog)));
+  // Unconditional: artifacts are cached by (source, config), so the
+  // peephole tier must not vary per request. Runs whose entry arguments
+  // include heap references use the retained raw chunks.
+  runPeephole(*Art->Code);
   // Resolve every function name now, single-threaded: workers must not
   // intern into the shared symbol table on the request path.
   for (FuncId F = 0; F != Art->Prog->numFunctions(); ++F)
@@ -338,11 +327,10 @@ ServiceResponse Service::call(ServiceRequest R) {
 }
 
 bool Service::precompile(const std::string &Source, const PassConfig &Config,
-                         EngineKind Engine, std::string *Error) {
+                         std::string *Error) {
   ServiceRequest R;
   R.Source = Source;
   R.Config = Config;
-  R.Engine = Engine;
   std::string Key = cacheKey(R);
   bool Hit = false, Pinned = false;
   std::shared_ptr<const CompiledArtifact> Art =
@@ -405,7 +393,6 @@ Service::artifactFor(const std::string &Key, const ServiceRequest &R,
   if (TransientFail) {
     auto Art = std::make_shared<CompiledArtifact>();
     Art->Config = R.Config;
-    Art->Engine = R.Engine;
     Art->Error = "injected transient compile-time allocation fault";
     return Art;
   }
@@ -629,17 +616,14 @@ ServiceResponse Service::execute(WorkerState &WS, Pending &P, unsigned Index) {
                                   Config.GcThresholdBytes);
   Heap &H = *Slot;
 
-  // Rebuild the engine only when the artifact or heap binding changed;
-  // back-to-back requests on one session reuse the warm engine.
+  // Rebuild the VM only when the artifact or heap binding changed;
+  // back-to-back requests on one session reuse the warm VM.
   if (WS.Art != Art || WS.EngHeap != &H || !WS.Eng) {
-    if (Art->Engine == EngineKind::Vm)
-      WS.Eng = std::make_unique<VM>(*Art->Code, H);
-    else
-      WS.Eng = std::make_unique<Machine>(*Art->Prog, *Art->Layout, H);
+    WS.Eng = std::make_unique<VM>(*Art->Code, H);
     WS.Art = Art;
     WS.EngHeap = &H;
     if (H.mode() == HeapMode::Gc) {
-      Engine *E = WS.Eng.get();
+      VM *E = WS.Eng.get();
       attachCollector(H, [E](const std::function<void(Value)> &Fn) {
         E->enumerateRoots(Fn);
       });
@@ -662,7 +646,7 @@ ServiceResponse Service::execute(WorkerState &WS, Pending &P, unsigned Index) {
   // Per-request installs: limits (deadline reduced by the queue wait)
   // and fault injection. Both are uninstalled afterwards so the pooled
   // heap carries nothing from one request into the next. No telemetry
-  // sink: the engines run on the inline RC fast path, and the wire's
+  // sink: the VM runs on the inline RC fast path, and the wire's
   // rc_calls is the heap's classification sum (writeServiceObjectJson).
   if (L.DeadlineMs)
     L.DeadlineMs -= QueueMs;

@@ -6,21 +6,21 @@
 ///
 /// \file
 /// The long-lived session engine: a compile-once request service over the
-/// existing engines. Where `Runner` couples one compilation to one heap
-/// and one engine, `Service` separates the three lifetimes a server
-/// actually has:
+/// bytecode VM. Where `Runner` couples one compilation to one heap and
+/// one VM, `Service` separates the three lifetimes a server actually
+/// has:
 ///
-///   * a *program* is compiled once per (source, PassConfig, EngineKind)
-///     key into an immutable CompiledArtifact (IR + layout for the CEK
-///     machine, plus bytecode for the VM) and cached under an LRU byte
-///     budget (ServiceConfig::MaxCacheBytes; 0 = unbounded). Artifacts
+///   * a *program* is compiled once per (source, PassConfig) key into an
+///     immutable CompiledArtifact (IR plus peepholed bytecode) and
+///     cached under an LRU byte budget (ServiceConfig::MaxCacheBytes;
+///     0 = unbounded). Artifacts
 ///     pinned by running requests are never evicted; negative entries
 ///     (cached compile failures) are evicted cheapest-first. Eviction is
 ///     silent — a re-requested evicted key just recompiles, it is never
 ///     a rejection kind;
 ///   * a *worker* owns a persistent Heap (one per HeapMode, created
-///     lazily) and an engine instance rebuilt only when the artifact or
-///     heap mode changes — requests reuse warm slabs and free lists;
+///     lazily) and a VM rebuilt only when the artifact or heap mode
+///     changes — requests reuse warm slabs and free lists;
 ///   * a *request* belongs to a *tenant* and carries its own RunLimits
 ///     (including the wall-clock DeadlineMs), optional fault injection,
 ///     and per-request telemetry, and leaves the worker heap empty again
@@ -56,9 +56,9 @@
 #define PERCEUS_SERVICE_SERVICE_H
 
 #include "bytecode/Bytecode.h"
+#include "bytecode/VM.h"
 #include "eval/Engine.h"
 #include "eval/EngineConfig.h"
-#include "eval/Layout.h"
 #include "perceus/Pipeline.h"
 #include "service/Chaos.h"
 #include "service/Reject.h"
@@ -88,16 +88,14 @@ struct CompiledArtifact {
   bool Ok = false;
   std::string Error;
   PassConfig Config;
-  EngineKind Engine = EngineKind::Cek;
   std::unique_ptr<Program> Prog;
-  std::optional<ProgramLayout> Layout;
-  std::optional<CompiledProgram> Code; ///< VM engine only
+  std::optional<CompiledProgram> Code;
   /// Every top-level function by surface name, resolved at compile time
   /// so the request path never touches the (mutating) symbol table.
   std::unordered_map<std::string, FuncId> Functions;
-  /// Estimated resident footprint: source + IR arena + layout tables +
-  /// bytecode. Computed once at compile time; the cache's eviction
-  /// accounting sums these against ServiceConfig::MaxCacheBytes.
+  /// Estimated resident footprint: source + IR arena + bytecode.
+  /// Computed once at compile time; the cache's eviction accounting sums
+  /// these against ServiceConfig::MaxCacheBytes.
   size_t SizeBytes = 0;
 };
 
@@ -109,7 +107,9 @@ struct ServiceRequest {
   std::string Tenant = "default"; ///< policy + accounting identity
   std::string Source;
   PassConfig Config = PassConfig::perceusFull();
-  EngineKind Engine = EngineKind::Cek;
+  /// Always the VM, the only engine. Kept so existing callers that name
+  /// it still compile; it is not part of the cache key.
+  EngineKind Engine = EngineKind::Vm;
   std::string Entry = "main";
   std::vector<Value> Args;
   RunLimits Limits;       ///< fuel, depth, governor, DeadlineMs
@@ -125,17 +125,17 @@ struct ServiceResponse {
   unsigned Shard = 0;     ///< service shard that handled the request
                           ///< (0 on an unsharded Service)
   std::string Tenant;     ///< echoed from the request
-  bool Executed = false;  ///< an engine ran (Run is meaningful)
+  bool Executed = false;  ///< the VM ran (Run is meaningful)
   RejectKind Reject = RejectKind::None;
   uint64_t RetryAfterMs = 0; ///< backoff hint on rejections (0 = none)
   std::string Error;      ///< rejection / lookup / trap diagnostics
-  RunResult Run;          ///< engine result when Executed
+  RunResult Run;          ///< VM result when Executed
   HeapStats Heap;         ///< this request's stats delta on its worker heap
   bool CacheHit = false;  ///< artifact served from cache
   bool HeapEmpty = true;  ///< worker heap empty after the request
   unsigned Worker = 0;    ///< worker index that executed it
   double QueueSeconds = 0;///< time spent queued before a worker took it
-  double RunSeconds = 0;  ///< compile-wait + engine time on the worker
+  double RunSeconds = 0;  ///< compile-wait + VM time on the worker
   size_t RetainedBytes = 0; ///< worker slab bytes held after the request
 };
 
@@ -274,7 +274,7 @@ public:
   /// anything — warms the cache off the request path. Returns false and
   /// fills \p Error when the source does not compile.
   bool precompile(const std::string &Source, const PassConfig &Config,
-                  EngineKind Engine, std::string *Error = nullptr);
+                  std::string *Error = nullptr);
 
   /// Installs (or replaces) \p Tenant's admission policy.
   void setTenantPolicy(const std::string &Tenant, const TenantPolicy &P);
@@ -303,12 +303,12 @@ private:
   };
 
   /// Per-worker persistent state: pooled heaps plus the currently
-  /// instantiated (artifact, engine) pair.
+  /// instantiated (artifact, VM) pair.
   struct WorkerState {
     std::unique_ptr<Heap> RcHeap;
     std::unique_ptr<Heap> GcHeap;
-    std::shared_ptr<const CompiledArtifact> Art; ///< engine's program
-    std::unique_ptr<Engine> Eng;
+    std::shared_ptr<const CompiledArtifact> Art; ///< the VM's program
+    std::unique_ptr<VM> Eng;
     Heap *EngHeap = nullptr; ///< heap Eng is bound to
   };
 
@@ -393,22 +393,22 @@ private:
   std::vector<std::thread> Workers;
 };
 
-/// A client handle that pins one (tenant, source, PassConfig, EngineKind)
-/// key on a Service, so callers submit by entry point alone — the
-/// "session" of the session engine. Cheap; many sessions can share one
+/// A client handle that pins one (tenant, source, PassConfig) key on a
+/// Service, so callers submit by entry point alone — the "session" of
+/// the session engine. Cheap; many sessions can share one
 /// Service, and sessions over the same key share the cached artifact.
 class Session {
 public:
   Session(Service &S, std::string Source,
           PassConfig Config = PassConfig::perceusFull(),
-          EngineKind Engine = EngineKind::Cek, std::string Tenant = "default")
-      : Svc(S), Source(std::move(Source)), Config(Config), Engine(Engine),
+          std::string Tenant = "default")
+      : Svc(S), Source(std::move(Source)), Config(Config),
         Tenant(std::move(Tenant)) {}
 
   /// Compiles the session's program now (off the request path). Returns
   /// false and fills \p Error when the source does not compile.
   bool warm(std::string *Error = nullptr) {
-    return Svc.precompile(Source, Config, Engine, Error);
+    return Svc.precompile(Source, Config, Error);
   }
 
   std::future<ServiceResponse> submit(std::string Entry,
@@ -434,7 +434,6 @@ private:
     R.Tenant = Tenant;
     R.Source = Source;
     R.Config = Config;
-    R.Engine = Engine;
     R.Entry = std::move(Entry);
     R.Args = std::move(Args);
     R.Limits = Limits;
@@ -445,7 +444,6 @@ private:
   Service &Svc;
   std::string Source;
   PassConfig Config;
-  EngineKind Engine;
   std::string Tenant;
 };
 

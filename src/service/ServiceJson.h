@@ -59,7 +59,9 @@ inline constexpr size_t MaxRequestJsonBytes = 64 * 1024;
 /// \p R already carries). Accepted keys:
 ///
 ///   "entry": string (required)   "args": array of integers
-///   "tenant": string             "engine": "cek" | "vm"
+///   "tenant": string             "engine": "vm" (optional; the VM
+///                                  is the only engine, so anything
+///                                  else is a bad-request)
 ///   "config": pass-config name   "fuel", "deadline_ms", "max_depth",
 ///   "schema": must be            "fail_alloc", "max_heap", "max_cells",
 ///     "perceus-wire-v1"          "alloc_budget": non-negative integers

@@ -41,10 +41,12 @@ namespace {
 struct Seeded : public ::testing::TestWithParam<uint64_t> {};
 
 /// Runs one random term through the standard semantics and through the
-/// RC'd term machine under \p Config, returning false if the seed is
-/// uninteresting (fuel-out).
+/// RC'd term machine under \p Config. A seed whose reference run runs
+/// out of fuel is unusable (skipped); one whose reference run is stuck
+/// is a bug in the generator or in Figure 6's evaluator and fails.
 struct CaseResult {
   bool Usable = false;
+  bool RefStuck = false;
   bool SoundnessOk = false;
   bool GarbageFree = false;
   bool HeapOnlyResult = false;
@@ -59,8 +61,13 @@ CaseResult runCase(uint64_t Seed, const PassConfig &Config) {
 
   // Reference result under the standard semantics (on the clean term).
   SubstResult Ref = substEval(P, G.Body, 200000);
-  if (!Ref.ok())
-    return Out; // fuel-out or stuck: skip this seed
+  if (!Ref.ok()) {
+    if (Ref.Stuck) {
+      Out.RefStuck = true;
+      Out.Detail = "standard semantics stuck on\n" + printExpr(P, G.Body);
+    }
+    return Out;
+  }
   Out.Usable = true;
 
   // Instrument and execute on the Figure 7 machine with audits.
@@ -86,6 +93,7 @@ CaseResult runCase(uint64_t Seed, const PassConfig &Config) {
 
 TEST_P(Seeded, PerceusIsSoundAndGarbageFree) {
   CaseResult C = runCase(GetParam(), PassConfig::perceusNoOpt());
+  ASSERT_FALSE(C.RefStuck) << C.Detail;
   if (!C.Usable)
     GTEST_SKIP() << "seed exhausted fuel";
   EXPECT_TRUE(C.SoundnessOk) << C.Detail;
@@ -94,6 +102,7 @@ TEST_P(Seeded, PerceusIsSoundAndGarbageFree) {
 
 TEST_P(Seeded, OptimizedPipelinePreservesTheTheorems) {
   CaseResult C = runCase(GetParam(), PassConfig::perceusFull());
+  ASSERT_FALSE(C.RefStuck) << C.Detail;
   if (!C.Usable)
     GTEST_SKIP() << "seed exhausted fuel";
   EXPECT_TRUE(C.SoundnessOk) << C.Detail;
@@ -102,6 +111,7 @@ TEST_P(Seeded, OptimizedPipelinePreservesTheTheorems) {
 
 TEST_P(Seeded, ScopedRcIsSoundButHoldsMemoryLonger) {
   CaseResult C = runCase(GetParam(), PassConfig::scoped());
+  ASSERT_FALSE(C.RefStuck) << C.Detail;
   if (!C.Usable)
     GTEST_SKIP() << "seed exhausted fuel";
   // Scoped RC must still compute the right value...

@@ -217,6 +217,32 @@ TEST_F(TermTest, SubstEvalComputesBeta) {
   EXPECT_EQ(cast<ConExpr>(R.Value)->ctor(), Wrap);
 }
 
+TEST_F(TermTest, SubstEvalBindsTheLetBoundScrutineeInTheArm) {
+  // val s = BWrap(BAtom); match s { BWrap(w) -> BPair(s, w)  BAtom -> s }
+  // The chosen arm names the scrutinee itself, not just its binders.
+  Symbol S = B.sym("s"), W = B.sym("w");
+  MatchArm Arms[2] = {
+      B.ctorArm(Wrap, {W}, B.con(Pair, {B.var(S), B.var(W)})),
+      B.ctorArm(Atom, {}, B.var(S)),
+  };
+  const Expr *Term =
+      B.let(S, B.con(Wrap, {B.con(Atom, {})}),
+            B.match(S, std::span<const MatchArm>(Arms, 2)));
+  SubstResult R = substEval(P, Term);
+  ASSERT_TRUE(R.ok()) << (R.Stuck ? "stuck" : "out of fuel");
+  const Expr *Want = B.con(Pair, {B.con(Wrap, {B.con(Atom, {})}),
+                                   B.con(Atom, {})});
+  EXPECT_TRUE(valueEquals(P, R.Value, Want)) << printExpr(P, R.Value);
+
+  // The nullary arm returns the scrutinee unchanged.
+  Symbol T = B.sym("t");
+  MatchArm Arms2[1] = {B.ctorArm(Atom, {}, B.var(T))};
+  R = substEval(P, B.let(T, B.con(Atom, {}),
+                         B.match(T, std::span<const MatchArm>(Arms2, 1))));
+  ASSERT_TRUE(R.ok()) << (R.Stuck ? "stuck" : "out of fuel");
+  EXPECT_EQ(cast<ConExpr>(R.Value)->ctor(), Atom);
+}
+
 TEST_F(TermTest, SubstEvalRunsOutOfFuel) {
   Symbol X1 = B.sym("w1"), X2 = B.sym("w2");
   Symbol P1[1] = {X1};

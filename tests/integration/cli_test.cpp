@@ -5,10 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pins the perc CLI's process-level contract, for both engines: clean
-/// runs exit 0; trapped runs (injected OOM, fuel exhaustion, runtime
-/// errors) exit non-zero — including parallel runs where only workers
-/// trap; and unknown flag values are rejected before any execution.
+/// Pins the perc CLI's process-level contract, on both VM tiers (the
+/// default peephole tier and --no-peephole): clean runs exit 0; trapped
+/// runs (injected OOM, fuel exhaustion, runtime errors) exit non-zero —
+/// including parallel runs where only workers trap; and unknown flags
+/// and flag values are rejected before any execution. The VM is the
+/// only engine: `--engine` is an unknown flag, and a request naming an
+/// engine other than "vm" is a bad-request.
 /// Programs wider than the runtime encodings, or nested deeper than the
 /// parser's depth budget, are compile errors.
 /// Scripts and CI gate on these codes, so they are part of the API.
@@ -45,33 +48,31 @@ std::string prog(const char *Name) {
   return std::string(PERCEUS_EXAMPLE_PROGRAMS_DIR) + "/" + Name;
 }
 
-TEST(PercCli, CleanRunsExitZeroOnBothEngines) {
-  for (const std::string E : {"cek", "vm"}) {
-    EXPECT_EQ(runPerc(prog("nqueens.perc") + " --engine=" + E + " 6"), 0)
-        << E;
-    EXPECT_EQ(runPerc(prog("hello.perc") + " --engine=" + E + " 5"), 0) << E;
+/// The two VM tiers as perc flags.
+const char *const Tiers[] = {"", " --no-peephole"};
+
+TEST(PercCli, CleanRunsExitZeroOnBothTiers) {
+  for (const std::string E : Tiers) {
+    EXPECT_EQ(runPerc(prog("nqueens.perc") + E + " 6"), 0) << E;
+    EXPECT_EQ(runPerc(prog("hello.perc") + E + " 5"), 0) << E;
   }
 }
 
-TEST(PercCli, TrappedRunsExitNonZeroOnBothEngines) {
-  for (const std::string E : {"cek", "vm"}) {
+TEST(PercCli, TrappedRunsExitNonZeroOnBothTiers) {
+  for (const std::string E : Tiers) {
     // Injected allocation failure -> OutOfMemory trap.
-    EXPECT_EQ(runPerc(prog("nqueens.perc") + " --engine=" + E +
-                      " --fail-alloc=5 6"),
-              1)
+    EXPECT_EQ(runPerc(prog("nqueens.perc") + E + " --fail-alloc=5 6"), 1)
         << E;
     // Fuel exhaustion -> OutOfFuel trap.
-    EXPECT_EQ(
-        runPerc(prog("nqueens.perc") + " --engine=" + E + " --fuel=100 6"), 1)
-        << E;
+    EXPECT_EQ(runPerc(prog("nqueens.perc") + E + " --fuel=100 6"), 1) << E;
     // Entry arity mismatch -> RuntimeError trap (main wants an argument).
-    EXPECT_EQ(runPerc(prog("nqueens.perc") + " --engine=" + E), 1) << E;
+    EXPECT_EQ(runPerc(prog("nqueens.perc") + E), 1) << E;
   }
 }
 
 TEST(PercCli, ParallelWorkerTrapsExitNonZero) {
-  for (const std::string E : {"cek", "vm"}) {
-    std::string Shared = prog("shared_tree.perc") + " --engine=" + E +
+  for (const std::string E : Tiers) {
+    std::string Shared = prog("shared_tree.perc") + E +
                          " --workers=2 --entry=bench_shared_sum"
                          " --shared-input=build_tree --shared-arg=4";
     EXPECT_EQ(runPerc(Shared + " 5"), 0) << E;
@@ -85,7 +86,7 @@ TEST(PercCli, OverflowBoundaryTrapsExitNonZero) {
   // INT64_MIN / -1, INT64_MIN % -1 and -INT64_MIN overflow the int64
   // result (undefined behaviour if executed natively); the pinned
   // contract is a structured trap — exit 1, not a crash and not a
-  // wrapped value — on every engine variant, peephole included.
+  // wrapped value — on both VM tiers.
   std::string Div = testing::TempDir() + "/overflow_div.perc";
   std::ofstream(Div) << "fun main(a, b) { a / b }\n";
   std::string Mod = testing::TempDir() + "/overflow_mod.perc";
@@ -93,8 +94,7 @@ TEST(PercCli, OverflowBoundaryTrapsExitNonZero) {
   std::string Neg = testing::TempDir() + "/overflow_neg.perc";
   std::ofstream(Neg) << "fun main(n) { -n }\n";
   const std::string IntMin = "-9223372036854775808";
-  for (const std::string E : {"--engine=cek", "--engine=vm",
-                              "--engine=vm --no-peephole"}) {
+  for (const std::string E : Tiers) {
     EXPECT_EQ(runPerc(Div + " " + E + " " + IntMin + " -1"), 1) << E;
     EXPECT_EQ(runPerc(Mod + " " + E + " " + IntMin + " -1"), 1) << E;
     EXPECT_EQ(runPerc(Neg + " " + E + " " + IntMin), 1) << E;
@@ -118,7 +118,7 @@ std::string runPercCapture(const std::string &ArgsLine, int &ExitCode) {
   return Out.str();
 }
 
-TEST(PercCli, OverWideProgramsAreCompileErrorsOnBothEngines) {
+TEST(PercCli, OverWideProgramsAreCompileErrorsOnBothTiers) {
   // Cell headers store a constructor's arity in one byte and call
   // instructions their argument count: a 300-field constructor or a
   // 300-argument call is a compile error, never a truncated run.
@@ -133,13 +133,13 @@ TEST(PercCli, OverWideProgramsAreCompileErrorsOnBothEngines) {
   std::string Call = testing::TempDir() + "/wide_call.perc";
   std::ofstream(Call) << "fun main(n) { val f = fn(x) x; f(" << Args
                       << ") }\n";
-  for (const std::string E : {"cek", "vm"}) {
+  for (const std::string E : Tiers) {
     int Exit = -1;
-    std::string Out = runPercCapture(Ctor + " --engine=" + E + " 4", Exit);
+    std::string Out = runPercCapture(Ctor + E + " 4", Exit);
     EXPECT_EQ(Exit, 1) << E;
     EXPECT_NE(Out.find("constructor 'Big' has 300 fields"), std::string::npos)
         << E << ": " << Out;
-    Out = runPercCapture(Call + " --engine=" + E + " 4", Exit);
+    Out = runPercCapture(Call + E + " 4", Exit);
     EXPECT_EQ(Exit, 1) << E;
     EXPECT_NE(Out.find("call has 300 arguments"), std::string::npos)
         << E << ": " << Out;
@@ -148,8 +148,8 @@ TEST(PercCli, OverWideProgramsAreCompileErrorsOnBothEngines) {
 
 TEST(PercCli, AddSubMulOverflowTrapsWithItsMessage) {
   // + - * whose exact result leaves int64 trap instead of wrapping (and
-  // instead of executing the undefined C++ operation), on every engine
-  // variant; the constant forms run fused on the peephole VM.
+  // instead of executing the undefined C++ operation), on both VM
+  // tiers; the constant forms run fused on the peephole VM.
   struct Case {
     const char *Name;
     const char *Source;
@@ -169,8 +169,7 @@ TEST(PercCli, AddSubMulOverflowTrapsWithItsMessage) {
   for (const Case &C : Cases) {
     std::string File = testing::TempDir() + "/overflow_" + C.Name + ".perc";
     std::ofstream(File) << C.Source << "\n";
-    for (const std::string E : {"--engine=cek", "--engine=vm",
-                                "--engine=vm --no-peephole"}) {
+    for (const std::string E : Tiers) {
       int Exit = -1;
       std::string Out = runPercCapture(File + " " + E + " " + C.Args, Exit);
       EXPECT_EQ(Exit, 1) << C.Name << " " << E;
@@ -182,9 +181,20 @@ TEST(PercCli, AddSubMulOverflowTrapsWithItsMessage) {
 }
 
 TEST(PercCli, BadFlagValuesAreRejected) {
-  EXPECT_EQ(runPerc(prog("nqueens.perc") + " --engine=jit 6"), 1);
   EXPECT_EQ(runPerc(prog("nqueens.perc") + " --config=bogus 6"), 1);
   EXPECT_NE(runPerc("/no/such/file.perc"), 0);
+}
+
+TEST(PercCli, EngineFlagIsAnUnknownFlag) {
+  // One engine, no selector: every spelling of --engine is a usage error
+  // (exit 1, like any unknown flag), and the program never runs.
+  for (const char *E : {"--engine=vm", "--engine=cek", "--engine=jit"}) {
+    int Exit = -1;
+    std::string Out =
+        runPercCapture(prog("nqueens.perc") + " " + E + " 6", Exit);
+    EXPECT_EQ(Exit, 1) << E;
+    EXPECT_NE(Out.find("usage: perc"), std::string::npos) << E << ": " << Out;
+  }
 }
 
 /// Runs `perc <ArgsLine>` with \p StdinText on stdin; returns stdout
@@ -311,15 +321,15 @@ std::string lineWithSeq(const std::vector<std::string> &Lines, int Seq) {
 TEST(PercCli, ServeModeCarriesTheTrapMessageAndTheAnswer) {
   // A trapped request names its trap in service.error; a clean one
   // carries the program's value in run.result (an integer, a boolean,
-  // or null when the value is not an immediate). Both engines.
+  // or null when the value is not an immediate). Both VM tiers.
   std::string Div = testing::TempDir() + "/serve_div.perc";
   std::ofstream(Div) << "fun main(a, b) { a / b }\n";
   std::string Cmp = testing::TempDir() + "/serve_cmp.perc";
   std::ofstream(Cmp) << "fun main(n) { n > 3 }\n";
-  for (const std::string E : {"cek", "vm"}) {
+  for (const std::string E : Tiers) {
     int Exit = -1;
     std::vector<std::string> Lines = runPercServe(
-        Div + " --serve --engine=" + E,
+        Div + " --serve" + E,
         "{\"entry\":\"main\",\"args\":[-9223372036854775808,-1]}\n"
         "{\"entry\":\"main\",\"args\":[-9223372036854775808,2]}\n"
         "{\"entry\":\"main\",\"args\":[10,0]}\n",
@@ -343,8 +353,7 @@ TEST(PercCli, ServeModeCarriesTheTrapMessageAndTheAnswer) {
               std::string::npos)
         << E << ": " << DivZero;
 
-    Lines = runPercServe(Cmp + " --serve --engine=" + E, "main 5\nmain 2\n",
-                         Exit);
+    Lines = runPercServe(Cmp + " --serve" + E, "main 5\nmain 2\n", Exit);
     EXPECT_EQ(Exit, 0) << E;
     ASSERT_EQ(Lines.size(), 2u) << E;
     EXPECT_NE(lineWithSeq(Lines, 1).find("\"result\":true,"),
@@ -354,6 +363,44 @@ TEST(PercCli, ServeModeCarriesTheTrapMessageAndTheAnswer) {
               std::string::npos)
         << E << ": " << Lines[1];
   }
+}
+
+TEST(PercCli, ServeRunsEveryRequestOnTheVm) {
+  // A request that omits "engine" and one that names "vm" run the same
+  // VM: msort 24 under perceus takes 3988 peephole-VM instructions.
+  int Exit = -1;
+  std::vector<std::string> Lines =
+      runPercServe(prog("msort.perc") + " --serve",
+                   "{\"entry\":\"main\",\"args\":[24]}\n"
+                   "{\"entry\":\"main\",\"args\":[24],\"engine\":\"vm\"}\n",
+                   Exit);
+  EXPECT_EQ(Exit, 0);
+  ASSERT_EQ(Lines.size(), 2u);
+  for (int Seq : {1, 2}) {
+    std::string L = lineWithSeq(Lines, Seq);
+    EXPECT_NE(L.find("\"status\":\"ok\""), std::string::npos) << L;
+    EXPECT_NE(L.find("\"steps\":3988,"), std::string::npos) << L;
+  }
+}
+
+TEST(PercCli, ServeRejectsTheRetiredEngineAndLivesOn) {
+  // "engine":"cek" is a structured bad-request naming the engine, not an
+  // alias (CEK fuel counted expression nodes, VM fuel counts
+  // instructions), and the next request on the stream is answered.
+  int Exit = -1;
+  std::vector<std::string> Lines =
+      runPercServe(prog("hello.perc") + " --serve",
+                   "{\"entry\":\"main\",\"args\":[5],\"engine\":\"cek\"}\n"
+                   "{\"entry\":\"main\",\"args\":[5]}\n",
+                   Exit);
+  EXPECT_EQ(Exit, 0);
+  ASSERT_EQ(Lines.size(), 2u);
+  std::string Bad = lineWithSeq(Lines, 1);
+  EXPECT_NE(Bad.find("\"status\":\"bad-request\""), std::string::npos) << Bad;
+  EXPECT_NE(Bad.find("unknown engine \\\"cek\\\""), std::string::npos) << Bad;
+  std::string Next = lineWithSeq(Lines, 2);
+  EXPECT_NE(Next.find("\"status\":\"ok\""), std::string::npos) << Next;
+  EXPECT_NE(Next.find("\"executed\":true"), std::string::npos) << Next;
 }
 
 TEST(PercCli, SameTagMatchOfAnotherTypeNeverCrashes) {
@@ -388,14 +435,13 @@ TEST(PercCli, SameTagMatchOfAnotherTypeNeverCrashes) {
   for (const Case &C : Cases) {
     std::string File = testing::TempDir() + "/match_" + C.Name + ".perc";
     std::ofstream(File) << C.Source << "\n";
-    for (const std::string E : {"--engine=cek", "--engine=vm",
-                                "--engine=vm --no-peephole"}) {
+    for (const std::string E : Tiers) {
       EXPECT_EQ(runPerc(File + " " + E + " 5"), C.Exit) << C.Name << " " << E;
     }
     // A serving process answers the request and lives on.
     int Exit = -1;
     std::vector<std::string> Lines =
-        runPercServe(File + " --serve --engine=vm", "main 5\n", Exit);
+        runPercServe(File + " --serve", "main 5\n", Exit);
     EXPECT_EQ(Exit, 0) << C.Name;
     ASSERT_EQ(Lines.size(), 1u) << C.Name;
     EXPECT_NE(Lines[0].find("\"status\":\"ok\""), std::string::npos)
@@ -411,20 +457,19 @@ TEST(PercCli, SameTagMatchOfAnotherTypeNeverCrashes) {
   }
 }
 
-TEST(PercCli, EveryShapeAtTheDepthBudgetCompilesAndRunsOnBothEngines) {
+TEST(PercCli, EveryShapeAtTheDepthBudgetCompilesAndRunsOnBothTiers) {
   std::vector<perceus::DeepProgram> Shapes =
       perceus::deepPrograms(perceus::MaxExprDepth);
   for (size_t I = 0; I != Shapes.size(); ++I) {
     std::string File =
         testing::TempDir() + "/deep_ok_" + std::to_string(I) + ".perc";
     std::ofstream(File) << Shapes[I].Source;
-    for (const std::string E : {"cek", "vm"})
-      EXPECT_EQ(runPerc(File + " --engine=" + E + " 3"), 0)
-          << Shapes[I].Shape << " " << E;
+    for (const std::string E : Tiers)
+      EXPECT_EQ(runPerc(File + E + " 3"), 0) << Shapes[I].Shape << " " << E;
     // Served on a worker thread, whose stack is the one that must hold.
     int Exit = -1;
-    std::vector<std::string> Lines = runPercServe(
-        File + " --serve", "main 3 --engine=cek\nmain 3 --engine=vm\n", Exit);
+    std::vector<std::string> Lines =
+        runPercServe(File + " --serve", "main 3\nmain 3\n", Exit);
     EXPECT_EQ(Exit, 0) << Shapes[I].Shape;
     ASSERT_EQ(Lines.size(), 2u) << Shapes[I].Shape;
     for (const std::string &L : Lines) {
@@ -436,7 +481,7 @@ TEST(PercCli, EveryShapeAtTheDepthBudgetCompilesAndRunsOnBothEngines) {
   }
 }
 
-TEST(PercCli, OverDeepProgramsAreCompileErrorsOnBothEngines) {
+TEST(PercCli, OverDeepProgramsAreCompileErrorsOnBothTiers) {
   // One level past the budget and far past it: exit 1 with the budget
   // diagnostic, never a signal. A serving process answers each request
   // with a structured compile-error (negatively cached after the first)
@@ -450,17 +495,16 @@ TEST(PercCli, OverDeepProgramsAreCompileErrorsOnBothEngines) {
       std::string File =
           testing::TempDir() + "/deep_bad_" + std::to_string(I) + ".perc";
       std::ofstream(File) << Shapes[I].Source;
-      for (const std::string E : {"cek", "vm"}) {
+      for (const std::string E : Tiers) {
         int Exit = -1;
-        std::string Out = runPercCapture(File + " --engine=" + E + " 3", Exit);
+        std::string Out = runPercCapture(File + E + " 3", Exit);
         EXPECT_EQ(Exit, 1) << Shapes[I].Shape << " " << Levels << " " << E;
         EXPECT_NE(Out.find(Budget), std::string::npos)
             << Shapes[I].Shape << " " << Levels << " " << E << ": " << Out;
       }
       int Exit = -1;
       std::vector<std::string> Lines =
-          runPercServe(File + " --serve",
-                       "main 3 --engine=cek\nmain 3 --engine=vm\n", Exit);
+          runPercServe(File + " --serve", "main 3\nmain 3\n", Exit);
       EXPECT_EQ(Exit, 1) << Shapes[I].Shape << " " << Levels;
       ASSERT_EQ(Lines.size(), 2u) << Shapes[I].Shape << " " << Levels;
       for (const std::string &L : Lines) {

@@ -13,8 +13,8 @@
 /// extending the paper's garbage-free guarantee (Theorems 2/4) to the
 /// error path. The same discipline is swept over step fuel (OutOfFuel)
 /// and checked for the call-depth limit (StackOverflow) and the heap
-/// governor's live-data limits. The trap/unwind sweeps run on both
-/// execution engines — the clean-unwind guarantee is engine-independent.
+/// governor's live-data limits, on the VM's peephole tier (the raw tier
+/// is swept against it in tests/bytecode/engine_diff_test.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,10 +61,8 @@ class FaultSweep : public ::testing::TestWithParam<size_t> {};
 /// The tentpole sweep: fail allocation k for every k, under every config.
 TEST_P(FaultSweep, EveryFailingAllocationUnwindsCleanly) {
   Case C = cases()[GetParam()];
-  for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm})
-   for (const PassConfig &Config : allConfigs()) {
-    SCOPED_TRACE(engineKindName(Engine));
-    Runner R(C.Source, Config, EngineConfig{}.withEngine(Engine));
+  for (const PassConfig &Config : allConfigs()) {
+    Runner R(C.Source, Config);
     ASSERT_TRUE(R.ok()) << Config.name() << ": " << R.diagnostics().str();
 
     // Calibration run: how many allocation attempts does one run make?
@@ -118,10 +116,8 @@ INSTANTIATE_TEST_SUITE_P(Benchmarks, FaultSweep,
 /// Fuel exhaustion at every step count: trap is OutOfFuel, heap empty.
 TEST(FuelSweep, EveryFuelLevelUnwindsCleanly) {
   Case C{"msort", msortSource(), "bench_msort", 12};
-  for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm})
-   for (const PassConfig &Config : allConfigs()) {
-    SCOPED_TRACE(engineKindName(Engine));
-    Runner R(C.Source, Config, EngineConfig{}.withEngine(Engine));
+  for (const PassConfig &Config : allConfigs()) {
+    Runner R(C.Source, Config);
     ASSERT_TRUE(R.ok());
     RunResult Clean = R.callInt(C.Entry, {C.N});
     ASSERT_TRUE(Clean.Ok) << Clean.Error;
@@ -161,7 +157,7 @@ TEST(FuelSweep, BudgetTrapsOnTheExactStepWithSafepointsArmed) {
   for (bool Peephole : {false, true}) {
     SCOPED_TRACE(Peephole ? "peephole vm" : "raw vm");
     Runner R(msortSource(), PassConfig::perceusFull(),
-             EngineConfig{}.withEngine(EngineKind::Vm).withPeephole(Peephole));
+             EngineConfig{}.withPeephole(Peephole));
     ASSERT_TRUE(R.ok());
     RunLimits L;
     L.DeadlineMs = 600000; // arms the safepoints; never expires here
@@ -205,10 +201,8 @@ fun main(n) { len(build(n), 0) }
 )";
 
 TEST(DepthLimit, NonTailRecursionTrapsAndUnwinds) {
-  for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm})
-   for (const PassConfig &Config : allConfigs()) {
-    SCOPED_TRACE(engineKindName(Engine));
-    Runner R(DeepSource, Config, EngineConfig{}.withEngine(Engine));
+  for (const PassConfig &Config : allConfigs()) {
+    Runner R(DeepSource, Config);
     ASSERT_TRUE(R.ok());
     RunLimits L;
     L.MaxCallDepth = 10;
@@ -233,18 +227,14 @@ TEST(DepthLimit, TailCallsDoNotConsumeDepth) {
     fun loop(i, acc) { if i == 0 then acc else loop(i - 1, acc + i) }
     fun main(n) { loop(n, 0) }
   )";
-  for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm}) {
-    SCOPED_TRACE(engineKindName(Engine));
-    Runner R(Src, PassConfig::perceusFull(),
-             EngineConfig{}.withEngine(Engine));
-    ASSERT_TRUE(R.ok());
-    RunLimits L;
-    L.MaxCallDepth = 4; // far fewer than the 100k iterations below
-    R.setLimits(L);
-    RunResult Res = R.callInt("main", {100000});
-    ASSERT_TRUE(Res.Ok) << Res.Error;
-    EXPECT_EQ(Res.Result.Int, 5000050000ll);
-  }
+  Runner R(Src, PassConfig::perceusFull());
+  ASSERT_TRUE(R.ok());
+  RunLimits L;
+  L.MaxCallDepth = 4; // far fewer than the 100k iterations below
+  R.setLimits(L);
+  RunResult Res = R.callInt("main", {100000});
+  ASSERT_TRUE(Res.Ok) << Res.Error;
+  EXPECT_EQ(Res.Result.Int, 5000050000ll);
 }
 
 TEST(HeapGovernor, LiveBytesLimitTrapsRcConfigs) {
@@ -346,10 +336,8 @@ TEST(HeapGovernor, MaxLiveCellsLimit) {
 
 TEST(ProbabilisticFaults, RandomOutagesNeverLeak) {
   Case C{"rbtree", rbtreeSource(), "bench_rbtree", 20};
-  for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm})
-   for (const PassConfig &Config : allConfigs()) {
-    SCOPED_TRACE(engineKindName(Engine));
-    Runner R(C.Source, Config, EngineConfig{}.withEngine(Engine));
+  for (const PassConfig &Config : allConfigs()) {
+    Runner R(C.Source, Config);
     ASSERT_TRUE(R.ok());
     for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
       FaultInjector FI = FaultInjector::probabilistic(Seed, 1, 32);
@@ -402,11 +390,9 @@ TEST(RuntimeErrorUnwind, TrapsLeaveTheHeapEmpty) {
         fun main(n) { val xs = Cons(n, Nil)  abort() }
       )"},
   };
-  for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm})
-   for (const Bad &B : Bads) {
+  for (const Bad &B : Bads) {
     for (const PassConfig &Config : allConfigs()) {
-      SCOPED_TRACE(engineKindName(Engine));
-      Runner R(B.Source, Config, EngineConfig{}.withEngine(Engine));
+        Runner R(B.Source, Config);
       ASSERT_TRUE(R.ok()) << B.Name << "/" << Config.name() << ": "
                           << R.diagnostics().str();
       RunResult Res = R.callInt("main", {5});

@@ -248,16 +248,16 @@ TEST(Frontend, TrapStillAnswersStructuredWithEmptyHeap) {
 TEST(Frontend, IntMinDivOverflowTrapsStructuredOnALiveServer) {
   // INT64_MIN / -1 through the full socket stack: the overflow must
   // come back as a structured runtime-error trap — a live response with
-  // an empty worker heap, not a crashed or wedged server — on both
-  // engines, and the connection must stay usable afterwards.
+  // an empty worker heap, not a crashed or wedged server — whether the
+  // request names the engine or not, and the connection must stay
+  // usable afterwards.
   FrontEndConfig FC;
   Fixture F(FC, "fun main(a, b) { a / b }", "main");
-  for (const char *Engine : {"cek", "vm"}) {
+  for (const char *Engine : {"", "\"engine\":\"vm\","}) {
     Client C(F.port());
     ASSERT_TRUE(C.ok());
-    std::string Req = std::string("{\"entry\":\"main\",\"engine\":\"") +
-                      Engine +
-                      "\",\"args\":[-9223372036854775808,-1]}";
+    std::string Req = std::string("{\"entry\":\"main\",") + Engine +
+                      "\"args\":[-9223372036854775808,-1]}";
     ASSERT_TRUE(C.sendFrame(FrameMode::Line, Req));
     std::string Payload;
     ASSERT_TRUE(C.recvFrame(FrameMode::Line, Payload));
@@ -282,8 +282,8 @@ TEST(Frontend, IntMinDivOverflowTrapsStructuredOnALiveServer) {
     // the answer is on the wire as exact integer text.
     ASSERT_TRUE(C.sendFrame(
         FrameMode::Line,
-        std::string("{\"entry\":\"main\",\"engine\":\"") + Engine +
-            "\",\"args\":[-9223372036854775808,2]}"));
+        std::string("{\"entry\":\"main\",") + Engine +
+            "\"args\":[-9223372036854775808,2]}"));
     ASSERT_TRUE(C.recvFrame(FrameMode::Line, Payload));
     Doc = parseWire(Payload);
     ASSERT_TRUE(Doc.has_value());
@@ -296,6 +296,41 @@ TEST(Frontend, IntMinDivOverflowTrapsStructuredOnALiveServer) {
     EXPECT_EQ(serviceObj(*Doc)->find("error", JsonValue::Kind::String)->Str,
               "");
   }
+}
+
+TEST(Frontend, RetiredEngineNameIsABadRequestOnALiveConnection) {
+  // The VM is the only engine. A request naming "cek" gets a structured
+  // bad-request that names the engine — never a silent alias, since its
+  // fuel would count different units — and the connection stays open:
+  // the next request on it is answered.
+  FrontEndConfig FC;
+  Fixture F(FC, "fun main(a, b) { a / b }", "main");
+  Client C(F.port());
+  ASSERT_TRUE(C.ok());
+  ASSERT_TRUE(C.sendFrame(FrameMode::Line,
+                          "{\"entry\":\"main\",\"engine\":\"cek\","
+                          "\"args\":[6,3]}"));
+  std::string Payload;
+  ASSERT_TRUE(C.recvFrame(FrameMode::Line, Payload));
+  std::optional<JsonValue> Doc = parseWire(Payload);
+  ASSERT_TRUE(Doc.has_value()) << Payload;
+  const JsonValue *Svc = serviceObj(*Doc);
+  ASSERT_NE(Svc, nullptr);
+  EXPECT_EQ(Svc->find("status", JsonValue::Kind::String)->Str, "bad-request");
+  EXPECT_FALSE(Svc->find("executed", JsonValue::Kind::Bool)->B);
+  EXPECT_NE(Svc->find("error", JsonValue::Kind::String)
+                ->Str.find("unknown engine \"cek\""),
+            std::string::npos)
+      << Payload;
+
+  ASSERT_TRUE(
+      C.sendFrame(FrameMode::Line, "{\"entry\":\"main\",\"args\":[6,3]}"));
+  ASSERT_TRUE(C.recvFrame(FrameMode::Line, Payload));
+  Doc = parseWire(Payload);
+  ASSERT_TRUE(Doc.has_value()) << Payload;
+  EXPECT_EQ(serviceObj(*Doc)->find("status", JsonValue::Kind::String)->Str,
+            "ok");
+  EXPECT_NE(Payload.find("\"result\":2,"), std::string::npos) << Payload;
 }
 
 TEST(Frontend, MalformedDocumentGetsBadRequestAndConnSurvives) {

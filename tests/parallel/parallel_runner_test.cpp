@@ -1,16 +1,14 @@
-//===- tests/parallel/parallel_runner_test.cpp - Worker-pool engine ------===//
+//===- tests/parallel/parallel_runner_test.cpp - Worker-pool runner ------===//
 //
 // Part of the perceus-cpp project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
 // End-to-end coverage of the parallel execution layer: compile once, run
-// N engines concurrently; the shared segment is built once, tshare'd,
+// N VMs concurrently; the shared segment is built once, tshare'd,
 // traversed by every worker, and freed exactly once; and the garbage-
 // free guarantee holds for every per-worker heap and the shared owner
-// heap after every run — including runs where workers trap. The whole
-// suite is parameterized over the engine kind so the bytecode VM is held
-// to exactly the same contract as the CEK machine.
+// heap after every run — including runs where workers trap.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,25 +30,23 @@ std::vector<Value> ints(std::vector<int64_t> Args) {
   return Vals;
 }
 
-class ParallelRunnerTest : public ::testing::TestWithParam<EngineKind> {
+class ParallelRunnerTest : public ::testing::Test {
 protected:
   EngineConfig cfg(unsigned Workers) const {
     EngineConfig EC;
-    EC.Engine = GetParam();
     EC.Workers = Workers;
     return EC;
   }
 };
 
-TEST_P(ParallelRunnerTest, WorkersMatchSingleThreadedResult) {
+TEST_F(ParallelRunnerTest, WorkersMatchSingleThreadedResult) {
   ParallelRunner PR(rbtreeSource(), PassConfig::perceusFull());
   ASSERT_TRUE(PR.ok()) << PR.diagnostics().str();
   ParallelOutcome Out = PR.run(cfg(4), "bench_rbtree", ints({400}));
   ASSERT_TRUE(Out.Ok) << Out.Error;
   ASSERT_EQ(Out.Workers.size(), 4u);
 
-  Runner Single(rbtreeSource(), PassConfig::perceusFull(),
-                EngineConfig{}.withEngine(GetParam()));
+  Runner Single(rbtreeSource(), PassConfig::perceusFull());
   ASSERT_TRUE(Single.ok());
   RunResult Ref = Single.callInt("bench_rbtree", {400});
   ASSERT_TRUE(Ref.Ok);
@@ -67,7 +63,7 @@ TEST_P(ParallelRunnerTest, WorkersMatchSingleThreadedResult) {
   EXPECT_EQ(Out.Combined.LiveCells, 0u);
 }
 
-TEST_P(ParallelRunnerTest, SharedSegmentIsBuiltOnceAndFreedExactlyOnce) {
+TEST_F(ParallelRunnerTest, SharedSegmentIsBuiltOnceAndFreedExactlyOnce) {
   ParallelRunner PR(sharedTreeSource(), PassConfig::perceusFull());
   ASSERT_TRUE(PR.ok()) << PR.diagnostics().str();
 
@@ -78,8 +74,7 @@ TEST_P(ParallelRunnerTest, SharedSegmentIsBuiltOnceAndFreedExactlyOnce) {
   ASSERT_TRUE(Out.Ok) << Out.Error;
 
   // Reference: the same traversal single-threaded, tree built locally.
-  Runner Single(sharedTreeSource(), PassConfig::perceusFull(),
-                EngineConfig{}.withEngine(GetParam()));
+  Runner Single(sharedTreeSource(), PassConfig::perceusFull());
   ASSERT_TRUE(Single.ok());
   Value Tree;
   Single.engine().setResultInspector([&](Value V) {
@@ -107,7 +102,7 @@ TEST_P(ParallelRunnerTest, SharedSegmentIsBuiltOnceAndFreedExactlyOnce) {
       << "every shared cell freed exactly once";
 }
 
-TEST_P(ParallelRunnerTest, TrappedWorkersLeakNothingAnywhere) {
+TEST_F(ParallelRunnerTest, TrappedWorkersLeakNothingAnywhere) {
   ParallelRunner PR(sharedTreeSource(), PassConfig::perceusFull());
   ASSERT_TRUE(PR.ok()) << PR.diagnostics().str();
 
@@ -130,7 +125,7 @@ TEST_P(ParallelRunnerTest, TrappedWorkersLeakNothingAnywhere) {
   EXPECT_TRUE(Out.AllHeapsEmpty);
 }
 
-TEST_P(ParallelRunnerTest, FaultSweepFlushesBuffersOnEveryTrapUnwind) {
+TEST_F(ParallelRunnerTest, FaultSweepFlushesBuffersOnEveryTrapUnwind) {
   // Per-k fuel sweep over the contended shared workload: whatever
   // dispatch the trap lands on, the unwind must flush every buffered
   // shared-count delta (a worker may not carry unflushed counts out of
@@ -156,7 +151,7 @@ TEST_P(ParallelRunnerTest, FaultSweepFlushesBuffersOnEveryTrapUnwind) {
   }
 }
 
-TEST_P(ParallelRunnerTest, CombinedStatsAreTheFieldwiseSum) {
+TEST_F(ParallelRunnerTest, CombinedStatsAreTheFieldwiseSum) {
   ParallelRunner PR(derivSource(), PassConfig::perceusFull());
   ASSERT_TRUE(PR.ok()) << PR.diagnostics().str();
   ParallelOutcome Out = PR.run(cfg(3), "bench_deriv", ints({4}));
@@ -171,7 +166,7 @@ TEST_P(ParallelRunnerTest, CombinedStatsAreTheFieldwiseSum) {
   EXPECT_EQ(Out.Combined.PeakBytes, Sum.PeakBytes);
 }
 
-TEST_P(ParallelRunnerTest, GcConfigRunsWithoutSharedInput) {
+TEST_F(ParallelRunnerTest, GcConfigRunsWithoutSharedInput) {
   ParallelRunner PR(nqueensSource(), PassConfig::gc());
   ASSERT_TRUE(PR.ok()) << PR.diagnostics().str();
   ParallelOutcome Out = PR.run(cfg(2), "bench_nqueens", ints({6}));
@@ -180,7 +175,7 @@ TEST_P(ParallelRunnerTest, GcConfigRunsWithoutSharedInput) {
     EXPECT_EQ(W.Run.Result.Int, 4); // 6-queens has 4 solutions
 }
 
-TEST_P(ParallelRunnerTest, GcConfigRejectsSharedInput) {
+TEST_F(ParallelRunnerTest, GcConfigRejectsSharedInput) {
   ParallelRunner PR(sharedTreeSource(), PassConfig::gc());
   ASSERT_TRUE(PR.ok()) << PR.diagnostics().str();
   EngineConfig EC = cfg(2);
@@ -191,7 +186,7 @@ TEST_P(ParallelRunnerTest, GcConfigRejectsSharedInput) {
   EXPECT_NE(Out.Error.find("reference-counting"), std::string::npos);
 }
 
-TEST_P(ParallelRunnerTest, UnknownEntryAndBuilderAreReportedNotRun) {
+TEST_F(ParallelRunnerTest, UnknownEntryAndBuilderAreReportedNotRun) {
   ParallelRunner PR(rbtreeSource(), PassConfig::perceusFull());
   ASSERT_TRUE(PR.ok());
   ParallelOutcome Out = PR.run(cfg(2), "no_such_fn", {});
@@ -206,31 +201,23 @@ TEST_P(ParallelRunnerTest, UnknownEntryAndBuilderAreReportedNotRun) {
             std::string::npos);
 }
 
-// Mixing engines across run() calls on one ParallelRunner must work:
-// the bytecode image is compiled lazily on the first VM run and the
-// results must agree with the CEK run that preceded it.
-TEST(ParallelRunner, EnginesAgreeAcrossRunsOfOneRunner) {
+// Repeated run() calls on one ParallelRunner share the bytecode image
+// compiled by the first; every run must agree with the first.
+TEST(ParallelRunner, RepeatedRunsOfOneRunnerAgree) {
   ParallelRunner PR(nqueensSource(), PassConfig::perceusFull());
   ASSERT_TRUE(PR.ok()) << PR.diagnostics().str();
-  EngineConfig Cek;
-  Cek.Workers = 2;
-  EngineConfig Vm = Cek;
-  Vm.Engine = EngineKind::Vm;
-  ParallelOutcome A = PR.run(Cek, "bench_nqueens", ints({6}));
-  ParallelOutcome B = PR.run(Vm, "bench_nqueens", ints({6}));
+  EngineConfig EC;
+  EC.Workers = 2;
+  ParallelOutcome A = PR.run(EC, "bench_nqueens", ints({6}));
+  ParallelOutcome B = PR.run(EC, "bench_nqueens", ints({6}));
   ASSERT_TRUE(A.Ok) << A.Error;
   ASSERT_TRUE(B.Ok) << B.Error;
   EXPECT_EQ(A.Workers[0].Run.Result.Int, B.Workers[0].Run.Result.Int);
   EXPECT_EQ(A.Combined.Allocs, B.Combined.Allocs);
   EXPECT_EQ(A.Combined.DupOps, B.Combined.DupOps);
   EXPECT_EQ(A.Combined.DropOps, B.Combined.DropOps);
+  EXPECT_TRUE(A.AllHeapsEmpty);
   EXPECT_TRUE(B.AllHeapsEmpty);
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, ParallelRunnerTest,
-                         ::testing::Values(EngineKind::Cek, EngineKind::Vm),
-                         [](const ::testing::TestParamInfo<EngineKind> &I) {
-                           return std::string(engineKindName(I.param));
-                         });
 
 } // namespace

@@ -1228,10 +1228,10 @@ TEST(CellLayout, WidestCellRoundTrips) {
   EXPECT_TRUE(H.empty());
 }
 
-TEST(CellLayout, Figure9PeakBytesArePinnedOnEveryEngine) {
+TEST(CellLayout, Figure9PeakBytesArePinnedOnBothVmTiers) {
   // The paper's memory column at small n under the perceus config. The
   // peaks are the cell layout's footprint, so they are the same on the
-  // CEK machine, the raw VM and the peepholed VM.
+  // raw and the peepholed VM.
   struct Case {
     const char *Source;
     const char *Entry;
@@ -1245,15 +1245,11 @@ TEST(CellLayout, Figure9PeakBytesArePinnedOnEveryEngine) {
       {nqueensSource(), "bench_nqueens", 6, 5696},
       {cfoldSource(), "bench_cfold", 6, 3552},
   };
-  const std::pair<EngineKind, bool> Engines[] = {
-      {EngineKind::Cek, false}, {EngineKind::Vm, false}, {EngineKind::Vm, true}};
   for (const Case &C : Cases) {
-    for (const auto &[Engine, Peephole] : Engines) {
-      SCOPED_TRACE(std::string(C.Entry) + (Engine == EngineKind::Cek ? " cek"
-                                           : Peephole ? " vm+peephole"
-                                                      : " vm"));
+    for (bool Peephole : {false, true}) {
+      SCOPED_TRACE(std::string(C.Entry) + (Peephole ? " vm+peephole" : " vm"));
       Runner R(C.Source, PassConfig::perceusFull(),
-               EngineConfig{}.withEngine(Engine).withPeephole(Peephole));
+               EngineConfig{}.withPeephole(Peephole));
       ASSERT_TRUE(R.ok()) << R.diagnostics().str();
       RunResult Res = R.callInt(C.Entry, {C.N});
       ASSERT_TRUE(Res.Ok) << Res.Error;

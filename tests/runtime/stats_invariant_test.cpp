@@ -10,8 +10,8 @@
 /// the three ledgers — the machine's per-instruction counts
 /// (RunResult::Rc), the heap's classification counters (HeapStats), and
 /// an independent event sink (CountingSink) — must agree exactly, for
-/// every benchmark program under every configuration, on both execution
-/// engines (the CEK machine and the bytecode VM). Any future drift
+/// every benchmark program under every configuration, on both VM tiers
+/// (raw and peephole). Any future drift
 /// (an entry point forgetting a counter, a counter bumped on an
 /// early-out path, a machine call site missing its count) breaks an
 /// equation here.
@@ -49,14 +49,14 @@ std::vector<std::pair<const char *, PassConfig>> allConfigs() {
 }
 
 TEST(StatsInvariant, EveryRcCallIsClassifiedExactlyOnce) {
-  for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm})
+  for (bool Peephole : {false, true})
    for (const BenchProgram &Prog : invariantPrograms()) {
     for (const auto &[Name, Config] : allConfigs()) {
-      SCOPED_TRACE(std::string(Prog.Name) + " / " + Name + " / " +
-                   engineKindName(Engine));
+      SCOPED_TRACE(std::string(Prog.Name) + " / " + Name +
+                   (Peephole ? " / vm+peephole" : " / vm"));
       CountingSink Sink;
-      Measurement M = measure(Prog, Config,
-                              EngineConfig{}.withEngine(Engine).withSink(&Sink));
+      Measurement M = measure(
+          Prog, Config, EngineConfig{}.withPeephole(Peephole).withSink(&Sink));
       ASSERT_TRUE(M.Ran);
 
       const RcInstrCounts &Rc = M.Run.Rc;
@@ -94,16 +94,16 @@ TEST(StatsInvariant, EveryRcCallIsClassifiedExactlyOnce) {
 TEST(StatsInvariant, GarbageFreeConfigsEndWithEmptyLedgers) {
   // Perceus is garbage free: at program exit nothing is live, in the
   // heap and in the shadow ledger alike.
-  for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm})
+  for (bool Peephole : {false, true})
    for (const BenchProgram &Prog : invariantPrograms()) {
     for (const auto &[Name, Config] : allConfigs()) {
       if (Config.Mode == RcMode::None)
         continue; // gc mode legitimately exits with live cells
-      SCOPED_TRACE(std::string(Prog.Name) + " / " + Name + " / " +
-                   engineKindName(Engine));
+      SCOPED_TRACE(std::string(Prog.Name) + " / " + Name +
+                   (Peephole ? " / vm+peephole" : " / vm"));
       CountingSink Sink;
-      Measurement M = measure(Prog, Config,
-                              EngineConfig{}.withEngine(Engine).withSink(&Sink));
+      Measurement M = measure(
+          Prog, Config, EngineConfig{}.withPeephole(Peephole).withSink(&Sink));
       ASSERT_TRUE(M.Ran);
       EXPECT_EQ(M.Heap.LiveBytes, 0u);
       EXPECT_EQ(M.Heap.LiveCells, 0u);

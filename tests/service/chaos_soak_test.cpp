@@ -57,7 +57,7 @@ TEST(ChaosSoak, ThousandsOfChaoticRequestsAllResolveStructurally) {
   Cases[2].Source = derivSource();
 
   // Size the cache budget in units of the real artifacts: all six keys
-  // (three sources x two engines) measured unbounded, then 60% of that
+  // (three sources x two configs) measured unbounded, then 60% of that
   // — small enough that eviction must fire, large enough that the
   // pinned-while-running exception (at most one pinned artifact per
   // worker plus the one being compiled) cannot push past it.
@@ -65,9 +65,9 @@ TEST(ChaosSoak, ThousandsOfChaoticRequestsAllResolveStructurally) {
   {
     Service Probe;
     for (const SourceCase &C : Cases)
-      for (EngineKind E : {EngineKind::Cek, EngineKind::Vm})
-        ASSERT_TRUE(
-            Probe.precompile(C.Source, PassConfig::perceusFull(), E));
+      for (const PassConfig &Config :
+           {PassConfig::perceusFull(), PassConfig::perceusNoOpt()})
+        ASSERT_TRUE(Probe.precompile(C.Source, Config));
     AllKeysBytes = Probe.stats().CacheBytes;
     ASSERT_GT(AllKeysBytes, 0u);
   }
@@ -109,7 +109,7 @@ TEST(ChaosSoak, ThousandsOfChaoticRequestsAllResolveStructurally) {
       ++PerTenantSubmitted[I % 4];
       R.Source = C.Source;
       R.Entry = C.Entry;
-      R.Engine = I % 2 ? EngineKind::Vm : EngineKind::Cek;
+      R.Config = I % 2 ? PassConfig::perceusFull() : PassConfig::perceusNoOpt();
       R.Args = {Value::makeInt(C.Arg)};
       Futs.push_back(S.submit(std::move(R)));
     }
@@ -199,7 +199,7 @@ TEST(ChaosSoak, ShardedDispatcherKeepsTheInvariantsAcrossShards) {
       R.Tenant = Tenants[I % 4];
       R.Source = C.Source;
       R.Entry = C.Entry;
-      R.Engine = I % 2 ? EngineKind::Vm : EngineKind::Cek;
+      R.Config = I % 2 ? PassConfig::perceusFull() : PassConfig::perceusNoOpt();
       R.Args = {Value::makeInt(C.Arg)};
       size_t Want = SS.shardFor(R.Tenant, R.Source);
       Futs.emplace_back(Want, SS.submit(std::move(R)));

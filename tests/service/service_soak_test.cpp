@@ -7,17 +7,18 @@
 /// \file
 /// The service under sustained mixed traffic: thousands of requests —
 /// clean runs, fuel exhaustion, injected OOM, and deadline traps — over
-/// both engines and 1..4 workers. After *every* request the worker heap
-/// must be empty (the Perceus garbage-free guarantee is what makes heap
-/// pooling correct, so one leaked cell here is a real bug), engine pairs
-/// with the same deterministic limits must trap at the same point, and
-/// the artifact cache must have absorbed all but the first compile of
-/// each key.
+/// 1..4 workers. After *every* request the worker heap must be empty
+/// (the Perceus garbage-free guarantee is what makes heap pooling
+/// correct, so one leaked cell here is a real bug), request pairs with
+/// the same deterministic limits must trap at the same point, and the
+/// artifact cache must have absorbed all but the first compile of each
+/// key.
 ///
-/// Requests are generated in (CEK, VM) pairs with identical parameters
-/// so cross-engine comparison is per-pair, not aggregate. Deadline
-/// requests are excluded from the equality check (wall-clock traps are
-/// not deterministic) but still must unwind cleanly.
+/// Every request is submitted twice with identical parameters, so the
+/// second run — on whichever worker and warm heap it lands — is compared
+/// per pair with the first: pooling must not change what a run does.
+/// Deadline requests are excluded from the equality check (wall-clock
+/// traps are not deterministic) but still must unwind cleanly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +34,7 @@ using namespace perceus;
 
 namespace {
 
-/// One generated unit of traffic, submitted once per engine.
+/// One generated unit of traffic, submitted twice.
 struct SoakCase {
   enum Kind { Clean, Fuel, Oom, Deadline } What = Clean;
   const char *Name;
@@ -99,7 +100,7 @@ std::vector<SoakCase> makeSchedule(size_t Count) {
 }
 
 /// Runs the whole schedule through one Service with \p Workers threads,
-/// each case once per engine, and checks the invariants.
+/// each case twice, and checks the invariants.
 void soak(unsigned Workers, size_t Count) {
   SCOPED_TRACE(testing::Message() << "workers=" << Workers);
   ServiceConfig SC;
@@ -110,7 +111,7 @@ void soak(unsigned Workers, size_t Count) {
   std::vector<SoakCase> Sched = makeSchedule(Count);
   struct Pair {
     SoakCase C;
-    std::future<ServiceResponse> Cek, Vm;
+    std::future<ServiceResponse> First, Second;
   };
   std::vector<Pair> Pairs;
   Pairs.reserve(Sched.size());
@@ -123,22 +124,20 @@ void soak(unsigned Workers, size_t Count) {
     R.FailAlloc = C.FailAlloc;
     Pair P;
     P.C = C;
-    R.Engine = EngineKind::Cek;
-    P.Cek = S.submit(R);
-    R.Engine = EngineKind::Vm;
-    P.Vm = S.submit(ServiceRequest(R));
+    P.First = S.submit(R);
+    P.Second = S.submit(ServiceRequest(R));
     Pairs.push_back(std::move(P));
   }
 
   size_t DeadlineExercised = 0, Shed = 0;
   for (Pair &P : Pairs) {
-    ServiceResponse A = P.Cek.get();
-    ServiceResponse B = P.Vm.get();
+    ServiceResponse A = P.First.get();
+    ServiceResponse B = P.Second.get();
     SCOPED_TRACE(testing::Message()
                  << P.C.Name << " kind=" << int(P.C.What) << " id=" << A.Id);
     if (P.C.What == SoakCase::Deadline) {
       // A 1ms budget may expire while the request is still queued behind
-      // the batch: the service sheds it without touching an engine. That
+      // the batch: the service sheds it without touching the VM. That
       // is admission control working, not a failure — but a shed request
       // must never have run.
       for (const ServiceResponse *R : {&A, &B}) {
@@ -171,7 +170,7 @@ void soak(unsigned Workers, size_t Count) {
     case SoakCase::Clean:
       ASSERT_TRUE(A.Run.Ok) << A.Run.Error;
       ASSERT_TRUE(B.Run.Ok) << B.Run.Error;
-      // Observational equivalence of the engines survives pooling.
+      // A warm pooled heap runs the request exactly like the first.
       EXPECT_EQ(A.Run.Result.Int, B.Run.Result.Int);
       EXPECT_EQ(A.Heap.Allocs, B.Heap.Allocs);
       EXPECT_EQ(A.Heap.Frees, B.Heap.Frees);
@@ -197,10 +196,10 @@ void soak(unsigned Workers, size_t Count) {
   EXPECT_EQ(ST.Executed, 2 * Sched.size() - Shed);
   EXPECT_EQ(ST.RejectedShedding, Shed);
   EXPECT_EQ(ST.RejectedQueueFull, 0u);
-  // Compile-once: at most one compile per distinct (source, config,
-  // engine) key; everything else must be a cache hit.
+  // Compile-once: at most one compile per distinct (source, config)
+  // key; everything else must be a cache hit.
   EXPECT_GE(ST.CacheHits, ST.Executed - ST.CacheCompiles);
-  EXPECT_LE(ST.CacheCompiles, 2u * 5u); // ≤ five programs × two engines
+  EXPECT_LE(ST.CacheCompiles, 5u); // ≤ five programs
   if (Count >= 256) {
     EXPECT_GT(DeadlineExercised, 0u) << "no deadline ever bit — dead test";
   }
@@ -219,7 +218,7 @@ TEST(ServiceSoak, SequentialLongHaulRetainedBounded) {
   SC.MaxRetainedBytes = 1u << 20;
   Service S(SC);
   Session Small(S, mapSumSource());
-  Session Peaky(S, mapSumSource(), PassConfig::perceusFull(), EngineKind::Vm);
+  Session Peaky(S, mapSumSource(), PassConfig::perceusNoOpt());
   for (int I = 0; I != 2500; ++I) {
     // Every 100th request is peaky (~6MB of slabs); the rest are small.
     bool Peak = I % 100 == 99;

@@ -7,8 +7,8 @@
 /// \file
 /// Unit tests for the long-lived request service (src/service): the
 /// compile-once artifact cache, admission control (queue-full and
-/// shedding as structured outcomes), per-request deadlines on both
-/// engines, the retained-memory trim policy, and heap pooling across
+/// shedding as structured outcomes), per-request deadlines, the
+/// retained-memory trim policy, and heap pooling across
 /// mixed configurations on one worker.
 ///
 //===----------------------------------------------------------------------===//
@@ -84,8 +84,7 @@ TEST(Service, MissingEntryIsARuntimeErrorNotACrash) {
 
 TEST(Service, SessionWarmMakesFirstCallACacheHit) {
   Service S;
-  Session Sess(S, mapSumSource(), PassConfig::perceusFull(),
-               EngineKind::Vm);
+  Session Sess(S, mapSumSource(), PassConfig::perceusFull());
   std::string Err;
   ASSERT_TRUE(Sess.warm(&Err)) << Err;
   ServiceResponse R = Sess.call("bench_mapsum", {Value::makeInt(10)});
@@ -144,29 +143,27 @@ TEST(Service, StopShedsQueuedRequests) {
   EXPECT_EQ(After.Reject, RejectKind::Shedding);
 }
 
-TEST(Service, DeadlineTrapsCleanlyOnBothEngines) {
+TEST(Service, DeadlineTrapsCleanly) {
   Service S;
-  for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm}) {
-    Session Sess(S, nqueensSource(), PassConfig::perceusFull(), Engine);
-    RunLimits L;
-    L.DeadlineMs = 5;
-    // On a loaded box the budget can burn in the queue before a worker
-    // picks the request up; that shed is the documented outcome, so
-    // retry until the run actually starts.
-    ServiceResponse R;
-    for (int Attempt = 0; Attempt != 50; ++Attempt) {
-      R = Sess.call("bench_nqueens", {Value::makeInt(10)}, L);
-      if (R.Executed)
-        break;
-      ASSERT_EQ(R.Reject, RejectKind::Shedding);
-    }
-    ASSERT_TRUE(R.Executed);
-    EXPECT_FALSE(R.Run.Ok);
-    EXPECT_EQ(R.Run.Trap, TrapKind::Deadline) << engineKindName(Engine);
-    // Clean unwind: nothing leaked mid-flight on the pooled heap.
-    EXPECT_TRUE(R.HeapEmpty) << engineKindName(Engine);
-    EXPECT_EQ(R.Heap.LiveCells, 0u);
+  Session Sess(S, nqueensSource(), PassConfig::perceusFull());
+  RunLimits L;
+  L.DeadlineMs = 5;
+  // On a loaded box the budget can burn in the queue before a worker
+  // picks the request up; that shed is the documented outcome, so
+  // retry until the run actually starts.
+  ServiceResponse R;
+  for (int Attempt = 0; Attempt != 50; ++Attempt) {
+    R = Sess.call("bench_nqueens", {Value::makeInt(10)}, L);
+    if (R.Executed)
+      break;
+    ASSERT_EQ(R.Reject, RejectKind::Shedding);
   }
+  ASSERT_TRUE(R.Executed);
+  EXPECT_FALSE(R.Run.Ok);
+  EXPECT_EQ(R.Run.Trap, TrapKind::Deadline);
+  // Clean unwind: nothing leaked mid-flight on the pooled heap.
+  EXPECT_TRUE(R.HeapEmpty);
+  EXPECT_EQ(R.Heap.LiveCells, 0u);
 }
 
 TEST(Service, DeadlineBurnedInQueueShedsWithoutRunning) {
@@ -226,12 +223,12 @@ TEST(Service, MixedKeysAlternateOnOneWorker) {
   ServiceConfig C;
   C.Workers = 1;
   Service S(C);
-  Session Cek(S, mapSumSource(), PassConfig::perceusFull(), EngineKind::Cek);
-  Session Vm(S, mapSumSource(), PassConfig::perceusFull(), EngineKind::Vm);
+  Session Full(S, mapSumSource(), PassConfig::perceusFull());
+  Session NoOpt(S, mapSumSource(), PassConfig::perceusNoOpt());
   Session Gc(S, mapSumSource(), PassConfig::gc());
   int64_t Want = referenceResult(mapSumSource(), "bench_mapsum", 64);
   for (int I = 0; I != 4; ++I) {
-    for (Session *Sess : {&Cek, &Vm, &Gc}) {
+    for (Session *Sess : {&Full, &NoOpt, &Gc}) {
       ServiceResponse R = Sess->call("bench_mapsum", {Value::makeInt(64)});
       ASSERT_TRUE(R.Run.Ok) << R.Run.Error;
       EXPECT_EQ(R.Run.Result.Int, Want);
@@ -245,16 +242,14 @@ TEST(Service, MixedKeysAlternateOnOneWorker) {
 
 TEST(Service, FaultInjectedOomIsCleanlyUnwound) {
   Service S;
-  for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm}) {
-    Session Sess(S, mapSumSource(), PassConfig::perceusFull(), Engine);
-    ServiceResponse R =
-        Sess.call("bench_mapsum", {Value::makeInt(100)}, RunLimits{}, 7);
-    ASSERT_TRUE(R.Executed);
-    EXPECT_FALSE(R.Run.Ok);
-    EXPECT_EQ(R.Run.Trap, TrapKind::OutOfMemory) << engineKindName(Engine);
-    EXPECT_TRUE(R.HeapEmpty) << engineKindName(Engine);
-    EXPECT_EQ(R.Heap.FailedAllocs, 1u);
-  }
+  Session Sess(S, mapSumSource(), PassConfig::perceusFull());
+  ServiceResponse R =
+      Sess.call("bench_mapsum", {Value::makeInt(100)}, RunLimits{}, 7);
+  ASSERT_TRUE(R.Executed);
+  EXPECT_FALSE(R.Run.Ok);
+  EXPECT_EQ(R.Run.Trap, TrapKind::OutOfMemory);
+  EXPECT_TRUE(R.HeapEmpty);
+  EXPECT_EQ(R.Heap.FailedAllocs, 1u);
 }
 
 /// service.rc_calls of \p R's wire document.
@@ -271,10 +266,10 @@ uint64_t wireRcCalls(const ServiceResponse &R) {
 TEST(ServiceRcCalls, WireCountEqualsAnInProcessSinkCleanAndTrapped) {
   // The wire's rc_calls must be the number a CountingSink counts when
   // the same entry and arguments run in process through Runner, and the
-  // engine's own count of RC calls, whether or not the service installs
-  // a sink itself: every Figure 9 program, four configurations, both
-  // engines, clean and trapped on fuel, an injected allocation failure
-  // and the wall-clock deadline.
+  // VM's own count of RC calls, whether or not the service installs a
+  // sink itself: every Figure 9 program, four configurations, clean and
+  // trapped on fuel, an injected allocation failure and the wall-clock
+  // deadline.
   Service S;
   const std::pair<const char *, PassConfig> Configs[] = {
       {"perceus", PassConfig::perceusFull()},
@@ -282,78 +277,75 @@ TEST(ServiceRcCalls, WireCountEqualsAnInProcessSinkCleanAndTrapped) {
       {"scoped-rc", PassConfig::scoped()},
       {"gc", PassConfig::gc()}};
   // Small n for the clean, fuel and alloc runs; for the deadline runs,
-  // sizes that take 50 ms or more on the faster engine.
+  // sizes that take 50 ms or more on the VM.
   const std::map<std::string, int64_t> LateN = {{"rbtree", 400000},
                                                 {"rbtree-ck", 80000},
                                                 {"deriv", 40},
                                                 {"nqueens", 10},
                                                 {"cfold", 18}};
-  for (EngineKind Engine : {EngineKind::Cek, EngineKind::Vm})
-    for (const bench::BenchProgram &Prog : bench::figure9Programs(0.01))
-      for (const auto &[Name, Config] : Configs) {
-        SCOPED_TRACE(std::string(Prog.Name) + " / " + Name + " / " +
-                     engineKindName(Engine));
-        Session Sess(S, Prog.Source, Config, Engine);
-        // One request and its in-process twin under the same limits
-        // and injected fault; returns the twin's run.
-        auto Compare = [&](int64_t N, const RunLimits &L, uint64_t FailAlloc,
-                           const ServiceResponse &Resp) {
-          CountingSink Sink;
-          FaultInjector FI = FaultInjector::failNth(FailAlloc);
-          EngineConfig EC =
-              EngineConfig{}.withEngine(Engine).withLimits(L).withSink(&Sink);
-          if (FailAlloc)
-            EC.Injector = &FI;
-          Runner R(Prog.Source, Config, EC);
-          EXPECT_TRUE(R.ok());
-          RunResult Twin = R.callInt(Prog.Entry, {N});
-          EXPECT_TRUE(Resp.Executed);
-          EXPECT_EQ(Resp.Run.Steps, Twin.Steps);
-          EXPECT_EQ(wireRcCalls(Resp), Sink.totalRcCalls());
-          EXPECT_EQ(wireRcCalls(Resp), Resp.Run.Rc.totalCalls());
-          EXPECT_TRUE(Resp.HeapEmpty);
-          return Twin;
-        };
-        int64_t N = Prog.BaseScale;
+  for (const bench::BenchProgram &Prog : bench::figure9Programs(0.01))
+    for (const auto &[Name, Config] : Configs) {
+      SCOPED_TRACE(std::string(Prog.Name) + " / " + Name);
+      Session Sess(S, Prog.Source, Config);
+      // One request and its in-process twin under the same limits
+      // and injected fault; returns the twin's run.
+      auto Compare = [&](int64_t N, const RunLimits &L, uint64_t FailAlloc,
+                         const ServiceResponse &Resp) {
+        CountingSink Sink;
+        FaultInjector FI = FaultInjector::failNth(FailAlloc);
+        EngineConfig EC = EngineConfig{}.withLimits(L).withSink(&Sink);
+        if (FailAlloc)
+          EC.Injector = &FI;
+        Runner R(Prog.Source, Config, EC);
+        EXPECT_TRUE(R.ok());
+        RunResult Twin = R.callInt(Prog.Entry, {N});
+        EXPECT_TRUE(Resp.Executed);
+        EXPECT_EQ(Resp.Run.Steps, Twin.Steps);
+        EXPECT_EQ(wireRcCalls(Resp), Sink.totalRcCalls());
+        EXPECT_EQ(wireRcCalls(Resp), Resp.Run.Rc.totalCalls());
+        EXPECT_TRUE(Resp.HeapEmpty);
+        return Twin;
+      };
+      int64_t N = Prog.BaseScale;
 
-        ServiceResponse Clean = Sess.call(Prog.Entry, {Value::makeInt(N)});
-        ASSERT_TRUE(Clean.Run.Ok) << Clean.Run.Error;
-        EXPECT_TRUE(Compare(N, RunLimits{}, 0, Clean).Ok);
-        if (Config.Mode != RcMode::None) {
-          EXPECT_GT(wireRcCalls(Clean), 0u);
-        }
-
-        RunLimits Fuel;
-        Fuel.Fuel = Clean.Run.Steps / 2;
-        ServiceResponse Starved =
-            Sess.call(Prog.Entry, {Value::makeInt(N)}, Fuel);
-        EXPECT_EQ(Starved.Run.Trap, TrapKind::OutOfFuel);
-        EXPECT_EQ(Compare(N, Fuel, 0, Starved).Trap, TrapKind::OutOfFuel);
-
-        uint64_t FailAt = Clean.Heap.Allocs / 2 + 1;
-        ServiceResponse Oom =
-            Sess.call(Prog.Entry, {Value::makeInt(N)}, RunLimits{}, FailAt);
-        EXPECT_EQ(Oom.Run.Trap, TrapKind::OutOfMemory);
-        EXPECT_EQ(Compare(N, RunLimits{}, FailAt, Oom).Trap,
-                  TrapKind::OutOfMemory);
-
-        // The deadline trap lands on a timing-dependent step. Both
-        // engines take it where a fuel trap one step earlier would land,
-        // so the twin replays it as exactly that fuel trap.
-        int64_t Big = LateN.at(Prog.Name);
-        RunLimits Deadline;
-        Deadline.DeadlineMs = 20;
-        ServiceResponse Late;
-        for (int Attempt = 0; Attempt != 50; ++Attempt) {
-          Late = Sess.call(Prog.Entry, {Value::makeInt(Big)}, Deadline);
-          if (Late.Executed)
-            break; // else shed: the budget burned in the queue
-        }
-        ASSERT_EQ(Late.Run.Trap, TrapKind::Deadline);
-        RunLimits Replay;
-        Replay.Fuel = Late.Run.Steps - 1;
-        EXPECT_EQ(Compare(Big, Replay, 0, Late).Trap, TrapKind::OutOfFuel);
+      ServiceResponse Clean = Sess.call(Prog.Entry, {Value::makeInt(N)});
+      ASSERT_TRUE(Clean.Run.Ok) << Clean.Run.Error;
+      EXPECT_TRUE(Compare(N, RunLimits{}, 0, Clean).Ok);
+      if (Config.Mode != RcMode::None) {
+        EXPECT_GT(wireRcCalls(Clean), 0u);
       }
+
+      RunLimits Fuel;
+      Fuel.Fuel = Clean.Run.Steps / 2;
+      ServiceResponse Starved =
+          Sess.call(Prog.Entry, {Value::makeInt(N)}, Fuel);
+      EXPECT_EQ(Starved.Run.Trap, TrapKind::OutOfFuel);
+      EXPECT_EQ(Compare(N, Fuel, 0, Starved).Trap, TrapKind::OutOfFuel);
+
+      uint64_t FailAt = Clean.Heap.Allocs / 2 + 1;
+      ServiceResponse Oom =
+          Sess.call(Prog.Entry, {Value::makeInt(N)}, RunLimits{}, FailAt);
+      EXPECT_EQ(Oom.Run.Trap, TrapKind::OutOfMemory);
+      EXPECT_EQ(Compare(N, RunLimits{}, FailAt, Oom).Trap,
+                TrapKind::OutOfMemory);
+
+      // The deadline trap lands on a timing-dependent step. The VM
+      // takes it where a fuel trap one step earlier would land, so the
+      // twin replays it as exactly that fuel trap.
+      int64_t Big = LateN.at(Prog.Name);
+      RunLimits Deadline;
+      Deadline.DeadlineMs = 20;
+      ServiceResponse Late;
+      for (int Attempt = 0; Attempt != 50; ++Attempt) {
+        Late = Sess.call(Prog.Entry, {Value::makeInt(Big)}, Deadline);
+        if (Late.Executed)
+          break; // else shed: the budget burned in the queue
+      }
+      ASSERT_EQ(Late.Run.Trap, TrapKind::Deadline);
+      RunLimits Replay;
+      Replay.Fuel = Late.Run.Steps - 1;
+      EXPECT_EQ(Compare(Big, Replay, 0, Late).Trap, TrapKind::OutOfFuel);
+    }
 }
 
 TEST(ServiceJson, ResponsesSerializeToTheWireSchema) {

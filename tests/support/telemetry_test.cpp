@@ -317,7 +317,7 @@ TEST(StatsJson, ServiceRowObjectIsValidated) {
   M.Svc.RunMs = 3.5;
   M.Svc.RetainedBytes = 262144;
   bench::BenchReport Report("unittest", 1.0);
-  Report.add("mapsum", "service-cek", M);
+  Report.add("mapsum", "service-vm", M);
   std::string Doc = Report.json();
   EXPECT_EQ(bench::validateBenchJson(Doc), "");
   ASSERT_NE(Doc.find("\"service\""), std::string::npos);
@@ -359,13 +359,13 @@ TEST(StatsJson, ServiceStatusVocabularyIsClosedAndComplete) {
         "tenant-quota", "circuit-open", "bad-request"}) {
     M.Svc.Status = Status;
     bench::BenchReport Report("unittest", 1.0);
-    Report.add("mapsum", "service-cek", M);
+    Report.add("mapsum", "service-vm", M);
     EXPECT_EQ(bench::validateBenchJson(Report.json()), "") << Status;
   }
   for (const char *Status : {"cache-evicted", "rejected", "throttled"}) {
     M.Svc.Status = Status;
     bench::BenchReport Report("unittest", 1.0);
-    Report.add("mapsum", "service-cek", M);
+    Report.add("mapsum", "service-vm", M);
     EXPECT_NE(bench::validateBenchJson(Report.json()), "") << Status;
   }
 }
