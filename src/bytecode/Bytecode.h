@@ -85,19 +85,15 @@ enum class Op : uint8_t {
   SetField,     ///< A=field index, C=token slot, D=value reg
   TokenValue,   ///< B=dst, C=token slot, D=ctor tag
 
-  //===--- Primitives (one opcode each; fast unboxed paths) ---------------===//
-  Add,          ///< B=dst, C=lhs, D=rhs (likewise through Ge)
+  //===--- Primitives (one instruction each; fast unboxed paths) ----------===//
+  Add,          ///< B=dst, C=lhs, D=rhs (likewise through Mod)
   Sub,
   Mul,
   Div,
   Mod,
   Neg,          ///< B=dst, C=src
-  Lt,
-  Le,
-  Gt,
-  Ge,
-  EqVal,        ///< B=dst, C=lhs, D=rhs (Int/Bool/Enum equality)
-  NeVal,
+  Cmp,          ///< A=CmpKind, B=dst, C=lhs, D=rhs (integer order, or
+                ///< Int/Bool/Enum equality)
   Not,          ///< B=dst, C=src
   PrintLn,      ///< B=dst, C=src
   MarkSharedOp, ///< B=dst, C=src (tshare: markShared + consuming drop)
@@ -113,16 +109,12 @@ enum class Op : uint8_t {
   // component handlers: same heap calls, same counter increments, same
   // telemetry stamps, same trap points. The compiler never emits these;
   // the peephole pass rewrites hot adjacent pairs/triples post-compile.
+  // One stays only while some built-in program executes it (the opcode
+  // census in tests/bytecode/engine_diff_test.cpp checks this).
   DupMove,       ///< D=dup slot, B=move dst, C=move src
   Dup2,          ///< C=slot1, D=slot2
   Drop2,         ///< C=slot1, D=slot2
   Dup3,          ///< C=slot1, D=slot2, E=slot3
-  Drop3,         ///< C=slot1, D=slot2, E=slot3
-  DupCallStatic, ///< A=nargs, B=dst, C=window, D=dup slot, E=FuncId
-  DupCall,       ///< A=nargs, B=dst, C=window (callee; args at window+1),
-                 ///< D=dup slot
-  IsUniqueReuse, ///< B=token dst, C=slot, E=else target (unique path
-                 ///< materializes the reuse token and falls through)
   SetFieldToken, ///< A=field index, B=dst, C=token slot, D=value reg,
                  ///< E=ctor tag
   Move2,         ///< B=dst1, C=src1, D=dst2, E=src2 (sequential semantics)
@@ -131,12 +123,11 @@ enum class Op : uint8_t {
   RetConst,      ///< E=constant-pool index
   LtBr,          ///< C=lhs, D=rhs, E=target (branches when the compare
   LeBr,          ///< is false, like JumpIfFalse; the boolean register
-  GtBr,          ///< write of the component compare is elided — the
-  GeBr,          ///< compiler only ever materializes it into a dead temp)
-  EqBr,
-  NeBr,
-  CmpConstBr,    ///< A=CmpBrKind, C=lhs, D=constant-pool index, E=target
-  CmpJmp,        ///< A=CmpBrKind, C=lhs, D=rhs, B=pc when true, E=pc when
+  EqBr,          ///< write of the component compare is elided — the
+  NeBr,          ///< compiler only ever materializes it into a dead temp;
+                 ///< `a > b` and `a >= b` fuse as LtBr/LeBr on b, a)
+  CmpConstBr,    ///< A=CmpKind, C=lhs, D=constant-pool index, E=target
+  CmpJmp,        ///< A=CmpKind, C=lhs, D=rhs, B=pc when true, E=pc when
                  ///< false. Jump-threads `cmp; Jump L` when L is the
                  ///< JumpIfFalse consuming the compare's dead temp: the
                  ///< loop-rotation shape every while-style recursion
@@ -150,18 +141,11 @@ enum class Op : uint8_t {
                  ///< (sequential; src3 must fit in 8 bits)
   MoveTailCallStatic, ///< A=nargs, C=window, E=FuncId, B=move dst,
                  ///< D=move src (move first, then the tail call)
-  IsUniqueBrDup2,///< C=slot, E=else target, B=dup1, D=dup2 — the dups
-                 ///< run only on the unique fall-through path
   DecLoadConst,  ///< C=decref slot, B=dst, E=constant-pool index
   JfMove,        ///< B=cond, E=target, C=move dst, D=move src (the move
                  ///< runs only on the true fall-through path)
-  JfDrop,        ///< B=cond, E=target, C=drop slot (drop only if true)
   DropLoadConst, ///< C=drop slot, B=dst, E=constant-pool index
   DropRetConst,  ///< C=drop slot, E=constant-pool index
-  DupDecLoadConst,  ///< C=dup slot, D=decref slot, B=dst,
-                    ///< E=constant-pool index — the shared-cell match
-                    ///< arm epilogue (dup the field, decref the cell,
-                    ///< load the null token)
   Dup2DecLoadConst, ///< C=dup1, D=dup2, B=decref slot, A=dst (must fit
                     ///< 8 bits), E=constant-pool index
   Dup2Move2,        ///< B=dst1, C=dup1 (also src1), D=dst2,
@@ -171,7 +155,7 @@ enum class Op : uint8_t {
                     ///< D=constant-pool index of K,
                     ///< E=(move dst<<16)|move src — move first, then arith
   ArithConstMove,   ///< same fields as MoveArithConst; arith first
-  MoveCmpConstBr,   ///< A=CmpBrKind, B=move src, C=move dst (also lhs),
+  MoveCmpConstBr,   ///< A=CmpKind, B=move src, C=move dst (also lhs),
                     ///< D=constant-pool index, E=target when false
   ConRet,           ///< A=arity, B=dst, C=window, D=ctor tag — Con, then
                     ///< return the fresh cell
@@ -179,19 +163,26 @@ enum class Op : uint8_t {
   ArithConstRet,    ///< A=kind, B=dst, C=x, D=constant-pool index — the
                     ///< ArithConst whose result is immediately returned
   IsUniqueReuseJmp, ///< B=token dst, C=slot, D=pc when unique, E=else
-                    ///< target — IsUniqueReuse whose unique path jumps
+                    ///< target — IsUniqueBr + ReuseAddr + the unique
+                    ///< path's Jump
 };
 
-/// The compare kind carried in CmpConstBr's A field; numbering matches
-/// the LtBr..NeBr opcode order.
-enum class CmpBrKind : uint8_t { Lt, Le, Gt, Ge, Eq, Ne };
+/// The compare kind carried in the A field of Cmp, CmpConstBr, CmpJmp
+/// and MoveCmpConstBr: lhs<rhs, lhs<=rhs, lhs>rhs, lhs>=rhs, lhs==rhs,
+/// lhs!=rhs.
+enum class CmpKind : uint8_t { Lt, Le, Gt, Ge, Eq, Ne };
 
 /// The arithmetic kind carried in the A field of the fused arithmetic
 /// opcodes: lhs+rhs, lhs-rhs, rhs-lhs (ArithConst family only: K-x),
-/// lhs*rhs.
-enum class ArithKind : uint8_t { Add, Sub, RSub, Mul };
+/// lhs*rhs. Div and Mod only name the plain handlers' semantics.
+enum class ArithKind : uint8_t { Add, Sub, RSub, Mul, Div, Mod };
 
 constexpr size_t NumOpcodes = static_cast<size_t>(Op::IsUniqueReuseJmp) + 1;
+/// The superinstructions are the opcodes from DupMove to the end.
+constexpr size_t FirstSuperinstruction = static_cast<size_t>(Op::DupMove);
+
+/// The opcode's name as spelled in the Op enum.
+const char *opName(Op O);
 
 /// One fixed-width instruction; see the Op comments for field use.
 struct Instr {

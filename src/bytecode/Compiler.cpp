@@ -470,20 +470,18 @@ private:
     case PrimOp::Lt:
     case PrimOp::Le:
     case PrimOp::Gt:
-    case PrimOp::Ge: {
-      Op O = Pr->op() == PrimOp::Lt   ? Op::Lt
-             : Pr->op() == PrimOp::Le ? Op::Le
-             : Pr->op() == PrimOp::Gt ? Op::Gt
-                                      : Op::Ge;
-      emit(O, 0, Dst, W, W + 1, 0);
+    case PrimOp::Ge:
+    case PrimOp::EqInt:
+    case PrimOp::NeInt: {
+      CmpKind K = Pr->op() == PrimOp::Lt   ? CmpKind::Lt
+                  : Pr->op() == PrimOp::Le ? CmpKind::Le
+                  : Pr->op() == PrimOp::Gt ? CmpKind::Gt
+                  : Pr->op() == PrimOp::Ge ? CmpKind::Ge
+                  : Pr->op() == PrimOp::EqInt ? CmpKind::Eq
+                                              : CmpKind::Ne;
+      emit(Op::Cmp, static_cast<uint8_t>(K), Dst, W, W + 1, 0);
       break;
     }
-    case PrimOp::EqInt:
-      emit(Op::EqVal, 0, Dst, W, W + 1, 0);
-      break;
-    case PrimOp::NeInt:
-      emit(Op::NeVal, 0, Dst, W, W + 1, 0);
-      break;
     case PrimOp::Not:
       emit(Op::Not, 0, Dst, W, 0, 0);
       break;

@@ -23,17 +23,12 @@ bool isBranchOp(Op O) {
   case Op::JumpIfFalse:
   case Op::IsUniqueBr:
   case Op::IsNullTokenBr:
-  case Op::IsUniqueReuse:
   case Op::LtBr:
   case Op::LeBr:
-  case Op::GtBr:
-  case Op::GeBr:
   case Op::EqBr:
   case Op::NeBr:
   case Op::CmpConstBr:
-  case Op::IsUniqueBrDup2:
   case Op::JfMove:
-  case Op::JfDrop:
   case Op::MoveCmpConstBr:
     return true;
   default:
@@ -61,35 +56,23 @@ bool arithKind(Op O, uint8_t &K) {
   }
 }
 
-/// Maps a compare opcode to its branch-fused twin, or returns false.
-bool cmpToBr(Op Cmp, Op &Br, CmpBrKind &K) {
-  switch (Cmp) {
-  case Op::Lt:
-    Br = Op::LtBr;
-    K = CmpBrKind::Lt;
-    return true;
-  case Op::Le:
-    Br = Op::LeBr;
-    K = CmpBrKind::Le;
-    return true;
-  case Op::Gt:
-    Br = Op::GtBr;
-    K = CmpBrKind::Gt;
-    return true;
-  case Op::Ge:
-    Br = Op::GeBr;
-    K = CmpBrKind::Ge;
-    return true;
-  case Op::EqVal:
-    Br = Op::EqBr;
-    K = CmpBrKind::Eq;
-    return true;
-  case Op::NeVal:
-    Br = Op::NeBr;
-    K = CmpBrKind::Ne;
-    return true;
+/// The branch-fused form of `Cmp; JumpIfFalse Target`. `a > b` and
+/// `a >= b` fuse as LtBr and LeBr on (b, a): the same outcome, and the
+/// same trap, since it fires when either operand is not an integer.
+Instr cmpBranch(const Instr &Cmp, uint32_t Target) {
+  switch (static_cast<CmpKind>(Cmp.A)) {
+  case CmpKind::Lt:
+    return {Op::LtBr, 0, 0, Cmp.C, Cmp.D, Target};
+  case CmpKind::Le:
+    return {Op::LeBr, 0, 0, Cmp.C, Cmp.D, Target};
+  case CmpKind::Gt:
+    return {Op::LtBr, 0, 0, Cmp.D, Cmp.C, Target};
+  case CmpKind::Ge:
+    return {Op::LeBr, 0, 0, Cmp.D, Cmp.C, Target};
+  case CmpKind::Eq:
+    return {Op::EqBr, 0, 0, Cmp.C, Cmp.D, Target};
   default:
-    return false;
+    return {Op::NeBr, 0, 0, Cmp.C, Cmp.D, Target};
   }
 }
 
@@ -143,9 +126,7 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
   // it and the threaded true-edge would land mid-superinstruction).
   // Over-marking is safe — leaders only restrict fusion.
   for (size_t P = 0; P != N; ++P) {
-    Op Br;
-    CmpBrKind K;
-    if (Elide[P] || !cmpToBr(OldCode[P].O, Br, K))
+    if (Elide[P] || OldCode[P].O != Op::Cmp)
       continue;
     const size_t Q = nextKept(P);
     if (Q >= N || OldCode[Q].O != Op::Jump)
@@ -229,22 +210,6 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
         fuse(S3, {Op::Dup2Move2, 0, NQ->B, X.C, NS->B, NR->C}, OldSites[P],
              OldSites[R2], nullptr);
         Fused = true;
-      } else if (NQ && NQ->O == Op::DecRef && NR && NR->O == Op::LoadConst &&
-                 spanFree(P, R2)) {
-        fuse(R2, {Op::DupDecLoadConst, 0, NR->B, X.C, NQ->C, NR->E},
-             OldSites[P], OldSites[Q], nullptr);
-        Fused = true;
-      } else if (NQ && NQ->O == Op::CallStatic && spanFree(P, Q)) {
-        fuse(Q,
-             {Op::DupCallStatic, NQ->A, NQ->B, NQ->C, X.C, NQ->E},
-             OldSites[P], nullptr, nullptr);
-        Fused = true;
-      } else if (NQ && NQ->O == Op::Call && spanFree(P, Q)) {
-        // Sites holds the call site (applyClosure stamps through it);
-        // the dup's own site rides in Sites2.
-        fuse(Q, {Op::DupCall, NQ->A, NQ->B, NQ->C, X.C, 0}, OldSites[Q],
-             OldSites[P], nullptr);
-        Fused = true;
       } else if (NQ && NQ->O == Op::Dup && NR && NR->O == Op::Dup &&
                  spanFree(P, R2)) {
         fuse(R2, {Op::Dup3, 0, 0, X.C, NQ->C, NR->C}, OldSites[P],
@@ -261,12 +226,7 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
       }
       break;
     case Op::Drop:
-      if (NQ && NQ->O == Op::Drop && NR && NR->O == Op::Drop &&
-          spanFree(P, R2)) {
-        fuse(R2, {Op::Drop3, 0, 0, X.C, NQ->C, NR->C}, OldSites[P],
-             OldSites[Q], OldSites[R2]);
-        Fused = true;
-      } else if (NQ && NQ->O == Op::Drop && spanFree(P, Q)) {
+      if (NQ && NQ->O == Op::Drop && spanFree(P, Q)) {
         fuse(Q, {Op::Drop2, 0, 0, X.C, NQ->C, 0}, OldSites[P], OldSites[Q],
              nullptr);
         Fused = true;
@@ -301,10 +261,6 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
         fuse(Q, {Op::JfMove, 0, X.B, NQ->B, NQ->C, X.E}, OldSites[P], nullptr,
              nullptr);
         Fused = true;
-      } else if (NQ && NQ->O == Op::Drop && spanFree(P, Q)) {
-        fuse(Q, {Op::JfDrop, 0, X.B, NQ->C, 0, X.E}, OldSites[P], OldSites[Q],
-             nullptr);
-        Fused = true;
       }
       break;
     case Op::IsUniqueBr:
@@ -321,26 +277,10 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
               static_cast<uint16_t>(NR->E), X.E},
              OldSites[P], nullptr, nullptr);
         Fused = true;
-      } else if (NQ && NQ->O == Op::ReuseAddr && NQ->C == X.C &&
-                 spanFree(P, Q)) {
-        fuse(Q, {Op::IsUniqueReuse, 0, NQ->B, X.C, 0, X.E}, OldSites[P],
-             nullptr, nullptr);
-        Fused = true;
-      } else if (NQ && NQ->O == Op::Dup && NR && NR->O == Op::Dup &&
-                 spanFree(P, R2)) {
-        // Reuse-specialized arm prologue: probe then dup the fields. The
-        // else-edge skipped both dups before; the fused handler runs
-        // them only on the unique path, so spanFree (which covers the
-        // else target, a leader) keeps the edge out of the span.
-        fuse(R2, {Op::IsUniqueBrDup2, 0, NQ->C, X.C, NR->C, X.E}, OldSites[P],
-             OldSites[Q], OldSites[R2]);
-        Fused = true;
       }
       break;
     case Op::LoadConst: {
-      Op Br;
-      CmpBrKind K;
-      if (NQ && NR && cmpToBr(NQ->O, Br, K) && NR->O == Op::JumpIfFalse &&
+      if (NQ && NR && NQ->O == Op::Cmp && NR->O == Op::JumpIfFalse &&
           NQ->D == X.B && NR->B == NQ->B && NQ->B >= Ch.FirstTemp &&
           X.B >= Ch.FirstTemp && NQ->C != X.B && X.E <= 0xffff &&
           spanFree(P, R2)) {
@@ -348,8 +288,8 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
         // this expression; CmpConstBr reads the pool directly and never
         // writes either.
         fuse(R2,
-             {Op::CmpConstBr, static_cast<uint8_t>(K), 0, NQ->C,
-              static_cast<uint16_t>(X.E), NR->E},
+             {Op::CmpConstBr, NQ->A, 0, NQ->C, static_cast<uint16_t>(X.E),
+              NR->E},
              OldSites[P], nullptr, nullptr);
         Fused = true;
       } else if (NQ && NQ->O == Op::Ret && NQ->B == X.B &&
@@ -399,16 +339,8 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
       }
       break;
     }
-    case Op::Lt:
-    case Op::Le:
-    case Op::Gt:
-    case Op::Ge:
-    case Op::EqVal:
-    case Op::NeVal: {
-      Op Br;
-      CmpBrKind K;
-      if (NQ && NQ->O == Op::Jump && cmpToBr(X.O, Br, K) &&
-          X.B >= Ch.FirstTemp && NQ->E < N &&
+    case Op::Cmp:
+      if (NQ && NQ->O == Op::Jump && X.B >= Ch.FirstTemp && NQ->E < N &&
           OldCode[NQ->E].O == Op::JumpIfFalse && OldCode[NQ->E].B == X.B &&
           NQ->E + 1 <= 0xffff && spanFree(P, Q)) {
         // Loop rotation: the condition computed at the bottom jumps to
@@ -416,18 +348,16 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
         // edges — B gets the skipped test's successor (marked a leader
         // by the pre-pass and remapped below), E its else target.
         fuse(Q,
-             {Op::CmpJmp, static_cast<uint8_t>(K),
-              static_cast<uint16_t>(NQ->E + 1), X.C, X.D, OldCode[NQ->E].E},
+             {Op::CmpJmp, X.A, static_cast<uint16_t>(NQ->E + 1), X.C, X.D,
+              OldCode[NQ->E].E},
              OldSites[P], nullptr, nullptr);
         Fused = true;
       } else if (NQ && NQ->O == Op::JumpIfFalse && NQ->B == X.B &&
-                 X.B >= Ch.FirstTemp && cmpToBr(X.O, Br, K) &&
-                 spanFree(P, Q)) {
-        fuse(Q, {Br, 0, 0, X.C, X.D, NQ->E}, OldSites[P], nullptr, nullptr);
+                 X.B >= Ch.FirstTemp && spanFree(P, Q)) {
+        fuse(Q, cmpBranch(X, NQ->E), OldSites[P], nullptr, nullptr);
         Fused = true;
       }
       break;
-    }
     case Op::Add:
     case Op::Sub:
     case Op::Mul: {
@@ -443,8 +373,6 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
     }
     case Op::Move: {
       uint8_t AK;
-      Op Br;
-      CmpBrKind CK;
       if (NQ && NQ->O == Op::Ret && NQ->B == X.B && spanFree(P, Q)) {
         // Not a new opcode: the move's only consumer is the return, and
         // the frame dies there, so Ret reads the source directly.
@@ -455,7 +383,7 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
              OldSites[P], nullptr, nullptr);
         Fused = true;
       } else if (NQ && NQ->O == Op::LoadConst && NR && NS &&
-                 cmpToBr(NR->O, Br, CK) && NS->O == Op::JumpIfFalse &&
+                 NR->O == Op::Cmp && NS->O == Op::JumpIfFalse &&
                  NR->D == NQ->B && NS->B == NR->B && NR->B >= Ch.FirstTemp &&
                  NQ->B >= Ch.FirstTemp && NR->C == X.B && NR->C != NQ->B &&
                  NQ->E <= 0xffff && spanFree(P, S3)) {
@@ -463,7 +391,7 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
         // the CmpConstBr quad on it. The fused move feeds the compare's
         // lhs, so the whole four-instruction header is one dispatch.
         fuse(S3,
-             {Op::MoveCmpConstBr, static_cast<uint8_t>(CK), X.C, X.B,
+             {Op::MoveCmpConstBr, NR->A, X.C, X.B,
               static_cast<uint16_t>(NQ->E), NS->E},
              OldSites[P], nullptr, nullptr);
         Fused = true;

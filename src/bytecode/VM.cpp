@@ -29,15 +29,6 @@ using namespace perceus;
 #define PERCEUS_VM_COMPUTED_GOTO 0
 #endif
 
-// Build with -DPERCEUS_VM_PROFILE=1 to tally every executed opcode pair
-// into perceus::VmPairProfile (indexed [prev][cur]). This is how the
-// superinstruction set in bytecode/Peephole.cpp was chosen: run the
-// benchmarks on a profiled build, rank the pair counts, fuse the top
-// ones. Off by default — the counter write would cost more than some
-// handlers.
-#ifndef PERCEUS_VM_PROFILE
-#define PERCEUS_VM_PROFILE 0
-#endif
 #if PERCEUS_VM_PROFILE
 namespace perceus {
 uint64_t VmPairProfile[NumOpcodes][NumOpcodes];
@@ -60,21 +51,27 @@ uint64_t VmPairProfile[NumOpcodes][NumOpcodes];
   X(MakeClosure) X(Con) X(ConReuse)                                            \
   X(Dup) X(Drop) X(FreeOp) X(DecRef) X(IsUniqueBr) X(DropReuse)                \
   X(ReuseAddr) X(IsNullTokenBr) X(SetField) X(TokenValue)                      \
-  X(Add) X(Sub) X(Mul) X(Div) X(Mod) X(Neg)                                    \
-  X(Lt) X(Le) X(Gt) X(Ge) X(EqVal) X(NeVal) X(Not)                             \
+  X(Add) X(Sub) X(Mul) X(Div) X(Mod) X(Neg) X(Cmp) X(Not)                      \
   X(PrintLn) X(MarkSharedOp) X(AbortOp)                                        \
   X(RefNew) X(RefGet) X(RefSet)                                                \
   X(TrapOp)                                                                    \
-  X(DupMove) X(Dup2) X(Drop2) X(Dup3) X(Drop3)                                 \
-  X(DupCallStatic) X(DupCall) X(IsUniqueReuse) X(SetFieldToken)                \
+  X(DupMove) X(Dup2) X(Drop2) X(Dup3) X(SetFieldToken)                         \
   X(Move2) X(LoadConstMove) X(RetConst)                                        \
-  X(LtBr) X(LeBr) X(GtBr) X(GeBr) X(EqBr) X(NeBr) X(CmpConstBr)            \
+  X(LtBr) X(LeBr) X(EqBr) X(NeBr) X(CmpConstBr)                                \
   X(CmpJmp) X(MoveArith) X(ArithMove) X(ArithConst) X(Move3)                   \
-  X(MoveTailCallStatic) X(IsUniqueBrDup2) X(DecLoadConst)                      \
-  X(JfMove) X(JfDrop) X(DropLoadConst) X(DropRetConst)                         \
-  X(DupDecLoadConst) X(Dup2DecLoadConst) X(Dup2Move2) X(MoveDupMove)       \
-  X(MoveArithConst) X(ArithConstMove) X(MoveCmpConstBr) X(ConRet)          \
+  X(MoveTailCallStatic) X(DecLoadConst) X(JfMove) X(DropLoadConst)             \
+  X(DropRetConst) X(Dup2DecLoadConst) X(Dup2Move2) X(MoveDupMove)              \
+  X(MoveArithConst) X(ArithConstMove) X(MoveCmpConstBr) X(ConRet)              \
   X(DropMove) X(ArithConstRet) X(IsUniqueReuseJmp)
+
+const char *perceus::opName(Op O) {
+  static const char *const Names[] = {
+#define PERCEUS_VM_NAME(Name) #Name,
+      PERCEUS_VM_OPCODES(PERCEUS_VM_NAME)
+#undef PERCEUS_VM_NAME
+  };
+  return Names[static_cast<size_t>(O)];
+}
 
 /// Capacity growth is the only out-of-line RegStack path: doubling keeps
 /// it amortized to the deepest frame ever reached, after which every
@@ -100,21 +97,42 @@ static uint64_t nextBudgetCheck(uint64_t Steps, uint64_t Fuel,
   return Next;
 }
 
-/// Add, Sub and Mul on int64, checked, for the plain handlers and the
-/// fused ones' kind byte. Returns the trap message when the exact result
-/// does not fit, else null with the result in \p Out.
-static const char *checkedArith(ArithKind Kind, int64_t X, int64_t Y,
-                                int64_t &Out) {
+/// The binary arithmetic primitives, the one definition every arithmetic
+/// handler (plain or fused) runs: both operands must be integers, a
+/// divisor must be non-zero, and the exact result must fit int64 —
+/// INT64_MIN / -1 and INT64_MIN % -1 trap before the division unit sees
+/// them. Returns the trap message, else null with the result in \p Out.
+/// The plain handlers pass a constant kind, which folds the switch away.
+/// The trap branches here and in compare are [[unlikely]]: inlined, an
+/// unmarked one is laid out as the handler's fall-through path (a
+/// returned pointer is predicted non-null), which more than doubled the
+/// branch-fused compare handlers' hot code.
+[[gnu::always_inline]] static inline const char *
+checkedArith(ArithKind Kind, Value A, Value B, int64_t &Out) {
+  if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int) [[unlikely]]
+    return "arithmetic on a non-integer";
+  int64_t X = A.Int, Y = B.Int;
+  if (Kind == ArithKind::Div || Kind == ArithKind::Mod) {
+    const bool Div = Kind == ArithKind::Div;
+    if (Y == 0) [[unlikely]]
+      return Div ? "division by zero" : "modulo by zero";
+    if (X == INT64_MIN && Y == -1) [[unlikely]]
+      return Div ? "integer overflow in division"
+                 : "integer overflow in modulo";
+    Out = Div ? X / Y : X % Y;
+    return nullptr;
+  }
+  // Tested first, Div and Mod leave the fused handlers' run-time kind a
+  // compare chain; with them in the switch GCC emits a jump table.
   switch (Kind) {
   case ArithKind::Add:
     return __builtin_add_overflow(X, Y, &Out) ? "integer overflow in addition"
                                               : nullptr;
+  case ArithKind::RSub:
+    std::swap(X, Y);
+    [[fallthrough]];
   case ArithKind::Sub:
     return __builtin_sub_overflow(X, Y, &Out)
-               ? "integer overflow in subtraction"
-               : nullptr;
-  case ArithKind::RSub:
-    return __builtin_sub_overflow(Y, X, &Out)
                ? "integer overflow in subtraction"
                : nullptr;
   default:
@@ -122,6 +140,45 @@ static const char *checkedArith(ArithKind Kind, int64_t X, int64_t Y,
                ? "integer overflow in multiplication"
                : nullptr;
   }
+}
+
+/// The compare primitives, the one definition every compare handler
+/// runs: integer order, and equality over two Ints, two Bools or two
+/// Enums. Returns the trap message when the operands do not fit the
+/// kind, else null with the outcome in \p Out. The hot branch-fused
+/// handlers pass a constant kind.
+[[gnu::always_inline]] static inline const char *
+compare(CmpKind Kind, Value A, Value B, bool &Out) {
+  if (Kind == CmpKind::Eq || Kind == CmpKind::Ne) {
+    bool Eq;
+    if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
+      Eq = A.Int == B.Int;
+    else if (A.Kind == ValueKind::Bool && B.Kind == ValueKind::Bool)
+      Eq = (A.Int != 0) == (B.Int != 0);
+    else if (A.Kind == ValueKind::Enum && B.Kind == ValueKind::Enum)
+      Eq = A.Bits == B.Bits;
+    else [[unlikely]]
+      return "equality on incompatible or heap values";
+    Out = Kind == CmpKind::Eq ? Eq : !Eq;
+    return nullptr;
+  }
+  if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int) [[unlikely]]
+    return "comparison of non-integers";
+  switch (Kind) {
+  case CmpKind::Lt:
+    Out = A.Int < B.Int;
+    break;
+  case CmpKind::Le:
+    Out = A.Int <= B.Int;
+    break;
+  case CmpKind::Gt:
+    Out = A.Int > B.Int;
+    break;
+  default:
+    Out = A.Int >= B.Int;
+    break;
+  }
+  return nullptr;
 }
 
 void VM::trap(std::string Msg, TrapKind Kind) {
@@ -151,6 +208,34 @@ void VM::unwind() {
   Frames.clear();
   Result = Value::unit();
   Run->UnwoundCells = Freed;
+}
+
+/// The chunk a Call or TailCall of \p Callee with \p NArgs arguments
+/// enters, with \p Clo set to the closure cell (null for a function
+/// reference). Traps and returns null when the callee is not a function
+/// or takes another number of arguments.
+const Chunk *VM::resolveCallee(Value Callee, uint32_t NArgs, Cell *&Clo) {
+  Clo = nullptr;
+  if (Callee.Kind == ValueKind::FnRef) {
+    const Chunk *T = &(UseRawChunks ? CP.RawFuncs : CP.Funcs)[Callee.fnId()];
+    if (T->NumParams == NArgs)
+      return T;
+    trap("arity mismatch calling '" +
+         std::string(CP.Prog->symbols().name(T->Fn->Name)) + "'");
+    return nullptr;
+  }
+  if (Callee.Kind != ValueKind::HeapRef ||
+      Callee.Ref->H.Kind != CellKind::Closure) {
+    trap("calling a non-function value");
+    return nullptr;
+  }
+  Clo = Callee.Ref;
+  const auto *Lm = static_cast<const LamExpr *>(Clo->field(0).rawPtr());
+  const Chunk *T = &(UseRawChunks ? CP.RawLams : CP.Lams)[Lm->lamId()];
+  if (T->NumParams == NArgs)
+    return T;
+  trap("arity mismatch calling a closure");
+  return nullptr;
 }
 
 /// Rule (app_r), same order as Machine::doCall: the callee's arguments
@@ -233,7 +318,14 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
   return R;
 }
 
-void VM::execute(const Chunk *Entry, RunResult &R) {
+// Every handler ends in the same dispatch sequence, and GCC's
+// cross-jumping merges identical tails into a few shared indirect jumps
+// unless the dispatch block has more than 100 incoming edges, which is
+// all that kept them apart at 85 opcodes. Merged, wire-hot's short runs
+// read 5-11% slower (E24); one indirect jump per handler exit predicts
+// better.
+[[gnu::optimize("no-crossjumping")]] void VM::execute(const Chunk *Entry,
+                                                      RunResult &R) {
   const Chunk *Ch = Entry;
   const Instr *Code = Ch->Code.data();
   const std::vector<Chunk> &FuncTab = UseRawChunks ? CP.RawFuncs : CP.Funcs;
@@ -259,6 +351,13 @@ void VM::execute(const Chunk *Entry, RunResult &R) {
   do {                                                                         \
     trap(Msg, Kind);                                                           \
     goto Exit;                                                                 \
+  } while (0)
+  // Runs a primitive's one definition (checkedArith or compare) into Out,
+  // trapping with its message.
+#define VM_PRIM(Helper, Kind, A, B, Out)                                       \
+  do {                                                                         \
+    if (const char *Msg_ = Helper(Kind, A, B, Out))                            \
+      VM_TRAP(Msg_, TrapKind::RuntimeError);                                   \
   } while (0)
 
   // Re-derive the cached frame pointer after anything that resizes the
@@ -471,25 +570,10 @@ Execute:
     VM_DISPATCH();
   }
   VM_CASE(Call) {
-    Value Callee = RF[I->C];
-    const Chunk *T;
     Cell *Clo = nullptr;
-    if (Callee.Kind == ValueKind::FnRef) {
-      T = &FuncTab[Callee.fnId()];
-      if (T->NumParams != I->A)
-        VM_TRAP("arity mismatch calling '" +
-                    std::string(CP.Prog->symbols().name(T->Fn->Name)) + "'",
-                TrapKind::RuntimeError);
-    } else if (Callee.Kind == ValueKind::HeapRef &&
-               Callee.Ref->H.Kind == CellKind::Closure) {
-      Clo = Callee.Ref;
-      const auto *Lm = static_cast<const LamExpr *>(Clo->field(0).rawPtr());
-      T = &LamTab[Lm->lamId()];
-      if (T->NumParams != I->A)
-        VM_TRAP("arity mismatch calling a closure", TrapKind::RuntimeError);
-    } else {
-      VM_TRAP("calling a non-function value", TrapKind::RuntimeError);
-    }
+    const Chunk *T = resolveCallee(RF[I->C], I->A, Clo);
+    if (!T)
+      goto Exit;
     VM_PUSH_FRAME();
     const Expr *SiteE = VM_SITE(Sites);
     BaseL += I->C + 1; // arguments start one past the callee register
@@ -507,25 +591,10 @@ Execute:
     VM_DISPATCH();
   }
   VM_CASE(TailCall) {
-    Value Callee = RF[I->C];
-    const Chunk *T;
     Cell *Clo = nullptr;
-    if (Callee.Kind == ValueKind::FnRef) {
-      T = &FuncTab[Callee.fnId()];
-      if (T->NumParams != I->A)
-        VM_TRAP("arity mismatch calling '" +
-                    std::string(CP.Prog->symbols().name(T->Fn->Name)) + "'",
-                TrapKind::RuntimeError);
-    } else if (Callee.Kind == ValueKind::HeapRef &&
-               Callee.Ref->H.Kind == CellKind::Closure) {
-      Clo = Callee.Ref;
-      const auto *Lm = static_cast<const LamExpr *>(Clo->field(0).rawPtr());
-      T = &LamTab[Lm->lamId()];
-      if (T->NumParams != I->A)
-        VM_TRAP("arity mismatch calling a closure", TrapKind::RuntimeError);
-    } else {
-      VM_TRAP("calling a non-function value", TrapKind::RuntimeError);
-    }
+    const Chunk *T = resolveCallee(RF[I->C], I->A, Clo);
+    if (!T)
+      goto Exit;
     ++R.TailCalls;
     const Expr *SiteE = VM_SITE(Sites);
     for (uint32_t J = 0; J != I->A; ++J) // forward copy; window+1 > dst
@@ -705,55 +774,33 @@ Execute:
 
   //===--- Primitives -----------------------------------------------------===//
   VM_CASE(Add) {
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
     int64_t V = 0;
-    if (const char *Msg = checkedArith(ArithKind::Add, A.Int, B.Int, V))
-      VM_TRAP(Msg, TrapKind::RuntimeError);
+    VM_PRIM(checkedArith, ArithKind::Add, RF[I->C], RF[I->D], V);
     RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(Sub) {
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
     int64_t V = 0;
-    if (const char *Msg = checkedArith(ArithKind::Sub, A.Int, B.Int, V))
-      VM_TRAP(Msg, TrapKind::RuntimeError);
+    VM_PRIM(checkedArith, ArithKind::Sub, RF[I->C], RF[I->D], V);
     RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(Mul) {
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
     int64_t V = 0;
-    if (const char *Msg = checkedArith(ArithKind::Mul, A.Int, B.Int, V))
-      VM_TRAP(Msg, TrapKind::RuntimeError);
+    VM_PRIM(checkedArith, ArithKind::Mul, RF[I->C], RF[I->D], V);
     RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(Div) {
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    if (B.Int == 0)
-      VM_TRAP("division by zero", TrapKind::RuntimeError);
-    if (A.Int == INT64_MIN && B.Int == -1)
-      VM_TRAP("integer overflow in division", TrapKind::RuntimeError);
-    RF[I->B] = Value::makeInt(A.Int / B.Int);
+    int64_t V = 0;
+    VM_PRIM(checkedArith, ArithKind::Div, RF[I->C], RF[I->D], V);
+    RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(Mod) {
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
-    if (B.Int == 0)
-      VM_TRAP("modulo by zero", TrapKind::RuntimeError);
-    if (A.Int == INT64_MIN && B.Int == -1)
-      VM_TRAP("integer overflow in modulo", TrapKind::RuntimeError);
-    RF[I->B] = Value::makeInt(A.Int % B.Int);
+    int64_t V = 0;
+    VM_PRIM(checkedArith, ArithKind::Mod, RF[I->C], RF[I->D], V);
+    RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(Neg) {
@@ -765,62 +812,10 @@ Execute:
     RF[I->B] = Value::makeInt(-A.Int);
     VM_NEXT();
   }
-  VM_CASE(Lt) {
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-    RF[I->B] = Value::makeBool(A.Int < B.Int);
-    VM_NEXT();
-  }
-  VM_CASE(Le) {
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-    RF[I->B] = Value::makeBool(A.Int <= B.Int);
-    VM_NEXT();
-  }
-  VM_CASE(Gt) {
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-    RF[I->B] = Value::makeBool(A.Int > B.Int);
-    VM_NEXT();
-  }
-  VM_CASE(Ge) {
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-    RF[I->B] = Value::makeBool(A.Int >= B.Int);
-    VM_NEXT();
-  }
-  VM_CASE(EqVal) {
-    Value A = RF[I->C], B = RF[I->D];
-    bool Eq;
-    if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
-      Eq = A.Int == B.Int;
-    else if (A.Kind == ValueKind::Bool && B.Kind == ValueKind::Bool)
-      Eq = (A.Int != 0) == (B.Int != 0);
-    else if (A.Kind == ValueKind::Enum && B.Kind == ValueKind::Enum)
-      Eq = A.Bits == B.Bits;
-    else
-      VM_TRAP("equality on incompatible or heap values",
-              TrapKind::RuntimeError);
-    RF[I->B] = Value::makeBool(Eq);
-    VM_NEXT();
-  }
-  VM_CASE(NeVal) {
-    Value A = RF[I->C], B = RF[I->D];
-    bool Eq;
-    if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
-      Eq = A.Int == B.Int;
-    else if (A.Kind == ValueKind::Bool && B.Kind == ValueKind::Bool)
-      Eq = (A.Int != 0) == (B.Int != 0);
-    else if (A.Kind == ValueKind::Enum && B.Kind == ValueKind::Enum)
-      Eq = A.Bits == B.Bits;
-    else
-      VM_TRAP("equality on incompatible or heap values",
-              TrapKind::RuntimeError);
-    RF[I->B] = Value::makeBool(!Eq);
+  VM_CASE(Cmp) {
+    bool Res = false;
+    VM_PRIM(compare, static_cast<CmpKind>(I->A), RF[I->C], RF[I->D], Res);
+    RF[I->B] = Value::makeBool(Res);
     VM_NEXT();
   }
   VM_CASE(Not) {
@@ -952,77 +947,6 @@ Execute:
     H.dup(RF[static_cast<uint16_t>(I->E)]);
     VM_NEXT();
   }
-  VM_CASE(Drop3) {
-    ++R.Rc.FusedOps;
-    R.Rc.FusedRcOps += 3;
-    VM_STAMP(Sites, "drop");
-    ++R.Rc.Drops;
-    H.drop(RF[I->C]);
-    VM_STAMP(Sites2, "drop");
-    ++R.Rc.Drops;
-    H.drop(RF[I->D]);
-    VM_STAMP(Sites3, "drop");
-    ++R.Rc.Drops;
-    H.drop(RF[static_cast<uint16_t>(I->E)]);
-    VM_NEXT();
-  }
-  VM_CASE(DupCallStatic) {
-    ++R.Rc.FusedOps;
-    ++R.Rc.FusedRcOps;
-    VM_STAMP(Sites, "dup");
-    ++R.Rc.Dups;
-    H.dup(RF[I->D]);
-    const Chunk *T = &FuncTab[I->E];
-    VM_PUSH_FRAME();
-    BaseL += I->C; // the argument window is the callee's parameter region
-    VM_ENTER(T, I->A);
-    VM_DISPATCH();
-  }
-  VM_CASE(DupCall) {
-    ++R.Rc.FusedOps;
-    ++R.Rc.FusedRcOps;
-    VM_STAMP(Sites2, "dup");
-    ++R.Rc.Dups;
-    H.dup(RF[I->D]);
-    Value Callee = RF[I->C];
-    const Chunk *T;
-    Cell *Clo = nullptr;
-    if (Callee.Kind == ValueKind::FnRef) {
-      T = &FuncTab[Callee.fnId()];
-      if (T->NumParams != I->A)
-        VM_TRAP("arity mismatch calling '" +
-                    std::string(CP.Prog->symbols().name(T->Fn->Name)) + "'",
-                TrapKind::RuntimeError);
-    } else if (Callee.Kind == ValueKind::HeapRef &&
-               Callee.Ref->H.Kind == CellKind::Closure) {
-      Clo = Callee.Ref;
-      const auto *Lm = static_cast<const LamExpr *>(Clo->field(0).rawPtr());
-      T = &LamTab[Lm->lamId()];
-      if (T->NumParams != I->A)
-        VM_TRAP("arity mismatch calling a closure", TrapKind::RuntimeError);
-    } else {
-      VM_TRAP("calling a non-function value", TrapKind::RuntimeError);
-    }
-    VM_PUSH_FRAME();
-    const Expr *SiteE = VM_SITE(Sites);
-    BaseL += I->C + 1; // arguments start one past the callee register
-    VM_ENTER(T, I->A);
-    if (Clo)
-      applyClosure(T, Clo, SiteE, RF);
-    VM_DISPATCH();
-  }
-  VM_CASE(IsUniqueReuse) {
-    ++R.Rc.FusedOps;
-    ++R.Rc.FusedRcOps;
-    VM_STAMP(Sites, "is-unique");
-    ++R.Rc.IsUniques;
-    Value V = RF[I->C];
-    if (H.isUnique(V))
-      RF[I->B] = Value::makeToken(V.Ref); // the fused ReuseAddr
-    else
-      VM_JUMP(I->E);
-    VM_NEXT();
-  }
   VM_CASE(SetFieldToken) {
     ++R.Rc.FusedOps;
     Value Tok = RF[I->C];
@@ -1058,109 +982,40 @@ Execute:
   }
   VM_CASE(LtBr) {
     ++R.Rc.FusedOps;
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-    if (!(A.Int < B.Int))
+    bool Res = false;
+    VM_PRIM(compare, CmpKind::Lt, RF[I->C], RF[I->D], Res);
+    if (!Res)
       VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(LeBr) {
     ++R.Rc.FusedOps;
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-    if (!(A.Int <= B.Int))
-      VM_JUMP(I->E);
-    VM_NEXT();
-  }
-  VM_CASE(GtBr) {
-    ++R.Rc.FusedOps;
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-    if (!(A.Int > B.Int))
-      VM_JUMP(I->E);
-    VM_NEXT();
-  }
-  VM_CASE(GeBr) {
-    ++R.Rc.FusedOps;
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-    if (!(A.Int >= B.Int))
+    bool Res = false;
+    VM_PRIM(compare, CmpKind::Le, RF[I->C], RF[I->D], Res);
+    if (!Res)
       VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(EqBr) {
     ++R.Rc.FusedOps;
-    Value A = RF[I->C], B = RF[I->D];
-    bool Eq;
-    if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
-      Eq = A.Int == B.Int;
-    else if (A.Kind == ValueKind::Bool && B.Kind == ValueKind::Bool)
-      Eq = (A.Int != 0) == (B.Int != 0);
-    else if (A.Kind == ValueKind::Enum && B.Kind == ValueKind::Enum)
-      Eq = A.Bits == B.Bits;
-    else
-      VM_TRAP("equality on incompatible or heap values",
-              TrapKind::RuntimeError);
-    if (!Eq)
+    bool Res = false;
+    VM_PRIM(compare, CmpKind::Eq, RF[I->C], RF[I->D], Res);
+    if (!Res)
       VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(NeBr) {
     ++R.Rc.FusedOps;
-    Value A = RF[I->C], B = RF[I->D];
-    bool Eq;
-    if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
-      Eq = A.Int == B.Int;
-    else if (A.Kind == ValueKind::Bool && B.Kind == ValueKind::Bool)
-      Eq = (A.Int != 0) == (B.Int != 0);
-    else if (A.Kind == ValueKind::Enum && B.Kind == ValueKind::Enum)
-      Eq = A.Bits == B.Bits;
-    else
-      VM_TRAP("equality on incompatible or heap values",
-              TrapKind::RuntimeError);
-    if (Eq)
+    bool Res = false;
+    VM_PRIM(compare, CmpKind::Ne, RF[I->C], RF[I->D], Res);
+    if (!Res)
       VM_JUMP(I->E);
     VM_NEXT();
   }
   VM_CASE(CmpConstBr) {
     ++R.Rc.FusedOps;
-    Value A = RF[I->C], B = Consts[I->D];
-    CmpBrKind K = static_cast<CmpBrKind>(I->A);
-    bool Res;
-    if (K == CmpBrKind::Eq || K == CmpBrKind::Ne) {
-      bool Eq;
-      if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
-        Eq = A.Int == B.Int;
-      else if (A.Kind == ValueKind::Bool && B.Kind == ValueKind::Bool)
-        Eq = (A.Int != 0) == (B.Int != 0);
-      else if (A.Kind == ValueKind::Enum && B.Kind == ValueKind::Enum)
-        Eq = A.Bits == B.Bits;
-      else
-        VM_TRAP("equality on incompatible or heap values",
-                TrapKind::RuntimeError);
-      Res = K == CmpBrKind::Eq ? Eq : !Eq;
-    } else {
-      if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-        VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-      switch (K) {
-      case CmpBrKind::Lt:
-        Res = A.Int < B.Int;
-        break;
-      case CmpBrKind::Le:
-        Res = A.Int <= B.Int;
-        break;
-      case CmpBrKind::Gt:
-        Res = A.Int > B.Int;
-        break;
-      default:
-        Res = A.Int >= B.Int;
-        break;
-      }
-    }
+    bool Res = false;
+    VM_PRIM(compare, static_cast<CmpKind>(I->A), RF[I->C], Consts[I->D], Res);
     if (!Res)
       VM_JUMP(I->E);
     VM_NEXT();
@@ -1171,63 +1026,22 @@ Execute:
     // skipped JumpIfFalse's non-boolean trap was unreachable, and its
     // condition temp is dead on this path (the write is elided).
     ++R.Rc.FusedOps;
-    Value A = RF[I->C], B = RF[I->D];
-    CmpBrKind K = static_cast<CmpBrKind>(I->A);
-    bool Res;
-    if (K == CmpBrKind::Eq || K == CmpBrKind::Ne) {
-      bool Eq;
-      if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
-        Eq = A.Int == B.Int;
-      else if (A.Kind == ValueKind::Bool && B.Kind == ValueKind::Bool)
-        Eq = (A.Int != 0) == (B.Int != 0);
-      else if (A.Kind == ValueKind::Enum && B.Kind == ValueKind::Enum)
-        Eq = A.Bits == B.Bits;
-      else
-        VM_TRAP("equality on incompatible or heap values",
-                TrapKind::RuntimeError);
-      Res = K == CmpBrKind::Eq ? Eq : !Eq;
-    } else {
-      if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-        VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-      switch (K) {
-      case CmpBrKind::Lt:
-        Res = A.Int < B.Int;
-        break;
-      case CmpBrKind::Le:
-        Res = A.Int <= B.Int;
-        break;
-      case CmpBrKind::Gt:
-        Res = A.Int > B.Int;
-        break;
-      default:
-        Res = A.Int >= B.Int;
-        break;
-      }
-    }
+    bool Res = false;
+    VM_PRIM(compare, static_cast<CmpKind>(I->A), RF[I->C], RF[I->D], Res);
     VM_JUMP(Res ? I->B : I->E);
   }
   VM_CASE(MoveArith) {
     ++R.Rc.FusedOps;
     RF[static_cast<uint16_t>(I->E >> 16)] = RF[static_cast<uint16_t>(I->E)];
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
     int64_t V = 0;
-    if (const char *Msg = checkedArith(static_cast<ArithKind>(I->A), A.Int,
-                                       B.Int, V))
-      VM_TRAP(Msg, TrapKind::RuntimeError);
+    VM_PRIM(checkedArith, static_cast<ArithKind>(I->A), RF[I->C], RF[I->D], V);
     RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(ArithMove) {
     ++R.Rc.FusedOps;
-    Value A = RF[I->C], B = RF[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
     int64_t V = 0;
-    if (const char *Msg = checkedArith(static_cast<ArithKind>(I->A), A.Int,
-                                       B.Int, V))
-      VM_TRAP(Msg, TrapKind::RuntimeError);
+    VM_PRIM(checkedArith, static_cast<ArithKind>(I->A), RF[I->C], RF[I->D], V);
     RF[I->B] = Value::makeInt(V);
     RF[static_cast<uint16_t>(I->E >> 16)] = RF[static_cast<uint16_t>(I->E)];
     VM_NEXT();
@@ -1237,13 +1051,9 @@ Execute:
     // condition (either operand non-integer) is checked exactly as the
     // component arith did, constants included.
     ++R.Rc.FusedOps;
-    Value A = RF[I->C], B = Consts[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
     int64_t V = 0;
-    if (const char *Msg = checkedArith(static_cast<ArithKind>(I->A), A.Int,
-                                       B.Int, V))
-      VM_TRAP(Msg, TrapKind::RuntimeError);
+    VM_PRIM(checkedArith, static_cast<ArithKind>(I->A), RF[I->C],
+            Consts[I->D], V);
     RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
@@ -1263,27 +1073,6 @@ Execute:
       RF[J] = RF[I->C + J];
     VM_ENTER(T, I->A);
     VM_DISPATCH();
-  }
-  VM_CASE(IsUniqueBrDup2) {
-    // The reuse-specialized match arm prologue: probe, then dup the two
-    // fields — but only on the unique path, exactly like the unfused
-    // IsUniqueBr whose else-branch skipped them.
-    ++R.Rc.FusedOps;
-    ++R.Rc.FusedRcOps;
-    VM_STAMP(Sites, "is-unique");
-    ++R.Rc.IsUniques;
-    if (H.isUnique(RF[I->C])) {
-      R.Rc.FusedRcOps += 2;
-      VM_STAMP(Sites2, "dup");
-      ++R.Rc.Dups;
-      H.dup(RF[I->B]);
-      VM_STAMP(Sites3, "dup");
-      ++R.Rc.Dups;
-      H.dup(RF[I->D]);
-    } else {
-      VM_JUMP(I->E);
-    }
-    VM_NEXT();
   }
   VM_CASE(DecLoadConst) {
     ++R.Rc.FusedOps;
@@ -1305,21 +1094,6 @@ Execute:
       RF[I->C] = RF[I->D];
     VM_NEXT();
   }
-  VM_CASE(JfDrop) {
-    ++R.Rc.FusedOps;
-    Value V = RF[I->B];
-    if (V.Kind != ValueKind::Bool)
-      VM_TRAP("if condition is not a boolean", TrapKind::RuntimeError);
-    if (!V.asBool()) {
-      VM_JUMP(I->E);
-    } else {
-      ++R.Rc.FusedRcOps;
-      VM_STAMP(Sites2, "drop");
-      ++R.Rc.Drops;
-      H.drop(RF[I->C]);
-    }
-    VM_NEXT();
-  }
   VM_CASE(DropLoadConst) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
@@ -1336,18 +1110,6 @@ Execute:
     ++R.Rc.Drops;
     H.drop(RF[I->C]);
     VM_RETURN(Consts[I->E]);
-  }
-  VM_CASE(DupDecLoadConst) {
-    ++R.Rc.FusedOps;
-    R.Rc.FusedRcOps += 2;
-    VM_STAMP(Sites, "dup");
-    ++R.Rc.Dups;
-    H.dup(RF[I->C]);
-    VM_STAMP(Sites2, "decref");
-    ++R.Rc.DecRefs;
-    H.decref(RF[I->D]);
-    RF[I->B] = Consts[I->E];
-    VM_NEXT();
   }
   VM_CASE(Dup2DecLoadConst) {
     ++R.Rc.FusedOps;
@@ -1392,25 +1154,17 @@ Execute:
   VM_CASE(MoveArithConst) {
     ++R.Rc.FusedOps;
     RF[static_cast<uint16_t>(I->E >> 16)] = RF[static_cast<uint16_t>(I->E)];
-    Value A = RF[I->C], B = Consts[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
     int64_t V = 0;
-    if (const char *Msg = checkedArith(static_cast<ArithKind>(I->A), A.Int,
-                                       B.Int, V))
-      VM_TRAP(Msg, TrapKind::RuntimeError);
+    VM_PRIM(checkedArith, static_cast<ArithKind>(I->A), RF[I->C],
+            Consts[I->D], V);
     RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
   VM_CASE(ArithConstMove) {
     ++R.Rc.FusedOps;
-    Value A = RF[I->C], B = Consts[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
     int64_t V = 0;
-    if (const char *Msg = checkedArith(static_cast<ArithKind>(I->A), A.Int,
-                                       B.Int, V))
-      VM_TRAP(Msg, TrapKind::RuntimeError);
+    VM_PRIM(checkedArith, static_cast<ArithKind>(I->A), RF[I->C],
+            Consts[I->D], V);
     RF[I->B] = Value::makeInt(V);
     RF[static_cast<uint16_t>(I->E >> 16)] = RF[static_cast<uint16_t>(I->E)];
     VM_NEXT();
@@ -1418,39 +1172,8 @@ Execute:
   VM_CASE(MoveCmpConstBr) {
     ++R.Rc.FusedOps;
     RF[I->C] = RF[I->B]; // the fused move feeds the compare's lhs
-    Value A = RF[I->C], B = Consts[I->D];
-    CmpBrKind K = static_cast<CmpBrKind>(I->A);
-    bool Res;
-    if (K == CmpBrKind::Eq || K == CmpBrKind::Ne) {
-      bool Eq;
-      if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
-        Eq = A.Int == B.Int;
-      else if (A.Kind == ValueKind::Bool && B.Kind == ValueKind::Bool)
-        Eq = (A.Int != 0) == (B.Int != 0);
-      else if (A.Kind == ValueKind::Enum && B.Kind == ValueKind::Enum)
-        Eq = A.Bits == B.Bits;
-      else
-        VM_TRAP("equality on incompatible or heap values",
-                TrapKind::RuntimeError);
-      Res = K == CmpBrKind::Eq ? Eq : !Eq;
-    } else {
-      if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-        VM_TRAP("comparison of non-integers", TrapKind::RuntimeError);
-      switch (K) {
-      case CmpBrKind::Lt:
-        Res = A.Int < B.Int;
-        break;
-      case CmpBrKind::Le:
-        Res = A.Int <= B.Int;
-        break;
-      case CmpBrKind::Gt:
-        Res = A.Int > B.Int;
-        break;
-      default:
-        Res = A.Int >= B.Int;
-        break;
-      }
-    }
+    bool Res = false;
+    VM_PRIM(compare, static_cast<CmpKind>(I->A), RF[I->C], Consts[I->D], Res);
     if (!Res)
       VM_JUMP(I->E);
     VM_NEXT();
@@ -1478,13 +1201,9 @@ Execute:
   }
   VM_CASE(ArithConstRet) {
     ++R.Rc.FusedOps;
-    Value A = RF[I->C], B = Consts[I->D];
-    if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int)
-      VM_TRAP("arithmetic on a non-integer", TrapKind::RuntimeError);
     int64_t V = 0;
-    if (const char *Msg = checkedArith(static_cast<ArithKind>(I->A), A.Int,
-                                       B.Int, V))
-      VM_TRAP(Msg, TrapKind::RuntimeError);
+    VM_PRIM(checkedArith, static_cast<ArithKind>(I->A), RF[I->C],
+            Consts[I->D], V);
     VM_RETURN(Value::makeInt(V));
   }
   VM_CASE(IsUniqueReuseJmp) {
@@ -1518,6 +1237,7 @@ Exit:
 #undef VM_NEXT
 #undef VM_JUMP
 #undef VM_TRAP
+#undef VM_PRIM
 #undef VM_REFRAME
 #undef VM_SWITCH_CHUNK
 #undef VM_SITE

@@ -39,7 +39,23 @@
 #include <type_traits>
 #include <vector>
 
+// Build with -DPERCEUS_VM_PROFILE=1 to tally every executed opcode pair
+// into perceus::VmPairProfile (indexed [prev][cur]). This is how the
+// superinstruction set in bytecode/Peephole.cpp was chosen: run the
+// benchmarks on a profiled build, rank the pair counts, fuse the top
+// ones. Off by default — the counter write would cost more than some
+// handlers.
+#ifndef PERCEUS_VM_PROFILE
+#define PERCEUS_VM_PROFILE 0
+#endif
+
 namespace perceus {
+
+#if PERCEUS_VM_PROFILE
+/// Executed opcode pairs, [previous opcode][dispatched opcode], summed
+/// over every VM in the process (not synchronized).
+extern uint64_t VmPairProfile[NumOpcodes][NumOpcodes];
+#endif
 
 /// The flat register stack backing all frames: a drop-in for
 /// std::vector<Value> whose size changes stay inline. Frames grow and
@@ -167,6 +183,7 @@ private:
   };
 
   void execute(const Chunk *Entry, RunResult &R);
+  const Chunk *resolveCallee(Value Callee, uint32_t NArgs, Cell *&Clo);
   void applyClosure(const Chunk *T, Cell *Clo, const Expr *CallSite,
                     Value *RF);
   void trap(std::string Msg, TrapKind Kind = TrapKind::RuntimeError);

@@ -19,7 +19,10 @@
 /// exhaustive failing-allocation sweep pins the two tiers to the same
 /// trap point, the same unwind size, and the same (empty) final heap on
 /// every error path. Random lambda-1 programs are checked against the
-/// Figure 6 semantics in tests/eval/random_machine_test.cpp.
+/// Figure 6 semantics in tests/eval/random_machine_test.cpp. Every run
+/// is capped by fuel and live bytes far above any correct run, and in a
+/// -DPERCEUS_VM_PROFILE=1 build an opcode census requires the corpus to
+/// execute every superinstruction.
 ///
 /// Dispatch metrics (Steps, TailCalls, MaxCallDepth, MaxLocalsSlots) are
 /// not frozen: they are the VM's own. Heap statistics in the tracing-GC
@@ -39,6 +42,8 @@
 #include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace perceus;
 
@@ -75,6 +80,14 @@ std::vector<std::pair<const char *, PassConfig>> allConfigs() {
           {"gc", PassConfig::gc()}};
 }
 
+/// Full Perceus without drop-reuse specialization: every drop-reuse
+/// stays one DropReuse instruction, as in Figure 1's stage (e).
+PassConfig perceusNoDropSpec() {
+  PassConfig C = PassConfig::perceusFull();
+  C.EnableDropSpec = false;
+  return C;
+}
+
 uint64_t mix(uint64_t H, uint64_t V) {
   H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
   return H;
@@ -109,11 +122,21 @@ struct Observed {
   HeapStats Heap;
   uint64_t Checksum = 0;
   bool HeapEmpty = false;
+  uint64_t Elided = 0; ///< RC instructions the peephole tier deleted
 };
+
+/// Caps far above every correct run here (the longest takes about
+/// 190 000 steps, the largest peak is about 330 KB), so a broken compile
+/// that loops or balloons fails fast as a trap mismatch.
+constexpr uint64_t FuelCap = 10'000'000;
+constexpr size_t LiveBytesCap = 32u << 20;
 
 Observed runOn(const DiffCase &C, const PassConfig &Config, bool Peephole,
                FaultInjector *FI = nullptr) {
-  EngineConfig EC = EngineConfig{}.withPeephole(Peephole);
+  RunLimits L;
+  L.Fuel = FuelCap;
+  L.Heap.MaxLiveBytes = LiveBytesCap;
+  EngineConfig EC = EngineConfig{}.withPeephole(Peephole).withLimits(L);
   EC.Injector = FI;
   Runner R(C.Source, Config, EC);
   EXPECT_TRUE(R.ok()) << R.diagnostics().str();
@@ -123,6 +146,7 @@ Observed runOn(const DiffCase &C, const PassConfig &Config, bool Peephole,
   O.Run = R.callInt(C.Entry, {C.N});
   O.Heap = R.heap().stats();
   O.HeapEmpty = R.heapIsEmpty();
+  O.Elided = R.peepholeReport().totalElided();
   return O;
 }
 
@@ -610,7 +634,8 @@ TEST(EngineDiff, EveryProgramEveryConfigMatchesTheGoldens) {
 
 /// The peephole tier must actually bite on the benchmark programs in the
 /// full configuration — a silent no-op pass would keep every test above
-/// green while delivering nothing.
+/// green while delivering nothing. It must fuse, and it must elide: the
+/// conservation law holds trivially when nothing is elided.
 TEST(EngineDiff, PeepholeFusesAndElidesOnTheBenchmarks) {
   for (const DiffCase &C : diffCases()) {
     SCOPED_TRACE(C.Name);
@@ -618,7 +643,93 @@ TEST(EngineDiff, PeepholeFusesAndElidesOnTheBenchmarks) {
     Observed Peep = runOn(C, PassConfig::perceusFull(), /*Peephole=*/true);
     EXPECT_GT(Peep.Run.Rc.FusedOps, 0u);
     EXPECT_LT(Peep.Run.Steps, Plain.Run.Steps);
+    EXPECT_GT(Peep.Elided, 0u);
+    const RcInstrCounts &A = Plain.Run.Rc, &B = Peep.Run.Rc;
+    EXPECT_LT(B.Dups + B.Drops + B.DecRefs, A.Dups + A.Drops + A.DecRefs);
+    EXPECT_LT(Peep.Heap.NonHeapRcOps, Plain.Heap.NonHeapRcOps);
   }
+}
+
+/// A drop-reuse in value position: the match is a `val` initializer, so
+/// its arm compiles through the value path. Every drop-reuse of the
+/// corpus is in tail position.
+const char *const ValueReuseSource = R"(
+type list {
+  Cons(head, tail)
+  Nil
+}
+fun build(n) { if n == 0 then Nil else Cons(n, build(n - 1)) }
+fun sum(xs) { match xs { Nil -> 0  Cons(x, rest) -> x + sum(rest) } }
+fun main(n) {
+  val s = match build(n) {
+    Nil -> 0
+    Cons(x, rest) -> sum(Cons(x * 2, rest))
+  }
+  s + 1
+}
+)";
+
+/// Without drop-reuse specialization every drop-reuse runs as one
+/// DropReuse instruction, so the VM's handler and the compiler paths that
+/// emit it execute. Specialization only moves RC work around, so both
+/// tiers must still give the perceus reference's result, allocations,
+/// frees, peak bytes and reuse outcome, and an empty heap. The reference
+/// is the corpus's perceus golden row, or for the value-position case a
+/// raw perceus run.
+TEST(EngineDiff, UnspecializedDropReuseMatchesThePerceusGoldens) {
+  std::vector<std::pair<DiffCase, Observed>> Cases;
+  for (const DiffCase &C : diffCases()) {
+    const Golden *G = findGolden(CorpusGoldens, C.Name, "perceus");
+    ASSERT_NE(G, nullptr);
+    Cases.push_back({C, fromGolden(*G)});
+  }
+  DiffCase ValueReuse{"value-reuse", ValueReuseSource, "main", 40};
+  Cases.push_back({ValueReuse, runOn(ValueReuse, PassConfig::perceusFull(),
+                                     /*Peephole=*/false)});
+  for (const auto &[C, Ref] : Cases) {
+    SCOPED_TRACE(C.Name);
+    ASSERT_TRUE(Ref.Run.Ok) << Ref.Run.Error;
+    for (bool Peephole : {false, true}) {
+      SCOPED_TRACE(Peephole ? "vm-peep" : "vm");
+      Observed Vm = runOn(C, perceusNoDropSpec(), Peephole);
+      ASSERT_TRUE(Vm.Run.Ok) << Vm.Run.Error;
+      EXPECT_EQ(Ref.Run.Output, Vm.Run.Output);
+      EXPECT_EQ(Ref.Run.Result.Kind, Vm.Run.Result.Kind);
+      EXPECT_EQ(Ref.Checksum, Vm.Checksum);
+      EXPECT_EQ(Ref.Heap.Allocs, Vm.Heap.Allocs);
+      EXPECT_EQ(Ref.Heap.Frees, Vm.Heap.Frees);
+      EXPECT_EQ(Ref.Heap.PeakBytes, Vm.Heap.PeakBytes);
+      EXPECT_EQ(Ref.Run.ReuseHits, Vm.Run.ReuseHits);
+      EXPECT_EQ(Ref.Run.ReuseMisses, Vm.Run.ReuseMisses);
+      EXPECT_TRUE(Vm.HeapEmpty);
+      if (Ref.Run.ReuseHits + Ref.Run.ReuseMisses > 0) {
+        EXPECT_GT(Vm.Run.Rc.DropReuses, 0u);
+      }
+    }
+  }
+}
+
+/// The opcode census: on the peephole tier, the corpus under every
+/// configuration executes every superinstruction at least once. A fused
+/// opcode that no built-in program runs is a handler no test exercises
+/// and no benchmark gains from, so it fails here until it is deleted.
+/// Counting needs the opcode-pair profile (-DPERCEUS_VM_PROFILE=1).
+TEST(EngineDiff, EverySuperinstructionExecutesOnTheCorpus) {
+#if PERCEUS_VM_PROFILE
+  std::memset(VmPairProfile, 0, sizeof(VmPairProfile));
+  for (const DiffCase &C : diffCases())
+    for (const auto &[Name, Config] : allConfigs())
+      runOn(C, Config, /*Peephole=*/true);
+  for (size_t Cur = FirstSuperinstruction; Cur != NumOpcodes; ++Cur) {
+    uint64_t Executed = 0;
+    for (size_t Prev = 0; Prev != NumOpcodes; ++Prev)
+      Executed += VmPairProfile[Prev][Cur];
+    EXPECT_GT(Executed, 0u) << opName(static_cast<Op>(Cur))
+                            << " never executes on the corpus";
+  }
+#else
+  GTEST_SKIP() << "counting opcodes needs a -DPERCEUS_VM_PROFILE=1 build";
+#endif
 }
 
 /// The exhaustive failing-allocation sweep, differentially: for every k,

@@ -50,10 +50,15 @@ std::vector<Case> cases() {
   };
 }
 
+/// The five stock configurations, plus full Perceus without drop-reuse
+/// specialization, whose unspecialized DropReuse instructions must
+/// unwind cleanly too.
 std::vector<PassConfig> allConfigs() {
+  PassConfig NoDropSpec = PassConfig::perceusFull();
+  NoDropSpec.EnableDropSpec = false;
   return {PassConfig::perceusFull(), PassConfig::perceusNoOpt(),
           PassConfig::perceusBorrow(), PassConfig::scoped(),
-          PassConfig::gc()};
+          PassConfig::gc(), NoDropSpec};
 }
 
 class FaultSweep : public ::testing::TestWithParam<size_t> {};

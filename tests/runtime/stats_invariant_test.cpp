@@ -40,12 +40,19 @@ std::vector<BenchProgram> invariantPrograms() {
   return Ps;
 }
 
+/// The five stock configurations, plus full Perceus without drop-reuse
+/// specialization, which leaves every drop-reuse one DropReuse
+/// instruction (Figure 1's stage (e)) so its implicit RC calls are
+/// ledgered too.
 std::vector<std::pair<const char *, PassConfig>> allConfigs() {
+  PassConfig NoDropSpec = PassConfig::perceusFull();
+  NoDropSpec.EnableDropSpec = false;
   return {{"perceus", PassConfig::perceusFull()},
           {"perceus-noopt", PassConfig::perceusNoOpt()},
           {"perceus-borrow", PassConfig::perceusBorrow()},
           {"scoped-rc", PassConfig::scoped()},
-          {"gc", PassConfig::gc()}};
+          {"gc", PassConfig::gc()},
+          {"perceus-no-drop-spec", NoDropSpec}};
 }
 
 TEST(StatsInvariant, EveryRcCallIsClassifiedExactlyOnce) {
