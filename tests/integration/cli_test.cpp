@@ -517,4 +517,41 @@ TEST(PercCli, OverDeepProgramsAreCompileErrorsOnBothTiers) {
   }
 }
 
+TEST(PercCli, OutOfRangeIntegerLiteralsAreCompileErrors) {
+  // A literal past INT64_MAX is one diagnostic at the literal (exit 1),
+  // never a wrapped value; a serving process answers each request with a
+  // structured compile-error and lives on.
+  const std::string Msg =
+      "integer literal is out of range (at most 9223372036854775807)";
+  for (const char *Literal :
+       {"9223372036854775808", "99999999999999999999"}) {
+    std::string File = testing::TempDir() + "/big_literal.perc";
+    std::ofstream(File) << "fun main(n) { " << Literal << " }\n";
+    for (const std::string E : Tiers) {
+      int Exit = -1;
+      std::string Out = runPercCapture(File + E + " 3", Exit);
+      EXPECT_EQ(Exit, 1) << Literal << E << ": " << Out;
+      EXPECT_NE(Out.find("1:15: error: " + Msg), std::string::npos)
+          << Literal << E << ": " << Out;
+    }
+    int Exit = -1;
+    std::vector<std::string> Lines =
+        runPercServe(File + " --serve", "main 3\nmain 4\n", Exit);
+    EXPECT_EQ(Exit, 1) << Literal;
+    ASSERT_EQ(Lines.size(), 2u) << Literal;
+    for (const std::string &L : Lines) {
+      EXPECT_NE(L.find("\"status\":\"compile-error\""), std::string::npos)
+          << Literal << ": " << L;
+      EXPECT_NE(L.find(Msg), std::string::npos) << Literal << ": " << L;
+    }
+  }
+  // INT64_MAX itself is in range.
+  std::string File = testing::TempDir() + "/max_literal.perc";
+  std::ofstream(File) << "fun main(n) { 9223372036854775807 }\n";
+  int Exit = -1;
+  std::string Out = runPercCapture(File + " 3", Exit);
+  EXPECT_EQ(Exit, 0) << Out;
+  EXPECT_NE(Out.find("9223372036854775807"), std::string::npos) << Out;
+}
+
 } // namespace

@@ -223,4 +223,32 @@ TEST(Parser, DepthIsCountedPerFunction) {
   parseOk(Src);
 }
 
+TEST(Parser, IntegerLiteralsReachInt64Max) {
+  SModule M = parseOk("fun f(x) { match x { 9223372036854775807 -> 1; "
+                      "-9223372036854775807 -> 2; _ -> 9223372036854775807 } }");
+  const SExpr &Match = *M.Funs[0].Body->Stmts[0].E;
+  ASSERT_EQ(Match.Arms.size(), 3u);
+  EXPECT_EQ(Match.Arms[0].Pat->Int, INT64_MAX);
+  EXPECT_EQ(Match.Arms[1].Pat->Int, -INT64_MAX);
+  EXPECT_EQ(Match.Arms[2].Body->Int, INT64_MAX);
+}
+
+TEST(Parser, OutOfRangeIntegerLiteralsAreOneDiagnostic) {
+  // Past INT64_MAX the digits would overflow; each literal is one error
+  // at the literal, in expression and in pattern position.
+  const std::string Msg =
+      "integer literal is out of range (at most 9223372036854775807)";
+  for (const char *Literal :
+       {"9223372036854775808", "123456789012345678901234567890"}) {
+    for (std::string Src :
+         {"fun f() { " + std::string(Literal) + " }",
+          "fun f(x) { match x { -" + std::string(Literal) + " -> 1; _ -> 0 } }"}) {
+      DiagnosticEngine D;
+      parseModule(Src, D);
+      EXPECT_EQ(D.errorCount(), 1u) << Src << ": " << D.str();
+      EXPECT_NE(D.str().find(Msg), std::string::npos) << Src << ": " << D.str();
+    }
+  }
+}
+
 } // namespace

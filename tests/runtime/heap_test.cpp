@@ -226,6 +226,63 @@ TEST(Heap, DecRefOnCountOneFreesTheCell) {
   EXPECT_TRUE(H.empty());
 }
 
+// A stale reference (its cell already freed, rc == 0) reaching dup, drop
+// or decref stops the process in every build, Release included: freeing
+// the cell again would corrupt the free list and send the drop cascade
+// through freed memory. ("freed cell" also matches a Debug build's
+// fast-path assert.)
+TEST(HeapDeathTest, DropOfAFreedCellAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Heap H;
+        Value V = mkCell(H, 1);
+        H.drop(V);
+        H.drop(V);
+      },
+      "freed cell");
+}
+
+TEST(HeapDeathTest, DupOfAFreedCellAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Heap H;
+        Value V = mkCell(H, 2);
+        H.drop(V);
+        H.dup(V);
+      },
+      "freed cell");
+}
+
+TEST(HeapDeathTest, DecRefOfAFreedCellAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Heap H;
+        Value V = mkCell(H, 0);
+        H.drop(V);
+        H.decref(V);
+      },
+      "freed cell");
+}
+
+TEST(HeapDeathTest, FreedChildReachedByTheCascadeAborts) {
+  // The mutants that hung: a child freed while its parent still points
+  // at it, then the parent dropped.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Heap H;
+        Value Child = mkCell(H, 0);
+        Cell *Parent = H.alloc(1, 0, CellKind::Ctor);
+        Parent->fields()[0] = Child;
+        H.drop(Child);
+        H.drop(Value::makeRef(Parent));
+      },
+      "heap corruption: drop of a freed cell");
+}
+
 TEST(Heap, DupSaturatesToStickyInsteadOfOverflowing) {
   Heap H;
   Value V = mkCell(H, 0);
