@@ -10,9 +10,12 @@
 /// body into a Chunk of fixed-width instructions over the frame layout
 /// (eval/Layout.h): the layout pass's named slots become the
 /// low registers of the frame, and expression temporaries live above
-/// them. Operand windows for calls, constructors and primitives are
-/// contiguous register ranges, Lua-style, so a call binds its arguments
-/// by re-basing the register file instead of copying.
+/// them. An instruction reads a variable operand in the variable's own
+/// register. Constructors and calls name their operands through a
+/// register list in CompiledProgram::RegLists and copy them inside their
+/// own dispatch; a call copies its arguments into a window above the
+/// caller's live registers, which becomes the callee's parameter region
+/// (Lua-style overlapping frames).
 ///
 /// Design constraints, in priority order:
 ///
@@ -33,8 +36,10 @@
 ///
 /// Instructions are 12 bytes: opcode, an 8-bit immediate A, three 16-bit
 /// register/immediate fields B/C/D, and a 32-bit extended field E used
-/// for jump targets, pool indices and function/lambda ids. Register
-/// indices are frame-relative; a frame holds at most 65535 registers.
+/// for jump targets, pool indices and lambda ids. Register indices are
+/// frame-relative; a frame holds at most 65535 registers and a program
+/// at most 65536 functions, and the compiler reports a program past
+/// either limit (CompiledProgram::Error).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +56,10 @@
 namespace perceus {
 
 /// Bytecode operations. Operand conventions are listed per opcode;
-/// unnamed fields are unused. "window" is the first register of a
-/// contiguous run of operands.
+/// unnamed fields are unused. "list" is the index in
+/// CompiledProgram::RegLists of the instruction's operand registers, one
+/// per field or argument; "window" is the first of the contiguous
+/// registers a call copies its arguments into.
 enum class Op : uint8_t {
   //===--- Moves and constants --------------------------------------------===//
   LoadConst,   ///< B=dst, E=constant-pool index
@@ -62,16 +69,16 @@ enum class Op : uint8_t {
   Jump,        ///< E=target pc
   JumpIfFalse, ///< B=cond, E=target pc (traps on a non-boolean)
   MatchOp,     ///< B=scrutinee slot, E=match-table index
-  Call,        ///< A=nargs, B=dst, C=window (callee; args at window+1)
-  CallStatic,  ///< A=nargs, B=dst, C=window (args), E=FuncId
-  TailCall,    ///< A=nargs, C=window (callee; args at window+1)
-  TailCallStatic, ///< A=nargs, C=window (args), E=FuncId
+  Call,        ///< A=nargs, B=dst, C=window, D=callee, E=list
+  CallStatic,  ///< A=nargs, B=dst, C=window, D=FuncId, E=list
+  TailCall,    ///< A=nargs, C=window, D=callee, E=list
+  TailCallStatic, ///< A=nargs, C=window, D=FuncId, E=list
   Ret,         ///< B=src
 
   //===--- Heap allocation ------------------------------------------------===//
   MakeClosure, ///< B=dst, E=LamId (captures resolved via the lam chunk)
-  Con,         ///< A=arity, B=dst, C=window (fields), D=ctor tag
-  ConReuse,    ///< A=arity, B=dst, C=window, D=token slot, E=ctor tag
+  Con,         ///< A=arity, B=dst, D=ctor tag, E=list (fields)
+  ConReuse,    ///< A=arity, B=dst, C=token slot, D=ctor tag, E=list
 
   //===--- RC instructions (first-class; see ir/Expr.h) -------------------===//
   Dup,          ///< C=slot
@@ -111,15 +118,11 @@ enum class Op : uint8_t {
   // the peephole pass rewrites hot adjacent pairs/triples post-compile.
   // One stays only while some built-in program executes it (the opcode
   // census in tests/bytecode/engine_diff_test.cpp checks this).
-  DupMove,       ///< D=dup slot, B=move dst, C=move src
   Dup2,          ///< C=slot1, D=slot2
   Drop2,         ///< C=slot1, D=slot2
   Dup3,          ///< C=slot1, D=slot2, E=slot3
   SetFieldToken, ///< A=field index, B=dst, C=token slot, D=value reg,
                  ///< E=ctor tag
-  Move2,         ///< B=dst1, C=src1, D=dst2, E=src2 (sequential semantics)
-  LoadConstMove, ///< D=const dst, E=constant-pool index, B=move dst,
-                 ///< C=move src (const first, then the move)
   RetConst,      ///< E=constant-pool index
   LtBr,          ///< C=lhs, D=rhs, E=target (branches when the compare
   LeBr,          ///< is false, like JumpIfFalse; the boolean register
@@ -132,32 +135,14 @@ enum class Op : uint8_t {
                  ///< JumpIfFalse consuming the compare's dead temp: the
                  ///< loop-rotation shape every while-style recursion
                  ///< compiles into. Skips the target test entirely.
-  MoveArith,     ///< A=ArithKind (Add/Sub/Mul), B=dst, C=lhs, D=rhs,
-                 ///< E=(move dst<<16)|move src — move first, then arith
-  ArithMove,     ///< same fields as MoveArith; arith first, then move
   ArithConst,    ///< A=ArithKind (x+K/x-K/K-x/x*K), B=dst, C=x,
                  ///< D=constant-pool index of K
-  Move3,         ///< B=dst1, C=src1, D=dst2, E=(dst3<<16)|src2, A=src3
-                 ///< (sequential; src3 must fit in 8 bits)
-  MoveTailCallStatic, ///< A=nargs, C=window, E=FuncId, B=move dst,
-                 ///< D=move src (move first, then the tail call)
   DecLoadConst,  ///< C=decref slot, B=dst, E=constant-pool index
-  JfMove,        ///< B=cond, E=target, C=move dst, D=move src (the move
-                 ///< runs only on the true fall-through path)
   DropLoadConst, ///< C=drop slot, B=dst, E=constant-pool index
   DropRetConst,  ///< C=drop slot, E=constant-pool index
   Dup2DecLoadConst, ///< C=dup1, D=dup2, B=decref slot, A=dst (must fit
                     ///< 8 bits), E=constant-pool index
-  Dup2Move2,        ///< B=dst1, C=dup1 (also src1), D=dst2,
-                    ///< E=dup2 (also src2) — two dup-then-copy pairs
-  MoveDupMove,      ///< B=dst1, C=src1, D=dup slot (also src2), E=dst2
-  MoveArithConst,   ///< A=ArithKind (x+K/x-K/K-x/x*K), B=dst, C=x,
-                    ///< D=constant-pool index of K,
-                    ///< E=(move dst<<16)|move src — move first, then arith
-  ArithConstMove,   ///< same fields as MoveArithConst; arith first
-  MoveCmpConstBr,   ///< A=CmpKind, B=move src, C=move dst (also lhs),
-                    ///< D=constant-pool index, E=target when false
-  ConRet,           ///< A=arity, B=dst, C=window, D=ctor tag — Con, then
+  ConRet,           ///< A=arity, B=dst, D=ctor tag, E=list — Con, then
                     ///< return the fresh cell
   DropMove,         ///< C=drop slot, B=move dst, D=move src
   ArithConstRet,    ///< A=kind, B=dst, C=x, D=constant-pool index — the
@@ -167,9 +152,8 @@ enum class Op : uint8_t {
                     ///< path's Jump
 };
 
-/// The compare kind carried in the A field of Cmp, CmpConstBr, CmpJmp
-/// and MoveCmpConstBr: lhs<rhs, lhs<=rhs, lhs>rhs, lhs>=rhs, lhs==rhs,
-/// lhs!=rhs.
+/// The compare kind carried in the A field of Cmp, CmpConstBr and
+/// CmpJmp: lhs<rhs, lhs<=rhs, lhs>rhs, lhs>=rhs, lhs==rhs, lhs!=rhs.
 enum class CmpKind : uint8_t { Lt, Le, Gt, Ge, Eq, Ne };
 
 /// The arithmetic kind carried in the A field of the fused arithmetic
@@ -178,8 +162,8 @@ enum class CmpKind : uint8_t { Lt, Le, Gt, Ge, Eq, Ne };
 enum class ArithKind : uint8_t { Add, Sub, RSub, Mul, Div, Mod };
 
 constexpr size_t NumOpcodes = static_cast<size_t>(Op::IsUniqueReuseJmp) + 1;
-/// The superinstructions are the opcodes from DupMove to the end.
-constexpr size_t FirstSuperinstruction = static_cast<size_t>(Op::DupMove);
+/// The superinstructions are the opcodes from Dup2 to the end.
+constexpr size_t FirstSuperinstruction = static_cast<size_t>(Op::Dup2);
 
 /// The opcode's name as spelled in the Op enum.
 const char *opName(Op O);
@@ -203,7 +187,7 @@ struct MatchArmCode {
   uint32_t DataId = 0;     ///< Ctor arms: the constructor's data type
   uint32_t Tag = 0;        ///< Ctor arms: the constructor tag
   int64_t Lit = 0;         ///< IntLit/BoolLit arms
-  uint32_t BinderBase = 0; ///< into CompiledProgram::BinderSlots
+  uint32_t BinderBase = 0; ///< into CompiledProgram::RegLists
   uint32_t NumBinders = 0;
   uint32_t Target = 0;     ///< pc of the arm body
 };
@@ -252,8 +236,15 @@ struct CompiledProgram {
   std::vector<Chunk> Lams;  ///< indexed by LamId
   std::vector<Value> Consts;
   std::vector<MatchTable> Matches;
-  std::vector<uint16_t> BinderSlots; ///< flat per-arm binder slot lists
+  /// Flat register lists: each match arm's binder slots and each
+  /// constructor's or call's operand registers.
+  std::vector<uint16_t> RegLists;
   std::vector<std::string> Messages; ///< TrapOp messages
+  /// Why the program cannot run, when it is wider than the instruction
+  /// fields (a frame past 65535 registers, or more than 65536
+  /// functions); empty otherwise. The chunks of such a program are
+  /// garbage: callers report the error instead of running them.
+  std::string Error;
 
   //===--- Peephole tier (set by bytecode/Peephole.h) ---------------------===//
   /// True once runPeephole has rewritten Funcs/Lams in place. The

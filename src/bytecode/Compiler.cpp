@@ -15,12 +15,22 @@ using namespace perceus;
 
 namespace {
 
+/// The widths of the 16-bit register and FuncId fields (Bytecode.h).
+constexpr uint32_t MaxFrameRegs = 0xffff;
+constexpr size_t MaxFunctions = 0x10000;
+
 class Compiler {
 public:
   Compiler(const Program &P, const ProgramLayout &L) : P(P), L(L) {}
 
   CompiledProgram run() {
     CP.Prog = &P;
+    if (P.numFunctions() > MaxFunctions) {
+      CP.Error = "program has " + std::to_string(P.numFunctions()) +
+                 " functions; at most " + std::to_string(MaxFunctions) +
+                 " are supported";
+      return std::move(CP);
+    }
     CP.Funcs.resize(P.numFunctions());
     CP.Lams.resize(P.numLamIds());
     for (FuncId F = 0; F != P.numFunctions(); ++F) {
@@ -28,6 +38,7 @@ public:
       Chunk &C = CP.Funcs[F];
       C.Fn = &Fn;
       C.NumParams = static_cast<uint32_t>(Fn.Params.size());
+      CurFn = &Fn;
       compileChunk(C, Fn.Body, L.FuncFrameSize[F]);
     }
     return std::move(CP);
@@ -36,9 +47,10 @@ public:
 private:
   //===--- Emission helpers -----------------------------------------------===//
 
+  /// Register fields are truncated to 16 bits; a frame wider than that
+  /// is reported by compileChunk, and its code is never run.
   uint32_t emit(Op O, uint8_t A, uint32_t B, uint32_t C, uint32_t D,
                 uint32_t E, const Expr *Site = nullptr) {
-    assert(B <= 0xffff && C <= 0xffff && D <= 0xffff && "register overflow");
     Instr I;
     I.O = O;
     I.A = A;
@@ -58,10 +70,18 @@ private:
   uint32_t allocTemps(uint32_t N) {
     uint32_t R = TempTop;
     TempTop += N;
-    assert(TempTop <= 0xffff && "frame register overflow");
     if (TempTop > Ch->NumRegs)
       Ch->NumRegs = TempTop;
     return R;
+  }
+
+  /// Reserves an operand list of \p N registers in the pool. Its entries
+  /// are filled in as the operands are compiled; nested lists land after
+  /// it, so no list is built anywhere else first.
+  uint32_t reserveList(uint32_t N) {
+    uint32_t Base = static_cast<uint32_t>(CP.RegLists.size());
+    CP.RegLists.resize(Base + N);
+    return Base;
   }
 
   uint32_t constIdx(Value V) {
@@ -90,6 +110,11 @@ private:
     C.NumRegs = NamedSlots;
     C.FirstTemp = NamedSlots;
     compileTail(Body);
+    if (C.NumRegs > MaxFrameRegs && CP.Error.empty())
+      CP.Error = std::string(C.Lam ? "a lambda in function '" : "function '") +
+                 std::string(P.symbols().name(CurFn->Name)) + "' has " +
+                 std::to_string(C.NumRegs) + " registers; at most " +
+                 std::to_string(MaxFrameRegs) + " are supported";
     Ch = SavedCh;
     TempTop = SavedTop;
   }
@@ -138,8 +163,7 @@ private:
     case ExprKind::If: {
       const auto *I = cast<IfExpr>(E);
       uint32_t Save = TempTop;
-      uint32_t T = allocTemps(1);
-      compileVal(I->cond(), T);
+      uint32_t T = operand(I->cond());
       TempTop = Save;
       uint32_t Jf = emit(Op::JumpIfFalse, 0, T, 0, 0, 0);
       compileTail(I->thenExpr());
@@ -187,9 +211,7 @@ private:
     }
     default: {
       uint32_t Save = TempTop;
-      uint32_t R = allocTemps(1);
-      compileVal(E, R);
-      emit(Op::Ret, 0, R, 0, 0, 0);
+      emit(Op::Ret, 0, operand(E), 0, 0, 0);
       TempTop = Save;
       return;
     }
@@ -258,8 +280,7 @@ private:
     case ExprKind::If: {
       const auto *I = cast<IfExpr>(E);
       uint32_t Save = TempTop;
-      uint32_t T = allocTemps(1);
-      compileVal(I->cond(), T);
+      uint32_t T = operand(I->cond());
       TempTop = Save;
       uint32_t Jf = emit(Op::JumpIfFalse, 0, T, 0, 0, 0);
       compileVal(I->thenExpr(), Dst);
@@ -302,14 +323,12 @@ private:
       }
       assert(C->args().size() == D.Arity && "constructor arity mismatch");
       uint32_t Save = TempTop;
-      uint32_t W = allocTemps(D.Arity);
+      uint32_t List = reserveList(D.Arity);
       for (uint32_t I = 0; I != D.Arity; ++I)
-        compileVal(C->args()[I], W + I);
-      if (C->hasReuseToken())
-        emit(Op::ConReuse, static_cast<uint8_t>(D.Arity), Dst, W,
-             E->layoutA(), D.Tag, E);
-      else
-        emit(Op::Con, static_cast<uint8_t>(D.Arity), Dst, W, D.Tag, 0, E);
+        CP.RegLists[List + I] = static_cast<uint16_t>(operand(C->args()[I]));
+      emit(C->hasReuseToken() ? Op::ConReuse : Op::Con,
+           static_cast<uint8_t>(D.Arity), Dst,
+           C->hasReuseToken() ? E->layoutA() : 0, D.Tag, List, E);
       TempTop = Save;
       return;
     }
@@ -366,33 +385,50 @@ private:
     emit(O, 0, 0, E->layoutA(), 0, 0, E);
   }
 
+  /// Compiles operand \p E of an instruction and returns the register
+  /// the instruction reads it from. Leading dup/drop/decref/free
+  /// statements are emitted in order; a variable that remains is read in
+  /// its own slot. Anything else is evaluated into \p Home, or into a
+  /// fresh temporary (live until the caller resets TempTop) when \p Home
+  /// is NoHome.
+  static constexpr uint32_t NoHome = ~0u;
+  uint32_t operand(const Expr *E, uint32_t Home = NoHome) {
+    for (; isa<RcStmtExpr>(E); E = cast<RcStmtExpr>(E)->rest())
+      emitRcStmt(E);
+    if (E->kind() == ExprKind::Var)
+      return E->layoutA();
+    if (Home == NoHome)
+      Home = allocTemps(1);
+    compileVal(E, Home);
+    return Home;
+  }
+
   void emitSetField(const SetFieldExpr *S) {
     uint32_t Save = TempTop;
-    uint32_t V = allocTemps(1);
-    compileVal(S->value(), V);
+    uint32_t V = operand(S->value());
     emit(Op::SetField, static_cast<uint8_t>(S->index()), 0, S->layoutA(), V,
          0);
     TempTop = Save;
   }
 
+  /// The callee is evaluated before the arguments. The window above every
+  /// live register becomes the callee's parameter region: the call copies
+  /// its operand list into it, and a computed argument is evaluated
+  /// straight into its window slot.
   void compileCall(const AppExpr *A, uint32_t Dst, bool Tail) {
     uint32_t N = static_cast<uint32_t>(A->args().size());
     const auto *G = dyn_cast<GlobalExpr>(A->fn());
+    bool Static = G && P.function(G->func()).Params.size() == N;
     uint32_t Save = TempTop;
-    if (G && P.function(G->func()).Params.size() == N) {
-      uint32_t W = allocTemps(N);
-      for (uint32_t I = 0; I != N; ++I)
-        compileVal(A->args()[I], W + I);
-      emit(Tail ? Op::TailCallStatic : Op::CallStatic,
-           static_cast<uint8_t>(N), Dst, W, 0, G->func(), A);
-    } else {
-      uint32_t W = allocTemps(1 + N);
-      compileVal(A->fn(), W);
-      for (uint32_t I = 0; I != N; ++I)
-        compileVal(A->args()[I], W + 1 + I);
-      emit(Tail ? Op::TailCall : Op::Call, static_cast<uint8_t>(N), Dst, W, 0,
-           0, A);
-    }
+    uint32_t Callee = Static ? G->func() : operand(A->fn());
+    uint32_t W = allocTemps(N);
+    uint32_t List = reserveList(N);
+    for (uint32_t I = 0; I != N; ++I)
+      CP.RegLists[List + I] =
+          static_cast<uint16_t>(operand(A->args()[I], W + I));
+    Op O = Static ? (Tail ? Op::TailCallStatic : Op::CallStatic)
+                  : (Tail ? Op::TailCall : Op::Call);
+    emit(O, static_cast<uint8_t>(N), Dst, W, Callee, List, A);
     TempTop = Save;
   }
 
@@ -414,10 +450,10 @@ private:
           AC.Tag = P.ctor(Arm.Ctor).Tag;
         }
         AC.Lit = Arm.Lit.Int;
-        AC.BinderBase = static_cast<uint32_t>(CP.BinderSlots.size());
+        AC.BinderBase = static_cast<uint32_t>(CP.RegLists.size());
         AC.NumBinders = static_cast<uint32_t>(Arm.Binders.size());
         for (size_t I = 0; I != Arm.Binders.size(); ++I)
-          CP.BinderSlots.push_back(
+          CP.RegLists.push_back(
               static_cast<uint16_t>(Binders[Offset + I]));
         Offset += Arm.Binders.size();
         T.Arms.push_back(AC);
@@ -441,9 +477,16 @@ private:
   void compilePrim(const PrimExpr *Pr, uint32_t Dst) {
     uint32_t N = static_cast<uint32_t>(Pr->args().size());
     uint32_t Save = TempTop;
-    uint32_t W = N ? allocTemps(N) : 0;
-    for (uint32_t I = 0; I != N; ++I)
-      compileVal(Pr->args()[I], W + I);
+    // Every argument is evaluated, in order, even past the two operand
+    // registers an ill-formed arity would need (it then traps).
+    uint32_t X = 0, Y = 0;
+    for (uint32_t I = 0; I != N; ++I) {
+      uint32_t R = operand(Pr->args()[I]);
+      if (I == 0)
+        X = R;
+      else if (I == 1)
+        Y = R;
+    }
 
     switch (Pr->op()) {
     case PrimOp::Add:
@@ -461,11 +504,11 @@ private:
              : Pr->op() == PrimOp::Mul ? Op::Mul
              : Pr->op() == PrimOp::Div ? Op::Div
                                        : Op::Mod;
-      emit(O, 0, Dst, W, W + 1, 0);
+      emit(O, 0, Dst, X, Y, 0);
       break;
     }
     case PrimOp::Neg:
-      emit(Op::Neg, 0, Dst, W, 0, 0);
+      emit(Op::Neg, 0, Dst, X, 0, 0);
       break;
     case PrimOp::Lt:
     case PrimOp::Le:
@@ -479,29 +522,29 @@ private:
                   : Pr->op() == PrimOp::Ge ? CmpKind::Ge
                   : Pr->op() == PrimOp::EqInt ? CmpKind::Eq
                                               : CmpKind::Ne;
-      emit(Op::Cmp, static_cast<uint8_t>(K), Dst, W, W + 1, 0);
+      emit(Op::Cmp, static_cast<uint8_t>(K), Dst, X, Y, 0);
       break;
     }
     case PrimOp::Not:
-      emit(Op::Not, 0, Dst, W, 0, 0);
+      emit(Op::Not, 0, Dst, X, 0, 0);
       break;
     case PrimOp::PrintLn:
-      emit(Op::PrintLn, 0, Dst, W, 0, 0);
+      emit(Op::PrintLn, 0, Dst, X, 0, 0);
       break;
     case PrimOp::MarkShared:
-      emit(Op::MarkSharedOp, 0, Dst, W, 0, 0, Pr);
+      emit(Op::MarkSharedOp, 0, Dst, X, 0, 0, Pr);
       break;
     case PrimOp::Abort:
       emit(Op::AbortOp, 0, 0, 0, 0, 0);
       break;
     case PrimOp::RefNew:
-      emit(Op::RefNew, 0, Dst, W, 0, 0, Pr);
+      emit(Op::RefNew, 0, Dst, X, 0, 0, Pr);
       break;
     case PrimOp::RefGet:
-      emit(Op::RefGet, 0, Dst, W, 0, 0, Pr);
+      emit(Op::RefGet, 0, Dst, X, 0, 0, Pr);
       break;
     case PrimOp::RefSet:
-      emit(Op::RefSet, 0, Dst, W, W + 1, 0, Pr);
+      emit(Op::RefSet, 0, Dst, X, Y, 0, Pr);
       break;
     }
     TempTop = Save;
@@ -511,6 +554,7 @@ private:
   const ProgramLayout &L;
   CompiledProgram CP;
   Chunk *Ch = nullptr;
+  const FunctionDecl *CurFn = nullptr; ///< names a frame past the limit
   uint32_t TempTop = 0;
   std::unordered_map<uint64_t, uint32_t> ConstMap;
 };

@@ -28,32 +28,31 @@ bool isBranchOp(Op O) {
   case Op::EqBr:
   case Op::NeBr:
   case Op::CmpConstBr:
-  case Op::JfMove:
-  case Op::MoveCmpConstBr:
     return true;
   default:
     return false;
   }
 }
 
-/// Maps an arithmetic opcode to the ArithKind byte of MoveArith /
-/// ArithMove, or returns false. Div/Mod/Neg stay unfused: their trap
-/// repertoire (zero divisors, INT64_MIN overflow) is pinned by dedicated
-/// tests and they are cold in every benchmark.
-bool arithKind(Op O, uint8_t &K) {
-  switch (O) {
-  case Op::Add:
-    K = static_cast<uint8_t>(ArithKind::Add);
-    return true;
-  case Op::Sub:
-    K = static_cast<uint8_t>(ArithKind::Sub);
-    return true;
-  case Op::Mul:
-    K = static_cast<uint8_t>(ArithKind::Mul);
-    return true;
-  default:
+/// Whether \p Ar is an Add, Sub or Mul reading the constant temp \p K on
+/// exactly one side; sets the ArithConst kind byte and the other operand.
+/// Add and mul commute, so only sub needs the operand-order split. Div,
+/// Mod and Neg stay unfused: their trap repertoire (zero divisors,
+/// INT64_MIN overflow) is pinned by dedicated tests and they are cold in
+/// every benchmark.
+bool constArith(const Instr &Ar, uint16_t K, uint8_t &Kind, uint16_t &X) {
+  if (Ar.O != Op::Add && Ar.O != Op::Sub && Ar.O != Op::Mul)
     return false;
-  }
+  if ((Ar.C == K) == (Ar.D == K))
+    return false;
+  const bool ConstRhs = Ar.D == K;
+  ArithKind AK = Ar.O == Op::Add   ? ArithKind::Add
+                 : Ar.O == Op::Mul ? ArithKind::Mul
+                 : ConstRhs        ? ArithKind::Sub
+                                   : ArithKind::RSub;
+  Kind = static_cast<uint8_t>(AK);
+  X = ConstRhs ? Ar.C : Ar.D;
+  return true;
 }
 
 /// The branch-fused form of `Cmp; JumpIfFalse Target`. `a > b` and
@@ -164,6 +163,57 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
         return false;
     return true;
   };
+
+  // The constant fusion opening at the LoadConst at old pc P0: sets Out
+  // and returns the last old pc it covers, or returns P0 when there is
+  // none. Every form reads the pool directly and never writes the
+  // constant's temp, which is dead past the instruction consuming it.
+  auto constFusion = [&](size_t P0, Instr &Out) -> size_t {
+    const Instr &X = OldCode[P0];
+    if (X.B < Ch.FirstTemp)
+      return P0;
+    const size_t Q = nextKept(P0);
+    const size_t R = Q < N ? nextKept(Q) : N;
+    const Instr *NQ = Q < N ? &OldCode[Q] : nullptr;
+    const Instr *NR = R < N ? &OldCode[R] : nullptr;
+    const uint16_t K = static_cast<uint16_t>(X.E);
+    uint8_t AK = 0;
+    uint16_t XReg = 0;
+    if (NQ && NR && NQ->O == Op::Cmp && NR->O == Op::JumpIfFalse &&
+        NQ->D == X.B && NR->B == NQ->B && NQ->B >= Ch.FirstTemp &&
+        NQ->C != X.B && X.E <= 0xffff && spanFree(P0, R)) {
+      // The boolean temp is dead outside this expression too.
+      Out = {Op::CmpConstBr, NQ->A, 0, NQ->C, K, NR->E};
+      return R;
+    }
+    if (NQ && NQ->O == Op::Ret && NQ->B == X.B && spanFree(P0, Q)) {
+      Out = {Op::RetConst, 0, 0, 0, 0, X.E};
+      return Q;
+    }
+    if (NQ && X.E <= 0xffff && constArith(*NQ, X.B, AK, XReg) &&
+        spanFree(P0, Q)) {
+      if (NR && NR->O == Op::Ret && NR->B == NQ->B && spanFree(P0, R)) {
+        // The arith feeds the return directly; the frame dies there,
+        // so the dst write is unobservable and elided.
+        Out = {Op::ArithConstRet, AK, NQ->B, XReg, K, 0};
+        return R;
+      }
+      Out = {Op::ArithConst, AK, NQ->B, XReg, K, 0};
+      return Q;
+    }
+    return P0;
+  };
+  // The fusion-priority rule: an RC instruction takes the LoadConst after
+  // it only when that LoadConst opens no three-instruction constant
+  // fusion (CmpConstBr, ArithConstRet). Taking it saves one dispatch;
+  // leaving it saves two.
+  auto rcTakesConst = [&](size_t Q) {
+    Instr Out{};
+    const size_t Last = constFusion(Q, Out);
+    return Last == Q ||
+           (Out.O != Op::CmpConstBr && Out.O != Op::ArithConstRet);
+  };
+
   size_t P = 0;
   while (P < N) {
     if (Elide[P]) {
@@ -194,21 +244,14 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
     switch (X.O) {
     case Op::Dup:
       if (NQ && NQ->O == Op::Dup && NR && NR->O == Op::DecRef && NS &&
-          NS->O == Op::LoadConst && NS->B <= 0xff && spanFree(P, S3)) {
+          NS->O == Op::LoadConst && NS->B <= 0xff && rcTakesConst(S3) &&
+          spanFree(P, S3)) {
         // The else-block of a unique check: dup the fields that survive,
         // release the shared cell, load the arm's constant.
         fuse(S3,
              {Op::Dup2DecLoadConst, static_cast<uint8_t>(NS->B), NR->C, X.C,
               NQ->C, NS->E},
              OldSites[P], OldSites[Q], OldSites[R2]);
-        Fused = true;
-      } else if (NQ && NQ->O == Op::Move && NQ->C == X.C && NR &&
-                 NR->O == Op::Dup && NS && NS->O == Op::Move &&
-                 NS->C == NR->C && spanFree(P, S3)) {
-        // Match-binder materialization: two dup-then-copy pairs where each
-        // move reads the slot its dup just retained.
-        fuse(S3, {Op::Dup2Move2, 0, NQ->B, X.C, NS->B, NR->C}, OldSites[P],
-             OldSites[R2], nullptr);
         Fused = true;
       } else if (NQ && NQ->O == Op::Dup && NR && NR->O == Op::Dup &&
                  spanFree(P, R2)) {
@@ -217,10 +260,6 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
         Fused = true;
       } else if (NQ && NQ->O == Op::Dup && spanFree(P, Q)) {
         fuse(Q, {Op::Dup2, 0, 0, X.C, NQ->C, 0}, OldSites[P], OldSites[Q],
-             nullptr);
-        Fused = true;
-      } else if (NQ && NQ->O == Op::Move && spanFree(P, Q)) {
-        fuse(Q, {Op::DupMove, 0, NQ->B, NQ->C, X.C, 0}, OldSites[P], nullptr,
              nullptr);
         Fused = true;
       }
@@ -237,7 +276,8 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
         fuse(R2, {Op::DropRetConst, 0, 0, X.C, 0, NQ->E}, OldSites[P],
              nullptr, nullptr);
         Fused = true;
-      } else if (NQ && NQ->O == Op::LoadConst && spanFree(P, Q)) {
+      } else if (NQ && NQ->O == Op::LoadConst && rcTakesConst(Q) &&
+                 spanFree(P, Q)) {
         fuse(Q, {Op::DropLoadConst, 0, NQ->B, X.C, 0, NQ->E}, OldSites[P],
              nullptr, nullptr);
         Fused = true;
@@ -248,18 +288,9 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
       }
       break;
     case Op::DecRef:
-      if (NQ && NQ->O == Op::LoadConst && spanFree(P, Q)) {
+      if (NQ && NQ->O == Op::LoadConst && rcTakesConst(Q) && spanFree(P, Q)) {
         fuse(Q, {Op::DecLoadConst, 0, NQ->B, X.C, 0, NQ->E}, OldSites[P],
              nullptr, nullptr);
-        Fused = true;
-      }
-      break;
-    case Op::JumpIfFalse:
-      // The fall-through component runs only on the true path, exactly
-      // as it did when it merely followed the branch.
-      if (NQ && NQ->O == Op::Move && spanFree(P, Q)) {
-        fuse(Q, {Op::JfMove, 0, X.B, NQ->B, NQ->C, X.E}, OldSites[P], nullptr,
-             nullptr);
         Fused = true;
       }
       break;
@@ -280,61 +311,10 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
       }
       break;
     case Op::LoadConst: {
-      if (NQ && NR && NQ->O == Op::Cmp && NR->O == Op::JumpIfFalse &&
-          NQ->D == X.B && NR->B == NQ->B && NQ->B >= Ch.FirstTemp &&
-          X.B >= Ch.FirstTemp && NQ->C != X.B && X.E <= 0xffff &&
-          spanFree(P, R2)) {
-        // Both the constant temp and the boolean temp are dead outside
-        // this expression; CmpConstBr reads the pool directly and never
-        // writes either.
-        fuse(R2,
-             {Op::CmpConstBr, NQ->A, 0, NQ->C, static_cast<uint16_t>(X.E),
-              NR->E},
-             OldSites[P], nullptr, nullptr);
-        Fused = true;
-      } else if (NQ && NQ->O == Op::Ret && NQ->B == X.B &&
-                 X.B >= Ch.FirstTemp && spanFree(P, Q)) {
-        fuse(Q, {Op::RetConst, 0, 0, 0, 0, X.E}, OldSites[P], nullptr,
-             nullptr);
-        Fused = true;
-      } else if (uint8_t AK;
-                 NQ && arithKind(NQ->O, AK) && X.B >= Ch.FirstTemp &&
-                 X.E <= 0xffff &&
-                 ((NQ->D == X.B && NQ->C != X.B) ||
-                  (NQ->C == X.B && NQ->D != X.B)) &&
-                 spanFree(P, Q)) {
-        // The constant temp is dead past the arith that consumes it.
-        // Kind byte: 0 x+K, 1 x-K, 2 K-x, 3 x*K — add and mul commute,
-        // so only sub needs the operand-order split.
-        const bool ConstRhs = NQ->D == X.B;
-        uint8_t K = NQ->O == Op::Add   ? 0
-                    : NQ->O == Op::Mul ? 3
-                    : ConstRhs         ? 1
-                                       : 2;
-        const uint16_t XReg = ConstRhs ? NQ->C : NQ->D;
-        if (NR && NR->O == Op::Ret && NR->B == NQ->B && spanFree(P, R2)) {
-          // The arith feeds the return directly; the frame dies there,
-          // so the dst write is unobservable and elided.
-          fuse(R2,
-               {Op::ArithConstRet, K, NQ->B, XReg, static_cast<uint16_t>(X.E),
-                0},
-               OldSites[P], nullptr, nullptr);
-        } else if (NR && NR->O == Op::Move && spanFree(P, R2)) {
-          fuse(R2,
-               {Op::ArithConstMove, K, NQ->B, XReg,
-                static_cast<uint16_t>(X.E),
-                (static_cast<uint32_t>(NR->B) << 16) | NR->C},
-               OldSites[P], nullptr, nullptr);
-        } else {
-          fuse(Q,
-               {Op::ArithConst, K, NQ->B, XReg, static_cast<uint16_t>(X.E),
-                0},
-               OldSites[P], nullptr, nullptr);
-        }
-        Fused = true;
-      } else if (NQ && NQ->O == Op::Move && spanFree(P, Q)) {
-        fuse(Q, {Op::LoadConstMove, 0, NQ->B, NQ->C, X.B, X.E}, OldSites[P],
-             nullptr, nullptr);
+      Instr Out{};
+      const size_t Last = constFusion(P, Out);
+      if (Last != P) {
+        fuse(Last, Out, OldSites[P], nullptr, nullptr);
         Fused = true;
       }
       break;
@@ -358,93 +338,19 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
         Fused = true;
       }
       break;
-    case Op::Add:
-    case Op::Sub:
-    case Op::Mul: {
-      uint8_t AK;
-      if (NQ && NQ->O == Op::Move && arithKind(X.O, AK) && spanFree(P, Q)) {
-        fuse(Q,
-             {Op::ArithMove, AK, X.B, X.C, X.D,
-              (static_cast<uint32_t>(NQ->B) << 16) | NQ->C},
-             OldSites[P], nullptr, nullptr);
-        Fused = true;
-      }
-      break;
-    }
-    case Op::Move: {
-      uint8_t AK;
+    case Op::Move:
       if (NQ && NQ->O == Op::Ret && NQ->B == X.B && spanFree(P, Q)) {
         // Not a new opcode: the move's only consumer is the return, and
         // the frame dies there, so Ret reads the source directly.
         fuse(Q, {Op::Ret, 0, X.C, 0, 0, 0}, OldSites[Q], nullptr, nullptr);
         Fused = true;
-      } else if (NQ && NQ->O == Op::TailCallStatic && spanFree(P, Q)) {
-        fuse(Q, {Op::MoveTailCallStatic, NQ->A, X.B, NQ->C, X.C, NQ->E},
-             OldSites[P], nullptr, nullptr);
-        Fused = true;
-      } else if (NQ && NQ->O == Op::LoadConst && NR && NS &&
-                 NR->O == Op::Cmp && NS->O == Op::JumpIfFalse &&
-                 NR->D == NQ->B && NS->B == NR->B && NR->B >= Ch.FirstTemp &&
-                 NQ->B >= Ch.FirstTemp && NR->C == X.B && NR->C != NQ->B &&
-                 NQ->E <= 0xffff && spanFree(P, S3)) {
-        // The loop-header prologue: refresh the induction variable, then
-        // the CmpConstBr quad on it. The fused move feeds the compare's
-        // lhs, so the whole four-instruction header is one dispatch.
-        fuse(S3,
-             {Op::MoveCmpConstBr, NR->A, X.C, X.B,
-              static_cast<uint16_t>(NQ->E), NS->E},
-             OldSites[P], nullptr, nullptr);
-        Fused = true;
-      } else if (NQ && NQ->O == Op::Dup && NR && NR->O == Op::Move &&
-                 NR->C == NQ->C && spanFree(P, R2)) {
-        // Copy, retain, copy: the second move reads the slot the dup
-        // just retained (match binders feeding a recursive call window).
-        fuse(R2, {Op::MoveDupMove, 0, X.B, X.C, NQ->C, NR->B}, OldSites[Q],
-             nullptr, nullptr);
-        Fused = true;
-      } else if (NQ && NQ->O == Op::LoadConst && NR && arithKind(NR->O, AK) &&
-                 NQ->B >= Ch.FirstTemp && NQ->E <= 0xffff && X.B != NQ->B &&
-                 ((NR->D == NQ->B && NR->C != NQ->B) ||
-                  (NR->C == NQ->B && NR->D != NQ->B)) &&
-                 spanFree(P, R2)) {
-        // The ArithConst triple with a leading move — typically the
-        // refreshed loop variable the arith then advances.
-        const bool ConstRhs = NR->D == NQ->B;
-        const uint8_t K = NR->O == Op::Add   ? 0
-                          : NR->O == Op::Mul ? 3
-                          : ConstRhs         ? 1
-                                             : 2;
-        fuse(R2,
-             {Op::MoveArithConst, K, NR->B, ConstRhs ? NR->C : NR->D,
-              static_cast<uint16_t>(NQ->E),
-              (static_cast<uint32_t>(X.B) << 16) | X.C},
-             OldSites[P], nullptr, nullptr);
-        Fused = true;
-      } else if (NQ && NQ->O == Op::Move && NR && NR->O == Op::Move &&
-                 NR->C <= 0xff && spanFree(P, R2)) {
-        fuse(R2,
-             {Op::Move3, static_cast<uint8_t>(NR->C), X.B, X.C, NQ->B,
-              (static_cast<uint32_t>(NR->B) << 16) | NQ->C},
-             OldSites[P], nullptr, nullptr);
-        Fused = true;
-      } else if (NQ && arithKind(NQ->O, AK) && spanFree(P, Q)) {
-        fuse(Q,
-             {Op::MoveArith, AK, NQ->B, NQ->C, NQ->D,
-              (static_cast<uint32_t>(X.B) << 16) | X.C},
-             OldSites[P], nullptr, nullptr);
-        Fused = true;
-      } else if (NQ && NQ->O == Op::Move && spanFree(P, Q)) {
-        fuse(Q, {Op::Move2, 0, X.B, X.C, NQ->B, NQ->C}, OldSites[P], nullptr,
-             nullptr);
-        Fused = true;
       }
       break;
-    }
     case Op::Con:
       // The constructed cell is the return value; ConRet keeps the dst
       // write (for a clean unwind) and pops the frame in one dispatch.
       if (NQ && NQ->O == Op::Ret && NQ->B == X.B && spanFree(P, Q)) {
-        fuse(Q, {Op::ConRet, X.A, X.B, X.C, X.D, 0}, OldSites[P], nullptr,
+        fuse(Q, {Op::ConRet, X.A, X.B, 0, X.D, X.E}, OldSites[P], nullptr,
              nullptr);
         Fused = true;
       }

@@ -55,14 +55,10 @@ uint64_t VmPairProfile[NumOpcodes][NumOpcodes];
   X(PrintLn) X(MarkSharedOp) X(AbortOp)                                        \
   X(RefNew) X(RefGet) X(RefSet)                                                \
   X(TrapOp)                                                                    \
-  X(DupMove) X(Dup2) X(Drop2) X(Dup3) X(SetFieldToken)                         \
-  X(Move2) X(LoadConstMove) X(RetConst)                                        \
-  X(LtBr) X(LeBr) X(EqBr) X(NeBr) X(CmpConstBr)                                \
-  X(CmpJmp) X(MoveArith) X(ArithMove) X(ArithConst) X(Move3)                   \
-  X(MoveTailCallStatic) X(DecLoadConst) X(JfMove) X(DropLoadConst)             \
-  X(DropRetConst) X(Dup2DecLoadConst) X(Dup2Move2) X(MoveDupMove)              \
-  X(MoveArithConst) X(ArithConstMove) X(MoveCmpConstBr) X(ConRet)              \
-  X(DropMove) X(ArithConstRet) X(IsUniqueReuseJmp)
+  X(Dup2) X(Drop2) X(Dup3) X(SetFieldToken) X(RetConst)                        \
+  X(LtBr) X(LeBr) X(EqBr) X(NeBr) X(CmpConstBr) X(CmpJmp) X(ArithConst)        \
+  X(DecLoadConst) X(DropLoadConst) X(DropRetConst) X(Dup2DecLoadConst)         \
+  X(ConRet) X(DropMove) X(ArithConstRet) X(IsUniqueReuseJmp)
 
 const char *perceus::opName(Op O) {
   static const char *const Names[] = {
@@ -333,6 +329,7 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
   uint32_t BaseL = 0;
   Value *RF = Regs.data();
   const Value *Consts = CP.Consts.data();
+  const uint16_t *Lists = CP.RegLists.data();
   uint64_t Steps = 0;
   const uint64_t Fuel = StepLimit;
   const bool HasDeadline = DeadlineMs != 0;
@@ -440,6 +437,28 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
     VM_SWITCH_CHUNK(T);                                                        \
     VM_REFRAME();                                                              \
     I = Code;                                                                  \
+  } while (0)
+  // Copies the operand list's registers: into the window starting at W,
+  // into the fresh cell C's fields, or (tail calls) through the window
+  // into the frame's parameter registers.
+#define VM_GATHER(W)                                                           \
+  do {                                                                         \
+    const uint16_t *L_ = Lists + I->E;                                         \
+    Value *W_ = (W);                                                           \
+    for (uint32_t J = 0; J != I->A; ++J)                                       \
+      W_[J] = RF[L_[J]];                                                       \
+  } while (0)
+#define VM_FILL(C)                                                             \
+  do {                                                                         \
+    const uint16_t *L_ = Lists + I->E;                                         \
+    for (uint32_t J = 0; J != I->A; ++J)                                       \
+      (C)->setField(J, RF[L_[J]]);                                             \
+  } while (0)
+#define VM_TAIL_GATHER()                                                       \
+  do {                                                                         \
+    VM_GATHER(RF + I->C);                                                      \
+    for (uint32_t J = 0; J != I->A; ++J) /* forward copy; window >= dst */    \
+      RF[J] = RF[I->C + J];                                                    \
   } while (0)
   // Returns Val to the caller's Dst register and resumes the caller, or
   // ends the run from the entry frame.
@@ -550,7 +569,7 @@ Execute:
         break;
       }
       if (Matches) {
-        const uint16_t *Binders = CP.BinderSlots.data() + Arm.BinderBase;
+        const uint16_t *Binders = Lists + Arm.BinderBase;
         for (uint32_t J = 0; J != Arm.NumBinders; ++J)
           RF[Binders[J]] = V.Ref->field(J);
         VM_JUMP(Arm.Target);
@@ -562,43 +581,49 @@ Execute:
   }
 
   //===--- Calls ----------------------------------------------------------===//
+  // A call gathers its operand list into the window, which becomes the
+  // callee's parameter region. The list names variables' own slots, which
+  // sit below the window, and computed arguments' window slots, so no
+  // copy overwrites a register another one still reads. A tail call then
+  // moves the window down to the frame's parameters: going through the
+  // window is what lets its arguments name those parameters in any order.
   VM_CASE(CallStatic) {
-    const Chunk *T = &FuncTab[I->E];
+    const Chunk *T = &FuncTab[I->D];
     VM_PUSH_FRAME();
-    BaseL += I->C; // the argument window is the callee's parameter region
+    VM_GATHER(RF + I->C);
+    BaseL += I->C;
     VM_ENTER(T, I->A);
     VM_DISPATCH();
   }
   VM_CASE(Call) {
     Cell *Clo = nullptr;
-    const Chunk *T = resolveCallee(RF[I->C], I->A, Clo);
+    const Chunk *T = resolveCallee(RF[I->D], I->A, Clo);
     if (!T)
       goto Exit;
     VM_PUSH_FRAME();
     const Expr *SiteE = VM_SITE(Sites);
-    BaseL += I->C + 1; // arguments start one past the callee register
+    VM_GATHER(RF + I->C);
+    BaseL += I->C;
     VM_ENTER(T, I->A);
     if (Clo)
       applyClosure(T, Clo, SiteE, RF);
     VM_DISPATCH();
   }
   VM_CASE(TailCallStatic) {
-    const Chunk *T = &FuncTab[I->E];
+    const Chunk *T = &FuncTab[I->D];
     ++R.TailCalls;
-    for (uint32_t J = 0; J != I->A; ++J) // forward copy; window >= dst
-      RF[J] = RF[I->C + J];
+    VM_TAIL_GATHER();
     VM_ENTER(T, I->A);
     VM_DISPATCH();
   }
   VM_CASE(TailCall) {
     Cell *Clo = nullptr;
-    const Chunk *T = resolveCallee(RF[I->C], I->A, Clo);
+    const Chunk *T = resolveCallee(RF[I->D], I->A, Clo);
     if (!T)
       goto Exit;
     ++R.TailCalls;
     const Expr *SiteE = VM_SITE(Sites);
-    for (uint32_t J = 0; J != I->A; ++J) // forward copy; window+1 > dst
-      RF[J] = RF[I->C + 1 + J];
+    VM_TAIL_GATHER();
     VM_ENTER(T, I->A);
     if (Clo)
       applyClosure(T, Clo, SiteE, RF);
@@ -632,14 +657,13 @@ Execute:
     if (!C)
       VM_TRAP("out of memory allocating a constructor", TrapKind::OutOfMemory);
     VM_REFRAME();
-    for (uint32_t J = 0; J != I->A; ++J)
-      C->setField(J, RF[I->C + J]);
+    VM_FILL(C);
     RF[I->B] = Value::makeRef(C);
     VM_NEXT();
   }
   VM_CASE(ConReuse) {
     VM_STAMP(Sites, "con@ru");
-    Value Tok = RF[I->D];
+    Value Tok = RF[I->C];
     if (Tok.Kind != ValueKind::Token)
       VM_TRAP("constructor reuse with a non-token", TrapKind::RuntimeError);
     Cell *C = nullptr;
@@ -647,7 +671,7 @@ Execute:
       C = Tok.Tok; // in-place reuse: same memory, fresh identity
       assert(C->H.Arity == I->A && "reuse token arity mismatch");
       C->H.Rc.store(1, std::memory_order_relaxed);
-      C->H.Tag = static_cast<uint8_t>(I->E);
+      C->H.Tag = static_cast<uint8_t>(I->D);
       C->H.Kind = CellKind::Ctor;
       ++R.ReuseHits;
       if (Sink)
@@ -658,14 +682,13 @@ Execute:
         Sink->record(RcEvent::ReuseMiss, 0);
     }
     if (!C) {
-      C = H.alloc(I->A, I->E, CellKind::Ctor);
+      C = H.alloc(I->A, I->D, CellKind::Ctor);
       if (!C)
         VM_TRAP("out of memory allocating a constructor",
                 TrapKind::OutOfMemory);
       VM_REFRAME();
     }
-    for (uint32_t J = 0; J != I->A; ++J)
-      C->setField(J, RF[I->C + J]);
+    VM_FILL(C);
     RF[I->B] = Value::makeRef(C);
     VM_NEXT();
   }
@@ -902,15 +925,6 @@ Execute:
   // live in Sites; per-component extras in Sites2/Sites3, which the
   // peephole pass populates on every chunk it rewrites.
 
-  VM_CASE(DupMove) {
-    ++R.Rc.FusedOps;
-    ++R.Rc.FusedRcOps;
-    VM_STAMP(Sites, "dup");
-    ++R.Rc.Dups;
-    H.dup(RF[I->D]);
-    RF[I->B] = RF[I->C];
-    VM_NEXT();
-  }
   VM_CASE(Dup2) {
     ++R.Rc.FusedOps;
     R.Rc.FusedRcOps += 2;
@@ -962,18 +976,6 @@ Execute:
       Sink->record(RcEvent::ReuseHit, Cell::allocSize(C->H.Arity));
     }
     RF[I->B] = Value::makeRef(C);
-    VM_NEXT();
-  }
-  VM_CASE(Move2) {
-    ++R.Rc.FusedOps;
-    RF[I->B] = RF[I->C];
-    RF[I->D] = RF[static_cast<uint16_t>(I->E)];
-    VM_NEXT();
-  }
-  VM_CASE(LoadConstMove) {
-    ++R.Rc.FusedOps;
-    RF[I->D] = Consts[I->E];
-    RF[I->B] = RF[I->C];
     VM_NEXT();
   }
   VM_CASE(RetConst) {
@@ -1030,22 +1032,6 @@ Execute:
     VM_PRIM(compare, static_cast<CmpKind>(I->A), RF[I->C], RF[I->D], Res);
     VM_JUMP(Res ? I->B : I->E);
   }
-  VM_CASE(MoveArith) {
-    ++R.Rc.FusedOps;
-    RF[static_cast<uint16_t>(I->E >> 16)] = RF[static_cast<uint16_t>(I->E)];
-    int64_t V = 0;
-    VM_PRIM(checkedArith, static_cast<ArithKind>(I->A), RF[I->C], RF[I->D], V);
-    RF[I->B] = Value::makeInt(V);
-    VM_NEXT();
-  }
-  VM_CASE(ArithMove) {
-    ++R.Rc.FusedOps;
-    int64_t V = 0;
-    VM_PRIM(checkedArith, static_cast<ArithKind>(I->A), RF[I->C], RF[I->D], V);
-    RF[I->B] = Value::makeInt(V);
-    RF[static_cast<uint16_t>(I->E >> 16)] = RF[static_cast<uint16_t>(I->E)];
-    VM_NEXT();
-  }
   VM_CASE(ArithConst) {
     // LoadConst into a dead temp + the arith consuming it; the trap
     // condition (either operand non-integer) is checked exactly as the
@@ -1057,23 +1043,6 @@ Execute:
     RF[I->B] = Value::makeInt(V);
     VM_NEXT();
   }
-  VM_CASE(Move3) {
-    ++R.Rc.FusedOps;
-    RF[I->B] = RF[I->C];
-    RF[I->D] = RF[static_cast<uint16_t>(I->E)];
-    RF[static_cast<uint16_t>(I->E >> 16)] = RF[I->A];
-    VM_NEXT();
-  }
-  VM_CASE(MoveTailCallStatic) {
-    ++R.Rc.FusedOps;
-    RF[I->B] = RF[I->D]; // the fused move (an argument-window store)
-    const Chunk *T = &FuncTab[I->E];
-    ++R.TailCalls;
-    for (uint32_t J = 0; J != I->A; ++J) // forward copy; window >= dst
-      RF[J] = RF[I->C + J];
-    VM_ENTER(T, I->A);
-    VM_DISPATCH();
-  }
   VM_CASE(DecLoadConst) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
@@ -1081,17 +1050,6 @@ Execute:
     ++R.Rc.DecRefs;
     H.decref(RF[I->C]);
     RF[I->B] = Consts[I->E];
-    VM_NEXT();
-  }
-  VM_CASE(JfMove) {
-    ++R.Rc.FusedOps;
-    Value V = RF[I->B];
-    if (V.Kind != ValueKind::Bool)
-      VM_TRAP("if condition is not a boolean", TrapKind::RuntimeError);
-    if (!V.asBool())
-      VM_JUMP(I->E);
-    else
-      RF[I->C] = RF[I->D];
     VM_NEXT();
   }
   VM_CASE(DropLoadConst) {
@@ -1126,58 +1084,6 @@ Execute:
     RF[I->A] = Consts[I->E];
     VM_NEXT();
   }
-  VM_CASE(Dup2Move2) {
-    // Two "dup r; copy r into the frame slot" pairs — the binder
-    // materialization every match arm opens with.
-    ++R.Rc.FusedOps;
-    R.Rc.FusedRcOps += 2;
-    VM_STAMP(Sites, "dup");
-    ++R.Rc.Dups;
-    H.dup(RF[I->C]);
-    RF[I->B] = RF[I->C];
-    VM_STAMP(Sites2, "dup");
-    ++R.Rc.Dups;
-    H.dup(RF[static_cast<uint16_t>(I->E)]);
-    RF[I->D] = RF[static_cast<uint16_t>(I->E)];
-    VM_NEXT();
-  }
-  VM_CASE(MoveDupMove) {
-    ++R.Rc.FusedOps;
-    ++R.Rc.FusedRcOps;
-    RF[I->B] = RF[I->C];
-    VM_STAMP(Sites, "dup");
-    ++R.Rc.Dups;
-    H.dup(RF[I->D]);
-    RF[static_cast<uint16_t>(I->E)] = RF[I->D];
-    VM_NEXT();
-  }
-  VM_CASE(MoveArithConst) {
-    ++R.Rc.FusedOps;
-    RF[static_cast<uint16_t>(I->E >> 16)] = RF[static_cast<uint16_t>(I->E)];
-    int64_t V = 0;
-    VM_PRIM(checkedArith, static_cast<ArithKind>(I->A), RF[I->C],
-            Consts[I->D], V);
-    RF[I->B] = Value::makeInt(V);
-    VM_NEXT();
-  }
-  VM_CASE(ArithConstMove) {
-    ++R.Rc.FusedOps;
-    int64_t V = 0;
-    VM_PRIM(checkedArith, static_cast<ArithKind>(I->A), RF[I->C],
-            Consts[I->D], V);
-    RF[I->B] = Value::makeInt(V);
-    RF[static_cast<uint16_t>(I->E >> 16)] = RF[static_cast<uint16_t>(I->E)];
-    VM_NEXT();
-  }
-  VM_CASE(MoveCmpConstBr) {
-    ++R.Rc.FusedOps;
-    RF[I->C] = RF[I->B]; // the fused move feeds the compare's lhs
-    bool Res = false;
-    VM_PRIM(compare, static_cast<CmpKind>(I->A), RF[I->C], Consts[I->D], Res);
-    if (!Res)
-      VM_JUMP(I->E);
-    VM_NEXT();
-  }
   VM_CASE(ConRet) {
     ++R.Rc.FusedOps;
     VM_STAMP(Sites, "con");
@@ -1185,8 +1091,7 @@ Execute:
     if (!C)
       VM_TRAP("out of memory allocating a constructor", TrapKind::OutOfMemory);
     VM_REFRAME();
-    for (uint32_t J = 0; J != I->A; ++J)
-      C->setField(J, RF[I->C + J]);
+    VM_FILL(C);
     RF[I->B] = Value::makeRef(C); // live for a clean unwind until returned
     VM_RETURN(RF[I->B]);
   }
@@ -1245,6 +1150,9 @@ Exit:
 #undef VM_PUSH_FRAME
 #undef VM_ENTER
 #undef VM_RETURN
+#undef VM_GATHER
+#undef VM_FILL
+#undef VM_TAIL_GATHER
 }
 
 void VM::enumerateRoots(const std::function<void(Value)> &Fn) const {

@@ -17,8 +17,8 @@
 /// path (the heap is empty afterwards), and the raw and peephole tiers
 /// issue the same heap-operation sequence (see the contract in
 /// Bytecode.h). Call frames overlap Lua-style
-/// in one register stack — a call's operand window becomes the callee's
-/// parameter registers, so argument binding is free — and tail calls are
+/// in one register stack — a call copies its operand list into a window
+/// that becomes the callee's parameter registers — and tail calls are
 /// resolved statically by the compiler and reuse the frame in place.
 ///
 //===----------------------------------------------------------------------===//

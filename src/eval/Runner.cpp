@@ -36,6 +36,10 @@ void Runner::finishSetup() {
       Config.Mode == RcMode::None ? HeapMode::Gc : HeapMode::Rc,
       EC.GcThresholdBytes);
   Compiled.emplace(compileProgram(*Prog, layoutProgram(*Prog)));
+  if (!Compiled->Error.empty()) {
+    Diags.error(SourceLoc{}, Compiled->Error);
+    return;
+  }
   if (EC.Peephole)
     PeepReport = runPeephole(*Compiled);
   TheVM = std::make_unique<VM>(*Compiled, *TheHeap);

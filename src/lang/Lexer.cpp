@@ -327,8 +327,10 @@ private:
       default:
         break;
       }
-      // The next character is lexed as it stands, trivia included.
+      // One diagnostic per stray character: skip the trivia after it, as
+      // run() does before every token.
       Diags.error(Loc, std::string("unexpected character '") + C + "'");
+      skipTrivia();
     }
   }
 

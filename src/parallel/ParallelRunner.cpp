@@ -62,8 +62,12 @@ ParallelOutcome ParallelRunner::run(const EngineConfig &EC,
     // CompiledProgram is cached across runs). Shared-segment runs stay
     // correct either way: every worker's entry args include the shared
     // heap reference, so VM::run falls back to the raw chunks.
-    if (EC.Peephole)
+    if (EC.Peephole && Compiled->Error.empty())
       runPeephole(*Compiled);
+  }
+  if (!Compiled->Error.empty()) {
+    Out.Error = "program failed to compile:\nerror: " + Compiled->Error;
+    return Out;
   }
 
   bool HasShared = !EC.SharedBuilder.empty();

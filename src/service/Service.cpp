@@ -97,7 +97,7 @@ size_t artifactFootprint(const CompiledArtifact &Art,
     B += C.Consts.size() * sizeof(Value);
     for (const MatchTable &M : C.Matches)
       B += sizeof(MatchTable) + M.Arms.size() * sizeof(MatchArmCode);
-    B += C.BinderSlots.size() * sizeof(uint16_t);
+    B += C.RegLists.size() * sizeof(uint16_t);
     for (const std::string &M : C.Messages)
       B += sizeof(std::string) + M.size();
   }
@@ -121,6 +121,13 @@ compileArtifact(const ServiceRequest &R) {
   }
   runPipeline(*Art->Prog, R.Config);
   Art->Code.emplace(compileProgram(*Art->Prog, layoutProgram(*Art->Prog)));
+  if (!Art->Code->Error.empty()) {
+    Diags.error(SourceLoc{}, Art->Code->Error);
+    Art->Error = "program failed to compile:\n" + Diags.str();
+    Art->Code.reset();
+    Art->SizeBytes = artifactFootprint(*Art, R.Source);
+    return Art;
+  }
   // Unconditional: artifacts are cached by (source, config), so the
   // peephole tier must not vary per request. Runs whose entry arguments
   // include heap references use the retained raw chunks.

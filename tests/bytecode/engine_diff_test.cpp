@@ -709,6 +709,46 @@ TEST(EngineDiff, UnspecializedDropReuseMatchesThePerceusGoldens) {
   }
 }
 
+/// Tail calls whose arguments name the caller's own parameters in
+/// another order, to a function and through a closure: each call's
+/// operand list reads registers the call itself overwrites.
+const char *const RotateSource = R"(
+fun rot(a, b, c, n) {
+  if n == 0 then a * 100 + b * 10 + c else rot(b, c, a, n - 1)
+}
+fun apply(g, u, v, n) {
+  if n == 0 then g(u, v, 0) else apply(g, v, u, n - 1)
+}
+fun main(n) {
+  rot(1, 2, 3, n) * 1000 + apply(fn(x, y, k) { x * 10 + y + k }, 7, 5, n)
+}
+)";
+
+TEST(EngineDiff, TailCallsPermutingTheirParametersRunOnBothTiers) {
+  const int64_t Want[] = {123075, 231057, 312075, 123057, 231075};
+  for (int64_t N = 0; N != 5; ++N) {
+    for (const auto &[Name, Config] : allConfigs()) {
+      for (bool Peephole : {false, true}) {
+        SCOPED_TRACE(std::string(Name) + (Peephole ? " / vm-peep" : " / vm") +
+                     " / n=" + std::to_string(N));
+        Observed O = runOn({"rotate", RotateSource, "main", N}, Config,
+                           Peephole);
+        ASSERT_TRUE(O.Run.Ok) << O.Run.Error;
+        EXPECT_EQ(O.Run.Result.Kind, ValueKind::Int);
+        EXPECT_EQ(O.Run.Result.Int, Want[N]);
+        // Scoped RC drops the parameters after each call, so its calls
+        // are not in tail position and permute through a fresh window.
+        EXPECT_EQ(O.Run.TailCalls, Config.Mode == RcMode::Scoped
+                                       ? 0
+                                       : 2 * static_cast<uint64_t>(N) + 1);
+        if (Config.Mode != RcMode::None) {
+          EXPECT_TRUE(O.HeapEmpty);
+        }
+      }
+    }
+  }
+}
+
 /// The opcode census: on the peephole tier, the corpus under every
 /// configuration executes every superinstruction at least once. A fused
 /// opcode that no built-in program runs is a handler no test exercises

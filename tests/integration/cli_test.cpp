@@ -367,7 +367,7 @@ TEST(PercCli, ServeModeCarriesTheTrapMessageAndTheAnswer) {
 
 TEST(PercCli, ServeRunsEveryRequestOnTheVm) {
   // A request that omits "engine" and one that names "vm" run the same
-  // VM: msort 24 under perceus takes 3988 peephole-VM instructions.
+  // VM: msort 24 under perceus takes 3304 peephole-VM instructions.
   int Exit = -1;
   std::vector<std::string> Lines =
       runPercServe(prog("msort.perc") + " --serve",
@@ -379,7 +379,7 @@ TEST(PercCli, ServeRunsEveryRequestOnTheVm) {
   for (int Seq : {1, 2}) {
     std::string L = lineWithSeq(Lines, Seq);
     EXPECT_NE(L.find("\"status\":\"ok\""), std::string::npos) << L;
-    EXPECT_NE(L.find("\"steps\":3988,"), std::string::npos) << L;
+    EXPECT_NE(L.find("\"steps\":3304,"), std::string::npos) << L;
   }
 }
 
@@ -552,6 +552,103 @@ TEST(PercCli, OutOfRangeIntegerLiteralsAreCompileErrors) {
   std::string Out = runPercCapture(File + " 3", Exit);
   EXPECT_EQ(Exit, 0) << Out;
   EXPECT_NE(Out.find("9223372036854775807"), std::string::npos) << Out;
+}
+
+/// A program whose `main` passes g 255 arguments, each a match binding
+/// all 255 fields of a B; \p Calls such calls are summed. Every binder is
+/// a register of main's frame: one call needs about 65 300 of them, two
+/// about 130 300.
+std::string wideFrameProgram(int Calls) {
+  std::string Fields, Params, Vals, Body;
+  for (int I = 0; I != 255; ++I) {
+    std::string Sep = I ? ", " : "";
+    Fields += Sep + "f" + std::to_string(I);
+    Params += Sep + "a" + std::to_string(I);
+    Vals += Sep + std::to_string(I);
+  }
+  for (int C = 0; C != Calls; ++C) {
+    Body += C ? " + g(" : "g(";
+    for (int J = 0; J != 255; ++J) {
+      std::string Pre = "x" + std::to_string(C) + "_" + std::to_string(J) + "_";
+      Body += J ? ", match t { B(" : "match t { B(";
+      for (int K = 0; K != 255; ++K)
+        Body += (K ? ", " : "") + Pre + std::to_string(K);
+      Body += ") -> " + Pre + std::to_string(J) + " }";
+    }
+    Body += ")";
+  }
+  return "type b { B(" + Fields + ") }\nfun g(" + Params +
+         ") { a0 + a254 }\nfun main(n) {\n  val t = B(" + Vals + ")\n  " +
+         Body + "\n}\n";
+}
+
+TEST(PercCli, FramesWiderThanTheRegisterFieldsAreCompileErrors) {
+  // Instructions name registers in 16 bits. A frame past 65535 registers
+  // is a compile error naming the function, never a run on truncated
+  // register numbers (which read the wrong registers and trapped).
+  std::string One = testing::TempDir() + "/wide_frame_1.perc";
+  std::ofstream(One) << wideFrameProgram(1);
+  std::string Two = testing::TempDir() + "/wide_frame_2.perc";
+  std::ofstream(Two) << wideFrameProgram(2);
+  const std::string Msg = "registers; at most 65535 are supported";
+  for (const std::string E : Tiers) {
+    int Exit = -1;
+    std::string Out = runPercCapture(One + E + " 1", Exit);
+    EXPECT_EQ(Exit, 0) << E << ": " << Out;
+    EXPECT_EQ(Out, "254\n") << E;
+    Out = runPercCapture(Two + E + " 1", Exit);
+    EXPECT_EQ(Exit, 1) << E << ": " << Out;
+    EXPECT_NE(Out.find("error: function 'main' has "), std::string::npos)
+        << E << ": " << Out;
+    EXPECT_NE(Out.find(Msg), std::string::npos) << E << ": " << Out;
+  }
+  int Exit = -1;
+  std::vector<std::string> Lines =
+      runPercServe(Two + " --serve", "main 1\nmain 2\n", Exit);
+  EXPECT_EQ(Exit, 1);
+  ASSERT_EQ(Lines.size(), 2u);
+  for (const std::string &L : Lines) {
+    EXPECT_NE(L.find("\"status\":\"compile-error\""), std::string::npos) << L;
+    EXPECT_NE(L.find(Msg), std::string::npos) << L;
+  }
+}
+
+TEST(PercCli, ProgramsPastTheFunctionFieldAreCompileErrors) {
+  // Static calls name their callee in 16 bits: 65 536 functions compile,
+  // one more is a compile error.
+  for (int N : {65536, 65537}) {
+    std::string File = testing::TempDir() + "/many_functions.perc";
+    {
+      std::ofstream Out(File);
+      for (int I = 0; I != N - 1; ++I)
+        Out << "fun f" << I << "() { " << I << " }\n";
+      Out << "fun main(n) { f" << N - 2 << "() }\n";
+    }
+    for (const std::string E : Tiers) {
+      int Exit = -1;
+      std::string Out = runPercCapture(File + E + " 1", Exit);
+      if (N == 65536) {
+        EXPECT_EQ(Exit, 0) << E << ": " << Out;
+        EXPECT_EQ(Out, "65534\n") << E;
+      } else {
+        EXPECT_EQ(Exit, 1) << E << ": " << Out;
+        EXPECT_NE(Out.find("error: program has 65537 functions; at most "
+                           "65536 are supported"),
+                  std::string::npos)
+            << E << ": " << Out;
+      }
+    }
+  }
+}
+
+TEST(PercCli, OneStrayCharacterIsOneDiagnostic) {
+  // The trivia after a stray character is not lexed as a second one.
+  std::string File = testing::TempDir() + "/stray.perc";
+  std::ofstream(File) << "fun main() { 1 $  \n}\n";
+  int Exit = -1;
+  std::string Out = runPercCapture(File, Exit);
+  EXPECT_EQ(Exit, 1);
+  EXPECT_EQ(Out, "1:16: error: unexpected character '$'\n");
 }
 
 } // namespace

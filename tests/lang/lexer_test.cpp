@@ -101,6 +101,23 @@ TEST(Lexer, UnknownCharacterIsAnError) {
   EXPECT_EQ(T.size(), 3u);
 }
 
+TEST(Lexer, OneStrayCharacterIsOneDiagnostic) {
+  // The trivia after a stray character is skipped, not reported: one
+  // diagnostic each, whatever follows it.
+  for (const char *Src : {"fun main() { 1 $ }", "fun main() { 1 $  }",
+                          "fun main() { 1 $\n}", "fun main() { 1 $// c\n}",
+                          "fun main() { 1 $ /* c */ }"}) {
+    DiagnosticEngine D;
+    auto T = lex(Src, D);
+    EXPECT_EQ(D.str(), "1:16: error: unexpected character '$'\n") << Src;
+    EXPECT_EQ(T.size(), 8u) << Src; // fun main ( ) { 1 } Eof
+  }
+  DiagnosticEngine D;
+  lex("fun main() { 1 $$ }", D);
+  EXPECT_EQ(D.str(), "1:16: error: unexpected character '$'\n"
+                     "1:17: error: unexpected character '$'\n");
+}
+
 TEST(Lexer, TracksLineAndColumn) {
   DiagnosticEngine D;
   auto T = lex("a\n  b", D);
