@@ -139,7 +139,7 @@ double parseScale(int Argc, char **Argv, double Default = 1.0);
 /// trajectory is built from.
 class BenchReport {
 public:
-  /// \p Bench is the harness name ("fig9", "rcops", ...); \p Scale the
+  /// \p Bench is the harness name ("fig9", "parallel", ...); \p Scale the
   /// workload scale the run used (0 when not applicable).
   BenchReport(std::string Bench, double Scale);
 

@@ -41,6 +41,16 @@ constexpr uint32_t MaxCallArgs = 255;   ///< parameters; call arguments
 /// in the AddressSanitizer build, whose frames are the largest.
 constexpr uint32_t MaxExprDepth = 256;
 
+/// Size limit of pattern compilation, which the resolver enforces. It
+/// resolves an arm's body once in every branch of the decision tree where
+/// the arm can still match, so some matches expand exponentially in their
+/// arm count. A function whose match arms (nested matches included) expand
+/// to more than MatchBodiesPerArm bodies per source arm plus
+/// MatchBodiesSlack is a compile error. The built-in and example programs
+/// expand at most 2 bodies per arm (rbtree's `bal-left`: 4 arms, 8 bodies).
+constexpr uint32_t MatchBodiesPerArm = 8;
+constexpr uint32_t MatchBodiesSlack = 32;
+
 /// One constructor of an algebraic data type.
 ///
 /// Nullary constructors (like `Nil`, `Red`, `Black`) are *enum-like*: they

@@ -145,6 +145,8 @@ struct SFunDecl {
   std::span<const NameId> ParamIds; // parallel to Params
   const SExpr *Body = nullptr;
   SourceLoc Loc;
+  uint32_t MatchArms = 0; ///< arms of every match in the body, nested ones
+                          ///< and those inside lambdas included
 };
 
 /// A parsed source file. Moving it keeps every node and name in place.

@@ -225,7 +225,9 @@ private:
     for (NameId Pm : D.ParamIds)
       D.Params.emplace_back(M.Names.name(Pm));
     expect(TokKind::RParen, "to close the parameter list");
+    uint32_t ArmsBefore = MatchArms;
     D.Body = parseBlock();
+    D.MatchArms = MatchArms - ArmsBefore;
     return D;
   }
 
@@ -329,6 +331,7 @@ private:
       expect(TokKind::Arrow, "after the pattern");
       Arm.Body = at(TokKind::LBrace) ? parseBlock() : parseExpr();
       ArmStack.push_back(Arm);
+      ++MatchArms;
     }
     E->Arms = takeList(ArmStack, Mark);
     expect(TokKind::RBrace, "to close the match");
@@ -578,6 +581,7 @@ private:
   size_t Pos = 0;
   uint32_t Depth = 0;   ///< levels open where the parser stands
   bool TooDeep = false; ///< the budget was exceeded; parsing has stopped
+  uint32_t MatchArms = 0; ///< match arms parsed so far
   // The open lists, innermost on top (see takeList).
   std::vector<const SExpr *> ExprStack;
   std::vector<const SPat *> PatStack;

@@ -202,6 +202,9 @@ private:
     if (Id == InvalidId)
       return; // duplicate reported earlier
     const FunctionDecl &Fn = P.function(Id);
+    Fun = &F;
+    Bodies = 0;
+    BodyBudget = uint64_t(MatchBodiesPerArm) * F.MatchArms + MatchBodiesSlack;
     size_t Mark = scopeMark();
     for (size_t I = 0; I != F.ParamIds.size(); ++I)
       pushScope(F.ParamIds[I], Fn.Params[I]);
@@ -497,12 +500,25 @@ private:
                            std::span<const Row> Rows, SourceLoc Loc) {
     if (Rows.empty())
       return B.prim(PrimOp::Abort, {}, Loc);
+    if (Bodies > BodyBudget)
+      return B.unit(Loc); // reported once; the function is an error
 
     // If the first row is irrefutable it wins: bind its variables and
-    // resolve its body.
+    // resolve its body, unless that passes the function's budget.
     const Row &First = Rows.front();
     assert(First.Pats.size() == Vars.size() && "ragged pattern matrix");
     if (std::none_of(First.Pats.begin(), First.Pats.end(), isRefutable)) {
+      if (++Bodies > BodyBudget) {
+        Diags.error(Loc, "function '" + std::string(Fun->Name) +
+                             "' expands its " + std::to_string(Fun->MatchArms) +
+                             " match arms to more than " +
+                             std::to_string(BodyBudget) + " bodies; at most " +
+                             std::to_string(MatchBodiesPerArm) +
+                             " per arm plus " +
+                             std::to_string(MatchBodiesSlack) +
+                             " are supported");
+        return B.unit(Loc);
+      }
       size_t Mark = scopeMark();
       for (const Binding &Bind : First.Bindings)
         pushScope(Bind.Name, Bind.Sym);
@@ -715,6 +731,11 @@ private:
   std::vector<Symbol> Interned;    ///< by NameId; invalid until interned
   std::vector<bool> UsedBinder;    ///< by NameId: some binder has the name
   NameId ScrutineeName = NoName;
+  /// The function being resolved, the match-arm bodies resolved in it so
+  /// far, and how many it may resolve (ir/Program.h).
+  const SFunDecl *Fun = nullptr;
+  uint64_t Bodies = 0;
+  uint64_t BodyBudget = 0;
 };
 
 } // namespace

@@ -125,8 +125,8 @@ private:
 };
 
 /// Sink that builds a per-site table: for every stamping site, how many
-/// of each event it caused. This is the `perc --stats-json` payload and
-/// the bench_reuse per-site report.
+/// of each event it caused. This is the per-site table of the
+/// `perc --stats-json` payload.
 class SiteTableSink : public StatsSink {
 public:
   struct Row {

@@ -12,8 +12,9 @@
 /// and flag values are rejected before any execution. The VM is the
 /// only engine: `--engine` is an unknown flag, and a request naming an
 /// engine other than "vm" is a bad-request.
-/// Programs wider than the runtime encodings, or nested deeper than the
-/// parser's depth budget, are compile errors.
+/// Programs wider than the runtime encodings, nested deeper than the
+/// parser's depth budget, or whose matches expand past the resolver's
+/// body budget, are compile errors.
 /// Scripts and CI gate on these codes, so they are part of the API.
 ///
 //===----------------------------------------------------------------------===//
@@ -514,6 +515,60 @@ TEST(PercCli, OverDeepProgramsAreCompileErrorsOnBothTiers) {
             << Shapes[I].Shape << " " << Levels << ": " << L;
       }
     }
+  }
+}
+
+/// Over `type p { P(a0, ..., a(N-1)) }` and `type b { T  F }`, the arms
+/// `P(T, ..., T) -> 0`, `P(_, T, ..., T) -> 1`, ..., `_ -> 99` expand to
+/// 2^N bodies in pattern compilation. `main` takes the second arm: 1.
+std::string exponentialMatch(int N) {
+  std::string S = "type b { T  F }\ntype p { P(a0";
+  for (int I = 1; I != N; ++I)
+    S += ", a" + std::to_string(I);
+  S += ") }\nfun f(x) { match x {\n";
+  for (int Row = 0; Row != N; ++Row) {
+    S += "  P(";
+    for (int Col = 0; Col != N; ++Col)
+      S += std::string(Col ? ", " : "") + (Col < Row ? "_" : "T");
+    S += ") -> " + std::to_string(Row) + "\n";
+  }
+  S += "  _ -> 99\n} }\nfun main(n) { f(P(F";
+  for (int I = 1; I != N; ++I)
+    S += ", T";
+  return S + ")) }\n";
+}
+
+TEST(PercCli, ExponentialMatchesAreCompileErrorsOnBothTiers) {
+  // 4 rows (16 bodies) fit the budget and run. 64 rows are one
+  // diagnostic and exit 1, before the expansion does the work; a serving
+  // process answers each request with a structured compile-error and
+  // lives on.
+  std::string Small = testing::TempDir() + "/match_rows_4.perc";
+  std::string Big = testing::TempDir() + "/match_rows_64.perc";
+  std::ofstream(Small) << exponentialMatch(4);
+  std::ofstream(Big) << exponentialMatch(64);
+  const std::string Msg =
+      "3:12: error: function 'f' expands its 65 match arms to more than " +
+      std::to_string(65 * perceus::MatchBodiesPerArm +
+                     perceus::MatchBodiesSlack) +
+      " bodies";
+  for (const std::string E : Tiers) {
+    int Exit = -1;
+    EXPECT_EQ(runPercCapture(Small + E + " 3", Exit), "1\n") << E;
+    EXPECT_EQ(Exit, 0) << E;
+    std::string Out = runPercCapture(Big + E + " 3", Exit);
+    EXPECT_EQ(Exit, 1) << E << ": " << Out;
+    EXPECT_NE(Out.find(Msg), std::string::npos) << E << ": " << Out;
+    EXPECT_EQ(Out.find("error:"), Out.rfind("error:")) << E << ": " << Out;
+  }
+  int Exit = -1;
+  std::vector<std::string> Lines =
+      runPercServe(Big + " --serve", "main 3\nmain 3\n", Exit);
+  EXPECT_EQ(Exit, 1);
+  ASSERT_EQ(Lines.size(), 2u);
+  for (const std::string &L : Lines) {
+    EXPECT_NE(L.find("\"status\":\"compile-error\""), std::string::npos) << L;
+    EXPECT_NE(L.find(Msg), std::string::npos) << L;
   }
 }
 

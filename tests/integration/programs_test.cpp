@@ -102,24 +102,6 @@ TEST_P(ProgramCase, InstrumentedCodeIsWellFormedAndLinear) {
   }
 }
 
-TEST_P(ProgramCase, PerceusNeverUsesMorePeakMemory) {
-  // The headline memory claim: precise RC retains no garbage, so its
-  // peak live heap is never above the scoped or GC configurations'.
-  Case C = cases()[GetParam()];
-  auto peakOf = [&](const PassConfig &Config) {
-    Runner R(C.Source, Config);
-    EXPECT_TRUE(R.ok());
-    RunResult Res = R.callInt(C.Entry, {C.N});
-    EXPECT_TRUE(Res.Ok) << Res.Error;
-    return R.heap().stats().PeakBytes;
-  };
-  size_t Perceus = peakOf(PassConfig::perceusFull());
-  size_t Scoped = peakOf(PassConfig::scoped());
-  size_t Gc = peakOf(PassConfig::gc());
-  EXPECT_LE(Perceus, Scoped) << C.Name;
-  EXPECT_LE(Perceus, Gc) << C.Name;
-}
-
 INSTANTIATE_TEST_SUITE_P(Benchmarks, ProgramCase,
                          ::testing::Range(size_t(0), cases().size()),
                          [](const ::testing::TestParamInfo<size_t> &I) {

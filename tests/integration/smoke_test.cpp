@@ -7,8 +7,6 @@
 #include "analysis/LinearCheck.h"
 #include "analysis/Verifier.h"
 #include "eval/Runner.h"
-#include "ir/Printer.h"
-#include "lang/Resolver.h"
 
 #include <gtest/gtest.h>
 
@@ -79,36 +77,6 @@ TEST(Smoke, InstrumentedProgramsAreWellFormedAndLinear) {
     EXPECT_TRUE(Linear.empty())
         << C.name() << ": " << (Linear.empty() ? "" : Linear.front());
   }
-}
-
-TEST(Smoke, ReuseFiresOnUniqueList) {
-  Runner R(MapSource, PassConfig::perceusFull());
-  ASSERT_TRUE(R.ok());
-  RunResult Res = R.callInt("main", {1000});
-  ASSERT_TRUE(Res.Ok) << Res.Error;
-  // map over a unique list reuses every Cons cell in place.
-  EXPECT_GE(Res.ReuseHits, 1000u);
-}
-
-TEST(Smoke, Figure1Stages) {
-  Program P;
-  DiagnosticEngine Diags;
-  ASSERT_TRUE(compileSource(MapSource, P, Diags)) << Diags.str();
-  FuncId MapF = P.findFunction(P.symbols().intern("map"));
-  ASSERT_NE(MapF, InvalidId);
-  auto Stages = runPipelineWithStages(P, MapF);
-  ASSERT_EQ(Stages.size(), 7u);
-  // (b) has dup/drop but no is-unique.
-  EXPECT_NE(Stages[1].Text.find("dup"), std::string::npos);
-  EXPECT_EQ(Stages[1].Text.find("is-unique"), std::string::npos);
-  // (c) introduces is-unique and free.
-  EXPECT_NE(Stages[2].Text.find("is-unique"), std::string::npos);
-  EXPECT_NE(Stages[2].Text.find("free"), std::string::npos);
-  // (e) introduces drop-reuse and Cons@.
-  EXPECT_NE(Stages[4].Text.find("drop-reuse"), std::string::npos);
-  EXPECT_NE(Stages[4].Text.find("Cons@"), std::string::npos);
-  // (g): the unique fast path has no dups before &xs.
-  EXPECT_NE(Stages[6].Text.find("&xs"), std::string::npos);
 }
 
 } // namespace

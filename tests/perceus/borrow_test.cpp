@@ -140,29 +140,6 @@ std::vector<BCase> bcases() {
   };
 }
 
-TEST_P(BorrowedProgram, SameResultsEmptyHeapFewerRcOps) {
-  BCase C = bcases()[GetParam()];
-  Runner Ref(C.Source, PassConfig::perceusFull());
-  RunResult RR = Ref.callInt(C.Entry, {C.N});
-  ASSERT_TRUE(RR.Ok) << RR.Error;
-  uint64_t RefOps = Ref.heap().stats().DupOps + Ref.heap().stats().DropOps +
-                    Ref.heap().stats().DecRefOps;
-
-  Runner Bor(C.Source, PassConfig::perceusBorrow());
-  ASSERT_TRUE(Bor.ok()) << Bor.diagnostics().str();
-  RunResult BR = Bor.callInt(C.Entry, {C.N});
-  ASSERT_TRUE(BR.Ok) << BR.Error;
-  EXPECT_EQ(BR.Result.Int, RR.Result.Int);
-  EXPECT_TRUE(Bor.heapIsEmpty()) << "borrowing leaked cells";
-  uint64_t BorOps = Bor.heap().stats().DupOps + Bor.heap().stats().DropOps +
-                    Bor.heap().stats().DecRefOps;
-  // Borrowing can add at most one post-call drop per hoisted borrowed
-  // argument at the top level (e.g. `sum(map(..))` becomes
-  // `val t = map(..); sum(t); drop t`); it must never add per-element
-  // operations.
-  EXPECT_LE(BorOps, RefOps + 4) << "borrowing added RC operations";
-}
-
 TEST_P(BorrowedProgram, BorrowedCodeIsLinearUnderSignatures) {
   BCase C = bcases()[GetParam()];
   Program P;

@@ -47,7 +47,9 @@ std::vector<StageDump> stages() {
   EXPECT_TRUE(compileSource(MapOnly, P, D)) << D.str();
   FuncId F = P.findFunction(P.symbols().intern("map"));
   EXPECT_NE(F, InvalidId);
-  return runPipelineWithStages(P, F);
+  std::vector<StageDump> S = runPipelineWithStages(P, F);
+  EXPECT_EQ(S.size(), 7u);
+  return S;
 }
 
 TEST(Fig1Golden, StageA_Original) {
