@@ -138,22 +138,6 @@ void usage() {
                "[--max-conns=N] [--max-requests=N]\n");
 }
 
-bool parsePassConfig(const char *Name, PassConfig &Out) {
-  if (!std::strcmp(Name, "perceus"))
-    Out = PassConfig::perceusFull();
-  else if (!std::strcmp(Name, "perceus-noopt"))
-    Out = PassConfig::perceusNoOpt();
-  else if (!std::strcmp(Name, "perceus-borrow"))
-    Out = PassConfig::perceusBorrow();
-  else if (!std::strcmp(Name, "scoped-rc"))
-    Out = PassConfig::scoped();
-  else if (!std::strcmp(Name, "gc"))
-    Out = PassConfig::gc();
-  else
-    return false;
-  return true;
-}
-
 bool parseCount(const char *A, const char *Flag, uint64_t &Out) {
   size_t Len = std::strlen(Flag);
   if (std::strncmp(A, Flag, Len) != 0)

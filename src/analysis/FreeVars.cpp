@@ -141,25 +141,6 @@ VarSet FreeVarAnalysis::compute(const Expr *E) {
   case ExprKind::ReuseAddr:
     S.insert(cast<ReuseAddrExpr>(E)->var());
     break;
-  case ExprKind::IsNullToken: {
-    const auto *N = cast<IsNullTokenExpr>(E);
-    S = freeVars(N->thenExpr()).unite(freeVars(N->elseExpr()));
-    S.insert(N->token());
-    break;
-  }
-  case ExprKind::SetField: {
-    const auto *F = cast<SetFieldExpr>(E);
-    S = freeVars(F->value()).unite(freeVars(F->rest()));
-    S.insert(F->token());
-    break;
-  }
-  case ExprKind::TokenValue: {
-    const auto *T = cast<TokenValueExpr>(E);
-    S.insert(T->token());
-    for (Symbol K : T->keptFields())
-      S.insert(K);
-    break;
-  }
   }
   return S;
 }

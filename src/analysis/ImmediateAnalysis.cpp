@@ -79,7 +79,6 @@ private:
     case ExprKind::Var:
     case ExprKind::NullToken:
     case ExprKind::ReuseAddr:
-    case ExprKind::TokenValue:
       return;
     case ExprKind::Global:
       Escapes[cast<GlobalExpr>(E)->func()] = true;
@@ -143,18 +142,6 @@ private:
     case ExprKind::DropReuse:
       scanEscapes(cast<DropReuseExpr>(E)->rest());
       return;
-    case ExprKind::IsNullToken: {
-      const auto *T = cast<IsNullTokenExpr>(E);
-      scanEscapes(T->thenExpr());
-      scanEscapes(T->elseExpr());
-      return;
-    }
-    case ExprKind::SetField: {
-      const auto *S = cast<SetFieldExpr>(E);
-      scanEscapes(S->value());
-      scanEscapes(S->rest());
-      return;
-    }
     }
   }
 
@@ -312,33 +299,6 @@ private:
     case ExprKind::ReuseAddr:
     case ExprKind::NullToken:
       return false; // tokens are not immediates
-    case ExprKind::IsNullToken: {
-      const auto *T = cast<IsNullTokenExpr>(E);
-      bool A = eval(T->thenExpr());
-      bool B = eval(T->elseExpr());
-      return A && B;
-    }
-    case ExprKind::SetField: {
-      const auto *S = cast<SetFieldExpr>(E);
-      bool V = eval(S->value());
-      // The token's eventual constructor is not statically known here:
-      // join the write into this field index of every ctor that has it.
-      for (CtorId C = 0; C != P.numCtors(); ++C)
-        constrainField(C, S->index(), V);
-      return eval(S->rest());
-    }
-    case ExprKind::TokenValue: {
-      // A reused cell keeps the unwritten fields of the same-arity cell
-      // the token came from, so this ctor's field facts must cover every
-      // arity-equal ctor's.
-      const auto *T = cast<TokenValueExpr>(E);
-      const CtorDecl &D = P.ctor(T->ctor());
-      for (CtorId C = 0; C != P.numCtors(); ++C)
-        if (C != T->ctor() && P.ctor(C).Arity == D.Arity)
-          for (uint32_t I = 0; I != D.Arity; ++I)
-            constrainField(T->ctor(), I, FieldImm[C][I]);
-      return false;
-    }
     }
     return false;
   }

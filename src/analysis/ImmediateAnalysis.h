@@ -15,13 +15,9 @@
 /// families of facts, all on the two-point lattice {immediate, unknown}:
 ///
 ///   FieldImm[ctor][i]  — field i of ctor only ever holds an immediate.
-///                        Constrained by every Con site (per-ctor precise),
-///                        every SetField site (per-index, joined across
-///                        all ctors: a reuse token's eventual constructor
-///                        is not statically known here), and — because a
-///                        reused cell keeps the unwritten fields of the
-///                        same-arity cell it came from — each TokenValue
-///                        ctor joins the fields of every arity-equal ctor.
+///                        Constrained by every Con site of ctor; a reusing
+///                        `Con@ru` writes every field, so it is per-ctor
+///                        precise too.
 ///   ParamImm[f][i]     — parameter i of top-level f only receives
 ///                        immediates. Constrained by every direct
 ///                        full-arity call; functions whose reference

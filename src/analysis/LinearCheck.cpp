@@ -331,31 +331,6 @@ public:
       requireMergeable(E, ElseEnv, "is-unique");
       return;
     }
-    case ExprKind::IsNullToken: {
-      const auto *N = cast<IsNullTokenExpr>(Ex);
-      Env ElseEnv = E;
-      // On the then (null) branch the token is known empty; its
-      // obligation is discharged here. The else branch consumes it via
-      // TokenValue.
-      consume(E, N->token(), "null-token branch");
-      check(N->thenExpr(), E);
-      check(N->elseExpr(), ElseEnv);
-      requireMergeable(E, ElseEnv, "token test");
-      return;
-    }
-    case ExprKind::SetField: {
-      const auto *F = cast<SetFieldExpr>(Ex);
-      check(F->value(), E);
-      check(F->rest(), E);
-      return;
-    }
-    case ExprKind::TokenValue:
-      consume(E, cast<TokenValueExpr>(Ex)->token(), "token value");
-      // Kept fields statically absorb the binders' ownership back into
-      // the reused cell (no runtime effect; see TokenValueExpr).
-      for (Symbol K : cast<TokenValueExpr>(Ex)->keptFields())
-        consume(E, K, "kept field");
-      return;
     }
   }
 

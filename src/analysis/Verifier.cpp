@@ -194,29 +194,6 @@ public:
     case ExprKind::ReuseAddr:
       checkUse(cast<ReuseAddrExpr>(E)->var(), Scope, "reuse-addr");
       return;
-    case ExprKind::IsNullToken: {
-      const auto *N = cast<IsNullTokenExpr>(E);
-      checkUse(N->token(), Scope, "token test");
-      checkExpr(N->thenExpr(), Scope);
-      checkExpr(N->elseExpr(), Scope);
-      return;
-    }
-    case ExprKind::SetField: {
-      const auto *F = cast<SetFieldExpr>(E);
-      checkUse(F->token(), Scope, "field assignment");
-      checkExpr(F->value(), Scope);
-      checkExpr(F->rest(), Scope);
-      return;
-    }
-    case ExprKind::TokenValue: {
-      const auto *T = cast<TokenValueExpr>(E);
-      checkUse(T->token(), Scope, "token value");
-      if (T->ctor() >= P.numCtors())
-        error("unknown constructor in token value");
-      for (Symbol K : T->keptFields())
-        checkUse(K, Scope, "kept field");
-      return;
-    }
     }
   }
 

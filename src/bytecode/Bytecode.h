@@ -23,13 +23,12 @@
 ///     one heap operation (alloc, dup, drop, decref, is-unique, free,
 ///     markShared) per RC instruction of the IR, with the IR's telemetry
 ///     sites, in a fixed evaluation order (callee before arguments,
-///     constructor fields before the allocation, value before the token
-///     check in set-field). So HeapStats, RcInstrCounts, reuse counters
-///     and fault-injection behaviour are bit-identical across the raw
-///     and peephole tiers, and equal the frozen goldens in
-///     tests/bytecode/engine_diff_test.cpp.
-///  2. *Dispatch speed.* Every RC instruction, the is-unique and
-///     null-token branches, and each primitive is a single opcode;
+///     constructor fields before the allocation). So HeapStats,
+///     RcInstrCounts, reuse counters and fault-injection behaviour are
+///     bit-identical across the raw and peephole tiers, and equal the
+///     frozen goldens in tests/bytecode/engine_diff_test.cpp.
+///  2. *Dispatch speed.* Every RC instruction, the is-unique branch,
+///     a reusing constructor and each primitive is a single opcode;
 ///     constructor tag/arity are inline immediates resolved at compile
 ///     time (the "inline cache" — no CtorDecl lookup at run time); calls
 ///     to statically-known functions skip callee resolution entirely.
@@ -88,9 +87,6 @@ enum class Op : uint8_t {
   IsUniqueBr,   ///< C=slot, E=else target (unique path falls through)
   DropReuse,    ///< C=var slot, D=token slot
   ReuseAddr,    ///< B=dst, C=var slot
-  IsNullTokenBr,///< C=token slot, E=else target (null path falls through)
-  SetField,     ///< A=field index, C=token slot, D=value reg
-  TokenValue,   ///< B=dst, C=token slot, D=ctor tag
 
   //===--- Primitives (one instruction each; fast unboxed paths) ----------===//
   Add,          ///< B=dst, C=lhs, D=rhs (likewise through Mod)
@@ -121,8 +117,6 @@ enum class Op : uint8_t {
   Dup2,          ///< C=slot1, D=slot2
   Drop2,         ///< C=slot1, D=slot2
   Dup3,          ///< C=slot1, D=slot2, E=slot3
-  SetFieldToken, ///< A=field index, B=dst, C=token slot, D=value reg,
-                 ///< E=ctor tag
   RetConst,      ///< E=constant-pool index
   LtBr,          ///< C=lhs, D=rhs, E=target (branches when the compare
   LeBr,          ///< is false, like JumpIfFalse; the boolean register

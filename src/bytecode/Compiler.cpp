@@ -179,14 +179,6 @@ private:
       compileTail(U->elseExpr());
       return;
     }
-    case ExprKind::IsNullToken: {
-      const auto *N = cast<IsNullTokenExpr>(E);
-      uint32_t Br = emit(Op::IsNullTokenBr, 0, 0, E->layoutA(), 0, 0, E);
-      compileTail(N->thenExpr());
-      patch(Br, here());
-      compileTail(N->elseExpr());
-      return;
-    }
     case ExprKind::Match:
       compileMatch(cast<MatchExpr>(E), 0, /*Tail=*/true);
       return;
@@ -201,12 +193,6 @@ private:
       const auto *D = cast<DropReuseExpr>(E);
       emit(Op::DropReuse, 0, 0, E->layoutA(), E->layoutB(), 0, E);
       compileTail(D->rest());
-      return;
-    }
-    case ExprKind::SetField: {
-      const auto *S = cast<SetFieldExpr>(E);
-      emitSetField(S);
-      compileTail(S->rest());
       return;
     }
     default: {
@@ -300,16 +286,6 @@ private:
       patch(Je, here());
       return;
     }
-    case ExprKind::IsNullToken: {
-      const auto *N = cast<IsNullTokenExpr>(E);
-      uint32_t Br = emit(Op::IsNullTokenBr, 0, 0, E->layoutA(), 0, 0, E);
-      compileVal(N->thenExpr(), Dst);
-      uint32_t Je = emit(Op::Jump, 0, 0, 0, 0, 0);
-      patch(Br, here());
-      compileVal(N->elseExpr(), Dst);
-      patch(Je, here());
-      return;
-    }
     case ExprKind::Match:
       compileMatch(cast<MatchExpr>(E), Dst, /*Tail=*/false);
       return;
@@ -351,17 +327,6 @@ private:
     case ExprKind::ReuseAddr:
       emit(Op::ReuseAddr, 0, Dst, E->layoutA(), 0, 0);
       return;
-    case ExprKind::SetField: {
-      const auto *S = cast<SetFieldExpr>(E);
-      emitSetField(S);
-      compileVal(S->rest(), Dst);
-      return;
-    }
-    case ExprKind::TokenValue: {
-      const auto *T = cast<TokenValueExpr>(E);
-      emit(Op::TokenValue, 0, Dst, E->layoutA(), P.ctor(T->ctor()).Tag, 0, E);
-      return;
-    }
     }
     assert(false && "unhandled expression kind");
   }
@@ -401,14 +366,6 @@ private:
       Home = allocTemps(1);
     compileVal(E, Home);
     return Home;
-  }
-
-  void emitSetField(const SetFieldExpr *S) {
-    uint32_t Save = TempTop;
-    uint32_t V = operand(S->value());
-    emit(Op::SetField, static_cast<uint8_t>(S->index()), 0, S->layoutA(), V,
-         0);
-    TempTop = Save;
   }
 
   /// The callee is evaluated before the arguments. The window above every

@@ -22,7 +22,6 @@ bool isBranchOp(Op O) {
   case Op::Jump:
   case Op::JumpIfFalse:
   case Op::IsUniqueBr:
-  case Op::IsNullTokenBr:
   case Op::LtBr:
   case Op::LeBr:
   case Op::EqBr:
@@ -110,8 +109,7 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
   std::vector<char> Leader(N + 1, 0);
   for (size_t P = 0; P != N; ++P) {
     const Instr &I = OldCode[P];
-    if (I.O == Op::Jump || I.O == Op::JumpIfFalse || I.O == Op::IsUniqueBr ||
-        I.O == Op::IsNullTokenBr)
+    if (I.O == Op::Jump || I.O == Op::JumpIfFalse || I.O == Op::IsUniqueBr)
       Leader[I.E] = 1;
     else if (I.O == Op::MatchOp)
       for (const MatchArmCode &Arm : CP.Matches[I.E].Arms)
@@ -352,16 +350,6 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
       if (NQ && NQ->O == Op::Ret && NQ->B == X.B && spanFree(P, Q)) {
         fuse(Q, {Op::ConRet, X.A, X.B, 0, X.D, X.E}, OldSites[P], nullptr,
              nullptr);
-        Fused = true;
-      }
-      break;
-    case Op::SetField:
-      // Same token slot: the set-field's null check subsumes the
-      // token-value's, and the fused handler traps with the set-field
-      // message first, exactly like the unfused pair.
-      if (NQ && NQ->O == Op::TokenValue && NQ->C == X.C && spanFree(P, Q)) {
-        fuse(Q, {Op::SetFieldToken, X.A, NQ->B, X.C, X.D, NQ->D}, OldSites[Q],
-             nullptr, nullptr);
         Fused = true;
       }
       break;

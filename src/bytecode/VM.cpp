@@ -50,12 +50,12 @@ uint64_t VmPairProfile[NumOpcodes][NumOpcodes];
   X(Call) X(CallStatic) X(TailCall) X(TailCallStatic) X(Ret)                   \
   X(MakeClosure) X(Con) X(ConReuse)                                            \
   X(Dup) X(Drop) X(FreeOp) X(DecRef) X(IsUniqueBr) X(DropReuse)                \
-  X(ReuseAddr) X(IsNullTokenBr) X(SetField) X(TokenValue)                      \
+  X(ReuseAddr)                                                                 \
   X(Add) X(Sub) X(Mul) X(Div) X(Mod) X(Neg) X(Cmp) X(Not)                      \
   X(PrintLn) X(MarkSharedOp) X(AbortOp)                                        \
   X(RefNew) X(RefGet) X(RefSet)                                                \
   X(TrapOp)                                                                    \
-  X(Dup2) X(Drop2) X(Dup3) X(SetFieldToken) X(RetConst)                        \
+  X(Dup2) X(Drop2) X(Dup3) X(RetConst)                                         \
   X(LtBr) X(LeBr) X(EqBr) X(NeBr) X(CmpConstBr) X(CmpJmp) X(ArithConst)        \
   X(DecLoadConst) X(DropLoadConst) X(DropRetConst) X(Dup2DecLoadConst)         \
   X(ConRet) X(DropMove) X(ArithConstRet) X(IsUniqueReuseJmp)
@@ -758,42 +758,6 @@ Execute:
     RF[I->B] = Value::makeToken(V.Ref);
     VM_NEXT();
   }
-  VM_CASE(IsNullTokenBr) {
-    // Blind union read: layout guarantees the slot holds a token here.
-    if (RF[I->C].Tok == nullptr) {
-      // The reuse-specialized fresh path: the pairing missed.
-      ++R.ReuseMisses;
-      if (Sink) {
-        Sink->setSite(VM_SITE(Sites), "is-null-token", VM_SITE(Sites)->loc());
-        Sink->record(RcEvent::ReuseMiss, 0);
-      }
-    } else {
-      VM_JUMP(I->E);
-    }
-    VM_NEXT();
-  }
-  VM_CASE(SetField) {
-    Value Tok = RF[I->C];
-    if (Tok.Kind != ValueKind::Token || !Tok.Tok)
-      VM_TRAP("field assignment through a null token", TrapKind::RuntimeError);
-    Tok.Tok->setField(I->A, RF[I->D]);
-    VM_NEXT();
-  }
-  VM_CASE(TokenValue) {
-    Value V = RF[I->C];
-    if (V.Kind != ValueKind::Token || !V.Tok)
-      VM_TRAP("token value of a null or non-token", TrapKind::RuntimeError);
-    Cell *C = V.Tok;
-    C->H.Tag = static_cast<uint8_t>(I->D);
-    C->H.Kind = CellKind::Ctor;
-    ++R.ReuseHits;
-    if (Sink) {
-      Sink->setSite(VM_SITE(Sites), "token-value", VM_SITE(Sites)->loc());
-      Sink->record(RcEvent::ReuseHit, Cell::allocSize(C->H.Arity));
-    }
-    RF[I->B] = Value::makeRef(C);
-    VM_NEXT();
-  }
 
   //===--- Primitives -----------------------------------------------------===//
   VM_CASE(Add) {
@@ -959,23 +923,6 @@ Execute:
     VM_STAMP(Sites3, "dup");
     ++R.Rc.Dups;
     H.dup(RF[static_cast<uint16_t>(I->E)]);
-    VM_NEXT();
-  }
-  VM_CASE(SetFieldToken) {
-    ++R.Rc.FusedOps;
-    Value Tok = RF[I->C];
-    if (Tok.Kind != ValueKind::Token || !Tok.Tok)
-      VM_TRAP("field assignment through a null token", TrapKind::RuntimeError);
-    Cell *C = Tok.Tok;
-    C->setField(I->A, RF[I->D]);
-    C->H.Tag = static_cast<uint8_t>(I->E);
-    C->H.Kind = CellKind::Ctor;
-    ++R.ReuseHits;
-    if (Sink) {
-      Sink->setSite(VM_SITE(Sites), "token-value", VM_SITE(Sites)->loc());
-      Sink->record(RcEvent::ReuseHit, Cell::allocSize(C->H.Arity));
-    }
-    RF[I->B] = Value::makeRef(C);
     VM_NEXT();
   }
   VM_CASE(RetConst) {

@@ -257,38 +257,6 @@ const Expr *perceus::substitute(Program &P, const Expr *E, Symbol X,
       if (ren(cast<ReuseAddrExpr>(N)->var()) == cast<ReuseAddrExpr>(N)->var())
         return N;
       return B.reuseAddr(ren(cast<ReuseAddrExpr>(N)->var()), N->loc());
-    case ExprKind::IsNullToken: {
-      const auto *T = cast<IsNullTokenExpr>(N);
-      const Expr *Th = Go(T->thenExpr());
-      const Expr *El = Go(T->elseExpr());
-      if (ren(T->token()) == T->token() && Th == T->thenExpr() &&
-          El == T->elseExpr())
-        return N;
-      return B.isNullToken(ren(T->token()), Th, El, N->loc());
-    }
-    case ExprKind::SetField: {
-      const auto *F = cast<SetFieldExpr>(N);
-      const Expr *Vl = Go(F->value());
-      const Expr *Rest = Go(F->rest());
-      if (ren(F->token()) == F->token() && Vl == F->value() &&
-          Rest == F->rest())
-        return N;
-      return B.setField(ren(F->token()), F->index(), Vl, Rest, N->loc());
-    }
-    case ExprKind::TokenValue: {
-      const auto *T = cast<TokenValueExpr>(N);
-      bool Changed = ren(T->token()) != T->token();
-      std::vector<Symbol> Kept;
-      for (Symbol K : T->keptFields()) {
-        Kept.push_back(ren(K));
-        Changed |= Kept.back() != K;
-      }
-      if (!Changed)
-        return N;
-      return B.tokenValue(ren(T->token()), T->ctor(),
-                          std::span<const Symbol>(Kept.data(), Kept.size()),
-                          N->loc());
-    }
     default:
       // NullToken and other leaves.
       return N;

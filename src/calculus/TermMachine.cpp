@@ -146,27 +146,6 @@ void erasedFv(const Expr *E, std::set<Symbol> &Out,
   case ExprKind::ReuseAddr:
     Use(cast<ReuseAddrExpr>(E)->var());
     return;
-  case ExprKind::IsNullToken: {
-    const auto *N = cast<IsNullTokenExpr>(E);
-    Use(N->token());
-    erasedFv(N->thenExpr(), Out, Bound);
-    erasedFv(N->elseExpr(), Out, Bound);
-    return;
-  }
-  case ExprKind::SetField: {
-    const auto *F = cast<SetFieldExpr>(E);
-    Use(F->token());
-    erasedFv(F->value(), Out, Bound);
-    erasedFv(F->rest(), Out, Bound);
-    return;
-  }
-  case ExprKind::TokenValue: {
-    const auto *T = cast<TokenValueExpr>(E);
-    Use(T->token());
-    for (Symbol K : T->keptFields())
-      Use(K);
-    return;
-  }
   }
 }
 
@@ -201,12 +180,6 @@ ExprKind peekRedex(const Expr *E) {
     if (!isVal(S->first()))
       return peekRedex(S->first());
     return ExprKind::Seq;
-  }
-  case ExprKind::SetField: {
-    const auto *F = cast<SetFieldExpr>(E);
-    if (!isVal(F->value()))
-      return peekRedex(F->value());
-    return ExprKind::SetField;
   }
   default:
     return E->kind();
@@ -579,52 +552,6 @@ const Expr *TermMachine::step(const Expr *E, bool &Progress, bool &AtRcOp) {
     // Ownership of every field transfers to the pattern binders.
     It->second.Fields.clear();
     return IRBuilder(P).var(R->var());
-  }
-
-  case ExprKind::IsNullToken: {
-    const auto *N = cast<IsNullTokenExpr>(E);
-    return N->token() == NullTok ? N->thenExpr() : N->elseExpr();
-  }
-
-  case ExprKind::SetField: {
-    const auto *F = cast<SetFieldExpr>(E);
-    if (!isVal(F->value())) {
-      const Expr *V = step(F->value(), Progress, AtRcOp);
-      if (!V)
-        return nullptr;
-      return B.setField(F->token(), F->index(), V, F->rest(), E->loc());
-    }
-    auto It = H.find(F->token());
-    if (It == H.end())
-      return fail("field assignment through a freed token");
-    Symbol V = valSym(F->value());
-    if (!V.isValid())
-      return fail("literal field value in the pure calculus");
-    if (It->second.Fields.size() <= F->index())
-      It->second.Fields.resize(F->index() + 1);
-    It->second.Fields[F->index()] = V;
-    return F->rest();
-  }
-
-  case ExprKind::TokenValue: {
-    const auto *T = cast<TokenValueExpr>(E);
-    auto It = H.find(T->token());
-    if (It == H.end())
-      return fail("token value of a freed token");
-    const CtorDecl &C = P.ctor(T->ctor());
-    It->second.IsClosure = false;
-    It->second.Ctor = T->ctor();
-    if (It->second.Fields.size() < C.Arity)
-      It->second.Fields.resize(C.Arity);
-    // Unwritten fields keep their values: restore them from the kept
-    // binders, in field order.
-    size_t KeptIdx = 0;
-    for (uint32_t I = 0; I != C.Arity && KeptIdx != T->keptFields().size();
-         ++I) {
-      if (!It->second.Fields[I].isValid())
-        It->second.Fields[I] = T->keptFields()[KeptIdx++];
-    }
-    return IRBuilder(P).var(T->token());
   }
 
   default:

@@ -152,23 +152,6 @@ private:
     case ExprKind::ReuseAddr:
       E->setLayout(slotOf(cast<ReuseAddrExpr>(E)->var()), ~0u);
       return;
-    case ExprKind::IsNullToken: {
-      const auto *N = cast<IsNullTokenExpr>(E);
-      E->setLayout(slotOf(N->token()), ~0u);
-      walk(N->thenExpr());
-      walk(N->elseExpr());
-      return;
-    }
-    case ExprKind::SetField: {
-      const auto *F = cast<SetFieldExpr>(E);
-      E->setLayout(slotOf(F->token()), ~0u);
-      walk(F->value());
-      walk(F->rest());
-      return;
-    }
-    case ExprKind::TokenValue:
-      E->setLayout(slotOf(cast<TokenValueExpr>(E)->token()), ~0u);
-      return;
     }
   }
 

@@ -20,7 +20,6 @@
 ///                        the lambda frame]), B = lambda frame size
 ///   Dup/Drop/Free/DecRef/IsUnique/ReuseAddr   A = variable slot
 ///   DropReuse        A = variable slot, B = token slot
-///   IsNullToken/SetField/TokenValue           A = token slot
 ///   Con (with token) A = token slot
 ///
 //===----------------------------------------------------------------------===//

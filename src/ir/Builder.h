@@ -190,18 +190,6 @@ public:
   const Expr *nullToken(SourceLoc L = {}) {
     return P.arena().make<NullTokenExpr>(L);
   }
-  const Expr *isNullToken(Symbol Token, const Expr *Then, const Expr *Else,
-                          SourceLoc L = {}) {
-    return P.arena().make<IsNullTokenExpr>(Token, Then, Else, L);
-  }
-  const Expr *setField(Symbol Token, uint32_t Index, const Expr *Value,
-                       const Expr *Rest, SourceLoc L = {}) {
-    return P.arena().make<SetFieldExpr>(Token, Index, Value, Rest, L);
-  }
-  const Expr *tokenValue(Symbol Token, CtorId Ctor,
-                         std::span<const Symbol> Kept = {}, SourceLoc L = {}) {
-    return P.arena().make<TokenValueExpr>(Token, Ctor, copySyms(Kept), L);
-  }
 
   //===--- Helpers ---------------------------------------------------------//
 

@@ -9,7 +9,7 @@
 /// "Perceus: Garbage Free Reference Counting with Reuse" (Reinking, Xie,
 /// de Moura, Leijen; PLDI 2021), Figure 4, extended with the internal
 /// reference-counting constructs the paper introduces during compilation
-/// (Sections 2.2-2.5):
+/// (Sections 2.2-2.4):
 ///
 ///   dup x; e            DupExpr        increment refcount
 ///   drop x; e           DropExpr       decrement / recursively free
@@ -20,9 +20,6 @@
 ///   Con@ru(...)         ConExpr w/ token   reuse-allocated constructor
 ///   &x                  ReuseAddrExpr  the address of x as a token
 ///   NULL                NullTokenExpr  the empty reuse token
-///   if ru != NULL       IsNullTokenExpr reuse-specialized dispatch (2.5)
-///   ru->f[i] := e; e    SetFieldExpr   in-place field update (2.5)
-///   ru (as value)       TokenValueExpr the reused cell as a constructor
 ///
 /// All nodes are immutable and arena-allocated; passes build rewritten
 /// trees rather than mutating in place.
@@ -72,9 +69,6 @@ enum class ExprKind : uint8_t {
   DropReuse,
   ReuseAddr,
   NullToken,
-  IsNullToken,
-  SetField,
-  TokenValue,
 };
 
 /// Primitive operations. All operate on unboxed integers/booleans.
@@ -498,83 +492,6 @@ public:
   static bool classof(const Expr *E) {
     return E->kind() == ExprKind::NullToken;
   }
-};
-
-/// `if token == NULL then thenE else elseE` (reuse specialization, 2.5).
-class IsNullTokenExpr : public Expr {
-public:
-  IsNullTokenExpr(Symbol Token, const Expr *Then, const Expr *Else,
-                  SourceLoc Loc)
-      : Expr(ExprKind::IsNullToken, Loc), Token(Token), Then(Then),
-        Else(Else) {}
-
-  Symbol token() const { return Token; }
-  /// Taken when the token IS null (must allocate fresh).
-  const Expr *thenExpr() const { return Then; }
-  /// Taken when the token is a reusable cell (fast path).
-  const Expr *elseExpr() const { return Else; }
-
-  static bool classof(const Expr *E) {
-    return E->kind() == ExprKind::IsNullToken;
-  }
-
-private:
-  Symbol Token;
-  const Expr *Then;
-  const Expr *Else;
-};
-
-/// `token->field[index] := value; rest` — writes one field of the cell a
-/// non-null token designates (reuse specialization, Section 2.5).
-class SetFieldExpr : public Expr {
-public:
-  SetFieldExpr(Symbol Token, uint32_t Index, const Expr *Value,
-               const Expr *Rest, SourceLoc Loc)
-      : Expr(ExprKind::SetField, Loc), Token(Token), Index(Index),
-        Value(Value), Rest(Rest) {}
-
-  Symbol token() const { return Token; }
-  uint32_t index() const { return Index; }
-  const Expr *value() const { return Value; }
-  const Expr *rest() const { return Rest; }
-
-  static bool classof(const Expr *E) {
-    return E->kind() == ExprKind::SetField;
-  }
-
-private:
-  Symbol Token;
-  uint32_t Index;
-  const Expr *Value;
-  const Expr *Rest;
-};
-
-/// A non-null token used as the resulting constructor value; sets the
-/// cell's tag to \p Ctor (reuse specialization fast path, Section 2.5).
-///
-/// `keptFields()` lists the pattern binders whose values remain in the
-/// reused cell's unwritten fields. They have no runtime effect (the cell
-/// keeps both the value and its reference), but they statically consume
-/// the binders' ownership, keeping the linear accounting exact.
-class TokenValueExpr : public Expr {
-public:
-  TokenValueExpr(Symbol Token, CtorId Ctor, std::span<const Symbol> Kept,
-                 SourceLoc Loc)
-      : Expr(ExprKind::TokenValue, Loc), Token(Token), Ctor(Ctor),
-        Kept(Kept) {}
-
-  Symbol token() const { return Token; }
-  CtorId ctor() const { return Ctor; }
-  std::span<const Symbol> keptFields() const { return Kept; }
-
-  static bool classof(const Expr *E) {
-    return E->kind() == ExprKind::TokenValue;
-  }
-
-private:
-  Symbol Token;
-  CtorId Ctor;
-  std::span<const Symbol> Kept;
 };
 
 } // namespace perceus

@@ -170,24 +170,6 @@ public:
     case ExprKind::NullToken:
       Out += "NULL";
       return;
-    case ExprKind::TokenValue: {
-      const auto *T = cast<TokenValueExpr>(E);
-      Out += name(T->token());
-      Out += '@';
-      Out += name(P.ctor(T->ctor()).Name);
-      if (!T->keptFields().empty()) {
-        Out += "[keep ";
-        bool First = true;
-        for (Symbol K : T->keptFields()) {
-          if (!First)
-            Out += ", ";
-          First = false;
-          Out += name(K);
-        }
-        Out += ']';
-      }
-      return;
-    }
     case ExprKind::Dup:
     case ExprKind::Drop:
     case ExprKind::Free:
@@ -278,15 +260,6 @@ public:
       blockExpr(D->rest(), Indent, true);
       return;
     }
-    case ExprKind::SetField: {
-      const auto *S = cast<SetFieldExpr>(E);
-      Out += name(S->token()) + "[" + std::to_string(S->index()) + "] := ";
-      inlineExpr(S->value());
-      Out += ';';
-      line(Indent);
-      blockExpr(S->rest(), Indent, true);
-      return;
-    }
     case ExprKind::If: {
       const auto *I = cast<IfExpr>(E);
       Out += "if ";
@@ -298,12 +271,6 @@ public:
       const auto *U = cast<IsUniqueExpr>(E);
       Out += "if is-unique(" + name(U->var()) + ")";
       printBranchPair(U->thenExpr(), U->elseExpr(), Indent);
-      return;
-    }
-    case ExprKind::IsNullToken: {
-      const auto *N = cast<IsNullTokenExpr>(E);
-      Out += "if " + name(N->token()) + " == NULL";
-      printBranchPair(N->thenExpr(), N->elseExpr(), Indent);
       return;
     }
     case ExprKind::Match: {
@@ -403,7 +370,6 @@ public:
     case ExprKind::Prim:
     case ExprKind::ReuseAddr:
     case ExprKind::NullToken:
-    case ExprKind::TokenValue:
       return true;
     default:
       return false;
@@ -595,31 +561,6 @@ bool perceus::exprEquals(const Expr *A, const Expr *B) {
     return cast<ReuseAddrExpr>(A)->var() == cast<ReuseAddrExpr>(B)->var();
   case ExprKind::NullToken:
     return true;
-  case ExprKind::IsNullToken: {
-    const auto *NA = cast<IsNullTokenExpr>(A);
-    const auto *NB = cast<IsNullTokenExpr>(B);
-    return NA->token() == NB->token() &&
-           exprEquals(NA->thenExpr(), NB->thenExpr()) &&
-           exprEquals(NA->elseExpr(), NB->elseExpr());
-  }
-  case ExprKind::SetField: {
-    const auto *SA = cast<SetFieldExpr>(A);
-    const auto *SB = cast<SetFieldExpr>(B);
-    return SA->token() == SB->token() && SA->index() == SB->index() &&
-           exprEquals(SA->value(), SB->value()) &&
-           exprEquals(SA->rest(), SB->rest());
-  }
-  case ExprKind::TokenValue: {
-    const auto *TA = cast<TokenValueExpr>(A);
-    const auto *TB = cast<TokenValueExpr>(B);
-    if (TA->token() != TB->token() || TA->ctor() != TB->ctor() ||
-        TA->keptFields().size() != TB->keptFields().size())
-      return false;
-    for (size_t I = 0; I != TA->keptFields().size(); ++I)
-      if (TA->keptFields()[I] != TB->keptFields()[I])
-        return false;
-    return true;
-  }
   }
   return false;
 }

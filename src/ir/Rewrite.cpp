@@ -52,7 +52,6 @@ const Expr *perceus::mapChildren(IRBuilder &B, const Expr *E,
   case ExprKind::Global:
   case ExprKind::ReuseAddr:
   case ExprKind::NullToken:
-  case ExprKind::TokenValue:
     return E;
 
   case ExprKind::Lam: {
@@ -181,24 +180,6 @@ const Expr *perceus::mapChildren(IRBuilder &B, const Expr *E,
     return Rest == D->rest() ? E
                              : B.dropReuse(D->var(), D->token(), Rest,
                                            E->loc());
-  }
-
-  case ExprKind::IsNullToken: {
-    const auto *N = cast<IsNullTokenExpr>(E);
-    const Expr *T = Fn(N->thenExpr());
-    const Expr *El = Fn(N->elseExpr());
-    if (T == N->thenExpr() && El == N->elseExpr())
-      return E;
-    return B.isNullToken(N->token(), T, El, E->loc());
-  }
-
-  case ExprKind::SetField: {
-    const auto *F = cast<SetFieldExpr>(E);
-    const Expr *V = Fn(F->value());
-    const Expr *Rest = Fn(F->rest());
-    if (V == F->value() && Rest == F->rest())
-      return E;
-    return B.setField(F->token(), F->index(), V, Rest, E->loc());
   }
   }
   return E;

@@ -33,6 +33,17 @@ const char *PassConfig::name() const {
   return "perceus-custom";
 }
 
+bool perceus::parsePassConfig(std::string_view Name, PassConfig &Out) {
+  for (const PassConfig &C :
+       {PassConfig::perceusFull(), PassConfig::perceusNoOpt(),
+        PassConfig::perceusBorrow(), PassConfig::scoped(), PassConfig::gc()})
+    if (Name == C.name()) {
+      Out = C;
+      return true;
+    }
+  return false;
+}
+
 IrOpCounts perceus::countIrOps(const Program &P) {
   IrOpCounts C;
   std::vector<const Expr *> Work;
@@ -127,23 +138,6 @@ IrOpCounts perceus::countIrOps(const Program &P) {
     case ExprKind::NullToken:
       ++C.TokenOps;
       break;
-    case ExprKind::IsNullToken: {
-      ++C.TokenOps;
-      const auto *N = cast<IsNullTokenExpr>(E);
-      push(N->thenExpr());
-      push(N->elseExpr());
-      break;
-    }
-    case ExprKind::SetField: {
-      ++C.TokenOps;
-      const auto *S = cast<SetFieldExpr>(E);
-      push(S->value());
-      push(S->rest());
-      break;
-    }
-    case ExprKind::TokenValue:
-      ++C.TokenOps;
-      break;
     }
   }
   return C;
@@ -181,10 +175,6 @@ void runPasses(Program &P, const PassConfig &Config,
   if (Config.EnableReuse) {
     runReuseAnalysis(P);
     snap("reuse analysis (2.4)");
-  }
-  if (Config.EnableReuse && Config.EnableReuseSpec) {
-    runReuseSpecialization(P);
-    snap("reuse specialization (2.5)");
   }
   if (Config.EnableDropSpec) {
     runDropSpecialization(P);

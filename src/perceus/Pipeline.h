@@ -8,9 +8,9 @@
 /// Assembles the Perceus passes into the configurations the paper
 /// evaluates (Section 4):
 ///
-///   perceus       insertion + reuse + reuse-spec + drop-spec + fusion
+///   perceus       insertion + reuse + drop-spec + fusion
 ///   perceus-noopt insertion only ("Koka, no-opt": reuse analysis and
-///                 drop/reuse specialization disabled)
+///                 drop specialization disabled)
 ///   scoped-rc     lexical-lifetime RC (the Swift / shared_ptr baseline)
 ///   gc            no RC instructions at all (bodies stay erased); the
 ///                 abstract machine pairs this with the tracing collector
@@ -23,6 +23,7 @@
 #include "ir/Program.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace perceus {
@@ -33,13 +34,12 @@ enum class RcMode { None, Perceus, Scoped };
 /// Which passes run.
 struct PassConfig {
   RcMode Mode = RcMode::Perceus;
-  bool EnableReuse = true;     ///< reuse analysis (2.4)
-  bool EnableReuseSpec = true; ///< reuse specialization (2.5)
-  bool EnableDropSpec = true;  ///< drop + drop-reuse specialization (2.3)
-  bool EnableFusion = true;    ///< dup push-down + fusion (2.3/2.4)
-  bool EnableBorrow = false;   ///< borrow inference (Section 6 extension;
-                               ///< trades strict garbage-freedom for
-                               ///< fewer RC operations)
+  bool EnableReuse = true;    ///< reuse analysis (2.4)
+  bool EnableDropSpec = true; ///< drop + drop-reuse specialization (2.3)
+  bool EnableFusion = true;   ///< dup push-down + fusion (2.3/2.4)
+  bool EnableBorrow = false;  ///< borrow inference (Section 6 extension;
+                              ///< trades strict garbage-freedom for
+                              ///< fewer RC operations)
 
   /// Full Perceus (the paper's "Koka" configuration).
   static PassConfig perceusFull() { return {}; }
@@ -54,8 +54,7 @@ struct PassConfig {
   /// Precise RC without the optimizations (the paper's "Koka, no-opt").
   static PassConfig perceusNoOpt() {
     PassConfig C;
-    C.EnableReuse = C.EnableReuseSpec = C.EnableDropSpec = C.EnableFusion =
-        false;
+    C.EnableReuse = C.EnableDropSpec = C.EnableFusion = false;
     return C;
   }
 
@@ -63,8 +62,7 @@ struct PassConfig {
   static PassConfig scoped() {
     PassConfig C;
     C.Mode = RcMode::Scoped;
-    C.EnableReuse = C.EnableReuseSpec = C.EnableDropSpec = C.EnableFusion =
-        false;
+    C.EnableReuse = C.EnableDropSpec = C.EnableFusion = false;
     return C;
   }
 
@@ -72,14 +70,18 @@ struct PassConfig {
   static PassConfig gc() {
     PassConfig C;
     C.Mode = RcMode::None;
-    C.EnableReuse = C.EnableReuseSpec = C.EnableDropSpec = C.EnableFusion =
-        false;
+    C.EnableReuse = C.EnableDropSpec = C.EnableFusion = false;
     return C;
   }
 
   /// Short name used in benchmark tables.
   const char *name() const;
 };
+
+/// Sets \p Out to the stock configuration whose name() is \p Name:
+/// perceus, perceus-noopt, perceus-borrow, scoped-rc or gc. Returns false,
+/// leaving \p Out alone, on any other name.
+bool parsePassConfig(std::string_view Name, PassConfig &Out);
 
 /// Runs the configured pipeline over all functions of \p P.
 void runPipeline(Program &P, const PassConfig &Config);
@@ -96,8 +98,7 @@ struct IrOpCounts {
   uint64_t IsUniques = 0;  ///< is-unique tests
   uint64_t DropReuses = 0; ///< drop-reuse bindings
   uint64_t ReuseCons = 0;  ///< Con@ru constructors
-  uint64_t TokenOps = 0;   ///< &x / NULL / token tests / field writes /
-                           ///< token values
+  uint64_t TokenOps = 0;   ///< &x / NULL tokens
   uint64_t Nodes = 0;      ///< all expression nodes
 
   uint64_t rcTotal() const {

@@ -1,4 +1,4 @@
-//===- perceus/Reuse.cpp - Reuse analysis and specialization ----------------===//
+//===- perceus/Reuse.cpp - Reuse analysis -----------------------------------===//
 //
 // Part of the perceus-cpp project, under the MIT license.
 //
@@ -6,7 +6,6 @@
 
 #include "perceus/Reuse.h"
 
-#include "analysis/FreeVars.h"
 #include "ir/Builder.h"
 #include "ir/Rewrite.h"
 #include "support/Casting.h"
@@ -71,8 +70,10 @@ private:
       if (It != Shape.end() && P.ctor(It->second).Arity > 0) {
         uint32_t Arity = P.ctor(It->second).Arity;
         Symbol Ru = P.symbols().fresh("ru");
-        // Prefer pairing with the same constructor (better for reuse
-        // specialization), then any same-size allocation.
+        // Prefer pairing with the same constructor, then any same-size
+        // allocation. The order decides which allocation each token goes
+        // to: the one that rebuilds the matched cell (Figure 1's `Cons`
+        // for `Cons`) before one of another constructor.
         auto [WithToken, Used] =
             attach(Rest, Ru, Arity, It->second, /*SameCtorOnly=*/true);
         if (!Used)
@@ -272,200 +273,6 @@ private:
   std::unordered_map<Symbol, CtorId> Shape;
 };
 
-//===----------------------------------------------------------------------===//
-// Reuse specialization
-//===----------------------------------------------------------------------===//
-
-class ReuseSpecializer {
-public:
-  ReuseSpecializer(Program &P) : P(P), B(P) {}
-
-  void runOnFunction(FuncId F) {
-    FunctionDecl &Fn = P.function(F);
-    P.setBody(F, rewrite(Fn.Body));
-  }
-
-private:
-  struct TokenOrigin {
-    CtorId Ctor = InvalidId;
-    std::span<const Symbol> Binders;
-  };
-
-  const Expr *rewrite(const Expr *E) {
-    switch (E->kind()) {
-    case ExprKind::Match: {
-      const auto *M = cast<MatchExpr>(E);
-      bool Changed = false;
-      std::vector<MatchArm> Arms;
-      for (const MatchArm &Arm : M->arms()) {
-        MatchArm NewArm = Arm;
-        if (Arm.Kind == ArmKind::Ctor) {
-          auto Saved = Shape.find(M->scrutinee());
-          bool Had = Saved != Shape.end();
-          TokenOrigin Old = Had ? Saved->second : TokenOrigin();
-          Shape[M->scrutinee()] = {Arm.Ctor, Arm.Binders};
-          NewArm.Body = rewrite(Arm.Body);
-          if (Had)
-            Shape[M->scrutinee()] = Old;
-          else
-            Shape.erase(M->scrutinee());
-        } else {
-          NewArm.Body = rewrite(Arm.Body);
-        }
-        Changed |= NewArm.Body != Arm.Body;
-        Arms.push_back(NewArm);
-      }
-      if (!Changed)
-        return E;
-      return B.match(M->scrutinee(),
-                     std::span<const MatchArm>(Arms.data(), Arms.size()),
-                     E->loc());
-    }
-
-    case ExprKind::DropReuse: {
-      const auto *D = cast<DropReuseExpr>(E);
-      auto It = Shape.find(D->var());
-      if (It != Shape.end())
-        Tokens[D->token()] = It->second;
-      const Expr *Rest = rewrite(D->rest());
-      return Rest == D->rest() ? E
-                               : B.dropReuse(D->var(), D->token(), Rest,
-                                             E->loc());
-    }
-
-    case ExprKind::Con: {
-      const auto *C = cast<ConExpr>(E);
-      // First rewrite the arguments themselves.
-      const Expr *Rewritten =
-          mapChildren(B, E, [&](const Expr *Ch) { return rewrite(Ch); });
-      C = cast<ConExpr>(Rewritten);
-      if (!C->hasReuseToken())
-        return Rewritten;
-      auto It = Tokens.find(C->reuseToken());
-      if (It == Tokens.end() || It->second.Ctor != C->ctor())
-        return Rewritten; // cross-constructor reuse: all fields change
-      return specializeCon(C, It->second);
-    }
-
-    case ExprKind::Lam: {
-      // Outer binders are out of scope inside a lambda body.
-      std::unordered_map<Symbol, TokenOrigin> SavedShape;
-      std::unordered_map<Symbol, TokenOrigin> SavedTokens;
-      SavedShape.swap(Shape);
-      SavedTokens.swap(Tokens);
-      const Expr *Out =
-          mapChildren(B, E, [&](const Expr *C) { return rewrite(C); });
-      Shape.swap(SavedShape);
-      Tokens.swap(SavedTokens);
-      return Out;
-    }
-
-    default:
-      return mapChildren(B, E, [&](const Expr *C) { return rewrite(C); });
-    }
-  }
-
-  /// Is \p Arg the unchanged field \p Binder — either the bare variable
-  /// (last use) or `dup b; b` (non-last use)?
-  static bool isUnchangedField(const Expr *Arg, Symbol Binder, bool &HasDup) {
-    if (const auto *V = dyn_cast<VarExpr>(Arg)) {
-      HasDup = false;
-      return V->name() == Binder;
-    }
-    if (const auto *D = dyn_cast<DupExpr>(Arg)) {
-      if (D->var() != Binder)
-        return false;
-      if (const auto *V = dyn_cast<VarExpr>(D->rest())) {
-        HasDup = true;
-        return V->name() == Binder;
-      }
-    }
-    return false;
-  }
-
-  const Expr *specializeCon(const ConExpr *C, const TokenOrigin &Origin) {
-    auto Args = C->args();
-    size_t N = Args.size();
-    assert(Origin.Binders.size() == N && "token origin arity mismatch");
-
-    std::vector<bool> Unchanged(N, false);
-    std::vector<bool> HasDup(N, false);
-    unsigned NumUnchanged = 0;
-    for (size_t I = 0; I != N; ++I) {
-      bool Dup = false;
-      if (!isUnchangedField(Args[I], Origin.Binders[I], Dup))
-        continue;
-      // A dup'ed unchanged field may not be hoisted past a later argument
-      // that consumes the binder; demote it to "changed" in that case.
-      if (Dup) {
-        bool Escapes = false;
-        for (size_t J = I + 1; J != N && !Escapes; ++J)
-          Escapes = FV.freeVars(Args[J]).contains(Origin.Binders[I]);
-        if (Escapes)
-          continue;
-      }
-      Unchanged[I] = true;
-      HasDup[I] = Dup;
-      ++NumUnchanged;
-    }
-    // Specialization only pays off when a field can be kept (2.5).
-    if (NumUnchanged == 0)
-      return C;
-
-    // Hoist the changed arguments (in evaluation order), then dispatch on
-    // the token.
-    std::vector<Symbol> Hoisted(N);
-    std::vector<const Expr *> FreshArgs(N);
-    for (size_t I = 0; I != N; ++I) {
-      if (Unchanged[I]) {
-        FreshArgs[I] = Args[I]; // evaluated only on the fresh path
-        continue;
-      }
-      Hoisted[I] = P.symbols().fresh("fld");
-      FreshArgs[I] = B.var(Hoisted[I], C->loc());
-    }
-
-    // Fresh path: allocate normally (token is NULL, nothing to release).
-    const Expr *FreshPath =
-        B.con(C->ctor(),
-              std::span<const Expr *const>(FreshArgs.data(), FreshArgs.size()),
-              Symbol(), C->loc());
-
-    // Reuse path: assign only the changed fields; keep the rest.
-    std::vector<Symbol> Kept;
-    for (size_t I = 0; I != N; ++I)
-      if (Unchanged[I])
-        Kept.push_back(Origin.Binders[I]);
-    const Expr *ReusePath =
-        B.tokenValue(C->reuseToken(), C->ctor(),
-                     std::span<const Symbol>(Kept.data(), Kept.size()),
-                     C->loc());
-    for (size_t I = N; I-- > 0;) {
-      if (Unchanged[I]) {
-        if (HasDup[I])
-          ReusePath = B.dup(Origin.Binders[I], ReusePath, C->loc());
-        continue;
-      }
-      ReusePath = B.setField(C->reuseToken(), static_cast<uint32_t>(I),
-                             B.var(Hoisted[I], C->loc()), ReusePath,
-                             C->loc());
-    }
-
-    const Expr *Out =
-        B.isNullToken(C->reuseToken(), FreshPath, ReusePath, C->loc());
-    for (size_t I = N; I-- > 0;)
-      if (!Unchanged[I])
-        Out = B.let(Hoisted[I], Args[I], Out, C->loc());
-    return Out;
-  }
-
-  Program &P;
-  IRBuilder B;
-  FreeVarAnalysis FV;
-  std::unordered_map<Symbol, TokenOrigin> Shape;
-  std::unordered_map<Symbol, TokenOrigin> Tokens;
-};
-
 } // namespace
 
 void perceus::runReuseAnalysis(Program &P) {
@@ -477,15 +284,4 @@ void perceus::runReuseAnalysis(Program &P) {
 void perceus::runReuseAnalysis(Program &P, FuncId F) {
   ReuseAnalyzer A(P);
   A.runOnFunction(F);
-}
-
-void perceus::runReuseSpecialization(Program &P) {
-  ReuseSpecializer S(P);
-  for (FuncId F = 0; F != P.numFunctions(); ++F)
-    S.runOnFunction(F);
-}
-
-void perceus::runReuseSpecialization(Program &P, FuncId F) {
-  ReuseSpecializer S(P);
-  S.runOnFunction(F);
 }

@@ -1,4 +1,4 @@
-//===- perceus/Reuse.h - Reuse analysis and specialization ------*- C++-*-===//
+//===- perceus/Reuse.h - Reuse analysis -------------------------*- C++-*-===//
 //
 // Part of the perceus-cpp project, under the MIT license.
 //
@@ -9,12 +9,12 @@
 /// with same-size constructor allocations, turning `drop x` into
 /// `val ru = drop-reuse(x)` and the paired allocation into `Con@ru(...)`,
 /// so a unique cell is updated in place instead of freed and reallocated.
+/// It runs on RC-instrumented IR (after Perceus insertion).
 ///
-/// Reuse specialization (Section 2.5): rewrites `Con@ru(...)` whose token
-/// originates from the *same* constructor into an explicit null-token
-/// dispatch that assigns only the fields that changed.
-///
-/// Both run on RC-instrumented IR (after Perceus insertion).
+/// The paper's reuse specialization (Section 2.5), which rewrites a
+/// same-constructor `Con@ru` to store only its changed fields, is not
+/// done: the VM's `ConReuse` writes every field in one dispatch, where a
+/// specialized store would be a dispatch of its own (DESIGN.md §3).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,11 +28,6 @@ namespace perceus {
 /// Runs reuse analysis on every function (or one function).
 void runReuseAnalysis(Program &P);
 void runReuseAnalysis(Program &P, FuncId F);
-
-/// Runs reuse specialization on every function (or one function).
-/// Must run after reuse analysis and before drop specialization.
-void runReuseSpecialization(Program &P);
-void runReuseSpecialization(Program &P, FuncId F);
 
 } // namespace perceus
 

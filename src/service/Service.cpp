@@ -64,7 +64,6 @@ std::string cacheKey(const ServiceRequest &R) {
   Key.reserve(R.Source.size() + 8);
   Key += static_cast<char>('0' + static_cast<int>(R.Config.Mode));
   Key += static_cast<char>('0' + R.Config.EnableReuse);
-  Key += static_cast<char>('0' + R.Config.EnableReuseSpec);
   Key += static_cast<char>('0' + R.Config.EnableDropSpec);
   Key += static_cast<char>('0' + R.Config.EnableFusion);
   Key += static_cast<char>('0' + R.Config.EnableBorrow);

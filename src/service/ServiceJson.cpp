@@ -197,22 +197,6 @@ public:
   std::string &Error;
 };
 
-bool parsePassConfigName(const std::string &Name, PassConfig &Out) {
-  if (Name == "perceus")
-    Out = PassConfig::perceusFull();
-  else if (Name == "perceus-noopt")
-    Out = PassConfig::perceusNoOpt();
-  else if (Name == "perceus-borrow")
-    Out = PassConfig::perceusBorrow();
-  else if (Name == "scoped-rc")
-    Out = PassConfig::scoped();
-  else if (Name == "gc")
-    Out = PassConfig::gc();
-  else
-    return false;
-  return true;
-}
-
 } // namespace
 
 bool parseServiceRequestJson(std::string_view Text, ServiceRequest &R,
@@ -287,7 +271,7 @@ bool parseServiceRequestJson(std::string_view Text, ServiceRequest &R,
       std::string Name;
       if (!wantString(Name))
         return false;
-      if (!parsePassConfigName(Name, R.Config))
+      if (!parsePassConfig(Name, R.Config))
         return P.fail("unknown config \"" + Name + "\"");
     } else if (Key == "args") {
       const char *Kind = nullptr;

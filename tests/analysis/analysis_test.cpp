@@ -285,23 +285,6 @@ std::set<uint32_t> referenceFreeVars(const Expr *E) {
   case ExprKind::ReuseAddr:
     S.insert(cast<ReuseAddrExpr>(E)->var().id());
     break;
-  case ExprKind::IsNullToken:
-    add(cast<IsNullTokenExpr>(E)->thenExpr());
-    add(cast<IsNullTokenExpr>(E)->elseExpr());
-    S.insert(cast<IsNullTokenExpr>(E)->token().id());
-    break;
-  case ExprKind::SetField:
-    add(cast<SetFieldExpr>(E)->value());
-    add(cast<SetFieldExpr>(E)->rest());
-    S.insert(cast<SetFieldExpr>(E)->token().id());
-    break;
-  case ExprKind::TokenValue: {
-    const auto *T = cast<TokenValueExpr>(E);
-    S.insert(T->token().id());
-    for (Symbol K : T->keptFields())
-      S.insert(K.id());
-    break;
-  }
   }
   return S;
 }
@@ -357,7 +340,6 @@ TEST(FreeVarAnalysis, MatchesPlainRecursionAfterEveryPipelineStage) {
   const std::pair<const char *, void (*)(Program &)> Stages[] = {
       {"perceus insertion", [](Program &P) { insertPerceus(P); }},
       {"reuse analysis", [](Program &P) { runReuseAnalysis(P); }},
-      {"reuse specialization", [](Program &P) { runReuseSpecialization(P); }},
       {"drop specialization", [](Program &P) { runDropSpecialization(P); }},
       {"fusion", [](Program &P) { runFusion(P); }},
   };
@@ -446,8 +428,6 @@ TEST_F(AnalysisTest, RcOperandsAreFree) {
   // drop-reuse binds its token in the rest.
   const Expr *DR = B.dropReuse(X, T, B.con(Pair, {B.var(Y), B.unit()}, T));
   EXPECT_EQ(FV.freeVars(DR), (VarSet{X, Y}));
-  Symbol Kept[1] = {X};
-  EXPECT_EQ(FV.freeVars(B.tokenValue(T, Pair, Kept)), (VarSet{T, X}));
 }
 
 TEST_F(AnalysisTest, CacheIsConsistent) {

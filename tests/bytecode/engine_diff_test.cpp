@@ -647,6 +647,11 @@ TEST(EngineDiff, PeepholeFusesAndElidesOnTheBenchmarks) {
     const RcInstrCounts &A = Plain.Run.Rc, &B = Peep.Run.Rc;
     EXPECT_LT(B.Dups + B.Drops + B.DecRefs, A.Dups + A.Drops + A.DecRefs);
     EXPECT_LT(Peep.Heap.NonHeapRcOps, Plain.Heap.NonHeapRcOps);
+    // msort's integer fields sit in `Cons` and in its list pair `P`, of
+    // the same arity; the immediacy analysis proves them per constructor.
+    if (std::string_view(C.Name) == "msort") {
+      EXPECT_LE(4 * Peep.Heap.NonHeapRcOps, Plain.Heap.NonHeapRcOps);
+    }
   }
 }
 

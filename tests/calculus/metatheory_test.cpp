@@ -15,8 +15,8 @@
 ///     Perceus-instrumented program, every heap location is reachable.
 ///   * Theorem 3 / Figure 8 invariants: Perceus output passes the
 ///     structural verifier and the linear-ownership checker.
-///   * The optimized pipeline (drop specialization, fusion, reuse,
-///     reuse specialization) preserves all of the above.
+///   * The optimized pipeline (drop specialization, fusion, reuse)
+///     preserves all of the above.
 ///   * Contrast: scoped-lifetime RC is sound but NOT garbage free —
 ///     the audit finds unreachable-yet-live locations (Section 2.2).
 ///

@@ -186,6 +186,47 @@ TEST(PercCli, BadFlagValuesAreRejected) {
   EXPECT_NE(runPerc("/no/such/file.perc"), 0);
 }
 
+TEST(PercCli, PassStatsListsEachStageAndThePeepholeTotal) {
+  // `--pass-stats` prints one row per pipeline stage that ran, in order,
+  // then the peephole table, which ends in its total row.
+  const std::vector<std::pair<const char *, std::vector<std::string>>>
+      Stages = {
+          {"gc", {"input"}},
+          {"scoped-rc", {"input", "scoped rc insertion (2.2)"}},
+          {"perceus-noopt", {"input", "perceus insertion (2.2)"}},
+          {"perceus",
+           {"input", "perceus insertion (2.2)", "reuse analysis (2.4)",
+            "drop specialization (2.3)", "dup push-down + fusion (2.3)"}},
+          {"perceus-borrow",
+           {"input", "perceus insertion + borrow (6)", "reuse analysis (2.4)",
+            "drop specialization (2.3)", "dup push-down + fusion (2.3)"}},
+      };
+  for (const auto &[Config, Expected] : Stages) {
+    int Exit = -1;
+    std::string Out = runPercCapture(
+        prog("msort.perc") + " --pass-stats --config=" + Config, Exit);
+    EXPECT_EQ(Exit, 0) << Config << ": " << Out;
+    std::vector<std::string> Lines;
+    std::istringstream In(Out);
+    for (std::string L; std::getline(In, L);)
+      Lines.push_back(L);
+    ASSERT_GE(Lines.size(), 2u) << Config << ": " << Out;
+    EXPECT_EQ(Lines[0], std::string("config: ") + Config);
+    // Stage rows follow the header up to the blank line; the stage name
+    // fills the first 34 columns.
+    std::vector<std::string> Rows;
+    size_t I = 2;
+    for (; I < Lines.size() && !Lines[I].empty(); ++I) {
+      std::string Name = Lines[I].substr(0, 34);
+      Rows.push_back(Name.substr(0, Name.find_last_not_of(' ') + 1));
+    }
+    EXPECT_EQ(Rows, Expected) << Config << ": " << Out;
+    ASSERT_LT(I + 1, Lines.size()) << Config << ": " << Out;
+    EXPECT_EQ(Lines[I + 1].rfind("peephole", 0), 0u) << Config << ": " << Out;
+    EXPECT_EQ(Lines.back().rfind("total ", 0), 0u) << Config << ": " << Out;
+  }
+}
+
 TEST(PercCli, EngineFlagIsAnUnknownFlag) {
   // One engine, no selector: every spelling of --engine is a usage error
   // (exit 1, like any unknown flag), and the program never runs.
@@ -368,7 +409,7 @@ TEST(PercCli, ServeModeCarriesTheTrapMessageAndTheAnswer) {
 
 TEST(PercCli, ServeRunsEveryRequestOnTheVm) {
   // A request that omits "engine" and one that names "vm" run the same
-  // VM: msort 24 under perceus takes 3304 peephole-VM instructions.
+  // VM: msort 24 under perceus takes 2823 peephole-VM instructions.
   int Exit = -1;
   std::vector<std::string> Lines =
       runPercServe(prog("msort.perc") + " --serve",
@@ -380,7 +421,7 @@ TEST(PercCli, ServeRunsEveryRequestOnTheVm) {
   for (int Seq : {1, 2}) {
     std::string L = lineWithSeq(Lines, Seq);
     EXPECT_NE(L.find("\"status\":\"ok\""), std::string::npos) << L;
-    EXPECT_NE(L.find("\"steps\":3304,"), std::string::npos) << L;
+    EXPECT_NE(L.find("\"steps\":2823,"), std::string::npos) << L;
   }
 }
 

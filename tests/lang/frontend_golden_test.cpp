@@ -98,19 +98,19 @@ struct Golden {
 // reaches the printed IR). A change that moves one must explain why.
 const Golden Goldens[] = {
     {"rbtree", "resolved", 0x0034f09d2723e129ull},
-    {"rbtree", "perceus", 0x05bd735dda817889ull},
+    {"rbtree", "perceus", 0xe854b54b8802c60bull},
     {"rbtree", "perceus-noopt", 0x29a58bc8a98cbbd5ull},
-    {"rbtree", "perceus-borrow", 0x97516ffd1e2aee8full},
+    {"rbtree", "perceus-borrow", 0x99a7d75ddf6fe117ull},
     {"rbtree", "scoped-rc", 0x12d1a01f50175facull},
     {"rbtree", "gc", 0x0034f09d2723e129ull},
-    {"rbtree", "perceus-nodropspec", 0xb906a1a6f21a471eull},
+    {"rbtree", "perceus-nodropspec", 0x33010aa10b5162c6ull},
     {"rbtree-ck", "resolved", 0x0706b3809bff5c6bull},
-    {"rbtree-ck", "perceus", 0xfa0170c1fad22b2eull},
+    {"rbtree-ck", "perceus", 0x584cf4502eaa905eull},
     {"rbtree-ck", "perceus-noopt", 0x63ef02c4060feee4ull},
-    {"rbtree-ck", "perceus-borrow", 0x9941006261f3d1d3ull},
+    {"rbtree-ck", "perceus-borrow", 0x124491524f54db6bull},
     {"rbtree-ck", "scoped-rc", 0x2e9c3b1b2c9f2d7dull},
     {"rbtree-ck", "gc", 0x0706b3809bff5c6bull},
-    {"rbtree-ck", "perceus-nodropspec", 0xfb4227cd400d6a4full},
+    {"rbtree-ck", "perceus-nodropspec", 0x6bd9c588b493baf5ull},
     {"deriv", "resolved", 0xe698ab3bdd19ac6bull},
     {"deriv", "perceus", 0x5349a365bd303de8ull},
     {"deriv", "perceus-noopt", 0x16aa41a95e054179ull},
@@ -126,12 +126,12 @@ const Golden Goldens[] = {
     {"nqueens", "gc", 0xb69d7110aa8b74d9ull},
     {"nqueens", "perceus-nodropspec", 0x4ff0d0c578e36541ull},
     {"cfold", "resolved", 0xf1b0858a79bec6aeull},
-    {"cfold", "perceus", 0x2af128f9505725f9ull},
+    {"cfold", "perceus", 0xcb12f8e7ecff6dcaull},
     {"cfold", "perceus-noopt", 0x89d12d7220fcf236ull},
-    {"cfold", "perceus-borrow", 0x259196277727f2dcull},
+    {"cfold", "perceus-borrow", 0x535e8b11a8127b5aull},
     {"cfold", "scoped-rc", 0xbdbe8963e7b7b035ull},
     {"cfold", "gc", 0xf1b0858a79bec6aeull},
-    {"cfold", "perceus-nodropspec", 0xea0a864579013fddull},
+    {"cfold", "perceus-nodropspec", 0xbcff59bfe87a1804ull},
     {"tmap", "resolved", 0xd61cb1bc2c5daca0ull},
     {"tmap", "perceus", 0xecfc727329e6221dull},
     {"tmap", "perceus-noopt", 0x851f2f5a92620349ull},
@@ -147,19 +147,19 @@ const Golden Goldens[] = {
     {"mapsum", "gc", 0xc6370675caff34aaull},
     {"mapsum", "perceus-nodropspec", 0x87f8f4989d0da74cull},
     {"msort", "resolved", 0xd529f4e41b843181ull},
-    {"msort", "perceus", 0x5e21653eb6b48ed4ull},
+    {"msort", "perceus", 0x11f7577bacfc47b1ull},
     {"msort", "perceus-noopt", 0x830fb3f26d6a0e29ull},
-    {"msort", "perceus-borrow", 0x820a856316dc15f0ull},
+    {"msort", "perceus-borrow", 0xcd29a5e75b0844ddull},
     {"msort", "scoped-rc", 0x8ba1436bf0931269ull},
     {"msort", "gc", 0xd529f4e41b843181ull},
-    {"msort", "perceus-nodropspec", 0x3d11f04b5c7a7299ull},
+    {"msort", "perceus-nodropspec", 0xd455e2cec6c8f7daull},
     {"queue", "resolved", 0x9cac1a033f47f35aull},
-    {"queue", "perceus", 0xd05da92429c373d9ull},
+    {"queue", "perceus", 0xc6ca93f15dd54ee1ull},
     {"queue", "perceus-noopt", 0x670966e7a2d6f065ull},
-    {"queue", "perceus-borrow", 0xd05da92429c373d9ull},
+    {"queue", "perceus-borrow", 0xc6ca93f15dd54ee1ull},
     {"queue", "scoped-rc", 0x05e3a54399ebe0f0ull},
     {"queue", "gc", 0x9cac1a033f47f35aull},
-    {"queue", "perceus-nodropspec", 0xc8682499d482784full},
+    {"queue", "perceus-nodropspec", 0xd4f335620dc43191ull},
     {"shared-tree", "resolved", 0xb4a32f4f4f19d93full},
     {"shared-tree", "perceus", 0xe7bc887b9ba589bfull},
     {"shared-tree", "perceus-noopt", 0xd80d70df360ae2ddull},
@@ -175,12 +175,12 @@ const Golden Goldens[] = {
     {"hello.perc", "gc", 0x5716a9a5382ba34dull},
     {"hello.perc", "perceus-nodropspec", 0x17e1228df2203594ull},
     {"msort.perc", "resolved", 0xaea32840352bbec0ull},
-    {"msort.perc", "perceus", 0x95038d31c42dbc57ull},
+    {"msort.perc", "perceus", 0x3190b55adec52a90ull},
     {"msort.perc", "perceus-noopt", 0xb4bfc85dab998f98ull},
-    {"msort.perc", "perceus-borrow", 0x1f9e5027df7a5d97ull},
+    {"msort.perc", "perceus-borrow", 0xe7c1ed76ca893d08ull},
     {"msort.perc", "scoped-rc", 0x91062532f96535bcull},
     {"msort.perc", "gc", 0xaea32840352bbec0ull},
-    {"msort.perc", "perceus-nodropspec", 0x3946b8c8888b6a68ull},
+    {"msort.perc", "perceus-nodropspec", 0xfb50ac1b7d46cec9ull},
     {"nqueens.perc", "resolved", 0xe7f9f93224922e5aull},
     {"nqueens.perc", "perceus", 0x1def558556b67702ull},
     {"nqueens.perc", "perceus-noopt", 0x6ce48b13744cd014ull},
@@ -189,12 +189,12 @@ const Golden Goldens[] = {
     {"nqueens.perc", "gc", 0xe7f9f93224922e5aull},
     {"nqueens.perc", "perceus-nodropspec", 0x6ce48b13744cd014ull},
     {"rbtree.perc", "resolved", 0xb03a3e2c16bb0bbbull},
-    {"rbtree.perc", "perceus", 0xbc67e67804cc5ddbull},
+    {"rbtree.perc", "perceus", 0x0caef1b6085dfb2dull},
     {"rbtree.perc", "perceus-noopt", 0x4b4adb207a233597ull},
-    {"rbtree.perc", "perceus-borrow", 0x2af9ba5a8e055de1ull},
+    {"rbtree.perc", "perceus-borrow", 0xbb38e93412c20b49ull},
     {"rbtree.perc", "scoped-rc", 0x2001ff85aa0e241eull},
     {"rbtree.perc", "gc", 0xb03a3e2c16bb0bbbull},
-    {"rbtree.perc", "perceus-nodropspec", 0x3bef50c3497bf1b0ull},
+    {"rbtree.perc", "perceus-nodropspec", 0x649dc1fd3d9fec78ull},
     {"shared_tree.perc", "resolved", 0x19cbcdcad292ac9bull},
     {"shared_tree.perc", "perceus", 0x3f7bd55c70b18f42ull},
     {"shared_tree.perc", "perceus-noopt", 0xd7b00984fbfbbe56ull},

@@ -223,7 +223,7 @@ TEST(DropSpec, FusionCleansTheFastPath) {
 }
 
 //===----------------------------------------------------------------------===//
-// Reuse (2.4) and reuse specialization (2.5)
+// Reuse (2.4)
 //===----------------------------------------------------------------------===//
 
 TEST(Reuse, PairsDropWithSameSizeAllocation) {
@@ -279,43 +279,21 @@ TEST(Reuse, BranchesWithoutAllocationFreeTheToken) {
   expectClean(*C.P);
 }
 
-TEST(Reuse, SpecializationKeepsUnchangedFields) {
+TEST(Reuse, PrefersTheSameConstructor) {
   Compiled C = compileFn(R"(
-    type tree { Leaf  Node(l, k, r) }
-    fun set-left(t, nl) {
-      match t {
-        Node(l, k, r) -> Node(nl, k, r)
-        Leaf -> Leaf
-      }
+    type t { A(x, y)  B(x, y) }
+    fun f(t) {
+      match t { A(x, y) -> B(A(y, x), 0)  B(x, y) -> B(x, y) }
     }
   )",
-                         "set-left");
+                         "f");
   insertPerceus(*C.P);
   runReuseAnalysis(*C.P);
-  runReuseSpecialization(*C.P);
   std::string T = C.text();
-  // Only field 0 changes; k and r are kept.
-  EXPECT_NE(T.find("[0] :="), std::string::npos);
-  EXPECT_EQ(T.find("[1] :="), std::string::npos);
-  EXPECT_NE(T.find("keep"), std::string::npos);
-  expectClean(*C.P);
-}
-
-TEST(Reuse, SpecializationSkipsWhenAllFieldsChange) {
-  Compiled C = compileFn(R"(
-    type p { Pair(a, b) }
-    fun swap(x) {
-      match x { Pair(a, b) -> Pair(b, a) }
-    }
-  )",
-                         "swap");
-  insertPerceus(*C.P);
-  runReuseAnalysis(*C.P);
-  runReuseSpecialization(*C.P);
-  // All fields change: keep the generic Con@ru (paper 2.5: only
-  // specialize when at least one field stays).
-  EXPECT_EQ(C.text().find(":="), std::string::npos);
-  EXPECT_NE(C.text().find("Pair@ru."), std::string::npos);
+  // In the A arm both allocations have A's arity: the token goes to the
+  // inner A that rebuilds the matched cell, not to the outer B.
+  EXPECT_EQ(countOf(T, "A@ru."), 1u);
+  EXPECT_EQ(countOf(T, "B@ru."), 1u); // the B arm's own
   expectClean(*C.P);
 }
 
@@ -347,6 +325,21 @@ TEST(Pipeline, ConfigNames) {
   EXPECT_STREQ(PassConfig::perceusNoOpt().name(), "perceus-noopt");
   EXPECT_STREQ(PassConfig::scoped().name(), "scoped-rc");
   EXPECT_STREQ(PassConfig::gc().name(), "gc");
+}
+
+TEST(Pipeline, ParsePassConfigRoundTripsEveryStockName) {
+  for (const char *Name :
+       {"perceus", "perceus-noopt", "perceus-borrow", "scoped-rc", "gc"}) {
+    PassConfig C = PassConfig::perceusFull();
+    C.EnableReuse = false; // no stock config: "perceus-custom"
+    ASSERT_TRUE(parsePassConfig(Name, C)) << Name;
+    EXPECT_STREQ(C.name(), Name);
+  }
+  for (const char *Bad : {"", "Perceus", "perceus-custom", "perceus ", "rc"}) {
+    PassConfig C = PassConfig::scoped();
+    EXPECT_FALSE(parsePassConfig(Bad, C)) << Bad;
+    EXPECT_STREQ(C.name(), "scoped-rc") << Bad; // left alone
+  }
 }
 
 TEST(Pipeline, GcModeLeavesBodiesClean) {
