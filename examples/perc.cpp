@@ -11,9 +11,10 @@
 ///
 ///   --config=NAME     perceus (default) | perceus-noopt |
 ///                     perceus-borrow | scoped-rc | gc
-///   --no-peephole     run the VM on the raw compiler output, skipping
-///                     the superinstruction/RC-elision rewrite (on by
-///                     default)
+///   --no-peephole     run the VM on the raw compiler output, which the
+///                     compiled program keeps beside its
+///                     superinstruction/RC-elision rewrite (the tier
+///                     run by default)
 ///   --entry=NAME      entry function (default: main)
 ///   --stats           print heap/machine statistics after the run
 ///   --stats-json=FILE run, then dump heap stats, run stats, and the
@@ -96,6 +97,7 @@
 #include "service/ServiceJson.h"
 #include "support/FaultInjector.h"
 #include "support/JsonWriter.h"
+#include "support/ParseInteger.h"
 #include "support/Telemetry.h"
 
 #include <csignal>
@@ -108,6 +110,7 @@
 #include <poll.h>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <unistd.h>
 #include <vector>
 
@@ -138,18 +141,32 @@ void usage() {
                "[--max-conns=N] [--max-requests=N]\n");
 }
 
-bool parseCount(const char *A, const char *Flag, uint64_t &Out) {
+/// parseInteger with a diagnostic: on failure \p Error says that
+/// \p Text, the value of \p What, is not a T or is out of T's range.
+template <typename T>
+bool parseNumber(std::string_view Text, std::string_view What, T &Out,
+                 std::string &Error) {
+  std::errc Ec = parseInteger(Text, Out);
+  if (Ec != std::errc())
+    Error = std::string(What) + " '" + std::string(Text) + "' is " +
+            (Ec == std::errc::result_out_of_range ? "out of range"
+             : std::is_signed_v<T> ? "not an integer"
+                                   : "not a non-negative integer");
+  return Ec == std::errc();
+}
+
+/// Parses flag \p A as \p Flag's integer value into \p Out; false when
+/// \p A is another flag. A malformed value ends the process.
+template <typename T>
+bool parseCount(const char *A, const char *Flag, T &Out) {
   size_t Len = std::strlen(Flag);
   if (std::strncmp(A, Flag, Len) != 0)
     return false;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(A + Len, &End, 10);
-  if (End == A + Len || *End != '\0') {
-    std::fprintf(stderr, "error: %s expects a number, got '%s'\n", Flag,
-                 A + Len);
+  std::string Error;
+  if (!parseNumber(A + Len, Flag, Out, Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     std::exit(1);
   }
-  Out = V;
   return true;
 }
 
@@ -244,12 +261,7 @@ LineParse parseRequestLine(const std::string &Line, ServiceRequest &R,
     size_t Len = std::strlen(Flag);
     if (Tok.compare(0, Len, Flag) != 0)
       return false;
-    char *End = nullptr;
-    Out = std::strtoull(Tok.c_str() + Len, &End, 10);
-    if (End == Tok.c_str() + Len || *End != '\0') {
-      Error = std::string(Flag) + " expects a number, got '" + Tok + "'";
-      BadNum = true;
-    }
+    BadNum = !parseNumber(std::string_view(Tok).substr(Len), Flag, Out, Error);
     return true;
   };
   while (Toks >> Tok) {
@@ -289,12 +301,9 @@ LineParse parseRequestLine(const std::string &Line, ServiceRequest &R,
       R.Entry = Tok;
       HaveEntry = true;
     } else {
-      char *End = nullptr;
-      long long V = std::strtoll(Tok.c_str(), &End, 10);
-      if (End == Tok.c_str() || *End != '\0') {
-        Error = "argument '" + Tok + "' is not an integer";
+      int64_t V = 0;
+      if (!parseNumber(Tok, "argument", V, Error))
         return LineParse::Bad;
-      }
       R.Args.push_back(Value::makeInt(V));
     }
   }
@@ -517,7 +526,8 @@ int main(int Argc, char **Argv) {
   bool PassStats = false;
   EngineConfig EC;
   RunLimits Limits;
-  uint64_t MaxHeapBytes = 0, FailAlloc = 0, Workers = 0, SharedArg = 0;
+  uint64_t MaxHeapBytes = 0, FailAlloc = 0, Workers = 0;
+  int64_t SharedArg = 0;
   bool Serve = false;
   std::string Requests = "-";
   std::string Listen;
@@ -554,7 +564,7 @@ int main(int Argc, char **Argv) {
     } else if (std::strncmp(A, "--shared-input=", 15) == 0) {
       SharedInput = A + 15;
     } else if (parseCount(A, "--shared-arg=", SharedArg)) {
-      SharedArgs.push_back(static_cast<int64_t>(SharedArg));
+      SharedArgs.push_back(SharedArg);
     } else if (parseCount(A, "--workers=", Workers)) {
       // handled below
     } else if (!std::strcmp(A, "--serve")) {
@@ -598,7 +608,13 @@ int main(int Argc, char **Argv) {
     } else if (File.empty()) {
       File = A;
     } else {
-      Args.push_back(std::atoll(A));
+      int64_t V = 0;
+      std::string Error;
+      if (!parseNumber(A, "argument", V, Error)) {
+        std::fprintf(stderr, "error: %s\n", Error.c_str());
+        return 1;
+      }
+      Args.push_back(V);
     }
   }
   if (File.empty()) {
@@ -636,19 +652,18 @@ int main(int Argc, char **Argv) {
   }
 
   if (PassStats) {
-    Program P;
-    DiagnosticEngine Diags;
-    if (!compileSource(Source, P, Diags)) {
-      std::fprintf(stderr, "%s", Diags.str().c_str());
+    std::vector<PassStat> Passes;
+    auto Art = compileArtifact(Source, Config, &Passes);
+    if (!Art->Ok) {
+      std::fprintf(stderr, "%s", Art->Diags.str().c_str());
       return 1;
     }
     std::printf("config: %s\n", Config.name());
-    printPassStats(runPipelineWithStats(P, Config));
+    printPassStats(Passes);
     if (EC.Peephole) {
       // The bytecode tier's own rewrite, below the IR passes: what the
       // peephole deleted (proven-immediate RC ops) and fused.
-      Runner R(Source, Config, EC);
-      const PeepholeReport &Rep = R.peepholeReport();
+      const PeepholeReport &Rep = Art->Peephole;
       std::printf("\npeephole (immediacy rounds: %u)\n",
                   Rep.AnalysisRounds);
       std::printf("%-34s %7s %7s %7s %7s\n", "chunk", "before", "after",
@@ -757,7 +772,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (!Dump.empty()) {
-    FuncId F = R.program().findFunction(R.program().symbols().intern(Dump));
+    FuncId F = R.artifact().function(Dump);
     if (F == InvalidId) {
       std::fprintf(stderr, "error: no function '%s'\n", Dump.c_str());
       return 1;

@@ -53,8 +53,7 @@ int main() {
   )";
 
   // 2. Compile under the full Perceus pipeline (precise dup/drop
-  //    insertion + drop specialization + fusion + reuse + reuse
-  //    specialization).
+  //    insertion + reuse analysis + drop specialization + fusion).
   Runner R(Source, PassConfig::perceusFull());
   if (!R.ok()) {
     std::printf("compile error:\n%s", R.diagnostics().str().c_str());
@@ -62,10 +61,9 @@ int main() {
   }
 
   // 3. Inspect the instrumented code the pipeline produced.
-  Program &P = R.program();
-  FuncId Rev = P.findFunction(P.symbols().intern("reverse-onto"));
+  FuncId Rev = R.artifact().function("reverse-onto");
   std::printf("reverse-onto after the Perceus pipeline:\n%s\n",
-              printFunction(P, Rev).c_str());
+              printFunction(R.program(), Rev).c_str());
 
   // 4. Run it.
   RunResult Res = R.callInt("main", {100000});

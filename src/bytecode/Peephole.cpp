@@ -299,7 +299,7 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
       if (NQ && NQ->O == Op::ReuseAddr && NQ->C == X.C && NR &&
           NR->O == Op::Jump && NR->E <= 0xffff && spanFree(P, R2)) {
         // The unique path's whole tail: probe, materialize the token,
-        // jump to the reuse-specialized arm. New pcs only shrink, so the
+        // jump to the code that reuses the cell. New pcs only shrink, so the
         // jump target still fits the 16-bit D field after remapping.
         fuse(R2,
              {Op::IsUniqueReuseJmp, 0, NQ->B, X.C,

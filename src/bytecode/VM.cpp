@@ -16,6 +16,7 @@
 
 #include "bytecode/VM.h"
 
+#include "gc/MarkSweep.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -177,6 +178,14 @@ compare(CmpKind Kind, Value A, Value B, bool &Out) {
   return nullptr;
 }
 
+VM::VM(const CompiledProgram &CP, Heap &H, bool Peephole)
+    : CP(CP), H(H), PeepholeTier(Peephole) {
+  if (H.mode() == HeapMode::Gc)
+    attachCollector(H, [this](const std::function<void(Value)> &Fn) {
+      enumerateRoots(Fn);
+    });
+}
+
 void VM::trap(std::string Msg, TrapKind Kind) {
   Trapped = true;
   Run->Ok = false;
@@ -266,14 +275,12 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
   // The peephole tier's RC elision assumes every heap cell in the run
   // was built by this program's own constructor sites. A heap-valued
   // entry argument (e.g. a thread-shared segment from the parallel
-  // runner) voids that, so such runs execute the retained raw chunks.
-  UseRawChunks = false;
-  if (CP.Peepholed)
-    for (const Value &A : Args)
-      if (A.isHeap()) {
-        UseRawChunks = true;
-        break;
-      }
+  // runner) voids that, so such runs execute the retained raw chunks,
+  // as every run of a raw-tier VM does.
+  UseRawChunks =
+      CP.Peepholed &&
+      (!PeepholeTier || std::any_of(Args.begin(), Args.end(),
+                                    [](const Value &A) { return A.isHeap(); }));
 
   const Chunk &Entry = (UseRawChunks ? CP.RawFuncs : CP.Funcs)[F];
   if (Args.size() != Entry.NumParams) {

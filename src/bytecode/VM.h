@@ -117,30 +117,36 @@ private:
 class VM {
 public:
   /// \p CP must outlive the VM and have been compiled from the program
-  /// whose cells \p H manages.
-  VM(const CompiledProgram &CP, Heap &H) : CP(CP), H(H) {}
+  /// whose cells \p H manages. A GC-mode heap gets the mark-sweep
+  /// collector armed, with this VM's frames as its roots. \p Peephole
+  /// picks the tier of a peepholed program: its rewritten chunks, or the
+  /// raw chunks it keeps (CompiledProgram::RawFuncs/RawLams).
+  VM(const CompiledProgram &CP, Heap &H, bool Peephole = true);
+  VM(const VM &) = delete; ///< the heap's collector holds this address
+  VM &operator=(const VM &) = delete;
 
   /// Runs function \p F on \p Args (ownership of heap arguments
   /// transfers to the callee). A heap-valued result is dropped before
   /// returning (reported in Result.Kind).
   RunResult run(FuncId F, std::vector<Value> Args);
 
-  /// Step fuel: maximum bytecode instructions before trapping with
-  /// OutOfFuel (0 = unlimited). A fused superinstruction counts once.
-  void setStepLimit(uint64_t Limit) { StepLimit = Limit; }
-
-  /// Maximum simultaneously-live non-tail call frames before trapping
-  /// with StackOverflow (0 = unlimited). Tail calls reuse their frame
-  /// and never count against the limit.
-  void setCallDepthLimit(uint64_t Limit) { CallDepthLimit = Limit; }
-
-  /// Wall-clock budget per run in milliseconds (0 = none). The clock
-  /// starts at the next run() entry; when it expires the VM traps with
-  /// TrapKind::Deadline and clean-unwinds like every other trap. The
-  /// check is step-batched (one steady_clock read every
-  /// DeadlineCheckInterval instructions), so expiry is detected within a
-  /// batch, not on the exact instruction.
-  void setDeadline(uint64_t Ms) { DeadlineMs = Ms; }
+  /// Installs \p L: the governor on the heap, and on this VM
+  ///   * Fuel, the bytecode instructions before an OutOfFuel trap (a
+  ///     fused superinstruction counts once);
+  ///   * MaxCallDepth, the live non-tail frames before a StackOverflow
+  ///     trap (tail calls reuse their frame and never count);
+  ///   * DeadlineMs, a wall-clock budget per run whose clock starts at
+  ///     the next run() entry. Expiry traps with TrapKind::Deadline; the
+  ///     check is step-batched (one steady_clock read every
+  ///     DeadlineCheckInterval instructions), so it fires within a
+  ///     batch, not on the exact instruction.
+  /// Zero fields are unlimited. May be called between runs.
+  void setLimits(const RunLimits &L) {
+    H.setLimits(L.Heap);
+    StepLimit = L.Fuel;
+    CallDepthLimit = L.MaxCallDepth;
+    DeadlineMs = L.DeadlineMs;
+  }
 
   /// How many instructions run between deadline clock reads.
   static constexpr uint64_t DeadlineCheckInterval = 1024;
@@ -205,11 +211,12 @@ private:
   std::chrono::steady_clock::time_point DeadlineAt{};
   bool Trapped = false;
   /// True while the current run executes the pre-peephole chunk tables.
-  /// Set at run() entry when the program is peepholed but an entry
-  /// argument is a heap reference (e.g. a thread-shared segment), which
-  /// voids the immediacy analysis's whole-program assumptions — see
-  /// CompiledProgram::Peepholed.
+  /// Set at run() entry when the program is peepholed and either this VM
+  /// runs the raw tier or an entry argument is a heap reference (e.g. a
+  /// thread-shared segment), which voids the immediacy analysis's
+  /// whole-program assumptions — see CompiledProgram::Peepholed.
   bool UseRawChunks = false;
+  bool PeepholeTier = true; ///< the constructor's tier choice
   std::function<void(Value)> ResultInspector;
 };
 

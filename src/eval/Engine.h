@@ -1,12 +1,12 @@
-//===- eval/Engine.h - Run results, traps and RC counters -------*- C++-*-===//
+//===- eval/Engine.h - Run limits, results, traps and counters --*- C++-*-===//
 //
 // Part of the perceus-cpp project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The result, trap and counter types of a run on the bytecode VM
-/// (bytecode/VM.h). Every trap takes the clean-unwind path: after it the
+/// The limit, result, trap and counter types of a run on the bytecode
+/// VM (bytecode/VM.h). Every trap takes the clean-unwind path: after it the
 /// VM has reclaimed everything it still referenced, so Heap::empty()
 /// holds on the error path too. RcInstrCounts, reuse hits/misses and the
 /// heap's own counters are bit-identical across the raw and peephole
@@ -80,6 +80,20 @@ struct RcInstrCounts {
     return Dups + ImplicitDups + Drops + ImplicitDrops + DecRefs +
            ImplicitDecRefs + IsUniques;
   }
+};
+
+/// Resource limits for one VM: heap governor plus fuel and call
+/// depth. Zero fields mean "unlimited"; the default is the ungoverned
+/// fast path.
+struct RunLimits {
+  HeapLimits Heap;            ///< live bytes / live cells / alloc budget
+  uint64_t Fuel = 0;          ///< max VM instructions (0 = unlimited)
+  uint64_t MaxCallDepth = 0;  ///< max live non-tail frames (0 = unlimited)
+  uint64_t DeadlineMs = 0;    ///< wall-clock budget per run in ms (0 =
+                              ///< none); expiry traps with
+                              ///< TrapKind::Deadline, clean-unwound
+
+  static RunLimits unlimited() { return {}; }
 };
 
 /// Per-run execution statistics and results.

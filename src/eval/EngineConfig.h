@@ -22,7 +22,7 @@
 #ifndef PERCEUS_EVAL_ENGINECONFIG_H
 #define PERCEUS_EVAL_ENGINECONFIG_H
 
-#include "runtime/Heap.h"
+#include "eval/Engine.h"
 
 #include <string>
 #include <string_view>
@@ -46,20 +46,6 @@ const char *engineKindName(EngineKind K);
 /// Parses "vm" into \p Out; returns false on anything else.
 bool parseEngineKind(std::string_view Name, EngineKind &Out);
 
-/// Resource limits for one VM: heap governor plus fuel and call
-/// depth. Zero fields mean "unlimited"; the default is the ungoverned
-/// fast path.
-struct RunLimits {
-  HeapLimits Heap;            ///< live bytes / live cells / alloc budget
-  uint64_t Fuel = 0;          ///< max VM instructions (0 = unlimited)
-  uint64_t MaxCallDepth = 0;  ///< max live non-tail frames (0 = unlimited)
-  uint64_t DeadlineMs = 0;    ///< wall-clock budget per run in ms (0 =
-                              ///< none); expiry traps with
-                              ///< TrapKind::Deadline, clean-unwound
-
-  static RunLimits unlimited() { return {}; }
-};
-
 /// See the file comment. Value-semantic and cheap to copy; the injector
 /// and sink are non-owning (null = not installed).
 struct EngineConfig {
@@ -77,10 +63,11 @@ struct EngineConfig {
 
   size_t GcThresholdBytes = 4u << 20; ///< GC collection threshold
 
-  /// Run the post-compile superinstruction/RC-elision pass on the
-  /// bytecode (bytecode/Peephole.h). On by default; `--no-peephole`
-  /// turns it off for debugging and for exact (rather than semantic)
-  /// RC-instruction counts.
+  /// Run the VM on the peephole tier (bytecode/Peephole.h: fused
+  /// superinstructions, proven-immediate RC ops elided). On by default;
+  /// `--no-peephole` runs the raw chunks every compiled artifact keeps
+  /// instead, for debugging and for exact (rather than semantic)
+  /// RC-instruction counts. Either way the program is compiled once.
   bool Peephole = true;
 
   /// Convenience builders for the common axes.

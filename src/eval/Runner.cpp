@@ -6,55 +6,30 @@
 
 #include "eval/Runner.h"
 
-#include "bytecode/Compiler.h"
-#include "eval/Layout.h"
-#include "gc/MarkSweep.h"
-#include "lang/Resolver.h"
-
 using namespace perceus;
 
 Runner::Runner(std::string_view Source, const PassConfig &Config,
                const EngineConfig &EC)
-    : Config(Config), EC(EC) {
-  OwnedProg = std::make_unique<Program>();
-  Prog = OwnedProg.get();
-  if (!compileSource(Source, *Prog, Diags))
-    return;
-  finishSetup();
+    : Art(compileArtifact(Source, Config)) {
+  finishSetup(EC);
 }
 
-Runner::Runner(Program &P, const PassConfig &Config, const EngineConfig &EC)
-    : Config(Config), EC(EC), Prog(&P) {
-  finishSetup();
+Runner::Runner(std::unique_ptr<Program> P, const PassConfig &Config,
+               const EngineConfig &EC)
+    : Art(compileArtifact(std::move(P), Config)) {
+  finishSetup(EC);
 }
 
 Runner::~Runner() = default;
 
-void Runner::finishSetup() {
-  runPipeline(*Prog, Config);
-  TheHeap = std::make_unique<Heap>(
-      Config.Mode == RcMode::None ? HeapMode::Gc : HeapMode::Rc,
-      EC.GcThresholdBytes);
-  Compiled.emplace(compileProgram(*Prog, layoutProgram(*Prog)));
-  if (!Compiled->Error.empty()) {
-    Diags.error(SourceLoc{}, Compiled->Error);
+void Runner::finishSetup(const EngineConfig &EC) {
+  if (!Art->Ok)
     return;
-  }
-  if (EC.Peephole)
-    PeepReport = runPeephole(*Compiled);
-  TheVM = std::make_unique<VM>(*Compiled, *TheHeap);
-  if (TheHeap->mode() == HeapMode::Gc) {
-    VM *V = TheVM.get();
-    attachCollector(*TheHeap, [V](const std::function<void(Value)> &Fn) {
-      V->enumerateRoots(Fn);
-    });
-  }
-  Ok = true;
+  TheHeap = std::make_unique<Heap>(Art->heapMode(), EC.GcThresholdBytes);
+  TheVM = std::make_unique<VM>(*Art->Code, *TheHeap, EC.Peephole);
   setLimits(EC.Limits);
-  if (EC.Injector)
-    setFaultInjector(EC.Injector);
-  if (EC.Sink)
-    setStatsSink(EC.Sink);
+  setFaultInjector(EC.Injector);
+  setStatsSink(EC.Sink);
 }
 
 RunResult Runner::callInt(std::string_view Name, std::vector<int64_t> Args) {
@@ -67,12 +42,12 @@ RunResult Runner::callInt(std::string_view Name, std::vector<int64_t> Args) {
 
 RunResult Runner::call(std::string_view Name, std::vector<Value> Args) {
   RunResult R;
-  if (!Ok) {
+  if (!ok()) {
     R.Trap = TrapKind::RuntimeError;
-    R.Error = "program failed to compile:\n" + Diags.str();
+    R.Error = Art->Error;
     return R;
   }
-  FuncId F = Prog->findFunction(Prog->symbols().intern(Name));
+  FuncId F = Art->function(Name);
   if (F == InvalidId) {
     R.Trap = TrapKind::RuntimeError;
     R.Error = "no such function: " + std::string(Name);
@@ -82,22 +57,16 @@ RunResult Runner::call(std::string_view Name, std::vector<Value> Args) {
 }
 
 void Runner::setLimits(const RunLimits &L) {
-  if (!Ok)
-    return;
-  TheHeap->setLimits(L.Heap);
-  TheVM->setStepLimit(L.Fuel);
-  TheVM->setCallDepthLimit(L.MaxCallDepth);
-  TheVM->setDeadline(L.DeadlineMs);
+  if (ok())
+    TheVM->setLimits(L);
 }
 
 void Runner::setFaultInjector(FaultInjector *FI) {
-  if (!Ok)
-    return;
-  TheHeap->setFaultInjector(FI);
+  if (ok())
+    TheHeap->setFaultInjector(FI);
 }
 
 void Runner::setStatsSink(StatsSink *S) {
-  if (!Ok)
-    return;
-  TheHeap->setStatsSink(S);
+  if (ok())
+    TheHeap->setStatsSink(S);
 }

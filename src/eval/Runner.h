@@ -5,29 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runner bundles the whole stack — parse, resolve, Perceus pipeline,
-/// frame layout, bytecode compile (plus the peephole tier unless
-/// EngineConfig::Peephole is off), heap, collector, VM — behind the API
-/// the examples, tests and benchmarks use:
+/// Runner bundles the whole stack — the compile entry (eval/Compile.h),
+/// a heap and a VM — behind the API the examples, tests and benchmarks
+/// use:
 ///
 ///   Runner R(Source, PassConfig::perceusFull());
 ///   RunResult Res = R.callInt("main", {});
+///
+/// EngineConfig::Peephole picks the tier the VM runs; the compiled
+/// artifact is the same either way.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PERCEUS_EVAL_RUNNER_H
 #define PERCEUS_EVAL_RUNNER_H
 
-#include "bytecode/Bytecode.h"
-#include "bytecode/Peephole.h"
 #include "bytecode/VM.h"
-#include "eval/Engine.h"
+#include "eval/Compile.h"
 #include "eval/EngineConfig.h"
-#include "perceus/Pipeline.h"
-#include "support/Diagnostics.h"
 
 #include <memory>
-#include <optional>
 #include <string_view>
 
 namespace perceus {
@@ -40,25 +37,25 @@ public:
   Runner(std::string_view Source, const PassConfig &Config,
          const EngineConfig &EC = {});
 
-  /// Wraps an already-resolved program (takes no ownership); runs the
-  /// pipeline on it.
-  Runner(Program &P, const PassConfig &Config, const EngineConfig &EC = {});
+  /// Compiles an already-resolved program, taking ownership of it.
+  Runner(std::unique_ptr<Program> P, const PassConfig &Config,
+         const EngineConfig &EC = {});
 
   ~Runner();
   Runner(const Runner &) = delete;
   Runner &operator=(const Runner &) = delete;
 
-  bool ok() const { return Ok; }
-  const DiagnosticEngine &diagnostics() const { return Diags; }
-  Program &program() { return *Prog; }
+  bool ok() const { return Art->Ok; }
+  const DiagnosticEngine &diagnostics() const { return Art->Diags; }
+  const Program &program() const { return *Art->Prog; }
+  const CompiledArtifact &artifact() const { return *Art; }
   Heap &heap() { return *TheHeap; }
   /// The VM that runs the compiled program.
   VM &engine() { return *TheVM; }
-  const PassConfig &config() const { return Config; }
-  const EngineConfig &engineConfig() const { return EC; }
-  /// The peephole rewrite report (empty when EngineConfig::Peephole is
-  /// off). Consumed by `perc --pass-stats`.
-  const PeepholeReport &peepholeReport() const { return PeepReport; }
+  const PassConfig &config() const { return Art->Config; }
+  /// The artifact's peephole rewrite report, whichever tier runs.
+  /// Consumed by `perc --pass-stats`.
+  const PeepholeReport &peepholeReport() const { return Art->Peephole; }
 
   /// Calls function \p Name with integer arguments.
   RunResult callInt(std::string_view Name, std::vector<int64_t> Args);
@@ -84,18 +81,11 @@ public:
   void setStatsSink(StatsSink *S);
 
 private:
-  void finishSetup();
+  void finishSetup(const EngineConfig &EC);
 
-  PassConfig Config;
-  EngineConfig EC;
-  DiagnosticEngine Diags;
-  std::unique_ptr<Program> OwnedProg;
-  Program *Prog = nullptr;
-  std::optional<CompiledProgram> Compiled;
-  PeepholeReport PeepReport; // peephole tier only
+  std::shared_ptr<const CompiledArtifact> Art;
   std::unique_ptr<Heap> TheHeap;
   std::unique_ptr<VM> TheVM;
-  bool Ok = false;
 };
 
 } // namespace perceus

@@ -6,12 +6,7 @@
 
 #include "parallel/ParallelRunner.h"
 
-#include "bytecode/Compiler.h"
-#include "bytecode/Peephole.h"
 #include "bytecode/VM.h"
-#include "eval/Layout.h"
-#include "gc/MarkSweep.h"
-#include "lang/Resolver.h"
 #include "runtime/SharedPool.h"
 
 #include <chrono>
@@ -28,13 +23,7 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
 
 ParallelRunner::ParallelRunner(std::string_view Source,
                                const PassConfig &Config)
-    : Config(Config) {
-  Prog = std::make_unique<Program>();
-  if (!compileSource(Source, *Prog, Diags))
-    return;
-  runPipeline(*Prog, Config);
-  Ok = true;
-}
+    : Art(compileArtifact(Source, Config)) {}
 
 ParallelRunner::~ParallelRunner() = default;
 
@@ -42,43 +31,30 @@ ParallelOutcome ParallelRunner::run(const EngineConfig &EC,
                                     std::string_view Entry,
                                     std::vector<Value> Args) {
   ParallelOutcome Out;
-  if (!Ok) {
-    Out.Error = "program failed to compile:\n" + Diags.str();
+  if (!Art->Ok) {
+    Out.Error = Art->Error;
     return Out;
   }
   unsigned Workers = EC.Workers ? EC.Workers : 1;
 
-  // All symbol interning — and the one shared bytecode compilation —
-  // happens here, before any thread exists: the Program and
-  // CompiledProgram are strictly read-only once workers run.
-  FuncId EntryFn = Prog->findFunction(Prog->symbols().intern(Entry));
+  // Names resolve through the artifact's index: the Program and its
+  // bytecode are strictly read-only once workers run.
+  FuncId EntryFn = Art->function(Entry);
   if (EntryFn == InvalidId) {
     Out.Error = "no such entry function: " + std::string(Entry);
     return Out;
   }
-  if (!Compiled) {
-    Compiled.emplace(compileProgram(*Prog, layoutProgram(*Prog)));
-    // The peephole flag is captured by whichever run compiles first (the
-    // CompiledProgram is cached across runs). Shared-segment runs stay
-    // correct either way: every worker's entry args include the shared
-    // heap reference, so VM::run falls back to the raw chunks.
-    if (EC.Peephole && Compiled->Error.empty())
-      runPeephole(*Compiled);
-  }
-  if (!Compiled->Error.empty()) {
-    Out.Error = "program failed to compile:\nerror: " + Compiled->Error;
-    return Out;
-  }
+  const CompiledProgram &Code = *Art->Code;
 
   bool HasShared = !EC.SharedBuilder.empty();
   FuncId Builder = InvalidId;
   if (HasShared) {
-    if (Config.Mode == RcMode::None) {
+    if (Art->heapMode() == HeapMode::Gc) {
       Out.Error = "shared-input mode requires a reference-counting "
                   "configuration (the tracing collector has no tshare)";
       return Out;
     }
-    Builder = Prog->findFunction(Prog->symbols().intern(EC.SharedBuilder));
+    Builder = Art->function(EC.SharedBuilder);
     if (Builder == InvalidId) {
       Out.Error = "no such shared-input builder: " + EC.SharedBuilder;
       return Out;
@@ -94,7 +70,7 @@ ParallelOutcome ParallelRunner::run(const EngineConfig &EC,
   Value Root = Value::unit();
   if (HasShared) {
     Owner.enableCellRegistry();
-    VM B(*Compiled, Owner);
+    VM B(Code, Owner, EC.Peephole);
     B.setResultInspector([&](Value V) {
       Root = V;
       Owner.dup(V);
@@ -122,8 +98,6 @@ ParallelOutcome ParallelRunner::run(const EngineConfig &EC,
     WorkerOutcome WO;
   };
   std::vector<PaddedOutcome> Slots(Workers);
-  HeapMode WorkerMode =
-      Config.Mode == RcMode::None ? HeapMode::Gc : HeapMode::Rc;
   auto T0 = std::chrono::steady_clock::now();
   {
     std::vector<std::thread> Threads;
@@ -131,7 +105,7 @@ ParallelOutcome ParallelRunner::run(const EngineConfig &EC,
     for (unsigned W = 0; W != Workers; ++W) {
       Threads.emplace_back([&, W] {
         WorkerOutcome &WO = Slots[W].WO;
-        Heap H(WorkerMode, EC.GcThresholdBytes);
+        Heap H(Art->heapMode(), EC.GcThresholdBytes);
         H.setSharedPool(&Pool);
         // Coalesce the shared-count traffic: net deltas accumulate in a
         // per-worker buffer and flush in batches (VM safepoints, the
@@ -141,15 +115,8 @@ ParallelOutcome ParallelRunner::run(const EngineConfig &EC,
         // under a worker's pending increment (DESIGN.md §7d).
         if (HasShared)
           H.enableSharedCoalescing();
-        H.setLimits(EC.Limits.Heap);
-        VM M(*Compiled, H);
-        M.setStepLimit(EC.Limits.Fuel);
-        M.setCallDepthLimit(EC.Limits.MaxCallDepth);
-        M.setDeadline(EC.Limits.DeadlineMs);
-        if (H.mode() == HeapMode::Gc)
-          attachCollector(H, [&M](const std::function<void(Value)> &Fn) {
-            M.enumerateRoots(Fn);
-          });
+        VM M(Code, H, EC.Peephole);
+        M.setLimits(EC.Limits);
         std::vector<Value> WArgs = Args;
         if (HasShared)
           WArgs.push_back(Root);

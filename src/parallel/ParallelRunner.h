@@ -9,11 +9,11 @@
 /// the execution layer that puts Section 2.7.2's thread-shared counts
 /// under *real* threads.
 ///
-/// The program is compiled once (parse, pipeline, layout and one shared
-/// bytecode image); the resulting Program and CompiledProgram are
-/// read-only at run time and shared by all workers. Each worker owns a
-/// private Heap and VM for its working set, so thread-local counts stay
-/// non-atomic.
+/// The program is compiled once, in the constructor, through the
+/// compile entry (eval/Compile.h); the resulting artifact is read-only
+/// at run time and shared by all workers, and each run picks its own
+/// tier (EngineConfig::Peephole). Each worker owns a private Heap and VM
+/// for its working set, so thread-local counts stay non-atomic.
 /// Optionally a **shared segment** is built first: a builder function
 /// runs on a dedicated owner heap, its result is published with
 /// `markShared` (the paper's `tshare` contract — counts flip negative,
@@ -38,14 +38,10 @@
 #ifndef PERCEUS_PARALLEL_PARALLELRUNNER_H
 #define PERCEUS_PARALLEL_PARALLELRUNNER_H
 
-#include "bytecode/Bytecode.h"
-#include "eval/Engine.h"
+#include "eval/Compile.h"
 #include "eval/EngineConfig.h"
-#include "perceus/Pipeline.h"
-#include "support/Diagnostics.h"
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,10 +79,8 @@ public:
   ParallelRunner(const ParallelRunner &) = delete;
   ParallelRunner &operator=(const ParallelRunner &) = delete;
 
-  bool ok() const { return Ok; }
-  const DiagnosticEngine &diagnostics() const { return Diags; }
-  Program &program() { return *Prog; }
-  const PassConfig &config() const { return Config; }
+  bool ok() const { return Art->Ok; }
+  const DiagnosticEngine &diagnostics() const { return Art->Diags; }
 
   /// Executes \p EC.Workers VMs concurrently,
   /// each calling \p Entry on \p Args (plus the shared root when
@@ -97,11 +91,7 @@ public:
                       std::vector<Value> Args = {});
 
 private:
-  PassConfig Config;
-  DiagnosticEngine Diags;
-  std::unique_ptr<Program> Prog;
-  std::optional<CompiledProgram> Compiled; // compiled by the first run()
-  bool Ok = false;
+  std::shared_ptr<const CompiledArtifact> Art;
 };
 
 } // namespace perceus

@@ -143,12 +143,8 @@ IrOpCounts perceus::countIrOps(const Program &P) {
   return C;
 }
 
-namespace {
-
-/// Shared pass sequencing for runPipeline and runPipelineWithStats;
-/// \p Stats is null on the plain (no-snapshot) path.
-void runPasses(Program &P, const PassConfig &Config,
-               std::vector<PassStat> *Stats) {
+void perceus::runPipeline(Program &P, const PassConfig &Config,
+                          std::vector<PassStat> *Stats) {
   auto snap = [&](const char *Pass) {
     if (Stats)
       Stats->push_back({Pass, countIrOps(P)});
@@ -184,19 +180,6 @@ void runPasses(Program &P, const PassConfig &Config,
     runFusion(P);
     snap("dup push-down + fusion (2.3)");
   }
-}
-
-} // namespace
-
-void perceus::runPipeline(Program &P, const PassConfig &Config) {
-  runPasses(P, Config, nullptr);
-}
-
-std::vector<PassStat> perceus::runPipelineWithStats(Program &P,
-                                                    const PassConfig &Config) {
-  std::vector<PassStat> Stats;
-  runPasses(P, Config, &Stats);
-  return Stats;
 }
 
 std::vector<StageDump> perceus::runPipelineWithStages(Program &P, FuncId F) {

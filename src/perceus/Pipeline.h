@@ -83,9 +83,6 @@ struct PassConfig {
 /// leaving \p Out alone, on any other name.
 bool parsePassConfig(std::string_view Name, PassConfig &Out);
 
-/// Runs the configured pipeline over all functions of \p P.
-void runPipeline(Program &P, const PassConfig &Config);
-
 /// Static instruction counts over a whole program's IR — the per-pass
 /// pipeline statistics behind `perc --pass-stats`. "Static" means
 /// occurrences in the IR, not executions; the dynamic counterpart lives
@@ -115,10 +112,11 @@ struct PassStat {
   IrOpCounts Counts; ///< program-wide counts after the stage ran
 };
 
-/// Like runPipeline, but snapshots countIrOps before the first pass
-/// ("input") and after each pass that actually ran.
-std::vector<PassStat> runPipelineWithStats(Program &P,
-                                           const PassConfig &Config);
+/// Runs the configured pipeline over all functions of \p P. \p Stats,
+/// when given, receives countIrOps before the first pass ("input") and
+/// after each pass that actually ran.
+void runPipeline(Program &P, const PassConfig &Config,
+                 std::vector<PassStat> *Stats = nullptr);
 
 /// One captured intermediate stage of the pipeline for one function.
 struct StageDump {

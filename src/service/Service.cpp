@@ -6,13 +6,7 @@
 
 #include "service/Service.h"
 
-#include "bytecode/Compiler.h"
-#include "bytecode/Peephole.h"
 #include "bytecode/VM.h"
-#include "eval/Layout.h"
-#include "gc/MarkSweep.h"
-#include "lang/Resolver.h"
-#include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
 
 #include <algorithm>
@@ -70,76 +64,6 @@ std::string cacheKey(const ServiceRequest &R) {
   Key += '\n';
   Key += R.Source;
   return Key;
-}
-
-/// Estimated resident bytes of one artifact: the source, the IR arena
-/// (which owns every expression tree), and the bytecode pools. An
-/// estimate — container headers and hash-map slack are approximated by a
-/// flat per-entry overhead — but a *monotone* one: bigger programs always
-/// report more, which is all LRU accounting needs.
-size_t artifactFootprint(const CompiledArtifact &Art,
-                         const std::string &Source) {
-  size_t B = sizeof(CompiledArtifact) + Source.size();
-  if (Art.Prog)
-    B += Art.Prog->arena().bytesAllocated();
-  if (Art.Code) {
-    const CompiledProgram &C = *Art.Code;
-    auto ChunkBytes = [](const Chunk &Ch) {
-      return sizeof(Chunk) + Ch.Code.size() * sizeof(Instr) +
-             Ch.Sites.size() * sizeof(const Expr *) +
-             (Ch.CaptureSrc.size() + Ch.CaptureDst.size()) * sizeof(uint16_t);
-    };
-    for (const Chunk &Ch : C.Funcs)
-      B += ChunkBytes(Ch);
-    for (const Chunk &Ch : C.Lams)
-      B += ChunkBytes(Ch);
-    B += C.Consts.size() * sizeof(Value);
-    for (const MatchTable &M : C.Matches)
-      B += sizeof(MatchTable) + M.Arms.size() * sizeof(MatchArmCode);
-    B += C.RegLists.size() * sizeof(uint16_t);
-    for (const std::string &M : C.Messages)
-      B += sizeof(std::string) + M.size();
-  }
-  for (const auto &KV : Art.Functions)
-    B += sizeof(FuncId) + KV.first.size() + 32; // hash-map entry overhead
-  return B;
-}
-
-/// Compiles one key into an immutable artifact. Runs on whichever worker
-/// first needs the key; everyone else blocks on the shared_future.
-std::shared_ptr<const CompiledArtifact>
-compileArtifact(const ServiceRequest &R) {
-  auto Art = std::make_shared<CompiledArtifact>();
-  Art->Config = R.Config;
-  Art->Prog = std::make_unique<Program>();
-  DiagnosticEngine Diags;
-  if (!compileSource(R.Source, *Art->Prog, Diags)) {
-    Art->Error = "program failed to compile:\n" + Diags.str();
-    Art->SizeBytes = artifactFootprint(*Art, R.Source);
-    return Art;
-  }
-  runPipeline(*Art->Prog, R.Config);
-  Art->Code.emplace(compileProgram(*Art->Prog, layoutProgram(*Art->Prog)));
-  if (!Art->Code->Error.empty()) {
-    Diags.error(SourceLoc{}, Art->Code->Error);
-    Art->Error = "program failed to compile:\n" + Diags.str();
-    Art->Code.reset();
-    Art->SizeBytes = artifactFootprint(*Art, R.Source);
-    return Art;
-  }
-  // Unconditional: artifacts are cached by (source, config), so the
-  // peephole tier must not vary per request. Runs whose entry arguments
-  // include heap references use the retained raw chunks.
-  runPeephole(*Art->Code);
-  // Resolve every function name now, single-threaded: workers must not
-  // intern into the shared symbol table on the request path.
-  for (FuncId F = 0; F != Art->Prog->numFunctions(); ++F)
-    Art->Functions.emplace(
-        std::string(Art->Prog->symbols().name(Art->Prog->function(F).Name)),
-        F);
-  Art->Ok = true;
-  Art->SizeBytes = artifactFootprint(*Art, R.Source);
-  return Art;
 }
 
 /// Per-request view of the worker heap's cumulative counters. Counters
@@ -404,7 +328,10 @@ Service::artifactFor(const std::string &Key, const ServiceRequest &R,
   }
   Stats.CacheCompiles.fetch_add(1, std::memory_order_relaxed);
   if (Compile) {
-    std::shared_ptr<const CompiledArtifact> Art = compileArtifact(R);
+    // Runs on whichever worker first needs the key; everyone else
+    // blocks on the shared_future.
+    std::shared_ptr<const CompiledArtifact> Art =
+        compileArtifact(R.Source, R.Config);
     {
       std::lock_guard<std::mutex> Lock(CacheMutex);
       settleCacheEntryLocked(Key, *Art);
@@ -615,29 +542,22 @@ ServiceResponse Service::execute(WorkerState &WS, Pending &P, unsigned Index) {
   }
 
   // Pooled heap for the key's mode; created on first use and kept warm.
-  bool Gc = Art->Config.Mode == RcMode::None;
-  std::unique_ptr<Heap> &Slot = Gc ? WS.GcHeap : WS.RcHeap;
+  HeapMode Mode = Art->heapMode();
+  std::unique_ptr<Heap> &Slot =
+      Mode == HeapMode::Gc ? WS.GcHeap : WS.RcHeap;
   if (!Slot)
-    Slot = std::make_unique<Heap>(Gc ? HeapMode::Gc : HeapMode::Rc,
-                                  Config.GcThresholdBytes);
+    Slot = std::make_unique<Heap>(Mode, Config.GcThresholdBytes);
   Heap &H = *Slot;
 
-  // Rebuild the VM only when the artifact or heap binding changed;
-  // back-to-back requests on one session reuse the warm VM.
-  if (WS.Art != Art || WS.EngHeap != &H || !WS.Eng) {
+  // Rebuild the VM only when the artifact changed (its mode picks the
+  // heap); back-to-back requests on one session reuse the warm VM.
+  if (WS.Art != Art) {
     WS.Eng = std::make_unique<VM>(*Art->Code, H);
     WS.Art = Art;
-    WS.EngHeap = &H;
-    if (H.mode() == HeapMode::Gc) {
-      VM *E = WS.Eng.get();
-      attachCollector(H, [E](const std::function<void(Value)> &Fn) {
-        E->enumerateRoots(Fn);
-      });
-    }
   }
 
-  auto It = Art->Functions.find(Req.Entry);
-  if (It == Art->Functions.end()) {
+  FuncId Entry = Art->function(Req.Entry);
+  if (Entry == InvalidId) {
     Resp.Executed = true;
     Resp.Run.Ok = false;
     Resp.Run.Trap = TrapKind::RuntimeError;
@@ -656,10 +576,7 @@ ServiceResponse Service::execute(WorkerState &WS, Pending &P, unsigned Index) {
   // rc_calls is the heap's classification sum (writeServiceObjectJson).
   if (L.DeadlineMs)
     L.DeadlineMs -= QueueMs;
-  H.setLimits(L.Heap);
-  WS.Eng->setStepLimit(L.Fuel);
-  WS.Eng->setCallDepthLimit(L.MaxCallDepth);
-  WS.Eng->setDeadline(L.DeadlineMs);
+  WS.Eng->setLimits(L);
   uint64_t FailAlloc = Req.FailAlloc ? Req.FailAlloc : P.Plan.FailAllocNth;
   FaultInjector FI = FaultInjector::failNth(FailAlloc);
   if (FailAlloc)
@@ -667,7 +584,7 @@ ServiceResponse Service::execute(WorkerState &WS, Pending &P, unsigned Index) {
 
   HeapStats Before = H.stats();
   H.stats().PeakBytes = H.stats().LiveBytes; // per-request peak
-  Resp.Run = WS.Eng->run(It->second, Req.Args);
+  Resp.Run = WS.Eng->run(Entry, Req.Args);
   Resp.Executed = true;
   if (!Resp.Run.Ok)
     Resp.Error = Resp.Run.Error;

@@ -10,7 +10,8 @@
 /// one VM, `Service` separates the three lifetimes a server actually
 /// has:
 ///
-///   * a *program* is compiled once per (source, PassConfig) key into an
+///   * a *program* is compiled once per (source, PassConfig) key, by the
+///     compile entry every runner shares (eval/Compile.h), into an
 ///     immutable CompiledArtifact (IR plus peepholed bytecode) and
 ///     cached under an LRU byte budget (ServiceConfig::MaxCacheBytes;
 ///     0 = unbounded). Artifacts
@@ -55,11 +56,9 @@
 #ifndef PERCEUS_SERVICE_SERVICE_H
 #define PERCEUS_SERVICE_SERVICE_H
 
-#include "bytecode/Bytecode.h"
 #include "bytecode/VM.h"
-#include "eval/Engine.h"
+#include "eval/Compile.h"
 #include "eval/EngineConfig.h"
-#include "perceus/Pipeline.h"
 #include "service/Chaos.h"
 #include "service/Reject.h"
 #include "service/TenantGovernor.h"
@@ -71,33 +70,12 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 namespace perceus {
-
-/// One immutable compiled program, shared read-only by every worker that
-/// executes requests against its key. When compilation fails, Ok is
-/// false and Error carries the diagnostics — the failure is cached too
-/// (a negative entry), so a bad source is diagnosed once, not once per
-/// request.
-struct CompiledArtifact {
-  bool Ok = false;
-  std::string Error;
-  PassConfig Config;
-  std::unique_ptr<Program> Prog;
-  std::optional<CompiledProgram> Code;
-  /// Every top-level function by surface name, resolved at compile time
-  /// so the request path never touches the (mutating) symbol table.
-  std::unordered_map<std::string, FuncId> Functions;
-  /// Estimated resident footprint: source + IR arena + bytecode.
-  /// Computed once at compile time; the cache's eviction accounting sums
-  /// these against ServiceConfig::MaxCacheBytes.
-  size_t SizeBytes = 0;
-};
 
 /// One unit of work: which tenant, which program (by source +
 /// configuration), which entry point, and how the run is bounded. Args
@@ -309,7 +287,6 @@ private:
     std::unique_ptr<Heap> GcHeap;
     std::shared_ptr<const CompiledArtifact> Art; ///< the VM's program
     std::unique_ptr<VM> Eng;
-    Heap *EngHeap = nullptr; ///< heap Eng is bound to
   };
 
   /// One artifact-cache slot. The future decouples compile-wait from the

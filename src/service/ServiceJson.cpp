@@ -9,9 +9,9 @@
 #include "eval/StatsJson.h"
 #include "service/Service.h"
 #include "support/JsonWriter.h"
+#include "support/ParseInteger.h"
 
 #include <cctype>
-#include <cstdlib>
 
 namespace perceus {
 
@@ -152,8 +152,9 @@ public:
   }
 
   /// Signed JSON integer (no fractions/exponents — requests carry counts
-  /// and machine ints only).
-  bool parseInt(int64_t &Out) {
+  /// and machine ints only) that fits int64_t; the member's \p Key names
+  /// it in every diagnostic.
+  bool parseInt(int64_t &Out, const std::string &Key) {
     skipWs();
     size_t Start = Pos;
     if (Pos < Text.size() && Text[Pos] == '-')
@@ -163,15 +164,20 @@ public:
       ++Pos;
     if (Pos == Digits) {
       Pos = Start;
-      return fail("expected an integer");
+      return fail("key \"" + Key + "\" expects an integer");
     }
     if (Pos < Text.size() &&
         (Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E')) {
       Pos = Start;
-      return fail("expected an integer, got a fraction/exponent");
+      return fail("key \"" + Key +
+                  "\" expects an integer, got a fraction/exponent");
     }
-    Out = std::strtoll(std::string(Text.substr(Start, Pos - Start)).c_str(),
-                       nullptr, 10);
+    std::string_view Spelling = Text.substr(Start, Pos - Start);
+    if (parseInteger(Spelling, Out) != std::errc()) {
+      Pos = Start;
+      return fail("key \"" + Key + "\" integer " + std::string(Spelling) +
+                  " is out of range");
+    }
     return true;
   }
 
@@ -237,7 +243,7 @@ bool parseServiceRequestJson(std::string_view Text, ServiceRequest &R,
       if (std::string_view(Kind) != "number")
         return P.fail("key \"" + Key + "\" expects a number, got " + Kind);
       int64_t V = 0;
-      if (!P.parseInt(V))
+      if (!P.parseInt(V, Key))
         return false;
       if (V < 0)
         return P.fail("key \"" + Key + "\" expects a non-negative integer");
@@ -295,8 +301,8 @@ bool parseServiceRequestJson(std::string_view Text, ServiceRequest &R,
           return P.fail("key \"args\" expects integers only, got " +
                         std::string(ElemKind));
         int64_t V = 0;
-        if (!P.parseInt(V))
-          return P.fail("key \"args\" expects integers only");
+        if (!P.parseInt(V, Key))
+          return false;
         R.Args.push_back(Value::makeInt(V));
       }
       if (!P.expect(']'))

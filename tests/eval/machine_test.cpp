@@ -166,7 +166,9 @@ TEST(Machine, Traps) {
 TEST(Machine, StepLimitTraps) {
   Runner R("fun spin(x) { spin(x) } fun main(n) { spin(n) }",
            PassConfig::perceusFull());
-  R.engine().setStepLimit(10000);
+  RunLimits L;
+  L.Fuel = 10000;
+  R.setLimits(L);
   RunResult Res = R.callInt("main", {1});
   EXPECT_FALSE(Res.Ok);
   EXPECT_EQ(Res.Trap, TrapKind::OutOfFuel);
@@ -178,7 +180,9 @@ TEST(Machine, CallDepthLimitTraps) {
   Runner R("fun sum(n) { if n == 0 then 0 else n + sum(n - 1) } "
            "fun main(n) { sum(n) }",
            PassConfig::perceusFull());
-  R.engine().setCallDepthLimit(100);
+  RunLimits L;
+  L.MaxCallDepth = 100;
+  R.setLimits(L);
   RunResult Res = R.callInt("main", {1000});
   EXPECT_FALSE(Res.Ok);
   EXPECT_EQ(Res.Trap, TrapKind::StackOverflow);

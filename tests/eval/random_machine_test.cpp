@@ -97,12 +97,14 @@ SeedRun runSeed(uint64_t Seed, const PassConfig &Config, bool Peephole) {
   auto P = std::make_unique<Program>();
   Rng R(Seed);
   GeneratedTerm G = generateTerm(*P, R, 6);
-  Runner Run(*P, Config, EngineConfig{}.withPeephole(Peephole));
+  RunLimits L;
+  L.Fuel = 2000000;
+  Runner Run(std::move(P), Config,
+             EngineConfig{}.withPeephole(Peephole).withLimits(L));
   SeedRun S;
   EXPECT_TRUE(Run.ok());
   Run.engine().setResultInspector(
       [&](Value V) { S.Checksum = checksumValue(V); });
-  Run.engine().setStepLimit(2000000);
   S.Run = Run.engine().run(G.Func, {});
   S.Heap = Run.heap().stats();
   S.HeapEmpty = Run.heapIsEmpty();

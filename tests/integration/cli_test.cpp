@@ -184,6 +184,15 @@ TEST(PercCli, AddSubMulOverflowTrapsWithItsMessage) {
 TEST(PercCli, BadFlagValuesAreRejected) {
   EXPECT_EQ(runPerc(prog("nqueens.perc") + " --config=bogus 6"), 1);
   EXPECT_NE(runPerc("/no/such/file.perc"), 0);
+  // Integers on the command line are range-checked: neither an argument
+  // nor a count is clamped, wrapped or read as zero.
+  for (const char *Args :
+       {" abc", " 99999999999999999999", " -9223372036854775809",
+        " --fuel=99999999999999999999 3", " --fuel=-1 3",
+        " --max-depth=abc 3"})
+    EXPECT_EQ(runPerc(prog("hello.perc") + Args), 1) << Args;
+  EXPECT_EQ(runPerc(prog("hello.perc") + " --fuel=18446744073709551615 3"),
+            0);
 }
 
 TEST(PercCli, PassStatsListsEachStageAndThePeepholeTotal) {
@@ -266,17 +275,24 @@ TEST(PercCli, ServeModeMalformedLinesGetStructuredBadRequestJson) {
   // skip, and never a nonzero exit for the whole serve. (Bad lines are
   // answered immediately while valid ones are in flight, so assertions
   // scan the output rather than assuming submission order.)
+  // Lines 5-8 carry integers past their range, positionally and in JSON,
+  // as arguments and as counts.
   int Exit = -1;
   std::vector<std::string> Lines =
       runPercServe(prog("hello.perc") + " --serve",
                    "main 5\n"
                    "{\"entry\":\"main\",\"bogus\":1}\n"
                    "--frobnicate=3 5\n"
-                   "{\"entry\":\"main\",\"args\":[5]}\n",
+                   "{\"entry\":\"main\",\"args\":[5]}\n"
+                   "main 99999999999999999999\n"
+                   "main 5 --fuel=99999999999999999999\n"
+                   "{\"entry\":\"main\",\"args\":[99999999999999999999]}\n"
+                   "{\"entry\":\"main\",\"args\":[5],"
+                   "\"fuel\":99999999999999999999}\n",
                    Exit);
   EXPECT_EQ(Exit, 0);
-  ASSERT_EQ(Lines.size(), 4u);
-  unsigned Ok = 0, Bad = 0;
+  ASSERT_EQ(Lines.size(), 8u);
+  unsigned Ok = 0, Bad = 0, OutOfRange = 0;
   bool SawUnknownKey = false, SawUnknownOption = false;
   for (const std::string &L : Lines) {
     if (L.find("\"status\":\"ok\"") != std::string::npos)
@@ -289,11 +305,16 @@ TEST(PercCli, ServeModeMalformedLinesGetStructuredBadRequestJson) {
     if (L.find("line 3") != std::string::npos &&
         L.find("unknown request option") != std::string::npos)
       SawUnknownOption = true;
+    for (const char *Line : {"line 5", "line 6", "line 7", "line 8"})
+      if (L.find(Line) != std::string::npos &&
+          L.find("out of range") != std::string::npos)
+        ++OutOfRange;
   }
   EXPECT_EQ(Ok, 2u);
-  EXPECT_EQ(Bad, 2u);
+  EXPECT_EQ(Bad, 6u);
   EXPECT_TRUE(SawUnknownKey);
   EXPECT_TRUE(SawUnknownOption);
+  EXPECT_EQ(OutOfRange, 4u);
 }
 
 TEST(PercCli, ServeModeSpeaksTheVersionedWireSchema) {

@@ -201,8 +201,8 @@ TEST_F(ParallelRunnerTest, UnknownEntryAndBuilderAreReportedNotRun) {
             std::string::npos);
 }
 
-// Repeated run() calls on one ParallelRunner share the bytecode image
-// compiled by the first; every run must agree with the first.
+// Repeated run() calls on one ParallelRunner share the artifact its
+// constructor compiled; every run must agree with the first.
 TEST(ParallelRunner, RepeatedRunsOfOneRunnerAgree) {
   ParallelRunner PR(nqueensSource(), PassConfig::perceusFull());
   ASSERT_TRUE(PR.ok()) << PR.diagnostics().str();
@@ -218,6 +218,26 @@ TEST(ParallelRunner, RepeatedRunsOfOneRunnerAgree) {
   EXPECT_EQ(A.Combined.DropOps, B.Combined.DropOps);
   EXPECT_TRUE(A.AllHeapsEmpty);
   EXPECT_TRUE(B.AllHeapsEmpty);
+}
+
+// The tier is a per-run choice over that one artifact: whichever tier
+// runs first, each run dispatches exactly its own tier's step count.
+TEST(ParallelRunner, EachRunGetsItsOwnTier) {
+  constexpr uint64_t RawSteps = 57215, PeepholeSteps = 28016;
+  for (bool RawFirst : {true, false}) {
+    SCOPED_TRACE(RawFirst ? "raw, then peephole" : "peephole, then raw");
+    ParallelRunner PR(nqueensSource(), PassConfig::perceusFull());
+    ASSERT_TRUE(PR.ok()) << PR.diagnostics().str();
+    for (bool Peephole : {!RawFirst, RawFirst}) {
+      EngineConfig EC;
+      EC.Peephole = Peephole;
+      ParallelOutcome Out = PR.run(EC, "bench_nqueens", ints({6}));
+      ASSERT_TRUE(Out.Ok) << Out.Error;
+      EXPECT_EQ(Out.Workers[0].Run.Result.Int, 4);
+      EXPECT_EQ(Out.Workers[0].Run.Steps, Peephole ? PeepholeSteps : RawSteps)
+          << (Peephole ? "peephole" : "raw") << " run";
+    }
+  }
 }
 
 } // namespace

@@ -571,6 +571,11 @@ TEST(ServiceRequestJson, WrongTypesNameTheKey) {
       {R"({"entry":"m","args":[1,"two"]})", "args"},
       {R"({"entry":"m","tenant":[]})", "tenant"},
       {R"({"entry":"m","deadline_ms":true})", "deadline_ms"},
+      // Integers past int64_t are errors too, never clamped to a bound.
+      {R"({"entry":"m","args":[99999999999999999999]})", "args"},
+      {R"({"entry":"m","args":[1,-9223372036854775809]})", "args"},
+      {R"({"entry":"m","fuel":99999999999999999999})", "fuel"},
+      {R"({"entry":"m","max_heap":18446744073709551616})", "max_heap"},
   };
   for (const Case &C : Cases) {
     ServiceRequest R;
@@ -579,6 +584,21 @@ TEST(ServiceRequestJson, WrongTypesNameTheKey) {
     EXPECT_NE(Err.find(C.Key), std::string::npos)
         << C.Text << " -> " << Err;
   }
+}
+
+TEST(ServiceRequestJson, Int64BoundsAreInRange) {
+  // The range check stops exactly past the int64_t bounds.
+  ServiceRequest R;
+  std::string Err;
+  ASSERT_TRUE(parseServiceRequestJson(
+      R"({"entry":"m","args":[9223372036854775807,-9223372036854775808],)"
+      R"("fuel":9223372036854775807})",
+      R, Err))
+      << Err;
+  ASSERT_EQ(R.Args.size(), 2u);
+  EXPECT_EQ(R.Args[0].Int, INT64_MAX);
+  EXPECT_EQ(R.Args[1].Int, INT64_MIN);
+  EXPECT_EQ(R.Limits.Fuel, uint64_t(INT64_MAX));
 }
 
 TEST(ServiceRequestJson, UnknownKeysAndTrailingGarbageAreRejected) {

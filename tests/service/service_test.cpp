@@ -72,6 +72,30 @@ TEST(Service, CompileErrorIsCachedAndStructured) {
   EXPECT_EQ(S.stats().RejectedCompileError, 3u);
 }
 
+TEST(Service, CacheBytesCountEveryChunkOfBothTiers) {
+  // The cache budget must see everything an artifact keeps: the IR arena
+  // and every chunk vector, as allocated, of the peephole tier (code, the
+  // three site columns, capture slots) and of the raw tier it retains.
+  std::shared_ptr<const CompiledArtifact> A =
+      compileArtifact(rbtreeSource(), PassConfig::perceusFull());
+  ASSERT_TRUE(A->Ok) << A->Error;
+  const CompiledProgram &C = *A->Code;
+  ASSERT_FALSE(C.RawFuncs.empty());
+  size_t Floor = A->Prog->arena().bytesAllocated();
+  for (const std::vector<Chunk> *Tab :
+       {&C.Funcs, &C.Lams, &C.RawFuncs, &C.RawLams})
+    for (const Chunk &Ch : *Tab)
+      Floor += Ch.Code.capacity() * sizeof(Instr) +
+               (Ch.Sites.capacity() + Ch.Sites2.capacity() +
+                Ch.Sites3.capacity()) *
+                   sizeof(const Expr *) +
+               (Ch.CaptureSrc.capacity() + Ch.CaptureDst.capacity()) *
+                   sizeof(uint16_t);
+  Service S;
+  ASSERT_TRUE(S.precompile(rbtreeSource(), PassConfig::perceusFull()));
+  EXPECT_GE(S.stats().CacheBytes, Floor);
+}
+
 TEST(Service, MissingEntryIsARuntimeErrorNotACrash) {
   Service S;
   Session Sess(S, mapSumSource());
