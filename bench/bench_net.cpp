@@ -311,9 +311,9 @@ int main(int Argc, char **Argv) {
   BenchProgram Prog{"rbtree", rbtreeSource(), "bench_rbtree", 0, nullptr};
   int64_t Work = calibrateWorkload(Prog, Scale);
 
-  std::printf("Sharded socket front end (%s): %u tenants @ %.0f req/s each, "
+  std::printf("Sharded socket front end: %u tenants @ %.0f req/s each, "
               "%llu requests/tenant, workload %lld\n\n",
-              Poller::backendName(), NumTenants, RatePerSec,
+              NumTenants, RatePerSec,
               (unsigned long long)Requests, (long long)Work);
 
   PhaseResult Base = runPhase(Prog, Work, Requests, 1);

@@ -88,7 +88,6 @@
 #include "eval/StatsJson.h"
 #include "ir/Printer.h"
 #include "lang/Resolver.h"
-#include "net/Poller.h"
 #include "net/Server.h"
 #include "net/ShardedService.h"
 #include "parallel/ParallelRunner.h"
@@ -472,9 +471,9 @@ int listenMain(const std::string &Source, const PassConfig &DefConfig,
   // The banner is the contract for scripted clients: it carries the
   // bound (possibly ephemeral) port and is flushed before any traffic.
   std::fprintf(stderr,
-               "[listen] schema=%s backend=%s port=%u shards=%zu "
+               "[listen] schema=%s port=%u shards=%zu "
                "workers-per-shard=%u max-frame=%zu\n",
-               kWireSchemaName, Poller::backendName(), Srv.port(),
+               kWireSchemaName, Srv.port(),
                SS.shardCount(), SS.shard(0).config().Workers,
                FC.MaxFrameBytes);
   std::fflush(stderr);

@@ -198,8 +198,9 @@ struct Chunk {
   /// Only consulted when a StatsSink is installed.
   std::vector<const Expr *> Sites;
   /// Secondary/tertiary telemetry sites for fused instructions whose
-  /// components each stamp a site (e.g. Dup2/Drop2). Empty on chunks the
-  /// peephole pass has not rewritten; parallel to Code otherwise.
+  /// components each stamp a site (Dup2, Drop2, Dup3, Dup2DecLoadConst).
+  /// Parallel to Code on a peephole chunk holding one of those forms;
+  /// empty on every other chunk, which never reads them.
   std::vector<const Expr *> Sites2;
   std::vector<const Expr *> Sites3;
   uint32_t NumRegs = 0;   ///< frame size: named slots + temporaries

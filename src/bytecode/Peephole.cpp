@@ -8,6 +8,7 @@
 
 #include "analysis/ImmediateAnalysis.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace perceus {
@@ -74,18 +75,47 @@ Instr cmpBranch(const Instr &Cmp, uint32_t Target) {
   }
 }
 
+/// Whether the VM reads the Sites2/Sites3 columns at opcode \p O: the
+/// fused forms whose later components stamp sites of their own.
+bool readsLaterSites(Op O) {
+  return O == Op::Dup2 || O == Op::Drop2 || O == Op::Dup3 ||
+         O == Op::Dup2DecLoadConst;
+}
+
+/// Working buffers one peephole run reuses for every chunk, so a rewrite
+/// allocates only the exact-size vectors it leaves in the chunk. Sized
+/// once for the longest chunk: a rewrite never emits more instructions
+/// than it reads.
+struct RewriteScratch {
+  explicit RewriteScratch(size_t MaxLen) {
+    Elide.reserve(MaxLen);
+    Leader.reserve(MaxLen + 1);
+    OldToNew.reserve(MaxLen + 1);
+    Code.reserve(MaxLen);
+    Sites.reserve(MaxLen);
+    Sites2.reserve(MaxLen);
+    Sites3.reserve(MaxLen);
+  }
+
+  std::vector<char> Elide, Leader;
+  std::vector<uint32_t> OldToNew;
+  std::vector<Instr> Code;
+  std::vector<const Expr *> Sites, Sites2, Sites3;
+};
+
 /// Rewrites one chunk: elide proven-immediate RC ops, fuse adjacent
 /// pairs/triples, remap every branch target and clone the chunk's match
 /// tables. \p CP is needed for the match-table pool (clones append).
 void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
-                  PeepholeChunkStats &St) {
+                  RewriteScratch &Buf, PeepholeChunkStats &St) {
   const std::vector<Instr> OldCode = std::move(Ch.Code);
   const std::vector<const Expr *> OldSites = std::move(Ch.Sites);
   const size_t N = OldCode.size();
   St.Before = static_cast<uint32_t>(N);
 
   // Instructions whose site the immediacy analysis proved elidable.
-  std::vector<char> Elide(N, 0);
+  std::vector<char> &Elide = Buf.Elide;
+  Elide.assign(N, 0);
   for (size_t P = 0; P != N; ++P) {
     Op O = OldCode[P].O;
     if ((O == Op::Dup || O == Op::Drop || O == Op::DecRef) &&
@@ -106,7 +136,8 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
   // would re-run or skip components), and neither may the elided gap
   // inside a fused span — the gap's remapped target would otherwise
   // resolve mid-superinstruction.
-  std::vector<char> Leader(N + 1, 0);
+  std::vector<char> &Leader = Buf.Leader;
+  Leader.assign(N + 1, 0);
   for (size_t P = 0; P != N; ++P) {
     const Instr &I = OldCode[P];
     if (I.O == Op::Jump || I.O == Op::JumpIfFalse || I.O == Op::IsUniqueBr)
@@ -135,16 +166,18 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
       Leader[L + 1] = 1;
   }
 
-  std::vector<Instr> Code;
-  std::vector<const Expr *> Sites, Sites2, Sites3;
-  Code.reserve(N);
-  Sites.reserve(N);
-  Sites2.reserve(N);
-  Sites3.reserve(N);
+  std::vector<Instr> &Code = Buf.Code;
+  std::vector<const Expr *> &Sites = Buf.Sites, &Sites2 = Buf.Sites2,
+                            &Sites3 = Buf.Sites3;
+  Code.clear();
+  Sites.clear();
+  Sites2.clear();
+  Sites3.clear();
   // OldToNew[p] = new index of the instruction covering old pc p, or of
   // the next emitted instruction when p was elided (an elided RC op is a
   // dynamic no-op, so branching to its successor is equivalent).
-  std::vector<uint32_t> OldToNew(N + 1, 0);
+  std::vector<uint32_t> &OldToNew = Buf.OldToNew;
+  OldToNew.assign(N + 1, 0);
 
   auto emit = [&](Instr I, const Expr *S1, const Expr *S2, const Expr *S3) {
     Code.push_back(I);
@@ -401,10 +434,15 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
     }
   }
 
-  Ch.Code = std::move(Code);
-  Ch.Sites = std::move(Sites);
-  Ch.Sites2 = std::move(Sites2);
-  Ch.Sites3 = std::move(Sites3);
+  // Exact-size copies; the later site columns only where an
+  // instruction reads them.
+  Ch.Code = std::vector<Instr>(Code.begin(), Code.end());
+  Ch.Sites = std::vector<const Expr *>(Sites.begin(), Sites.end());
+  if (std::any_of(Code.begin(), Code.end(),
+                  [](const Instr &I) { return readsLaterSites(I.O); })) {
+    Ch.Sites2 = std::vector<const Expr *>(Sites2.begin(), Sites2.end());
+    Ch.Sites3 = std::vector<const Expr *>(Sites3.begin(), Sites3.end());
+  }
   St.After = static_cast<uint32_t>(Ch.Code.size());
 }
 
@@ -421,16 +459,21 @@ PeepholeReport runPeephole(CompiledProgram &CP) {
   CP.RawFuncs = CP.Funcs;
   CP.RawLams = CP.Lams;
 
+  size_t MaxLen = 0;
+  for (const std::vector<Chunk> *Tab : {&CP.Funcs, &CP.Lams})
+    for (const Chunk &Ch : *Tab)
+      MaxLen = std::max(MaxLen, Ch.Code.size());
+  RewriteScratch Buf(MaxLen);
   for (size_t F = 0; F != CP.Funcs.size(); ++F) {
     PeepholeChunkStats St;
     St.Name = std::string(CP.Prog->symbols().name(CP.Funcs[F].Fn->Name));
-    rewriteChunk(CP.Funcs[F], CP, Info, St);
+    rewriteChunk(CP.Funcs[F], CP, Info, Buf, St);
     Rep.Chunks.push_back(std::move(St));
   }
   for (size_t L = 0; L != CP.Lams.size(); ++L) {
     PeepholeChunkStats St;
     St.Name = "lambda#" + std::to_string(L);
-    rewriteChunk(CP.Lams[L], CP, Info, St);
+    rewriteChunk(CP.Lams[L], CP, Info, Buf, St);
     Rep.Chunks.push_back(std::move(St));
   }
 

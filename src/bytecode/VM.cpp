@@ -4,13 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Dispatch is threaded (computed goto) on GCC/Clang and a plain switch
-// elsewhere; the handler bodies are written once and shared by both
-// forms through the VM_CASE/VM_NEXT/VM_JUMP macros, whose control
-// transfer is goto-based in both modes so handlers may dispatch from
-// inside nested loops without capture-by-break surprises. Handlers read
-// their operands through I, the program counter, which points into the
-// current chunk; every dispatch pays one budget compare (see Budget).
+// Dispatch is threaded: every handler ends in its own computed goto
+// through the label table (a GCC/Clang extension, like the
+// __builtin_*_overflow checks below). The VM_CASE/VM_NEXT/VM_JUMP
+// macros carry the control transfer, which is goto-based so handlers
+// may dispatch from inside nested loops. Handlers read their operands
+// through I, the program counter, which points into the current chunk;
+// every dispatch pays one budget compare (see Budget).
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,13 +22,6 @@
 #include <algorithm>
 
 using namespace perceus;
-
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(PERCEUS_VM_FORCE_SWITCH)
-#define PERCEUS_VM_COMPUTED_GOTO 1
-#else
-#define PERCEUS_VM_COMPUTED_GOTO 0
-#endif
 
 #if PERCEUS_VM_PROFILE
 namespace perceus {
@@ -383,7 +376,6 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
       Sink->setSite(VM_SITE(Col), What, VM_SITE(Col)->loc());                  \
   } while (0)
 
-#if PERCEUS_VM_COMPUTED_GOTO
   static const void *const Tab[] = {
 #define PERCEUS_VM_LABEL(Name) &&L_##Name,
       PERCEUS_VM_OPCODES(PERCEUS_VM_LABEL)
@@ -404,11 +396,6 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
     VM_PROFILE_PAIR();                                                         \
     goto *Tab[static_cast<size_t>(I->O)];                                      \
   } while (0)
-#else
-#define VM_CASE(Name) case Op::Name:
-#define VM_DISPATCH() goto Dispatch
-#define VM_RESUME() goto Execute
-#endif
   // Execute *I (after the budget), the next instruction, or the one at
   // index Target of the current chunk.
 #define VM_NEXT()                                                              \
@@ -506,15 +493,6 @@ Budget:
   }
   NextCheck = nextBudgetCheck(Steps, Fuel, HasSafepoint);
   VM_RESUME();
-
-#if !PERCEUS_VM_COMPUTED_GOTO
-Dispatch:
-  if (++Steps >= NextCheck)
-    goto Budget;
-Execute:
-  VM_PROFILE_PAIR();
-  switch (I->O) {
-#endif
 
   VM_CASE(LoadConst) {
     RF[I->B] = Consts[I->E];
@@ -893,8 +871,9 @@ Execute:
   // Each handler is the literal concatenation of its component handlers:
   // same heap calls, same counter increments, same telemetry stamps,
   // same trap messages at the same points — one dispatch. Primary sites
-  // live in Sites; per-component extras in Sites2/Sites3, which the
-  // peephole pass populates on every chunk it rewrites.
+  // live in Sites. Dup2, Drop2, Dup3 and Dup2DecLoadConst stamp their
+  // later components' sites from Sites2/Sites3, which the peephole pass
+  // fills on every chunk holding one of them.
 
   VM_CASE(Dup2) {
     ++R.Rc.FusedOps;
@@ -1077,11 +1056,6 @@ Execute:
     }
     VM_JUMP(I->E);
   }
-
-#if !PERCEUS_VM_COMPUTED_GOTO
-  }
-  VM_TRAP("corrupt opcode", TrapKind::RuntimeError);
-#endif
 
 Done:
   R.Steps = Steps;

@@ -6,10 +6,9 @@
 ///
 /// \file
 /// The bytecode execution engine: a register-machine interpreter over
-/// bytecode/Bytecode.h chunks, dispatching with computed goto where the
-/// compiler supports it (GCC/Clang) and a portable switch otherwise
-/// (forced with -DPERCEUS_VM_FORCE_SWITCH for testing the fallback).
-/// Handlers read their operands in place through the program counter, a
+/// bytecode/Bytecode.h chunks, dispatching with computed goto (a GCC
+/// and Clang extension; VM.cpp's overflow checks need those compilers
+/// too). Handlers read their operands in place through the program counter, a
 /// pointer into the current chunk, and each dispatch pays one compare
 /// for fuel, safepoints and deadlines together (see VM::execute).
 ///

@@ -1,4 +1,4 @@
-//===- net/Poller.cpp - epoll/poll readiness abstraction ------------------===//
+//===- net/Poller.cpp - epoll readiness abstraction -----------------------===//
 //
 // Part of the perceus-cpp project, under the MIT license.
 //
@@ -6,18 +6,10 @@
 
 #include "net/Poller.h"
 
-#include <algorithm>
-
-#if PERCEUS_NET_USE_EPOLL
 #include <sys/epoll.h>
 #include <unistd.h>
-#else
-#include <poll.h>
-#endif
 
 using namespace perceus;
-
-#if PERCEUS_NET_USE_EPOLL
 
 Poller::Poller() { EpFd = epoll_create1(0); }
 
@@ -58,7 +50,7 @@ int Poller::wait(std::vector<PollEvent> &Out, int TimeoutMs) {
   int N = epoll_wait(EpFd, Evs, 64, TimeoutMs);
   Out.clear();
   if (N <= 0)
-    return N < 0 ? 0 : 0; // EINTR and timeout both mean "nothing ready"
+    return 0; // EINTR and timeout both mean "nothing ready"
   for (int I = 0; I != N; ++I) {
     PollEvent E;
     E.Fd = Evs[I].data.fd;
@@ -69,68 +61,3 @@ int Poller::wait(std::vector<PollEvent> &Out, int TimeoutMs) {
   }
   return N;
 }
-
-const char *Poller::backendName() { return "epoll"; }
-
-#else // poll(2) fallback
-
-Poller::Poller() = default;
-Poller::~Poller() = default;
-
-bool Poller::ok() const { return true; }
-
-static short toPoll(bool Read, bool Write) {
-  short E = 0;
-  if (Read)
-    E |= POLLIN;
-  if (Write)
-    E |= POLLOUT;
-  return E;
-}
-
-bool Poller::add(int Fd, bool Read, bool Write) {
-  pollfd P{};
-  P.fd = Fd;
-  P.events = toPoll(Read, Write);
-  Fds.push_back(P);
-  return true;
-}
-
-bool Poller::update(int Fd, bool Read, bool Write) {
-  for (pollfd &P : Fds)
-    if (P.fd == Fd) {
-      P.events = toPoll(Read, Write);
-      return true;
-    }
-  return false;
-}
-
-void Poller::remove(int Fd) {
-  Fds.erase(std::remove_if(Fds.begin(), Fds.end(),
-                           [Fd](const pollfd &P) { return P.fd == Fd; }),
-            Fds.end());
-}
-
-int Poller::wait(std::vector<PollEvent> &Out, int TimeoutMs) {
-  Out.clear();
-  if (Fds.empty())
-    return 0;
-  int N = ::poll(Fds.data(), Fds.size(), TimeoutMs);
-  if (N <= 0)
-    return 0;
-  for (const pollfd &P : Fds) {
-    if (!P.revents)
-      continue;
-    PollEvent E;
-    E.Fd = P.fd;
-    E.Readable = (P.revents & POLLIN) != 0;
-    E.Writable = (P.revents & POLLOUT) != 0;
-    E.Hangup = (P.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-    Out.push_back(E);
-  }
-  return N;
-}
-
-const char *Poller::backendName() { return "poll"; }
-
-#endif

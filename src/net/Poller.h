@@ -1,4 +1,4 @@
-//===- net/Poller.h - epoll/poll readiness abstraction ----------*- C++-*-===//
+//===- net/Poller.h - epoll readiness abstraction ---------------*- C++-*-===//
 //
 // Part of the perceus-cpp project, under the MIT license.
 //
@@ -7,11 +7,9 @@
 /// \file
 /// The one readiness primitive the event loop needs: register a file
 /// descriptor for read and/or write interest, wait, get back which fds
-/// are ready. Backed by epoll(7) on Linux (O(ready) wakeups, interest
-/// list kept in the kernel) and by poll(2) everywhere else — and on
-/// Linux too when PERCEUS_NET_FORCE_POLL is defined, which is how CI
-/// exercises the fallback without a second OS. Level-triggered in both
-/// backends, so the server may leave bytes unconsumed and be re-woken.
+/// are ready. Backed by Linux's epoll(7) (O(ready) wakeups, interest
+/// list kept in the kernel). Level-triggered, so the server may leave
+/// bytes unconsumed and be re-woken.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,16 +17,6 @@
 #define PERCEUS_NET_POLLER_H
 
 #include <vector>
-
-#if defined(__linux__) && !defined(PERCEUS_NET_FORCE_POLL)
-#define PERCEUS_NET_USE_EPOLL 1
-#else
-#define PERCEUS_NET_USE_EPOLL 0
-#endif
-
-#if !PERCEUS_NET_USE_EPOLL
-#include <poll.h>
-#endif
 
 namespace perceus {
 
@@ -59,16 +47,8 @@ public:
   /// ready set. Returns the count, 0 on timeout or EINTR.
   int wait(std::vector<PollEvent> &Out, int TimeoutMs);
 
-  /// "epoll" or "poll"; surfaced in the listen banner so a log line
-  /// says which backend handled the traffic.
-  static const char *backendName();
-
 private:
-#if PERCEUS_NET_USE_EPOLL
   int EpFd = -1;
-#else
-  std::vector<pollfd> Fds; ///< interest list, compacted on remove
-#endif
 };
 
 } // namespace perceus

@@ -25,6 +25,9 @@ namespace {
 /// buffer for it before declaring the connection unsalvageable.
 constexpr size_t MaxOutBufBytes = 8u << 20;
 
+/// listen(2) backlog for the accept socket.
+constexpr int ListenBacklog = 64;
+
 bool setNonBlocking(int Fd) {
   int Flags = fcntl(Fd, F_GETFL, 0);
   return Flags >= 0 && fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
@@ -97,7 +100,7 @@ bool Server::listen(const std::string &HostPort, std::string *Error) {
   int One = 1;
   setsockopt(ListenFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
   if (bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0 ||
-      ::listen(ListenFd, Config.ListenBacklog) != 0 ||
+      ::listen(ListenFd, ListenBacklog) != 0 ||
       !setNonBlocking(ListenFd)) {
     if (Error)
       *Error = std::string("bind/listen: ") + std::strerror(errno);

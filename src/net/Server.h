@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The socket transport of `perc --listen`: one event-loop thread
-/// (Poller: epoll, or poll as fallback) accepting TCP connections and
+/// (Poller, over epoll) accepting TCP connections and
 /// speaking perceus-wire-v1 in either framing (Wire.h auto-detects per
 /// connection). The loop never executes a request — it decodes frames,
 /// parses them over the CLI's default-request template, and hands them

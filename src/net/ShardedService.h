@@ -55,8 +55,6 @@ struct FrontEndConfig {
   /// A frame over this is a structured bad-request and the connection
   /// closes. Also bounds per-connection buffering.
   size_t MaxFrameBytes = 64 * 1024;
-  /// listen(2) backlog for the accept socket.
-  int ListenBacklog = 64;
   /// Accepted-connection cap; further accepts are closed immediately
   /// (counted, never serviced) until a slot frees.
   size_t MaxConnections = 1024;
@@ -76,10 +74,6 @@ struct FrontEndConfig {
   }
   FrontEndConfig &withMaxFrameBytes(size_t B) {
     MaxFrameBytes = B;
-    return *this;
-  }
-  FrontEndConfig &withListenBacklog(int N) {
-    ListenBacklog = N;
     return *this;
   }
   FrontEndConfig &withMaxConnections(size_t N) {

@@ -546,7 +546,7 @@ ServiceResponse Service::execute(WorkerState &WS, Pending &P, unsigned Index) {
   std::unique_ptr<Heap> &Slot =
       Mode == HeapMode::Gc ? WS.GcHeap : WS.RcHeap;
   if (!Slot)
-    Slot = std::make_unique<Heap>(Mode, Config.GcThresholdBytes);
+    Slot = std::make_unique<Heap>(Mode);
   Heap &H = *Slot;
 
   // Rebuild the VM only when the artifact changed (its mode picks the

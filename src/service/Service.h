@@ -139,7 +139,6 @@ struct ServiceConfig {
   /// Trim a worker heap back to one warm slab whenever it retains more
   /// than this between requests (0 = trim after every request).
   size_t MaxRetainedBytes = 8u << 20;
-  size_t GcThresholdBytes = 4u << 20; ///< per-worker GC threshold
   /// Artifact-cache byte budget; LRU eviction keeps the cache at or
   /// under this (pinned entries excepted). 0 = unbounded (cache forever).
   size_t MaxCacheBytes = 0;
@@ -165,10 +164,6 @@ struct ServiceConfig {
   }
   ServiceConfig &withMaxRetainedBytes(size_t B) {
     MaxRetainedBytes = B;
-    return *this;
-  }
-  ServiceConfig &withGcThreshold(size_t B) {
-    GcThresholdBytes = B;
     return *this;
   }
   ServiceConfig &withMaxCacheBytes(size_t B) {

@@ -15,11 +15,16 @@
 /// cache hit, worker, queue/run milliseconds, retained bytes). The
 /// validation tests pin the key set and the closed status vocabulary.
 ///
-/// The inverse direction, parseServiceRequestJson(), accepts one request
-/// as a flat JSON object and validates it *structurally*: unknown keys,
-/// wrong value types, truncated documents and oversized lines are all
-/// rejected with a diagnostic, never ignored and never fatal — a
-/// malformed line becomes a "bad-request" response, not an abort.
+/// The inverse direction, parseServiceRequestJson(), accepts one request:
+/// an RFC 8259 JSON object, read by the repository's one JSON parser
+/// (parseJson, support/JsonWriter.h). Strings are UTF-8: a string must be
+/// well-formed UTF-8, every \u escape decodes to UTF-8 (surrogate pairs
+/// included), and a lone surrogate is an error. Nesting is bounded by
+/// MaxJsonDepth, so no line can exhaust the stack. The request is then
+/// validated *structurally*: unknown keys, wrong value types, malformed
+/// or truncated JSON and oversized lines are all rejected with a
+/// diagnostic, never ignored and never fatal — a malformed line becomes
+/// a "bad-request" response, not an abort.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,9 +71,11 @@ inline constexpr size_t MaxRequestJsonBytes = 64 * 1024;
 ///   "schema": must be            "fail_alloc", "max_heap", "max_cells",
 ///     "perceus-wire-v1"          "alloc_budget": non-negative integers
 ///
-/// Returns true on success; on failure returns false and fills \p Error
-/// with a one-line diagnostic (unknown key, wrong type, truncated input,
-/// oversized line, trailing garbage). Never throws, never aborts.
+/// Members apply in order; integers are exact int64 values (no fraction,
+/// no exponent), and counts must be non-negative. Returns true on
+/// success; on failure returns false and fills \p Error with a one-line
+/// diagnostic (malformed JSON, unknown key, wrong type, out-of-range
+/// integer, oversized line). Never throws, never aborts.
 bool parseServiceRequestJson(std::string_view Text, ServiceRequest &R,
                              std::string &Error);
 

@@ -178,12 +178,14 @@ public:
       : Text(Text), Pos(0), Err(Err) {}
 
   std::optional<JsonValue> parseDocument() {
-    std::optional<JsonValue> V = parseValue();
-    if (!V)
+    JsonValue V;
+    if (!parseValue(V, 0))
       return std::nullopt;
     skipWs();
-    if (Pos != Text.size())
-      return fail("trailing characters after JSON value");
+    if (Pos != Text.size()) {
+      fail("trailing characters after JSON value");
+      return std::nullopt;
+    }
     return V;
   }
 
@@ -192,12 +194,12 @@ private:
   size_t Pos;
   std::string *Err;
 
-  std::nullopt_t fail(const char *Msg) {
+  bool fail(std::string_view Msg) {
     if (Err && Err->empty()) {
       *Err = Msg;
       *Err += " at offset " + std::to_string(Pos);
     }
-    return std::nullopt;
+    return false;
   }
 
   void skipWs() {
@@ -221,181 +223,226 @@ private:
     return true;
   }
 
-  std::optional<JsonValue> parseValue() {
+  /// Reads the four hex digits of a \u escape into \p Code.
+  bool hex4(unsigned &Code) {
+    if (Pos + 4 > Text.size())
+      return false;
+    Code = 0;
+    for (int I = 0; I < 4; ++I) {
+      char H = Text[Pos++];
+      Code <<= 4;
+      if (H >= '0' && H <= '9')
+        Code |= H - '0';
+      else if (H >= 'a' && H <= 'f')
+        Code |= H - 'a' + 10;
+      else if (H >= 'A' && H <= 'F')
+        Code |= H - 'A' + 10;
+      else
+        return false;
+    }
+    return true;
+  }
+
+  /// The length of the well-formed UTF-8 sequence at \p P (RFC 3629:
+  /// shortest form, no surrogate, nothing past U+10FFFF), or 0.
+  size_t utf8Length(size_t P) const {
+    auto byteAt = [&](size_t I) -> unsigned {
+      return P + I < Text.size() ? static_cast<unsigned char>(Text[P + I])
+                                 : 0;
+    };
+    const unsigned Lead = byteAt(0);
+    const size_t Len = Lead < 0xC2   ? 0
+                       : Lead < 0xE0 ? 2
+                       : Lead < 0xF0 ? 3
+                       : Lead < 0xF5 ? 4
+                                     : 0;
+    // The second byte's range rules out overlong forms (after E0 and
+    // F0), surrogates (after ED) and code points past U+10FFFF (after F4).
+    const unsigned Lo = Lead == 0xE0 ? 0xA0 : Lead == 0xF0 ? 0x90 : 0x80;
+    const unsigned Hi = Lead == 0xED ? 0x9F : Lead == 0xF4 ? 0x8F : 0xBF;
+    if (Len == 0 || byteAt(1) < Lo || byteAt(1) > Hi)
+      return 0;
+    for (size_t I = 2; I != Len; ++I)
+      if ((byteAt(I) & 0xC0) != 0x80)
+        return 0;
+    return Len;
+  }
+
+  /// Appends the UTF-8 form of the code point \p Code (at most U+10FFFF).
+  static void appendUtf8(std::string &Out, unsigned Code) {
+    if (Code < 0x80) {
+      Out += static_cast<char>(Code);
+    } else if (Code < 0x800) {
+      Out += static_cast<char>(0xC0 | (Code >> 6));
+      Out += static_cast<char>(0x80 | (Code & 0x3F));
+    } else if (Code < 0x10000) {
+      Out += static_cast<char>(0xE0 | (Code >> 12));
+      Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+      Out += static_cast<char>(0x80 | (Code & 0x3F));
+    } else {
+      Out += static_cast<char>(0xF0 | (Code >> 18));
+      Out += static_cast<char>(0x80 | ((Code >> 12) & 0x3F));
+      Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+      Out += static_cast<char>(0x80 | (Code & 0x3F));
+    }
+  }
+
+  /// Parses the value at Pos, inside \p Depth enclosing arrays and
+  /// objects, into \p V: each node is built where its parent holds it.
+  bool parseValue(JsonValue &V, unsigned Depth) {
     skipWs();
     if (Pos >= Text.size())
       return fail("unexpected end of input");
     char C = Text[Pos];
+    if ((C == '{' || C == '[') && Depth == MaxJsonDepth)
+      return fail("nesting deeper than " + std::to_string(MaxJsonDepth) +
+                  " arrays and objects");
     switch (C) {
     case '{':
-      return parseObject();
+      return parseObject(V, Depth + 1);
     case '[':
-      return parseArray();
+      return parseArray(V, Depth + 1);
     case '"':
-      return parseString();
+      V.K = JsonValue::Kind::String;
+      return parseString(V.Str);
     case 't':
-      if (literal("true")) {
-        JsonValue V;
-        V.K = JsonValue::Kind::Bool;
-        V.B = true;
-        return V;
-      }
-      return fail("bad literal");
     case 'f':
-      if (literal("false")) {
-        JsonValue V;
-        V.K = JsonValue::Kind::Bool;
-        V.B = false;
-        return V;
-      }
-      return fail("bad literal");
+      V.K = JsonValue::Kind::Bool;
+      V.B = C == 't';
+      return literal(V.B ? "true" : "false") || fail("bad literal");
     case 'n':
-      if (literal("null"))
-        return JsonValue{};
-      return fail("bad literal");
+      return literal("null") || fail("bad literal");
     default:
       if (C == '-' || (C >= '0' && C <= '9'))
-        return parseNumber();
+        return parseNumber(V);
       return fail("unexpected character");
     }
   }
 
-  std::optional<JsonValue> parseObject() {
+  bool parseObject(JsonValue &V, unsigned Depth) {
     ++Pos; // '{'
-    JsonValue V;
     V.K = JsonValue::Kind::Object;
     skipWs();
     if (consume('}'))
-      return V;
+      return true;
     for (;;) {
       skipWs();
       if (Pos >= Text.size() || Text[Pos] != '"')
         return fail("expected object key");
-      std::optional<JsonValue> Key = parseString();
-      if (!Key)
-        return std::nullopt;
+      auto &[Key, Member] = V.Members.emplace_back();
+      if (!parseString(Key))
+        return false;
       skipWs();
       if (!consume(':'))
         return fail("expected ':' after key");
-      std::optional<JsonValue> Member = parseValue();
-      if (!Member)
-        return std::nullopt;
-      V.Members.emplace_back(std::move(Key->Str), std::move(*Member));
+      if (!parseValue(Member, Depth))
+        return false;
       skipWs();
       if (consume(','))
         continue;
       if (consume('}'))
-        return V;
+        return true;
       return fail("expected ',' or '}' in object");
     }
   }
 
-  std::optional<JsonValue> parseArray() {
+  bool parseArray(JsonValue &V, unsigned Depth) {
     ++Pos; // '['
-    JsonValue V;
     V.K = JsonValue::Kind::Array;
     skipWs();
     if (consume(']'))
-      return V;
+      return true;
     for (;;) {
-      std::optional<JsonValue> Item = parseValue();
-      if (!Item)
-        return std::nullopt;
-      V.Items.push_back(std::move(*Item));
+      if (!parseValue(V.Items.emplace_back(), Depth))
+        return false;
       skipWs();
       if (consume(','))
         continue;
       if (consume(']'))
-        return V;
+        return true;
       return fail("expected ',' or ']' in array");
     }
   }
 
-  std::optional<JsonValue> parseString() {
+  /// Parses the string at Pos (its opening quote) into \p Out.
+  bool parseString(std::string &Out) {
     ++Pos; // '"'
-    JsonValue V;
-    V.K = JsonValue::Kind::String;
     while (Pos < Text.size()) {
+      // Copy each run of plain characters at once: ASCII, and whole
+      // well-formed UTF-8 sequences.
+      size_t End = Pos;
+      while (End < Text.size() && Text[End] != '"' && Text[End] != '\\' &&
+             static_cast<unsigned char>(Text[End]) >= 0x20) {
+        if (static_cast<unsigned char>(Text[End]) < 0x80) {
+          ++End;
+        } else if (size_t Len = utf8Length(End)) {
+          End += Len;
+        } else {
+          Pos = End;
+          return fail("ill-formed UTF-8 in string");
+        }
+      }
+      Out.append(Text.data() + Pos, End - Pos);
+      Pos = End;
+      if (Pos == Text.size())
+        break;
       char C = Text[Pos++];
       if (C == '"')
-        return V;
-      if (C == '\\') {
-        if (Pos >= Text.size())
-          return fail("unterminated escape");
-        char E = Text[Pos++];
-        switch (E) {
-        case '"':
-          V.Str += '"';
-          break;
-        case '\\':
-          V.Str += '\\';
-          break;
-        case '/':
-          V.Str += '/';
-          break;
-        case 'n':
-          V.Str += '\n';
-          break;
-        case 'r':
-          V.Str += '\r';
-          break;
-        case 't':
-          V.Str += '\t';
-          break;
-        case 'b':
-          V.Str += '\b';
-          break;
-        case 'f':
-          V.Str += '\f';
-          break;
-        case 'u': {
-          if (Pos + 4 > Text.size())
-            return fail("truncated \\u escape");
-          unsigned Code = 0;
-          for (int I = 0; I < 4; ++I) {
-            char H = Text[Pos++];
-            Code <<= 4;
-            if (H >= '0' && H <= '9')
-              Code |= H - '0';
-            else if (H >= 'a' && H <= 'f')
-              Code |= H - 'a' + 10;
-            else if (H >= 'A' && H <= 'F')
-              Code |= H - 'A' + 10;
-            else
-              return fail("bad \\u escape");
-          }
-          // The writer only emits \u00xx for control bytes; decode BMP
-          // code points as UTF-8 and reject surrogates.
-          if (Code >= 0xD800 && Code <= 0xDFFF)
-            return fail("surrogate \\u escape unsupported");
-          if (Code < 0x80) {
-            V.Str += static_cast<char>(Code);
-          } else if (Code < 0x800) {
-            V.Str += static_cast<char>(0xC0 | (Code >> 6));
-            V.Str += static_cast<char>(0x80 | (Code & 0x3F));
-          } else {
-            V.Str += static_cast<char>(0xE0 | (Code >> 12));
-            V.Str += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
-            V.Str += static_cast<char>(0x80 | (Code & 0x3F));
-          }
-          break;
-        }
-        default:
-          return fail("unknown escape");
-        }
-        continue;
-      }
-      if (static_cast<unsigned char>(C) < 0x20)
+        return true;
+      if (C != '\\')
         return fail("raw control character in string");
-      V.Str += C;
+      if (Pos >= Text.size())
+        return fail("unterminated escape");
+      char E = Text[Pos++];
+      switch (E) {
+      case '"':
+      case '\\':
+      case '/':
+        Out += E;
+        break;
+      case 'n':
+        Out += '\n';
+        break;
+      case 'r':
+        Out += '\r';
+        break;
+      case 't':
+        Out += '\t';
+        break;
+      case 'b':
+        Out += '\b';
+        break;
+      case 'f':
+        Out += '\f';
+        break;
+      case 'u': {
+        unsigned Code = 0;
+        if (!hex4(Code))
+          return fail("bad \\u escape");
+        // A high surrogate must be followed by an escaped low one; the
+        // pair names one code point past the BMP. A lone surrogate names
+        // no character at all.
+        if (Code >= 0xD800 && Code <= 0xDBFF) {
+          unsigned Low = 0;
+          if (!literal("\\u") || !hex4(Low) || Low < 0xDC00 || Low > 0xDFFF)
+            return fail("unpaired surrogate \\u escape");
+          Code = 0x10000 + ((Code - 0xD800) << 10) + (Low - 0xDC00);
+        } else if (Code >= 0xDC00 && Code <= 0xDFFF) {
+          return fail("unpaired surrogate \\u escape");
+        }
+        appendUtf8(Out, Code);
+        break;
+      }
+      default:
+        return fail("unknown escape");
+      }
     }
     return fail("unterminated string");
   }
 
-  std::optional<JsonValue> parseNumber() {
+  bool parseNumber(JsonValue &V) {
     size_t Start = Pos;
-    if (consume('-')) {
-    }
+    consume('-');
     if (!consume('0')) {
       if (Pos >= Text.size() || Text[Pos] < '1' || Text[Pos] > '9')
         return fail("bad number");
@@ -417,11 +464,10 @@ private:
       while (Pos < Text.size() && Text[Pos] >= '0' && Text[Pos] <= '9')
         ++Pos;
     }
-    JsonValue V;
     V.K = JsonValue::Kind::Number;
-    V.Num = std::strtod(std::string(Text.substr(Start, Pos - Start)).c_str(),
-                        nullptr);
-    return V;
+    V.Str = Text.substr(Start, Pos - Start);
+    V.Num = std::strtod(V.Str.c_str(), nullptr);
+    return true;
   }
 };
 

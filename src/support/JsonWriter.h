@@ -12,10 +12,12 @@
 ///     produces (`BENCH_<name>.json` from the bench harnesses,
 ///     `perc --stats-json`) goes through it, so the output is well-formed
 ///     by construction.
-///   * JsonValue / parseJson — a small recursive-descent parser used by
-///     the schema-validation tests to round-trip what the writer emitted.
-///     It is a validator's parser (strict, no extensions), not a general
-///     JSON library.
+///   * JsonValue / parseJson — a small recursive-descent parser for RFC
+///     8259 JSON. It reads every wire request (service/ServiceJson.h) and
+///     lets the schema-validation tests, perfbench and bench_net read back
+///     what the writer emitted. It is strict (no extensions) and bounded:
+///     nesting past MaxJsonDepth is an error, not a deeper recursion, so
+///     no input can exhaust the stack.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,6 +100,9 @@ struct JsonValue {
   Kind K = Kind::Null;
   bool B = false;
   double Num = 0;
+  /// A string's text, well-formed UTF-8 (every \u escape decoded); a
+  /// number's spelling as written, for readers that need it exactly
+  /// (int64 values past 2^53 do not survive Num).
   std::string Str;
   std::vector<JsonValue> Items;                          ///< arrays
   std::vector<std::pair<std::string, JsonValue>> Members; ///< objects
@@ -119,8 +124,14 @@ struct JsonValue {
   }
 };
 
+/// The deepest nesting of arrays and objects parseJson accepts. Every
+/// document this repository reads nests at most 5 deep (a BENCH report).
+inline constexpr unsigned MaxJsonDepth = 64;
+
 /// Parses a complete JSON document (trailing garbage is an error).
-/// Returns nullopt and fills \p Err (when non-null) on malformed input.
+/// Returns nullopt and fills \p Err (when non-null) on malformed input:
+/// anything RFC 8259 rejects, ill-formed UTF-8 in a string, a lone
+/// surrogate escape, or nesting deeper than MaxJsonDepth.
 std::optional<JsonValue> parseJson(std::string_view Text,
                                    std::string *Err = nullptr);
 

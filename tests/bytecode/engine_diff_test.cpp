@@ -43,6 +43,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 using namespace perceus;
@@ -652,6 +653,33 @@ TEST(EngineDiff, PeepholeFusesAndElidesOnTheBenchmarks) {
     if (std::string_view(C.Name) == "msort") {
       EXPECT_LE(4 * Peep.Heap.NonHeapRcOps, Plain.Heap.NonHeapRcOps);
     }
+  }
+}
+
+/// A peephole chunk keeps what the VM reads and no more: each vector at
+/// its exact size, and the later fused-site columns only on a chunk
+/// holding one of the four forms whose handlers read them.
+TEST(EngineDiff, PeepholeChunksHoldOnlyWhatTheyUse) {
+  for (const DiffCase &C : diffCases()) {
+    SCOPED_TRACE(C.Name);
+    std::shared_ptr<const CompiledArtifact> A =
+        compileArtifact(C.Source, PassConfig::perceusFull());
+    ASSERT_TRUE(A->Ok) << A->Error;
+    for (const std::vector<Chunk> *Tab : {&A->Code->Funcs, &A->Code->Lams})
+      for (const Chunk &Ch : *Tab) {
+        EXPECT_EQ(Ch.Code.capacity(), Ch.Code.size());
+        EXPECT_EQ(Ch.Sites.capacity(), Ch.Sites.size());
+        const bool ReadsLaterSites = std::any_of(
+            Ch.Code.begin(), Ch.Code.end(), [](const Instr &I) {
+              return I.O == Op::Dup2 || I.O == Op::Drop2 ||
+                     I.O == Op::Dup3 || I.O == Op::Dup2DecLoadConst;
+            });
+        const size_t Want = ReadsLaterSites ? Ch.Code.size() : 0;
+        EXPECT_EQ(Ch.Sites2.capacity(), Want);
+        EXPECT_EQ(Ch.Sites2.size(), Want);
+        EXPECT_EQ(Ch.Sites3.capacity(), Want);
+        EXPECT_EQ(Ch.Sites3.size(), Want);
+      }
   }
 }
 

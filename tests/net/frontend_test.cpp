@@ -356,6 +356,98 @@ TEST(Frontend, MalformedDocumentGetsBadRequestAndConnSurvives) {
   EXPECT_EQ(F.Srv->stats().BadRequests, 1u);
 }
 
+/// Whether \p S is well-formed UTF-8: every sequence complete and in
+/// its shortest form, no surrogate, nothing past U+10FFFF.
+bool isUtf8(std::string_view S) {
+  static const uint32_t MinCode[] = {0, 0, 0x80, 0x800, 0x10000};
+  for (size_t I = 0; I != S.size();) {
+    const unsigned char Lead = static_cast<unsigned char>(S[I]);
+    if (Lead < 0x80) {
+      ++I;
+      continue;
+    }
+    const size_t Len = Lead < 0xC0   ? 0 // a continuation byte
+                       : Lead < 0xE0 ? 2
+                       : Lead < 0xF0 ? 3
+                       : Lead < 0xF8 ? 4
+                                     : 0;
+    if (Len == 0 || S.size() - I < Len)
+      return false;
+    uint32_t Code = Lead & (0xFF >> (Len + 1));
+    for (size_t K = 1; K != Len; ++K) {
+      const unsigned char Next = static_cast<unsigned char>(S[I + K]);
+      if ((Next & 0xC0) != 0x80)
+        return false;
+      Code = (Code << 6) | (Next & 0x3F);
+    }
+    if (Code < MinCode[Len] || Code > 0x10FFFF ||
+        (Code >= 0xD800 && Code <= 0xDFFF))
+      return false;
+    I += Len;
+  }
+  return true;
+}
+
+TEST(Frontend, EscapedTenantComesBackAsUtf8) {
+  // Every \u escape decodes to UTF-8, so the response that echoes the
+  // tenant is UTF-8 too — a client's strict decoder accepts it.
+  Fixture F;
+  Client C(F.port());
+  ASSERT_TRUE(C.ok());
+  for (const auto &[Escaped, Utf8] :
+       {std::pair<const char *, const char *>{"caf\\u00e9", "caf\xc3\xa9"},
+        {"\\ud83d\\ude00", "\xf0\x9f\x98\x80"}}) {
+    ASSERT_TRUE(C.sendFrame(FrameMode::Line,
+                            std::string("{\"entry\":\"bench_mapsum\","
+                                        "\"args\":[10],\"tenant\":\"") +
+                                Escaped + "\"}"));
+    std::string Payload;
+    ASSERT_TRUE(C.recvFrame(FrameMode::Line, Payload));
+    EXPECT_TRUE(isUtf8(Payload)) << Payload;
+    std::optional<JsonValue> Doc = parseWire(Payload);
+    ASSERT_TRUE(Doc.has_value()) << Payload;
+    const JsonValue *Svc = serviceObj(*Doc);
+    EXPECT_EQ(Svc->find("status", JsonValue::Kind::String)->Str, "ok");
+    EXPECT_EQ(Svc->find("tenant", JsonValue::Kind::String)->Str, Utf8);
+  }
+}
+
+TEST(Frontend, RequestsOutsideRfc8259AreBadRequestsOnALiveConnection) {
+  // A lone surrogate, a leading zero, a raw TAB inside a string, a
+  // string that is not UTF-8, a form feed between tokens, and nesting
+  // deep enough to exhaust an unbounded parser's stack: each is a
+  // bad-request, and the connection answers the request after it.
+  Fixture F;
+  Client C(F.port());
+  ASSERT_TRUE(C.ok());
+  for (const std::string &Bad :
+       {std::string("{\"entry\":\"bench_mapsum\",\"tenant\":\"\\ud83d\"}"),
+        std::string("{\"entry\":\"bench_mapsum\",\"args\":[01]}"),
+        std::string("{\"entry\":\"bench_mapsum\",\"tenant\":\"a\tb\"}"),
+        std::string("{\"entry\":\"bench_mapsum\",\"tenant\":\"caf\xe9\"}"),
+        std::string("{\"entry\":\"bench_mapsum\",\f\"args\":[1]}"),
+        std::string("{\"entry\":\"m\",\"args\":") +
+            std::string(65000, '[')}) {
+    ASSERT_TRUE(C.sendFrame(FrameMode::Line, Bad));
+    std::string Payload;
+    ASSERT_TRUE(C.recvFrame(FrameMode::Line, Payload));
+    std::optional<JsonValue> Doc = parseWire(Payload);
+    ASSERT_TRUE(Doc.has_value()) << Payload;
+    EXPECT_TRUE(isUtf8(Payload)) << Payload;
+    EXPECT_EQ(serviceObj(*Doc)->find("status", JsonValue::Kind::String)->Str,
+              "bad-request")
+        << Bad.substr(0, 64);
+    ASSERT_TRUE(C.sendFrame(FrameMode::Line,
+                            "{\"entry\":\"bench_mapsum\",\"args\":[10]}"));
+    ASSERT_TRUE(C.recvFrame(FrameMode::Line, Payload));
+    Doc = parseWire(Payload);
+    ASSERT_TRUE(Doc.has_value()) << Payload;
+    EXPECT_EQ(serviceObj(*Doc)->find("status", JsonValue::Kind::String)->Str,
+              "ok");
+  }
+  EXPECT_EQ(F.Srv->stats().BadRequests, 6u);
+}
+
 // --- The malformed-frame robustness matrix ------------------------------
 
 TEST(FrontendMatrix, TruncatedLengthPrefixThenDisconnect) {
@@ -521,12 +613,10 @@ TEST(Frontend, FrontEndConfigBuildersAndAutoShards) {
   FrontEndConfig FC;
   FC.withShards(0)
       .withMaxFrameBytes(1024)
-      .withListenBacklog(8)
       .withMaxConnections(2)
       .withIdleTimeoutMs(500)
       .withShard(ServiceConfig{}.withWorkers(2).withQueueCapacity(7));
   EXPECT_EQ(FC.MaxFrameBytes, 1024u);
-  EXPECT_EQ(FC.ListenBacklog, 8);
   EXPECT_EQ(FC.MaxConnections, 2u);
   EXPECT_EQ(FC.IdleTimeoutMs, 500u);
   EXPECT_EQ(FC.Shard.Workers, 2u);
@@ -537,15 +627,6 @@ TEST(Frontend, FrontEndConfigBuildersAndAutoShards) {
   EXPECT_LE(SS.shardCount(), 8u);
   EXPECT_EQ(SS.shardCount(),
             resolveAutoParallelism(0, /*Max=*/8));
-}
-
-TEST(Frontend, PollFallbackBackendServesWhenForced) {
-  // PERCEUS_NET_FORCE_POLL is a compile-time switch; at runtime we can
-  // still prove the poll(2) path end-to-end only when it was selected.
-  // What we always can check: the backend name is one of the two and
-  // the server above already served on whichever was compiled in.
-  std::string Backend = Poller::backendName();
-  EXPECT_TRUE(Backend == "epoll" || Backend == "poll") << Backend;
 }
 
 } // namespace

@@ -640,4 +640,48 @@ TEST(ServiceRequestJson, MissingEntryIsAnError) {
   EXPECT_NE(Err.find("entry"), std::string::npos) << Err;
 }
 
+TEST(ServiceRequestJson, EveryEscapeDecodesToUtf8) {
+  ServiceRequest R;
+  std::string Err;
+  ASSERT_TRUE(parseServiceRequestJson(
+      R"({"entry":"m","tenant":"caf\u00e9"})", R, Err))
+      << Err;
+  EXPECT_EQ(R.Tenant, "caf\xc3\xa9");
+  // A surrogate pair is one code point past the BMP: U+1F600.
+  ASSERT_TRUE(parseServiceRequestJson(
+      R"({"entry":"m","tenant":"\ud83d\ude00"})", R, Err))
+      << Err;
+  EXPECT_EQ(R.Tenant, "\xf0\x9f\x98\x80");
+  // A lone surrogate names no character.
+  EXPECT_FALSE(parseServiceRequestJson(
+      R"({"entry":"m","tenant":"\ud83d"})", R, Err));
+  EXPECT_NE(Err.find("surrogate"), std::string::npos) << Err;
+}
+
+TEST(ServiceRequestJson, InputOutsideRfc8259IsRejected) {
+  // A leading zero, a raw TAB inside a string, a string that is not
+  // UTF-8, and a form feed or a vertical tab between tokens.
+  for (const char *Text : {R"({"entry":"m","args":[01]})",
+                           "{\"entry\":\"m\",\"tenant\":\"a\tb\"}",
+                           "{\"entry\":\"m\",\"tenant\":\"caf\xe9\"}",
+                           "{\"entry\":\"m\",\f\"args\":[1]}",
+                           "{\"entry\":\"m\",\v\"args\":[1]}"}) {
+    ServiceRequest R;
+    std::string Err;
+    EXPECT_FALSE(parseServiceRequestJson(Text, R, Err)) << Text;
+    EXPECT_FALSE(Err.empty()) << Text;
+  }
+}
+
+TEST(ServiceRequestJson, DeepNestingIsRejectedNotFatal) {
+  // Within the line limit, deep enough to exhaust the stack of a parser
+  // that recursed without a bound.
+  std::string Deep = R"({"entry":"m","args":)" + std::string(65000, '[');
+  ASSERT_LE(Deep.size(), MaxRequestJsonBytes);
+  ServiceRequest R;
+  std::string Err;
+  EXPECT_FALSE(parseServiceRequestJson(Deep, R, Err));
+  EXPECT_NE(Err.find("nesting"), std::string::npos) << Err;
+}
+
 } // namespace

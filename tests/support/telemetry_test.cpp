@@ -124,6 +124,66 @@ TEST(JsonParse, DecodesUnicodeEscapes) {
                       "A");
 }
 
+TEST(JsonParse, SurrogatePairsDecodeAndLoneSurrogatesFail) {
+  // U+1F600 as an escaped pair is its 4-byte UTF-8 form.
+  auto Doc = parseJson("\"\\ud83d\\ude00\"");
+  ASSERT_TRUE(Doc);
+  EXPECT_EQ(Doc->Str, "\xf0\x9f\x98\x80");
+  for (const char *Lone : {"\"\\ud83d\"", "\"\\ude00\"", "\"\\ud83dx\"",
+                           "\"\\ud83d\\u0041\"", "\"\\ud83d\\ud83d\""}) {
+    std::string Err;
+    EXPECT_FALSE(parseJson(Lone, &Err)) << Lone;
+    EXPECT_NE(Err.find("surrogate"), std::string::npos) << Lone << ": " << Err;
+  }
+}
+
+TEST(JsonParse, StringsMustBeWellFormedUtf8) {
+  // Two-, three- and four-byte sequences pass through unchanged.
+  auto Doc = parseJson("\"caf\xc3\xa9 \xe4\xb8\xad \xf0\x9f\x98\x80\"");
+  ASSERT_TRUE(Doc);
+  EXPECT_EQ(Doc->Str, "caf\xc3\xa9 \xe4\xb8\xad \xf0\x9f\x98\x80");
+  // A Latin-1 byte, a stray continuation byte, a truncated sequence, an
+  // overlong NUL, an encoded surrogate, and a code point past U+10FFFF.
+  for (const char *Bad : {"\"caf\xe9\"", "\"\x80\"", "\"\xe4\xb8\"",
+                          "\"\xc0\x80\"", "\"\xed\xa0\x80\"",
+                          "\"\xf4\x90\x80\x80\""}) {
+    std::string Err;
+    EXPECT_FALSE(parseJson(Bad, &Err)) << Bad;
+    EXPECT_NE(Err.find("UTF-8"), std::string::npos) << Err;
+  }
+}
+
+TEST(JsonParse, NumbersKeepTheirSpelling) {
+  // Str keeps the text, so an int64 past 2^53 survives exactly.
+  auto Doc = parseJson("[9223372036854775807,-0,1.5e3]");
+  ASSERT_TRUE(Doc);
+  ASSERT_EQ(Doc->Items.size(), 3u);
+  EXPECT_EQ(Doc->Items[0].Str, "9223372036854775807");
+  EXPECT_EQ(Doc->Items[1].Str, "-0");
+  EXPECT_EQ(Doc->Items[2].Str, "1.5e3");
+  EXPECT_EQ(Doc->Items[2].Num, 1500.0);
+}
+
+TEST(JsonParse, NestingPastTheBoundIsAnErrorNotACrash) {
+  auto nested = [](size_t Depth) {
+    return std::string(Depth, '[') + std::string(Depth, ']');
+  };
+  EXPECT_TRUE(parseJson(nested(MaxJsonDepth)));
+  std::string Err;
+  EXPECT_FALSE(parseJson(nested(MaxJsonDepth + 1), &Err));
+  EXPECT_NE(Err.find("nesting"), std::string::npos) << Err;
+  // Deep enough to exhaust the stack of a parser recursing without a
+  // bound.
+  std::string Objects;
+  for (int I = 0; I != 20000; ++I)
+    Objects += "{\"a\":";
+  EXPECT_FALSE(parseJson(std::string(20000, '[')));
+  EXPECT_FALSE(parseJson(nested(20000)));
+  std::string ObjectsErr;
+  EXPECT_FALSE(parseJson(Objects, &ObjectsErr));
+  EXPECT_NE(ObjectsErr.find("nesting"), std::string::npos) << ObjectsErr;
+}
+
 TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_FALSE(parseJson("{\"a\":1,}"));
   EXPECT_FALSE(parseJson("[1 2]"));
@@ -133,6 +193,9 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_FALSE(parseJson("1 trailing"));
   EXPECT_FALSE(parseJson("\"bad\\q\""));
   EXPECT_FALSE(parseJson("\"raw\x01control\""));
+  EXPECT_FALSE(parseJson("\"raw\ttab\""));
+  EXPECT_FALSE(parseJson("[1,\f2]"));
+  EXPECT_FALSE(parseJson("[1,\v2]"));
   std::string Err;
   EXPECT_FALSE(parseJson("", &Err));
   EXPECT_FALSE(Err.empty());
