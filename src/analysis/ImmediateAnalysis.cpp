@@ -8,7 +8,7 @@
 
 #include "support/Casting.h"
 
-#include <unordered_map>
+#include <vector>
 
 using namespace perceus;
 
@@ -41,19 +41,12 @@ public:
 
     // One more pass with the converged facts to mark elidable RC ops.
     // A node shared between several contexts is marked only if every
-    // visit proves its operand immediate (meet across visits).
+    // visit proves its operand immediate (meet across visits). The
+    // rounds above reset every mark this pass reads: they visit the
+    // same nodes.
     Marking = true;
     for (FuncId F = 0; F != P.numFunctions(); ++F)
       analyzeFunction(F);
-    for (const auto &[E, Imm] : Marks)
-      if (Imm)
-        Info.ElidableRcOps.insert(E);
-
-    Info.ParamImmMask.assign(P.numFunctions(), 0);
-    for (FuncId F = 0; F != P.numFunctions(); ++F)
-      for (size_t I = 0; I != ParamImm[F].size() && I != 32; ++I)
-        if (ParamImm[F][I])
-          Info.ParamImmMask[F] |= 1u << I;
     return Info;
   }
 
@@ -272,14 +265,11 @@ private:
     case ExprKind::Drop:
     case ExprKind::DecRef: {
       const auto *S = cast<RcStmtExpr>(E);
-      if (Marking) {
-        bool Imm = lookup(S->var());
-        auto It = Marks.find(E);
-        if (It == Marks.end())
-          Marks.emplace(E, Imm);
-        else
-          It->second = It->second && Imm;
-      }
+      if (!Marking)
+        E->setImmMark(ImmediateInfo::Unvisited);
+      else if (E->immMark() != ImmediateInfo::Kept)
+        E->setImmMark(lookup(S->var()) ? ImmediateInfo::Elidable
+                                       : ImmediateInfo::Kept);
       return eval(S->rest());
     }
     case ExprKind::Free:
@@ -312,7 +302,6 @@ private:
   /// program's symbols are all minted before the analysis runs).
   enum : char { Unbound, Unknown, Immediate };
   std::vector<char> Env;
-  std::unordered_map<const Expr *, bool> Marks;
   bool Changed = false;
   bool Marking = false;
 };

@@ -41,22 +41,21 @@
 
 #include "ir/Program.h"
 
-#include <unordered_set>
-#include <vector>
-
 namespace perceus {
 
 /// Result of the immediacy analysis over one Program.
 struct ImmediateInfo {
-  /// Dup/Drop/DecRef statement nodes whose operand is a proven
-  /// immediate on every path that reaches them (shared subtrees are
-  /// marked only when every occurrence qualifies). Free is never here:
-  /// it disposes real memory.
-  std::unordered_set<const Expr *> ElidableRcOps;
+  /// The marks the analysis leaves on the Dup/Drop/DecRef nodes it
+  /// visits (`Expr::immMark`).
+  enum Mark : uint8_t { Unvisited, Kept, Elidable };
 
-  /// Per-function bitmask (params 0..31) of parameters proven to only
-  /// receive immediates at direct call sites. Informational.
-  std::vector<uint32_t> ParamImmMask;
+  /// Whether \p Site is a Dup/Drop/DecRef statement whose operand is a
+  /// proven immediate on every path that reaches it (shared subtrees are
+  /// marked only when every occurrence qualifies). Free never is: it
+  /// disposes real memory. Valid until the next analysis of the program.
+  static bool elidable(const Expr *Site) {
+    return Site && Site->immMark() == Elidable;
+  }
 
   /// How many fixpoint rounds the interprocedural loop took.
   uint32_t Rounds = 0;

@@ -106,8 +106,8 @@ struct RewriteScratch {
 /// Rewrites one chunk: elide proven-immediate RC ops, fuse adjacent
 /// pairs/triples, remap every branch target and clone the chunk's match
 /// tables. \p CP is needed for the match-table pool (clones append).
-void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
-                  RewriteScratch &Buf, PeepholeChunkStats &St) {
+void rewriteChunk(Chunk &Ch, CompiledProgram &CP, RewriteScratch &Buf,
+                  PeepholeChunkStats &St) {
   const std::vector<Instr> OldCode = std::move(Ch.Code);
   const std::vector<const Expr *> OldSites = std::move(Ch.Sites);
   const size_t N = OldCode.size();
@@ -119,7 +119,7 @@ void rewriteChunk(Chunk &Ch, CompiledProgram &CP, const ImmediateInfo &Info,
   for (size_t P = 0; P != N; ++P) {
     Op O = OldCode[P].O;
     if ((O == Op::Dup || O == Op::Drop || O == Op::DecRef) &&
-        Info.ElidableRcOps.count(OldSites[P]))
+        ImmediateInfo::elidable(OldSites[P]))
       Elide[P] = 1;
   }
 
@@ -453,8 +453,7 @@ PeepholeReport runPeephole(CompiledProgram &CP) {
   if (CP.Peepholed || !CP.Prog)
     return Rep;
 
-  ImmediateInfo Info = analyzeImmediates(*CP.Prog);
-  Rep.AnalysisRounds = Info.Rounds;
+  Rep.AnalysisRounds = analyzeImmediates(*CP.Prog).Rounds;
 
   CP.RawFuncs = CP.Funcs;
   CP.RawLams = CP.Lams;
@@ -467,13 +466,13 @@ PeepholeReport runPeephole(CompiledProgram &CP) {
   for (size_t F = 0; F != CP.Funcs.size(); ++F) {
     PeepholeChunkStats St;
     St.Name = std::string(CP.Prog->symbols().name(CP.Funcs[F].Fn->Name));
-    rewriteChunk(CP.Funcs[F], CP, Info, Buf, St);
+    rewriteChunk(CP.Funcs[F], CP, Buf, St);
     Rep.Chunks.push_back(std::move(St));
   }
   for (size_t L = 0; L != CP.Lams.size(); ++L) {
     PeepholeChunkStats St;
     St.Name = "lambda#" + std::to_string(L);
-    rewriteChunk(CP.Lams[L], CP, Info, Buf, St);
+    rewriteChunk(CP.Lams[L], CP, Buf, St);
     Rep.Chunks.push_back(std::move(St));
   }
 

@@ -32,9 +32,49 @@ void JsonWriter::beforeValue() {
   F.First = false;
 }
 
+namespace {
+
+/// The length of the well-formed UTF-8 sequence that opens \p S, whose
+/// first byte is 0x80 or above; or 0, with \p Bad set to the length of
+/// the maximal subpart of an ill-formed sequence there (Unicode §3.9,
+/// Table 3-7).
+size_t utf8Length(std::string_view S, size_t &Bad) {
+  const auto C = static_cast<unsigned char>(S[0]);
+  size_t N = 0;
+  unsigned char Lo = 0x80, Hi = 0xbf; // the second byte's range
+  if (C >= 0xc2 && C <= 0xdf) {
+    N = 2;
+  } else if (C >= 0xe0 && C <= 0xef) {
+    N = 3;
+    Lo = C == 0xe0 ? 0xa0 : 0x80;
+    Hi = C == 0xed ? 0x9f : 0xbf;
+  } else if (C >= 0xf0 && C <= 0xf4) {
+    N = 4;
+    Lo = C == 0xf0 ? 0x90 : 0x80;
+    Hi = C == 0xf4 ? 0x8f : 0xbf;
+  }
+  if (N == 0) {
+    Bad = 1; // a continuation byte, or a lead no sequence may open with
+    return 0;
+  }
+  size_t K = 1;
+  for (; K != N && K != S.size(); ++K, Lo = 0x80, Hi = 0xbf) {
+    const auto T = static_cast<unsigned char>(S[K]);
+    if (T < Lo || T > Hi)
+      break;
+  }
+  if (K == N)
+    return N;
+  Bad = K;
+  return 0;
+}
+
+} // namespace
+
 void JsonWriter::writeEscaped(std::string_view S) {
   Out += '"';
-  for (char C : S) {
+  for (size_t I = 0; I != S.size(); ++I) {
+    const char C = S[I];
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -56,8 +96,21 @@ void JsonWriter::writeEscaped(std::string_view S) {
         char Buf[8];
         std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
         Out += Buf;
-      } else {
+      } else if (static_cast<unsigned char>(C) < 0x80) {
         Out += C;
+      } else {
+        // Well-formed UTF-8 is copied; each maximal ill-formed subpart
+        // becomes one U+FFFD, so the document stays valid UTF-8 whatever
+        // bytes a program's source held.
+        size_t Bad = 0;
+        const size_t Len = utf8Length(S.substr(I), Bad);
+        if (Len) {
+          Out.append(S.substr(I, Len));
+          I += Len - 1;
+        } else {
+          Out += "\\ufffd";
+          I += Bad - 1;
+        }
       }
     }
   }

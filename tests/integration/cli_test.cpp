@@ -21,6 +21,7 @@
 
 #include "../lang/DeepPrograms.h"
 #include "ir/Program.h"
+#include "support/JsonWriter.h"
 
 #include <gtest/gtest.h>
 
@@ -669,6 +670,23 @@ TEST(PercCli, OutOfRangeIntegerLiteralsAreCompileErrors) {
   std::string Out = runPercCapture(File + " 3", Exit);
   EXPECT_EQ(Exit, 0) << Out;
   EXPECT_NE(Out.find("9223372036854775807"), std::string::npos) << Out;
+}
+
+TEST(PercCli, ServedResponsesStayUtf8WhateverTheSourceHolds) {
+  // The lexer quotes the stray 0xE9 in its diagnostic; the response must
+  // still be valid UTF-8, which parseJson checks.
+  std::string File = testing::TempDir() + "/latin1.perc";
+  std::ofstream(File) << "fun main(n) { n \xe9 1 }\n";
+  int Exit = -1;
+  std::vector<std::string> Lines =
+      runPercServe(File + " --serve", "main 5\n", Exit);
+  ASSERT_EQ(Lines.size(), 1u);
+  std::string Err;
+  std::optional<perceus::JsonValue> V = perceus::parseJson(Lines[0], &Err);
+  ASSERT_TRUE(V) << Err << ": " << Lines[0];
+  EXPECT_NE(Lines[0].find("\"status\":\"compile-error\""), std::string::npos)
+      << Lines[0];
+  EXPECT_NE(Lines[0].find("\\ufffd"), std::string::npos) << Lines[0];
 }
 
 /// A program whose `main` passes g 255 arguments, each a match binding

@@ -45,6 +45,29 @@ TEST(JsonWriter, EscapesStrings) {
   EXPECT_EQ(W.str(), "{\"s\":\"a\\\"b\\\\c\\nd\\te\\u0001\"}");
 }
 
+TEST(JsonWriter, StringsStayUtf8WhateverTheBytes) {
+  // Well-formed UTF-8 is copied; each maximal ill-formed subpart
+  // (Unicode §3.9) becomes one U+FFFD, so parseJson, which rejects
+  // ill-formed UTF-8, reads every document back.
+  const std::string Fffd = "\xef\xbf\xbd";
+  const std::pair<std::string, std::string> Cases[] = {
+      {"\xe9", Fffd},                         // a lone Latin-1 byte
+      {"caf\xc3\xa9", "caf\xc3\xa9"},           // well-formed: unchanged
+      {"\xe2\x82x", Fffd + "x"},               // a truncated 3-byte sequence
+      {"\xc0\xaf", Fffd + Fffd},               // an overlong '/'
+      {"\xf0\x9f\x98\x80\xed\xa0\x80", "\xf0\x9f\x98\x80" + Fffd + Fffd + Fffd},
+  };
+  for (const auto &[In, Want] : Cases) {
+    JsonWriter W;
+    W.beginArray().value(In).endArray();
+    std::string Err;
+    std::optional<JsonValue> V = parseJson(W.str(), &Err);
+    ASSERT_TRUE(V) << W.str() << ": " << Err;
+    ASSERT_EQ(V->Items.size(), 1u);
+    EXPECT_EQ(V->Items[0].Str, Want) << W.str();
+  }
+}
+
 TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
   JsonWriter W;
   W.beginArray().value(NAN).value(INFINITY).value(1.5).endArray();
