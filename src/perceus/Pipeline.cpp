@@ -7,11 +7,8 @@
 #include "perceus/Pipeline.h"
 
 #include "ir/Printer.h"
-#include "perceus/DropSpec.h"
-#include "perceus/Fusion.h"
 #include "perceus/Borrow.h"
 #include "perceus/Perceus.h"
-#include "perceus/Reuse.h"
 
 using namespace perceus;
 
@@ -168,17 +165,21 @@ void perceus::runPipeline(Program &P, const PassConfig &Config,
     insertPerceus(P);
     snap("perceus insertion (2.2)");
   }
-  if (Config.EnableReuse) {
-    runReuseAnalysis(P);
-    snap("reuse analysis (2.4)");
+  if (!Stats) {
+    runRewrites(P, Config);
+    return;
   }
-  if (Config.EnableDropSpec) {
-    runDropSpecialization(P);
-    snap("drop specialization (2.3)");
-  }
-  if (Config.EnableFusion) {
-    runFusion(P);
-    snap("dup push-down + fusion (2.3)");
+  const std::pair<bool PassConfig::*, const char *> Steps[] = {
+      {&PassConfig::EnableReuse, "reuse analysis (2.4)"},
+      {&PassConfig::EnableDropSpec, "drop specialization (2.3)"},
+      {&PassConfig::EnableFusion, "dup push-down + fusion (2.3)"}};
+  for (auto [Enabled, Pass] : Steps) {
+    if (!(Config.*Enabled))
+      continue;
+    PassConfig One = PassConfig::perceusNoOpt();
+    One.*Enabled = true;
+    runRewrites(P, One);
+    snap(Pass);
   }
 }
 
@@ -192,21 +193,22 @@ std::vector<StageDump> perceus::runPipelineWithStages(Program &P, FuncId F) {
   insertPerceus(P, F);
   dump("(b) dup/drop insertion (2.2)");
   const Expr *Inserted = P.function(F).Body;
+  auto step = [&](bool PassConfig::*Enabled, const char *Stage) {
+    PassConfig One = PassConfig::perceusNoOpt();
+    One.*Enabled = true;
+    runRewrites(P, F, One);
+    dump(Stage);
+  };
 
   // Left column of Figure 1: drop specialization without reuse.
-  runDropSpecialization(P, F);
-  dump("(c) drop specialization (2.3)");
-  runFusion(P, F);
-  dump("(d) push down dup and fusion (2.3)");
+  step(&PassConfig::EnableDropSpec, "(c) drop specialization (2.3)");
+  step(&PassConfig::EnableFusion, "(d) push down dup and fusion (2.3)");
 
   // Right column of Figure 1: the reuse pipeline, from (b) again.
   P.setBody(F, Inserted);
-  runReuseAnalysis(P, F);
-  dump("(e) reuse token insertion (2.4)");
-  runDropSpecialization(P, F);
-  dump("(f) drop-reuse specialization (2.4)");
-  runFusion(P, F);
-  dump("(g) push down dup and fusion (2.4)");
+  step(&PassConfig::EnableReuse, "(e) reuse token insertion (2.4)");
+  step(&PassConfig::EnableDropSpec, "(f) drop-reuse specialization (2.4)");
+  step(&PassConfig::EnableFusion, "(g) push down dup and fusion (2.4)");
 
   return Dumps;
 }

@@ -112,9 +112,19 @@ struct PassStat {
   IrOpCounts Counts; ///< program-wide counts after the stage ran
 };
 
+/// Runs the rewrites \p Config enables after insertion: reuse pairing
+/// (2.4), drop(-reuse) specialization (2.3) and dup push-down with
+/// fusion (2.3/2.4), over every function of \p P (or function \p F).
+/// Pairing and specialization share one walk and fusion follows in a
+/// second (perceus/Rewrites.cpp). Running the rewrites one at a time,
+/// each over the previous one's output, builds the same IR.
+void runRewrites(Program &P, const PassConfig &Config);
+void runRewrites(Program &P, FuncId F, const PassConfig &Config);
+
 /// Runs the configured pipeline over all functions of \p P. \p Stats,
 /// when given, receives countIrOps before the first pass ("input") and
-/// after each pass that actually ran.
+/// after each pass that actually ran; the rewrites then run one at a
+/// time.
 void runPipeline(Program &P, const PassConfig &Config,
                  std::vector<PassStat> *Stats = nullptr);
 

@@ -12,10 +12,8 @@
 #include "ir/Builder.h"
 #include "ir/Rewrite.h"
 #include "lang/Resolver.h"
-#include "perceus/DropSpec.h"
-#include "perceus/Fusion.h"
 #include "perceus/Perceus.h"
-#include "perceus/Reuse.h"
+#include "perceus/Pipeline.h"
 #include "programs/Programs.h"
 #include "support/Rng.h"
 
@@ -334,14 +332,22 @@ std::vector<std::pair<std::string, std::string>> builtinSources() {
   return Out;
 }
 
+/// Runs the rewrite walk with one rewrite enabled.
+void runOnly(Program &P, bool PassConfig::*Enabled) {
+  PassConfig C = PassConfig::perceusNoOpt();
+  C.*Enabled = true;
+  runRewrites(P, C);
+}
+
 TEST(FreeVarAnalysis, MatchesPlainRecursionAfterEveryPipelineStage) {
   // One analysis across every stage: the earlier stages' nodes stay in
   // the memo while each rewrite adds its own.
   const std::pair<const char *, void (*)(Program &)> Stages[] = {
       {"perceus insertion", [](Program &P) { insertPerceus(P); }},
-      {"reuse analysis", [](Program &P) { runReuseAnalysis(P); }},
-      {"drop specialization", [](Program &P) { runDropSpecialization(P); }},
-      {"fusion", [](Program &P) { runFusion(P); }},
+      {"reuse analysis", [](Program &P) { runOnly(P, &PassConfig::EnableReuse); }},
+      {"drop specialization",
+       [](Program &P) { runOnly(P, &PassConfig::EnableDropSpec); }},
+      {"fusion", [](Program &P) { runOnly(P, &PassConfig::EnableFusion); }},
   };
   for (const auto &[Name, Source] : builtinSources()) {
     Program P;

@@ -8,11 +8,8 @@
 #include "analysis/Verifier.h"
 #include "ir/Printer.h"
 #include "lang/Resolver.h"
-#include "perceus/DropSpec.h"
-#include "perceus/Fusion.h"
 #include "perceus/Perceus.h"
 #include "perceus/Pipeline.h"
-#include "perceus/Reuse.h"
 #include "support/Casting.h"
 
 #include <gtest/gtest.h>
@@ -47,6 +44,14 @@ size_t countOf(const std::string &Hay, std::string_view Needle) {
     Pos += Needle.size();
   }
   return Count;
+}
+
+/// The rewrite walk configured to run only the rewrites \p Enabled.
+PassConfig only(std::initializer_list<bool PassConfig::*> Enabled) {
+  PassConfig C = PassConfig::perceusNoOpt();
+  for (bool PassConfig::*E : Enabled)
+    C.*E = true;
+  return C;
 }
 
 void expectClean(Program &P) {
@@ -175,7 +180,7 @@ TEST(DropSpec, SpecializesWhenChildrenAreUsed) {
   )",
                          "sum");
   insertPerceus(*C.P);
-  runDropSpecialization(*C.P);
+  runRewrites(*C.P, only({&PassConfig::EnableDropSpec}));
   std::string T = C.text();
   EXPECT_NE(T.find("is-unique(xs)"), std::string::npos);
   EXPECT_NE(T.find("free xs"), std::string::npos);
@@ -192,7 +197,7 @@ TEST(DropSpec, SkipsWhenChildrenAreUnused) {
   )",
                          "len0");
   insertPerceus(*C.P);
-  runDropSpecialization(*C.P);
+  runRewrites(*C.P, only({&PassConfig::EnableDropSpec}));
   // The paper's rule: only specialize if the children are used.
   EXPECT_EQ(C.text().find("is-unique"), std::string::npos);
   expectClean(*C.P);
@@ -207,8 +212,7 @@ TEST(DropSpec, FusionCleansTheFastPath) {
   )",
                          "sum");
   insertPerceus(*C.P);
-  runDropSpecialization(*C.P);
-  runFusion(*C.P);
+  runRewrites(*C.P, only({&PassConfig::EnableDropSpec, &PassConfig::EnableFusion}));
   std::string T = C.text();
   // Figure 1d: the unique path is just `free xs`; the dup'ed children
   // moved to the shared path.
@@ -235,7 +239,7 @@ TEST(Reuse, PairsDropWithSameSizeAllocation) {
   )",
                          "map1");
   insertPerceus(*C.P);
-  runReuseAnalysis(*C.P);
+  runRewrites(*C.P, only({&PassConfig::EnableReuse}));
   std::string T = C.text();
   EXPECT_NE(T.find("drop-reuse(xs)"), std::string::npos);
   EXPECT_NE(T.find("Cons@ru."), std::string::npos);
@@ -251,7 +255,7 @@ TEST(Reuse, NoPairingAcrossSizes) {
   )",
                          "f");
   insertPerceus(*C.P);
-  runReuseAnalysis(*C.P);
+  runRewrites(*C.P, only({&PassConfig::EnableReuse}));
   std::string T = C.text();
   // One (arity 1) cannot be reused for Two (arity 2)...
   EXPECT_EQ(countOf(T, "drop-reuse"), 1u); // ...only the Two arm pairs
@@ -270,7 +274,7 @@ TEST(Reuse, BranchesWithoutAllocationFreeTheToken) {
   )",
                          "weird");
   insertPerceus(*C.P);
-  runReuseAnalysis(*C.P);
+  runRewrites(*C.P, only({&PassConfig::EnableReuse}));
   std::string T = C.text();
   if (T.find("drop-reuse") != std::string::npos) {
     // The non-allocating else branch must dispose of the token.
@@ -288,7 +292,7 @@ TEST(Reuse, PrefersTheSameConstructor) {
   )",
                          "f");
   insertPerceus(*C.P);
-  runReuseAnalysis(*C.P);
+  runRewrites(*C.P, only({&PassConfig::EnableReuse}));
   std::string T = C.text();
   // In the A arm both allocations have A's arity: the token goes to the
   // inner A that rebuilds the matched cell, not to the outer B.
@@ -310,7 +314,7 @@ TEST(Reuse, CrossConstructorReuseForFbip) {
   )",
                          "down");
   insertPerceus(*C.P);
-  runReuseAnalysis(*C.P);
+  runRewrites(*C.P, only({&PassConfig::EnableReuse}));
   // Bin (arity 3) is reused as BinR (arity 3): the FBIP overlay.
   EXPECT_NE(C.text().find("BinR@ru."), std::string::npos);
   expectClean(*C.P);
