@@ -154,6 +154,17 @@ bool parseNumber(std::string_view Text, std::string_view What, T &Out,
   return Ec == std::errc();
 }
 
+/// parseNumber for a program argument, which must also fit the VM's
+/// 63-bit integers.
+bool parseArgument(std::string_view Text, int64_t &Out, std::string &Error) {
+  if (!parseNumber(Text, "argument", Out, Error))
+    return false;
+  if (!fitsInt(Out))
+    Error = "argument '" + std::string(Text) +
+            "' is outside the integer range " + IntRangeText;
+  return fitsInt(Out);
+}
+
 /// Parses flag \p A as \p Flag's integer value into \p Out; false when
 /// \p A is another flag. A malformed value ends the process.
 template <typename T>
@@ -301,7 +312,7 @@ LineParse parseRequestLine(const std::string &Line, ServiceRequest &R,
       HaveEntry = true;
     } else {
       int64_t V = 0;
-      if (!parseNumber(Tok, "argument", V, Error))
+      if (!parseArgument(Tok, V, Error))
         return LineParse::Bad;
       R.Args.push_back(Value::makeInt(V));
     }
@@ -609,7 +620,7 @@ int main(int Argc, char **Argv) {
     } else {
       int64_t V = 0;
       std::string Error;
-      if (!parseNumber(A, "argument", V, Error)) {
+      if (!parseArgument(A, V, Error)) {
         std::fprintf(stderr, "error: %s\n", Error.c_str());
         return 1;
       }

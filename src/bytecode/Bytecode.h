@@ -58,7 +58,10 @@ namespace perceus {
 /// unnamed fields are unused. "list" is the index in
 /// CompiledProgram::RegLists of the instruction's operand registers, one
 /// per field or argument; "window" is the first of the contiguous
-/// registers a call copies its arguments into.
+/// registers a call copies its arguments into. A tail call's "direct"
+/// is 1 when its list can be copied straight into parameters 0..A-1 in
+/// order (entry J never names a register below J, which an earlier copy
+/// wrote), else 0: then it goes through the window.
 enum class Op : uint8_t {
   //===--- Moves and constants --------------------------------------------===//
   LoadConst,   ///< B=dst, E=constant-pool index
@@ -70,8 +73,8 @@ enum class Op : uint8_t {
   MatchOp,     ///< B=scrutinee slot, E=match-table index
   Call,        ///< A=nargs, B=dst, C=window, D=callee, E=list
   CallStatic,  ///< A=nargs, B=dst, C=window, D=FuncId, E=list
-  TailCall,    ///< A=nargs, C=window, D=callee, E=list
-  TailCallStatic, ///< A=nargs, C=window, D=FuncId, E=list
+  TailCall,    ///< A=nargs, B=direct, C=window, D=callee, E=list
+  TailCallStatic, ///< A=nargs, B=direct, C=window, D=FuncId, E=list
   Ret,         ///< B=src
 
   //===--- Heap allocation ------------------------------------------------===//
@@ -229,7 +232,7 @@ struct CompiledProgram {
   const Program *Prog = nullptr;
   std::vector<Chunk> Funcs; ///< indexed by FuncId
   std::vector<Chunk> Lams;  ///< indexed by LamId
-  std::vector<Value> Consts;
+  std::vector<Word> Consts; ///< each constant's tagged word
   std::vector<MatchTable> Matches;
   /// Flat register lists: each match arm's binder slots and each
   /// constructor's or call's operand registers.
@@ -237,8 +240,10 @@ struct CompiledProgram {
   std::vector<std::string> Messages; ///< TrapOp messages
   /// Why the program cannot run, when it is wider than the instruction
   /// fields (a frame past 65535 registers, or more than 65536
-  /// functions); empty otherwise. The chunks of such a program are
-  /// garbage: callers report the error instead of running them.
+  /// functions) or holds an integer literal outside the 63-bit range
+  /// (possible only in IR built without the parser); empty otherwise.
+  /// The chunks of such a program are garbage: callers report the error
+  /// instead of running them.
   std::string Error;
 
   //===--- Peephole tier (set by bytecode/Peephole.h) ---------------------===//

@@ -84,14 +84,13 @@ private:
     return Base;
   }
 
-  uint32_t constIdx(Value V) {
-    uint64_t Key = (uint64_t(V.Kind) << 56) ^ V.Bits;
-    auto It = ConstMap.find(Key);
+  uint32_t constIdx(Word V) {
+    auto It = ConstMap.find(V.Bits);
     if (It != ConstMap.end())
       return It->second;
     uint32_t Idx = static_cast<uint32_t>(CP.Consts.size());
     CP.Consts.push_back(V);
-    ConstMap.emplace(Key, Idx);
+    ConstMap.emplace(V.Bits, Idx);
     return Idx;
   }
 
@@ -212,16 +211,19 @@ private:
     switch (E->kind()) {
     case ExprKind::Lit: {
       const LitValue &V = cast<LitExpr>(E)->value();
-      Value C;
+      Word C;
       switch (V.Kind) {
       case LitKind::Int:
-        C = Value::makeInt(V.Int);
+        if (!fitsInt(V.Int) && CP.Error.empty())
+          CP.Error = "integer literal " + std::to_string(V.Int) +
+                     " is outside the integer range " + IntRangeText;
+        C = Word::makeInt(V.Int);
         break;
       case LitKind::Bool:
-        C = Value::makeBool(V.Int != 0);
+        C = Word::makeBool(V.Int != 0);
         break;
       case LitKind::Unit:
-        C = Value::unit();
+        C = Word::unit();
         break;
       }
       emit(Op::LoadConst, 0, Dst, 0, 0, constIdx(C));
@@ -235,10 +237,10 @@ private:
     }
     case ExprKind::Global:
       emit(Op::LoadConst, 0, Dst, 0, 0,
-           constIdx(Value::makeFnRef(cast<GlobalExpr>(E)->func())));
+           constIdx(Word::makeFnRef(cast<GlobalExpr>(E)->func())));
       return;
     case ExprKind::NullToken:
-      emit(Op::LoadConst, 0, Dst, 0, 0, constIdx(Value::makeToken(nullptr)));
+      emit(Op::LoadConst, 0, Dst, 0, 0, constIdx(Word::makeToken(nullptr)));
       return;
     case ExprKind::Lam: {
       const auto *Lm = cast<LamExpr>(E);
@@ -294,7 +296,7 @@ private:
       const CtorDecl &D = P.ctor(C->ctor());
       if (D.Arity == 0) {
         emit(Op::LoadConst, 0, Dst, 0, 0,
-             constIdx(Value::makeEnum(D.DataId, D.Tag)));
+             constIdx(Word::makeEnum(D.DataId, D.Tag)));
         return;
       }
       assert(C->args().size() == D.Arity && "constructor arity mismatch");
@@ -385,7 +387,16 @@ private:
           static_cast<uint16_t>(operand(A->args()[I], W + I));
     Op O = Static ? (Tail ? Op::TailCallStatic : Op::CallStatic)
                   : (Tail ? Op::TailCall : Op::Call);
-    emit(O, static_cast<uint8_t>(N), Dst, W, Callee, List, A);
+    // A tail call has no destination. Its B is the direct mark: set when
+    // no entry J names a register below J, which an earlier copy into
+    // the parameters would already have overwritten.
+    uint32_t B = Dst;
+    if (Tail) {
+      B = 1;
+      for (uint32_t I = 0; I != N; ++I)
+        B &= CP.RegLists[List + I] >= I;
+    }
+    emit(O, static_cast<uint8_t>(N), B, W, Callee, List, A);
     TempTop = Save;
   }
 

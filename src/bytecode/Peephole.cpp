@@ -38,7 +38,7 @@ bool isBranchOp(Op O) {
 /// exactly one side; sets the ArithConst kind byte and the other operand.
 /// Add and mul commute, so only sub needs the operand-order split. Div,
 /// Mod and Neg stay unfused: their trap repertoire (zero divisors,
-/// INT64_MIN overflow) is pinned by dedicated tests and they are cold in
+/// IntMin overflow) is pinned by dedicated tests and they are cold in
 /// every benchmark.
 bool constArith(const Instr &Ar, uint16_t K, uint8_t &Kind, uint16_t &X) {
   if (Ar.O != Op::Add && Ar.O != Op::Sub && Ar.O != Op::Mul)

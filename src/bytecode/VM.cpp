@@ -63,6 +63,9 @@ const char *perceus::opName(Op O) {
   return Names[static_cast<size_t>(O)];
 }
 
+static_assert(alignof(LamExpr) >= 8,
+              "a closure's code pointer keeps its low three bits for a tag");
+
 /// Capacity growth is the only out-of-line RegStack path: doubling keeps
 /// it amortized to the deepest frame ever reached, after which every
 /// reframe is a size update plus the unit-fill.
@@ -70,7 +73,7 @@ void RegStack::grow(size_t N) {
   size_t NewCap = Cap ? Cap * 2 : 64;
   if (NewCap < N)
     NewCap = N;
-  std::unique_ptr<Value[]> NewMem(new Value[NewCap]);
+  std::unique_ptr<Word[]> NewMem(new Word[NewCap]);
   std::copy(Mem.get(), Mem.get() + Sz, NewMem.get());
   Mem = std::move(NewMem);
   Cap = NewCap;
@@ -89,83 +92,88 @@ static uint64_t nextBudgetCheck(uint64_t Steps, uint64_t Fuel,
 
 /// The binary arithmetic primitives, the one definition every arithmetic
 /// handler (plain or fused) runs: both operands must be integers, a
-/// divisor must be non-zero, and the exact result must fit int64 —
-/// INT64_MIN / -1 and INT64_MIN % -1 trap before the division unit sees
-/// them. Returns the trap message, else null with the result in \p Out.
+/// divisor must be non-zero, and the exact result must fit the 63-bit
+/// range — IntMin / -1 and IntMin % -1 trap too. Returns the trap
+/// message, else null with the result in \p Out. Add, subtract and
+/// multiply work on the tagged words (2x+1): 2x+1 + 2y = 2(x+y)+1, and
+/// 2x * y = 2xy, so the 64-bit overflow flag is exactly the 63-bit edge.
 /// The plain handlers pass a constant kind, which folds the switch away.
 /// The trap branches here and in compare are [[unlikely]]: inlined, an
 /// unmarked one is laid out as the handler's fall-through path (a
 /// returned pointer is predicted non-null), which more than doubled the
 /// branch-fused compare handlers' hot code.
 [[gnu::always_inline]] static inline const char *
-checkedArith(ArithKind Kind, Value A, Value B, int64_t &Out) {
-  if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int) [[unlikely]]
+checkedArith(ArithKind Kind, Word A, Word B, Word &Out) {
+  if (!(A.Bits & B.Bits & 1)) [[unlikely]]
     return "arithmetic on a non-integer";
-  int64_t X = A.Int, Y = B.Int;
   if (Kind == ArithKind::Div || Kind == ArithKind::Mod) {
     const bool Div = Kind == ArithKind::Div;
+    int64_t X = A.asInt(), Y = B.asInt();
     if (Y == 0) [[unlikely]]
       return Div ? "division by zero" : "modulo by zero";
-    if (X == INT64_MIN && Y == -1) [[unlikely]]
+    if (X == IntMin && Y == -1) [[unlikely]]
       return Div ? "integer overflow in division"
                  : "integer overflow in modulo";
-    Out = Div ? X / Y : X % Y;
+    Out = Word::makeInt(Div ? X / Y : X % Y);
     return nullptr;
   }
   // Tested first, Div and Mod leave the fused handlers' run-time kind a
   // compare chain; with them in the switch GCC emits a jump table.
+  int64_t X = static_cast<int64_t>(A.Bits), Y = static_cast<int64_t>(B.Bits);
+  int64_t T;
   switch (Kind) {
   case ArithKind::Add:
-    return __builtin_add_overflow(X, Y, &Out) ? "integer overflow in addition"
-                                              : nullptr;
+    if (__builtin_add_overflow(X, Y - 1, &T)) [[unlikely]]
+      return "integer overflow in addition";
+    break;
   case ArithKind::RSub:
     std::swap(X, Y);
     [[fallthrough]];
   case ArithKind::Sub:
-    return __builtin_sub_overflow(X, Y, &Out)
-               ? "integer overflow in subtraction"
-               : nullptr;
+    if (__builtin_sub_overflow(X, Y - 1, &T)) [[unlikely]]
+      return "integer overflow in subtraction";
+    break;
   default:
-    return __builtin_mul_overflow(X, Y, &Out)
-               ? "integer overflow in multiplication"
-               : nullptr;
+    if (__builtin_mul_overflow(X - 1, Y >> 1, &T)) [[unlikely]]
+      return "integer overflow in multiplication";
+    T |= 1;
+    break;
   }
+  Out.Bits = static_cast<uint64_t>(T);
+  return nullptr;
 }
 
 /// The compare primitives, the one definition every compare handler
 /// runs: integer order, and equality over two Ints, two Bools or two
 /// Enums. Returns the trap message when the operands do not fit the
-/// kind, else null with the outcome in \p Out. The hot branch-fused
-/// handlers pass a constant kind.
+/// kind, else null with the outcome in \p Out. Tagged integers order as
+/// their values do, and equal values have equal words. The hot
+/// branch-fused handlers pass a constant kind.
 [[gnu::always_inline]] static inline const char *
-compare(CmpKind Kind, Value A, Value B, bool &Out) {
+compare(CmpKind Kind, Word A, Word B, bool &Out) {
   if (Kind == CmpKind::Eq || Kind == CmpKind::Ne) {
-    bool Eq;
-    if (A.Kind == ValueKind::Int && B.Kind == ValueKind::Int)
-      Eq = A.Int == B.Int;
-    else if (A.Kind == ValueKind::Bool && B.Kind == ValueKind::Bool)
-      Eq = (A.Int != 0) == (B.Int != 0);
-    else if (A.Kind == ValueKind::Enum && B.Kind == ValueKind::Enum)
-      Eq = A.Bits == B.Bits;
-    else [[unlikely]]
+    if (!(A.Bits & B.Bits & 1) &&
+        (!(A.isBool() || A.isEnum()) || (A.Bits & 0xff) != (B.Bits & 0xff)))
+        [[unlikely]]
       return "equality on incompatible or heap values";
-    Out = Kind == CmpKind::Eq ? Eq : !Eq;
+    Out = (A == B) == (Kind == CmpKind::Eq);
     return nullptr;
   }
-  if (A.Kind != ValueKind::Int || B.Kind != ValueKind::Int) [[unlikely]]
+  if (!(A.Bits & B.Bits & 1)) [[unlikely]]
     return "comparison of non-integers";
+  int64_t X = static_cast<int64_t>(A.Bits), Y = static_cast<int64_t>(B.Bits);
   switch (Kind) {
   case CmpKind::Lt:
-    Out = A.Int < B.Int;
+    Out = X < Y;
     break;
   case CmpKind::Le:
-    Out = A.Int <= B.Int;
+    Out = X <= Y;
     break;
   case CmpKind::Gt:
-    Out = A.Int > B.Int;
+    Out = X > Y;
     break;
   default:
-    Out = A.Int >= B.Int;
+    Out = X >= Y;
     break;
   }
   return nullptr;
@@ -174,7 +182,7 @@ compare(CmpKind Kind, Value A, Value B, bool &Out) {
 VM::VM(const CompiledProgram &CP, Heap &H, bool Peephole)
     : CP(CP), H(H), PeepholeTier(Peephole) {
   if (H.mode() == HeapMode::Gc)
-    attachCollector(H, [this](const std::function<void(Value)> &Fn) {
+    attachCollector(H, [this](const std::function<void(Word)> &Fn) {
       enumerateRoots(Fn);
     });
 }
@@ -196,7 +204,7 @@ void VM::unwind() {
   if (H.mode() == HeapMode::Gc) {
     Freed = H.reclaimAll();
   } else {
-    std::vector<Value> Roots;
+    std::vector<Word> Roots;
     Roots.reserve(Regs.size() + 1);
     Roots.insert(Roots.end(), Regs.begin(), Regs.end());
     Roots.push_back(Result);
@@ -204,7 +212,7 @@ void VM::unwind() {
   }
   Regs.clear();
   Frames.clear();
-  Result = Value::unit();
+  Result = Word::unit();
   Run->UnwoundCells = Freed;
 }
 
@@ -212,9 +220,9 @@ void VM::unwind() {
 /// enters, with \p Clo set to the closure cell (null for a function
 /// reference). Traps and returns null when the callee is not a function
 /// or takes another number of arguments.
-const Chunk *VM::resolveCallee(Value Callee, uint32_t NArgs, Cell *&Clo) {
+const Chunk *VM::resolveCallee(Word Callee, uint32_t NArgs, Cell *&Clo) {
   Clo = nullptr;
-  if (Callee.Kind == ValueKind::FnRef) {
+  if (Callee.isFnRef()) {
     const Chunk *T = &(UseRawChunks ? CP.RawFuncs : CP.Funcs)[Callee.fnId()];
     if (T->NumParams == NArgs)
       return T;
@@ -222,12 +230,11 @@ const Chunk *VM::resolveCallee(Value Callee, uint32_t NArgs, Cell *&Clo) {
          std::string(CP.Prog->symbols().name(T->Fn->Name)) + "'");
     return nullptr;
   }
-  if (Callee.Kind != ValueKind::HeapRef ||
-      Callee.Ref->H.Kind != CellKind::Closure) {
+  if (!Callee.isHeap() || Callee.ref()->H.Kind != CellKind::Closure) {
     trap("calling a non-function value");
     return nullptr;
   }
-  Clo = Callee.Ref;
+  Clo = Callee.ref();
   const auto *Lm = static_cast<const LamExpr *>(Clo->field(0).rawPtr());
   const Chunk *T = &(UseRawChunks ? CP.RawLams : CP.Lams)[Lm->lamId()];
   if (T->NumParams == NArgs)
@@ -240,17 +247,17 @@ const Chunk *VM::resolveCallee(Value Callee, uint32_t NArgs, Cell *&Clo) {
 /// are already bound (the operand window is the parameter region), so
 /// dup each capture into its frame slot, then drop the closure.
 void VM::applyClosure(const Chunk *T, Cell *Clo, const Expr *CallSite,
-                      Value *RF) {
+                      Word *RF) {
   if (Sink)
     Sink->setSite(T->Lam, "app", CallSite->loc());
   for (size_t I = 0; I != T->CaptureDst.size(); ++I) {
-    Value Cap = Clo->field(1 + I);
+    Word Cap = Clo->field(1 + I);
     ++Run->Rc.ImplicitDups;
     H.dup(Cap);
     RF[T->CaptureDst[I]] = Cap;
   }
   ++Run->Rc.ImplicitDrops;
-  H.drop(Value::makeRef(Clo));
+  H.drop(Word::makeRef(Clo));
 }
 
 RunResult VM::run(FuncId F, std::vector<Value> Args) {
@@ -263,7 +270,7 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
     DeadlineAt = std::chrono::steady_clock::now() +
                  std::chrono::milliseconds(DeadlineMs);
   Frames.clear();
-  Result = Value::unit();
+  Result = Word::unit();
 
   // The peephole tier's RC elision assumes every heap cell in the run
   // was built by this program's own constructor sites. A heap-valued
@@ -276,17 +283,25 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
                                     [](const Value &A) { return A.isHeap(); }));
 
   const Chunk &Entry = (UseRawChunks ? CP.RawFuncs : CP.Funcs)[F];
-  if (Args.size() != Entry.NumParams) {
-    trap("entry function arity mismatch");
+  std::string Bad;
+  if (Args.size() != Entry.NumParams)
+    Bad = "entry function arity mismatch";
+  Regs.reframe(Bad.empty() ? Entry.NumRegs : Args.size(), Args.size());
+  for (size_t I = 0; I != Args.size(); ++I) {
+    const Value &A = Args[I];
+    bool Wide = A.Kind == ValueKind::Int && !fitsInt(A.Int);
+    if (Wide && Bad.empty())
+      Bad = "entry argument " + std::to_string(A.Int) +
+            " is outside the integer range " + IntRangeText;
+    Regs[I] = Wide ? Word::unit() : A.encode();
+  }
+  if (!Bad.empty()) {
     // Ownership of the arguments transferred to us; unwind them.
-    Regs.assign(Args.data(), Args.data() + Args.size());
+    trap(std::move(Bad));
     unwind();
     Run = nullptr;
     return R;
   }
-  Regs.assign(Entry.NumRegs, Value::unit());
-  for (size_t I = 0; I != Args.size(); ++I)
-    Regs[I] = Args[I];
   if (Regs.size() > R.MaxLocalsSlots)
     R.MaxLocalsSlots = Regs.size();
 
@@ -294,9 +309,9 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
 
   if (!Trapped) {
     R.Ok = true;
-    R.Result = Result;
+    R.Result = Value::decode(Result);
     if (ResultInspector)
-      ResultInspector(Result);
+      ResultInspector(R.Result);
     // The caller of the entry point owns the result; release heap
     // results so a garbage-free run ends with an empty heap.
     if (Result.isHeap()) {
@@ -306,7 +321,7 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
       H.drop(Result);
     }
     Regs.clear();
-    Result = Value::unit();
+    Result = Word::unit();
   } else {
     unwind();
   }
@@ -327,8 +342,8 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
   const std::vector<Chunk> &FuncTab = UseRawChunks ? CP.RawFuncs : CP.Funcs;
   const std::vector<Chunk> &LamTab = UseRawChunks ? CP.RawLams : CP.Lams;
   uint32_t BaseL = 0;
-  Value *RF = Regs.data();
-  const Value *Consts = CP.Consts.data();
+  Word *RF = Regs.data();
+  const Word *Consts = CP.Consts.data();
   const uint16_t *Lists = CP.RegLists.data();
   uint64_t Steps = 0;
   const uint64_t Fuel = StepLimit;
@@ -438,7 +453,7 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
 #define VM_GATHER(W)                                                           \
   do {                                                                         \
     const uint16_t *L_ = Lists + I->E;                                         \
-    Value *W_ = (W);                                                           \
+    Word *W_ = (W);                                                            \
     for (uint32_t J = 0; J != I->A; ++J)                                       \
       W_[J] = RF[L_[J]];                                                       \
   } while (0)
@@ -450,6 +465,13 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
   } while (0)
 #define VM_TAIL_GATHER()                                                       \
   do {                                                                         \
+    if (I->B) { /* direct: one copy, entries in place skipped */               \
+      const uint16_t *L_ = Lists + I->E;                                       \
+      for (uint32_t J = 0; J != I->A; ++J)                                     \
+        if (L_[J] != J)                                                        \
+          RF[J] = RF[L_[J]];                                                   \
+      break;                                                                   \
+    }                                                                          \
     VM_GATHER(RF + I->C);                                                      \
     for (uint32_t J = 0; J != I->A; ++J) /* forward copy; window >= dst */    \
       RF[J] = RF[I->C + J];                                                    \
@@ -458,7 +480,7 @@ RunResult VM::run(FuncId F, std::vector<Value> Args) {
   // ends the run from the entry frame.
 #define VM_RETURN(Val)                                                         \
   do {                                                                         \
-    Value Ret_ = (Val);                                                        \
+    Word Ret_ = (Val);                                                         \
     if (Frames.empty()) {                                                      \
       Result = Ret_;                                                           \
       goto Done;                                                               \
@@ -508,15 +530,15 @@ Budget:
     VM_JUMP(I->E);
   }
   VM_CASE(JumpIfFalse) {
-    Value V = RF[I->B];
-    if (V.Kind != ValueKind::Bool)
-      VM_TRAP("if condition is not a boolean", TrapKind::RuntimeError);
-    if (!V.asBool())
+    Word V = RF[I->B];
+    if (V == Word::makeBool(false))
       VM_JUMP(I->E);
+    if (V != Word::makeBool(true))
+      VM_TRAP("if condition is not a boolean", TrapKind::RuntimeError);
     VM_NEXT();
   }
   VM_CASE(MatchOp) {
-    Value V = RF[I->B];
+    Word V = RF[I->B];
     const MatchTable &T = CP.Matches[I->E];
     const MatchArmCode *Default = nullptr;
     for (const MatchArmCode &Arm : T.Arms) {
@@ -526,26 +548,27 @@ Budget:
         // Only a value the arm can bind: its own constructor's immediate,
         // or a cell with its tag and one field per binder. A same-tag
         // value of another type falls through.
-        if (V.Kind == ValueKind::Enum)
-          Matches = V.Bits == Value::makeEnum(Arm.DataId, Arm.Tag).Bits;
-        else if (V.Kind == ValueKind::HeapRef &&
-                 V.Ref->H.Kind == CellKind::Ctor)
-          Matches = V.Ref->H.Tag == Arm.Tag &&
-                    V.Ref->H.Arity == Arm.NumBinders;
-        else if (V.Kind != ValueKind::Enum && V.Kind != ValueKind::HeapRef)
+        if (V.isHeap()) {
+          if (V.ref()->H.Kind == CellKind::Ctor)
+            Matches = V.ref()->H.Tag == Arm.Tag &&
+                      V.ref()->H.Arity == Arm.NumBinders;
+        } else if (V.isEnum()) {
+          Matches = V == Word::makeEnum(Arm.DataId, Arm.Tag);
+        } else {
           VM_TRAP("match on a non-constructor value", TrapKind::RuntimeError);
+        }
         break;
       case ArmKind::IntLit:
-        if (V.Kind != ValueKind::Int)
+        if (!V.isInt())
           VM_TRAP("integer pattern on a non-integer value",
                   TrapKind::RuntimeError);
-        Matches = V.Int == Arm.Lit;
+        Matches = V.asInt() == Arm.Lit;
         break;
       case ArmKind::BoolLit:
-        if (V.Kind != ValueKind::Bool)
+        if (!V.isBool())
           VM_TRAP("boolean pattern on a non-boolean value",
                   TrapKind::RuntimeError);
-        Matches = (V.Int != 0) == (Arm.Lit != 0);
+        Matches = V.asBool() == (Arm.Lit != 0);
         break;
       case ArmKind::Default:
         // Recorded, but the scan continues: a later ill-typed arm still
@@ -556,7 +579,7 @@ Budget:
       if (Matches) {
         const uint16_t *Binders = Lists + Arm.BinderBase;
         for (uint32_t J = 0; J != Arm.NumBinders; ++J)
-          RF[Binders[J]] = V.Ref->field(J);
+          RF[Binders[J]] = V.ref()->field(J);
         VM_JUMP(Arm.Target);
       }
     }
@@ -572,6 +595,8 @@ Budget:
   // copy overwrites a register another one still reads. A tail call then
   // moves the window down to the frame's parameters: going through the
   // window is what lets its arguments name those parameters in any order.
+  // A direct tail call (B set) skips the window: its list reads no
+  // parameter that an earlier copy wrote.
   VM_CASE(CallStatic) {
     const Chunk *T = &FuncTab[I->D];
     VM_PUSH_FRAME();
@@ -630,10 +655,10 @@ Budget:
       VM_TRAP("out of memory allocating a closure", TrapKind::OutOfMemory);
     VM_REFRAME(); // a GC-mode alloc may have collected, never resized;
                   // reframe anyway for uniformity
-    C->setField(0, Value::makeRaw(LC->Lam));
+    C->setField(0, Word::makeRaw(LC->Lam));
     for (size_t J = 0; J != NCaps; ++J) // ownership moves in
       C->setField(1 + J, RF[LC->CaptureSrc[J]]);
-    RF[I->B] = Value::makeRef(C);
+    RF[I->B] = Word::makeRef(C);
     VM_NEXT();
   }
   VM_CASE(Con) {
@@ -643,17 +668,16 @@ Budget:
       VM_TRAP("out of memory allocating a constructor", TrapKind::OutOfMemory);
     VM_REFRAME();
     VM_FILL(C);
-    RF[I->B] = Value::makeRef(C);
+    RF[I->B] = Word::makeRef(C);
     VM_NEXT();
   }
   VM_CASE(ConReuse) {
     VM_STAMP(Sites, "con@ru");
-    Value Tok = RF[I->C];
-    if (Tok.Kind != ValueKind::Token)
+    Word Tok = RF[I->C];
+    if (!Tok.isToken())
       VM_TRAP("constructor reuse with a non-token", TrapKind::RuntimeError);
-    Cell *C = nullptr;
-    if (Tok.Tok) {
-      C = Tok.Tok; // in-place reuse: same memory, fresh identity
+    Cell *C = Tok.tok();
+    if (C) { // in-place reuse: same memory, fresh identity
       assert(C->H.Arity == I->A && "reuse token arity mismatch");
       C->H.Rc.store(1, std::memory_order_relaxed);
       C->H.Tag = static_cast<uint8_t>(I->D);
@@ -674,7 +698,7 @@ Budget:
       VM_REFRAME();
     }
     VM_FILL(C);
-    RF[I->B] = Value::makeRef(C);
+    RF[I->B] = Word::makeRef(C);
     VM_NEXT();
   }
 
@@ -696,13 +720,8 @@ Budget:
     // only).
     VM_STAMP(Sites, "free");
     ++R.Rc.Frees;
-    Value V = RF[I->C];
-    if (V.Kind == ValueKind::HeapRef) {
-      H.freeMemoryOnly(V.Ref);
-    } else if (V.Kind == ValueKind::Token) {
-      if (V.Tok)
-        H.freeMemoryOnly(V.Tok);
-    }
+    if (Cell *C = RF[I->C].cellOrNull()) // a heap reference or a token
+      H.freeMemoryOnly(C);
     VM_NEXT();
   }
   VM_CASE(DecRef) {
@@ -719,96 +738,96 @@ Budget:
     VM_NEXT();
   }
   VM_CASE(DropReuse) {
-    Value V = RF[I->C];
-    if (V.Kind != ValueKind::HeapRef)
+    Word V = RF[I->C];
+    if (!V.isHeap())
       VM_TRAP("drop-reuse of a non-heap value", TrapKind::RuntimeError);
     VM_STAMP(Sites, "drop-reuse");
     ++R.Rc.DropReuses;
     ++R.Rc.IsUniques; // the probe below is a real is-unique test
     if (H.isUnique(V)) {
-      R.Rc.ImplicitDrops += V.Ref->H.Arity; // dropChildren drops each
-      H.dropChildren(V.Ref);
-      RF[I->D] = Value::makeToken(V.Ref);
+      R.Rc.ImplicitDrops += V.ref()->H.Arity; // dropChildren drops each
+      H.dropChildren(V.ref());
+      RF[I->D] = Word::makeToken(V.ref());
     } else {
       ++R.Rc.ImplicitDecRefs;
       H.decref(V);
-      RF[I->D] = Value::makeToken(nullptr);
+      RF[I->D] = Word::makeToken(nullptr);
     }
     VM_NEXT();
   }
   VM_CASE(ReuseAddr) {
-    Value V = RF[I->C];
-    if (V.Kind != ValueKind::HeapRef)
+    Word V = RF[I->C];
+    if (!V.isHeap())
       VM_TRAP("reuse-addr of a non-heap value", TrapKind::RuntimeError);
-    RF[I->B] = Value::makeToken(V.Ref);
+    RF[I->B] = Word::makeToken(V.ref());
     VM_NEXT();
   }
 
   //===--- Primitives -----------------------------------------------------===//
   VM_CASE(Add) {
-    int64_t V = 0;
+    Word V;
     VM_PRIM(checkedArith, ArithKind::Add, RF[I->C], RF[I->D], V);
-    RF[I->B] = Value::makeInt(V);
+    RF[I->B] = V;
     VM_NEXT();
   }
   VM_CASE(Sub) {
-    int64_t V = 0;
+    Word V;
     VM_PRIM(checkedArith, ArithKind::Sub, RF[I->C], RF[I->D], V);
-    RF[I->B] = Value::makeInt(V);
+    RF[I->B] = V;
     VM_NEXT();
   }
   VM_CASE(Mul) {
-    int64_t V = 0;
+    Word V;
     VM_PRIM(checkedArith, ArithKind::Mul, RF[I->C], RF[I->D], V);
-    RF[I->B] = Value::makeInt(V);
+    RF[I->B] = V;
     VM_NEXT();
   }
   VM_CASE(Div) {
-    int64_t V = 0;
+    Word V;
     VM_PRIM(checkedArith, ArithKind::Div, RF[I->C], RF[I->D], V);
-    RF[I->B] = Value::makeInt(V);
+    RF[I->B] = V;
     VM_NEXT();
   }
   VM_CASE(Mod) {
-    int64_t V = 0;
+    Word V;
     VM_PRIM(checkedArith, ArithKind::Mod, RF[I->C], RF[I->D], V);
-    RF[I->B] = Value::makeInt(V);
+    RF[I->B] = V;
     VM_NEXT();
   }
   VM_CASE(Neg) {
-    Value A = RF[I->C];
-    if (A.Kind != ValueKind::Int)
+    Word A = RF[I->C];
+    if (!A.isInt())
       VM_TRAP("negation of a non-integer", TrapKind::RuntimeError);
-    if (A.Int == INT64_MIN)
+    if (A.asInt() == IntMin)
       VM_TRAP("integer overflow in negation", TrapKind::RuntimeError);
-    RF[I->B] = Value::makeInt(-A.Int);
+    RF[I->B] = Word::makeInt(-A.asInt());
     VM_NEXT();
   }
   VM_CASE(Cmp) {
     bool Res = false;
     VM_PRIM(compare, static_cast<CmpKind>(I->A), RF[I->C], RF[I->D], Res);
-    RF[I->B] = Value::makeBool(Res);
+    RF[I->B] = Word::makeBool(Res);
     VM_NEXT();
   }
   VM_CASE(Not) {
-    Value A = RF[I->C];
-    if (A.Kind != ValueKind::Bool)
+    Word A = RF[I->C];
+    if (!A.isBool())
       VM_TRAP("negation of a non-boolean", TrapKind::RuntimeError);
-    RF[I->B] = Value::makeBool(!A.asBool());
+    RF[I->B] = Word::makeBool(!A.asBool());
     VM_NEXT();
   }
   VM_CASE(PrintLn) {
-    Value A = RF[I->C];
-    if (A.Kind == ValueKind::Int)
-      R.Output += std::to_string(A.Int);
-    else if (A.Kind == ValueKind::Bool)
+    Word A = RF[I->C];
+    if (A.isInt())
+      R.Output += std::to_string(A.asInt());
+    else if (A.isBool())
       R.Output += A.asBool() ? "True" : "False";
-    else if (A.Kind == ValueKind::Unit)
+    else if (A == Word::unit())
       R.Output += "()";
     else
       VM_TRAP("println of a non-printable value", TrapKind::RuntimeError);
     R.Output += '\n';
-    RF[I->B] = Value::unit();
+    RF[I->B] = Word::unit();
     VM_NEXT();
   }
   VM_CASE(MarkSharedOp) {
@@ -817,7 +836,7 @@ Budget:
     H.markShared(RF[I->C]);
     ++R.Rc.ImplicitDrops;
     H.drop(RF[I->C]);
-    RF[I->B] = Value::unit();
+    RF[I->B] = Word::unit();
     VM_NEXT();
   }
   VM_CASE(AbortOp) {
@@ -832,14 +851,14 @@ Budget:
       VM_TRAP("out of memory allocating a reference", TrapKind::OutOfMemory);
     VM_REFRAME();
     C->setField(0, RF[I->C]);
-    RF[I->B] = Value::makeRef(C);
+    RF[I->B] = Word::makeRef(C);
     VM_NEXT();
   }
   VM_CASE(RefGet) {
-    Value Rv = RF[I->C];
-    if (Rv.Kind != ValueKind::HeapRef || Rv.Ref->H.Kind != CellKind::Ref)
+    Word Rv = RF[I->C];
+    if (!Rv.isHeap() || Rv.ref()->H.Kind != CellKind::Ref)
       VM_TRAP("deref of a non-reference", TrapKind::RuntimeError);
-    Value Out = Rv.Ref->field(0);
+    Word Out = Rv.ref()->field(0);
     // The paper's read: dup the content, then release the handle.
     VM_STAMP(Sites, "ref-get");
     ++R.Rc.ImplicitDups;
@@ -850,16 +869,16 @@ Budget:
     VM_NEXT();
   }
   VM_CASE(RefSet) {
-    Value Rv = RF[I->C];
-    if (Rv.Kind != ValueKind::HeapRef || Rv.Ref->H.Kind != CellKind::Ref)
+    Word Rv = RF[I->C];
+    if (!Rv.isHeap() || Rv.ref()->H.Kind != CellKind::Ref)
       VM_TRAP("set-ref of a non-reference", TrapKind::RuntimeError);
-    Value Old = Rv.Ref->field(0);
-    Rv.Ref->setField(0, RF[I->D]); // content ownership moves in
+    Word Old = Rv.ref()->field(0);
+    Rv.ref()->setField(0, RF[I->D]); // content ownership moves in
     VM_STAMP(Sites, "ref-set");
     R.Rc.ImplicitDrops += 2;
     H.drop(Old);
     H.drop(Rv); // release the handle
-    RF[I->B] = Value::unit();
+    RF[I->B] = Word::unit();
     VM_NEXT();
   }
 
@@ -970,10 +989,10 @@ Budget:
     // condition (either operand non-integer) is checked exactly as the
     // component arith did, constants included.
     ++R.Rc.FusedOps;
-    int64_t V = 0;
+    Word V;
     VM_PRIM(checkedArith, static_cast<ArithKind>(I->A), RF[I->C],
             Consts[I->D], V);
-    RF[I->B] = Value::makeInt(V);
+    RF[I->B] = V;
     VM_NEXT();
   }
   VM_CASE(DecLoadConst) {
@@ -1025,7 +1044,7 @@ Budget:
       VM_TRAP("out of memory allocating a constructor", TrapKind::OutOfMemory);
     VM_REFRAME();
     VM_FILL(C);
-    RF[I->B] = Value::makeRef(C); // live for a clean unwind until returned
+    RF[I->B] = Word::makeRef(C); // live for a clean unwind until returned
     VM_RETURN(RF[I->B]);
   }
   VM_CASE(DropMove) {
@@ -1039,19 +1058,19 @@ Budget:
   }
   VM_CASE(ArithConstRet) {
     ++R.Rc.FusedOps;
-    int64_t V = 0;
+    Word V;
     VM_PRIM(checkedArith, static_cast<ArithKind>(I->A), RF[I->C],
             Consts[I->D], V);
-    VM_RETURN(Value::makeInt(V));
+    VM_RETURN(V);
   }
   VM_CASE(IsUniqueReuseJmp) {
     ++R.Rc.FusedOps;
     ++R.Rc.FusedRcOps;
     VM_STAMP(Sites, "is-unique");
     ++R.Rc.IsUniques;
-    Value V = RF[I->C];
+    Word V = RF[I->C];
     if (H.isUnique(V)) {
-      RF[I->B] = Value::makeToken(V.Ref); // the fused ReuseAddr
+      RF[I->B] = Word::makeToken(V.ref()); // the fused ReuseAddr
       VM_JUMP(I->D);                      // the fused unique-path Jump
     }
     VM_JUMP(I->E);
@@ -1083,8 +1102,8 @@ Exit:
 #undef VM_TAIL_GATHER
 }
 
-void VM::enumerateRoots(const std::function<void(Value)> &Fn) const {
-  for (const Value &V : Regs)
+void VM::enumerateRoots(const std::function<void(Word)> &Fn) const {
+  for (Word V : Regs)
     Fn(V);
   Fn(Result);
 }

@@ -29,7 +29,6 @@
 #include "eval/Engine.h"
 #include "runtime/Heap.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -56,58 +55,42 @@ namespace perceus {
 extern uint64_t VmPairProfile[NumOpcodes][NumOpcodes];
 #endif
 
-/// The flat register stack backing all frames: a drop-in for
-/// std::vector<Value> whose size changes stay inline. Frames grow and
-/// shrink on every call and return, and libstdc++'s out-of-line
+/// The flat register stack backing all frames, one Word per register: a
+/// drop-in for std::vector<Word> whose size changes stay inline. Frames
+/// grow and shrink on every call and return, and libstdc++'s out-of-line
 /// default-append path showed up at ~5% of VM time on the Figure 9 set.
-/// Value is trivially copyable and the unit value is all-zero bytes, so
-/// reframing is a size update plus one memset of the fresh slots; only
-/// capacity growth leaves the fast path.
+/// Reframing is a size update plus one memset of the fresh slots to the
+/// empty word; only capacity growth leaves the fast path.
 class RegStack {
 public:
-  Value *data() { return Mem.get(); }
-  const Value *begin() const { return Mem.get(); }
-  const Value *end() const { return Mem.get() + Sz; }
+  Word *data() { return Mem.get(); }
+  const Word *begin() const { return Mem.get(); }
+  const Word *end() const { return Mem.get() + Sz; }
   size_t size() const { return Sz; }
-  Value &operator[](size_t I) { return Mem[I]; }
+  Word &operator[](size_t I) { return Mem[I]; }
   void clear() { Sz = 0; }
 
-  void assign(const Value *First, const Value *Last) {
-    size_t N = static_cast<size_t>(Last - First);
-    if (N > Cap)
-      grow(N);
-    std::copy(First, Last, Mem.get());
-    Sz = N;
-  }
-  void assign(size_t N, Value V) {
-    if (N > Cap)
-      grow(N);
-    std::fill(Mem.get(), Mem.get() + N, V);
-    Sz = N;
-  }
-
-  /// Sets the stack to \p N slots with slots [From, N) unit-initialized
-  /// — the combined frame-resize + argument-window-clear every call
-  /// executes. \p From never exceeds \p N (arguments fit the frame).
+  /// Sets the stack to \p N slots with slots [From, N) empty — the
+  /// combined frame-resize + argument-window-clear every call executes.
+  /// \p From never exceeds \p N (arguments fit the frame).
   void reframe(size_t N, size_t From) {
-    static_assert(static_cast<uint8_t>(ValueKind::Unit) == 0 &&
-                      std::is_trivially_copyable_v<Value>,
-                  "a zeroed Value must be the unit value");
+    static_assert(std::is_trivially_copyable_v<Word>,
+                  "a frame is cleared with memset");
     assert(From <= N && "arguments must fit the frame");
     if (N > Cap)
       grow(N);
     std::memset(static_cast<void *>(Mem.get() + From), 0,
-                (N - From) * sizeof(Value));
+                (N - From) * sizeof(Word));
     Sz = N;
   }
 
-  /// vector::resize semantics: growth unit-initializes, shrink truncates.
+  /// vector::resize semantics: growth clears, shrink truncates.
   void resize(size_t N) { reframe(N, Sz < N ? Sz : N); }
 
 private:
   void grow(size_t N);
 
-  std::unique_ptr<Value[]> Mem;
+  std::unique_ptr<Word[]> Mem;
   size_t Sz = 0, Cap = 0;
 };
 
@@ -126,7 +109,8 @@ public:
 
   /// Runs function \p F on \p Args (ownership of heap arguments
   /// transfers to the callee). A heap-valued result is dropped before
-  /// returning (reported in Result.Kind).
+  /// returning (reported in Result.Kind). An integer argument outside the
+  /// 63-bit range (fitsInt) is a trap, and the heap arguments are freed.
   RunResult run(FuncId F, std::vector<Value> Args);
 
   /// Installs \p L: the governor on the heap, and on this VM
@@ -164,8 +148,8 @@ public:
   static constexpr uint64_t SharedFlushSafepointStride = 32;
 
   /// Enumerates every register of every live frame, plus the pending
-  /// result: the GC roots.
-  void enumerateRoots(const std::function<void(Value)> &Fn) const;
+  /// result: the GC roots. Registers may hold the empty word.
+  void enumerateRoots(const std::function<void(Word)> &Fn) const;
 
   /// Called with the final value right before the VM releases it (heap
   /// results are dropped to keep runs garbage free); lets callers
@@ -188,9 +172,9 @@ private:
   };
 
   void execute(const Chunk *Entry, RunResult &R);
-  const Chunk *resolveCallee(Value Callee, uint32_t NArgs, Cell *&Clo);
+  const Chunk *resolveCallee(Word Callee, uint32_t NArgs, Cell *&Clo);
   void applyClosure(const Chunk *T, Cell *Clo, const Expr *CallSite,
-                    Value *RF);
+                    Word *RF);
   void trap(std::string Msg, TrapKind Kind = TrapKind::RuntimeError);
   void unwind();
 
@@ -199,7 +183,7 @@ private:
 
   RegStack Regs; ///< one overlapped register stack, all frames
   std::vector<Frame> Frames;
-  Value Result;
+  Word Result;
 
   RunResult *Run = nullptr;
   StatsSink *Sink = nullptr; // cached from H.statsSink() at run() entry

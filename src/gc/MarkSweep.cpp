@@ -16,22 +16,18 @@ void perceus::collectMarkSweep(Heap &H, const RootEnumerator &Roots) {
 
   // Mark.
   std::vector<Cell *> Work;
-  Roots([&](Value V) {
-    if (V.isHeap() && !V.Ref->H.GcMark) {
-      V.Ref->H.GcMark = 1;
-      Work.push_back(V.Ref);
+  auto mark = [&](Word V) {
+    if (V.isHeap() && V.Bits != 0 && !V.ref()->H.GcMark) {
+      V.ref()->H.GcMark = 1;
+      Work.push_back(V.ref());
     }
-  });
+  };
+  Roots(mark); // registers may hold the empty word, which mark skips
   while (!Work.empty()) {
     Cell *C = Work.back();
     Work.pop_back();
-    for (uint32_t I = 0; I != C->H.Arity; ++I) {
-      Value V = C->field(I);
-      if (V.isHeap() && !V.Ref->H.GcMark) {
-        V.Ref->H.GcMark = 1;
-        Work.push_back(V.Ref);
-      }
-    }
+    for (uint32_t I = 0; I != C->H.Arity; ++I)
+      mark(C->field(I));
   }
 
   // Sweep: release unmarked cells, unmark survivors.

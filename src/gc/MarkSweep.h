@@ -22,8 +22,8 @@
 
 namespace perceus {
 
-/// Enumerates GC roots into a callback.
-using RootEnumerator = std::function<void(const std::function<void(Value)> &)>;
+/// Enumerates GC roots, one word each, into a callback.
+using RootEnumerator = std::function<void(const std::function<void(Word)> &)>;
 
 /// Runs one mark-sweep collection of \p H using \p Roots.
 void collectMarkSweep(Heap &H, const RootEnumerator &Roots);

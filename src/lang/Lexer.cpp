@@ -6,6 +6,8 @@
 
 #include "lang/Lexer.h"
 
+#include "runtime/Value.h"
+
 #include <array>
 #include <cstdint>
 #include <string>
@@ -228,8 +230,9 @@ private:
     return T;
   }
 
-  /// Lexes `Src[Pos - 1]...` as an integer literal. Values past INT64_MAX
-  /// are one diagnostic at the literal, not a wrapped value.
+  /// Lexes `Src[Pos - 1]...` as an integer literal. Values past IntMax,
+  /// the top of the VM's 63-bit integers, are one diagnostic at the
+  /// literal, not a wrapped value.
   Token lexInt(SourceLoc Loc, size_t Start) {
     int64_t V = Src[Start] - '0';
     bool Overflow = false;
@@ -239,9 +242,9 @@ private:
                   __builtin_add_overflow(V, Digit, &V);
     }
     Token T = make(TokKind::IntLit, Loc, Start);
-    if (Overflow) {
+    if (Overflow || V > IntMax) {
       Diags.error(Loc, "integer literal is out of range (at most " +
-                           std::to_string(INT64_MAX) + ")");
+                           std::to_string(IntMax) + ")");
       V = 0;
     }
     T.IntValue = V;

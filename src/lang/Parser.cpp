@@ -377,7 +377,7 @@ private:
     case TokKind::Minus: {
       advance();
       P->Kind = SPat::K::Int;
-      // The lexer keeps literals within INT64_MAX, so this cannot overflow.
+      // The lexer keeps literals within IntMax, so this cannot overflow.
       P->Int = -expect(TokKind::IntLit, "after '-' in a pattern").IntValue;
       return P;
     }

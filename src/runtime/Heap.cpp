@@ -165,7 +165,7 @@ reportFreedCell(const char *Op) {
   std::abort();
 }
 
-void Heap::dupSlow(Value V) {
+void Heap::dupSlow(Word V) {
   if (Sink)
     Sink->record(RcEvent::DupCall, 0);
   if (Mode == HeapMode::Gc || !V.isHeap()) {
@@ -174,7 +174,7 @@ void Heap::dupSlow(Value V) {
     return;
   }
   ++Stats.DupOps;
-  Cell *C = V.Ref;
+  Cell *C = V.ref();
   int32_t Rc = C->H.Rc.load(std::memory_order_relaxed);
   if (Rc == 0) [[unlikely]]
     reportFreedCell("dup");
@@ -229,8 +229,8 @@ void Heap::drainDropWork() {
       Cell *Cur = SharedZero.back();
       SharedZero.pop_back();
       for (uint32_t I = 0; I != Cur->H.Arity; ++I)
-        if (Value F = Cur->field(I); F.isHeap())
-          DropStack.push_back(F.Ref);
+        if (Word F = Cur->field(I); F.isHeap())
+          DropStack.push_back(F.ref());
       if (SharedPool && !locallyShared(Cur))
         SharedPool->park(Cur);
       else
@@ -276,8 +276,8 @@ void Heap::drainDropWork() {
     }
     // Unique (or last shared reference): free, then drop the children.
     for (uint32_t I = 0; I != Cur->H.Arity; ++I)
-      if (Value F = Cur->field(I); F.isHeap())
-        DropStack.push_back(F.Ref);
+      if (Word F = Cur->field(I); F.isHeap())
+        DropStack.push_back(F.ref());
     if (Foreign)
       SharedPool->park(Cur);
     else
@@ -373,7 +373,7 @@ void Heap::flushSharedDeltas() {
 }
 
 
-void Heap::dropSlow(Value V) {
+void Heap::dropSlow(Word V) {
   if (Sink)
     Sink->record(RcEvent::DropCall, 0);
   if (Mode == HeapMode::Gc || !V.isHeap()) {
@@ -381,10 +381,10 @@ void Heap::dropSlow(Value V) {
     return;
   }
   ++Stats.DropOps;
-  dropRef(V.Ref);
+  dropRef(V.ref());
 }
 
-void Heap::decrefSlow(Value V) {
+void Heap::decrefSlow(Word V) {
   if (Sink)
     Sink->record(RcEvent::DecRefCall, 0);
   if (Mode == HeapMode::Gc || !V.isHeap()) {
@@ -399,10 +399,10 @@ void Heap::decrefSlow(Value V) {
   // builds where the assert vanished, stored the rc == 0 freed marker
   // without calling release(), leaking a cell the trap-unwind walk then
   // silently skipped (it treats rc == 0 as already freed).
-  dropRef(V.Ref);
+  dropRef(V.ref());
 }
 
-bool Heap::isUniqueSlow(Value V) {
+bool Heap::isUniqueSlow(Word V) {
   if (Sink)
     Sink->record(RcEvent::IsUniqueCall, 0);
   if (Mode == HeapMode::Gc || !V.isHeap()) {
@@ -420,13 +420,13 @@ bool Heap::isUniqueSlow(Value V) {
   // (the segment owner retains its root until after join). So the probe
   // reads the applied count directly; a stale delta can never make it
   // report true on a cell another thread holds.
-  return V.Ref->H.Rc.load(std::memory_order_acquire) == 1;
+  return V.ref()->H.Rc.load(std::memory_order_acquire) == 1;
 }
 
-void Heap::markShared(Value V) {
-  if (!V.isHeap())
+void Heap::markShared(Word V) {
+  if (!V.isHeap() || V.Bits == 0)
     return;
-  std::vector<Cell *> Work{V.Ref};
+  std::vector<Cell *> Work{V.ref()};
   while (!Work.empty()) {
     Cell *C = Work.back();
     Work.pop_back();
@@ -441,8 +441,8 @@ void Heap::markShared(Value V) {
     if (SharedPool)
       LocallyShared.insert(C);
     for (uint32_t I = 0; I != C->H.Arity; ++I)
-      if (Value F = C->field(I); F.isHeap())
-        Work.push_back(F.Ref);
+      if (Word F = C->field(I); F.isHeap())
+        Work.push_back(F.ref());
   }
 }
 
@@ -460,7 +460,7 @@ void Heap::resetGcThreshold() {
   GcThreshold = Next > GcThresholdMin ? Next : GcThresholdMin;
 }
 
-size_t Heap::reclaim(const std::vector<Value> &Roots) {
+size_t Heap::reclaim(const std::vector<Word> &Roots) {
   // Trap unwind: buffered shared deltas are applied first,
   // unconditionally — a worker must never carry unflushed counts out of
   // a trapped run (the other workers and the joining owner read those
@@ -471,16 +471,12 @@ size_t Heap::reclaim(const std::vector<Value> &Roots) {
   // elsewhere, or to cells already freed. The former are deduplicated
   // with the GcMark bit; the latter are skipped via the rc == 0 freed
   // marker, which release() maintains and whose header stays intact
-  // because the free-list link lives past it, in payload word 0.
+  // because the free-list link lives past it, in field word 0.
   // Reference counts are otherwise ignored: at a trap, everything
   // reachable is garbage.
   std::vector<Cell *> Work;
-  auto push = [&](Value V) {
-    Cell *C = nullptr;
-    if (V.Kind == ValueKind::HeapRef)
-      C = V.Ref;
-    else if (V.Kind == ValueKind::Token)
-      C = V.Tok;
+  auto push = [&](Word V) {
+    Cell *C = V.cellOrNull(); // a heap reference or a token
     if (!C || C->H.GcMark)
       return;
     int32_t Rc = C->H.Rc.load(std::memory_order_relaxed);
@@ -495,7 +491,7 @@ size_t Heap::reclaim(const std::vector<Value> &Roots) {
     C->H.GcMark = 1;
     Work.push_back(C);
   };
-  for (Value V : Roots)
+  for (Word V : Roots)
     push(V);
   for (size_t I = 0; I != Work.size(); ++I) {
     Cell *C = Work[I];

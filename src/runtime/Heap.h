@@ -155,14 +155,16 @@ public:
   /// immediates, shared counts, saturation, frees — takes the
   /// out-of-line *Slow twin, which re-derives the case from scratch.
   /// The split is profile-driven: these calls dominate the VM's
-  /// non-dispatch time on the Figure 9 set.
-  void dup(Value V) {
+  /// non-dispatch time on the Figure 9 set. An immediate is one tag test
+  /// (Word::isHeap); the empty word never reaches them.
+  void dup(Word V) {
     if (Sink == nullptr && Mode == HeapMode::Rc) {
       if (!V.isHeap()) {
         ++Stats.NonHeapRcOps;
         return;
       }
-      Cell *C = V.Ref;
+      assert(V.Bits != 0 && "dup of an empty register");
+      Cell *C = V.ref();
       int32_t Rc = C->H.Rc.load(std::memory_order_relaxed);
       assert(Rc != 0 && "dup of freed cell");
       if (Rc > 0 && Rc != INT32_MAX) {
@@ -176,13 +178,14 @@ public:
 
   /// Decrements; frees the cell and recursively drops its children when
   /// the count reaches zero.
-  void drop(Value V) {
+  void drop(Word V) {
     if (Sink == nullptr && Mode == HeapMode::Rc) {
       if (!V.isHeap()) {
         ++Stats.NonHeapRcOps;
         return;
       }
-      Cell *C = V.Ref;
+      assert(V.Bits != 0 && "drop of an empty register");
+      Cell *C = V.ref();
       int32_t Rc = C->H.Rc.load(std::memory_order_relaxed);
       assert(Rc != 0 && "drop of freed cell");
       if (Rc > 1) {
@@ -196,13 +199,14 @@ public:
 
   /// Decrements without the uniqueness fast path (the shared branch of a
   /// specialized drop). Still frees when a thread-shared count reaches 0.
-  void decref(Value V) {
+  void decref(Word V) {
     if (Sink == nullptr && Mode == HeapMode::Rc) {
       if (!V.isHeap()) {
         ++Stats.NonHeapRcOps;
         return;
       }
-      Cell *C = V.Ref;
+      assert(V.Bits != 0 && "decref of an empty register");
+      Cell *C = V.ref();
       int32_t Rc = C->H.Rc.load(std::memory_order_relaxed);
       assert(Rc != 0 && "decref of freed cell");
       if (Rc > 1) {
@@ -216,14 +220,14 @@ public:
 
   /// The `is-unique` test: true iff the count is exactly 1 and the value
   /// is not thread-shared.
-  bool isUnique(Value V) {
+  bool isUnique(Word V) {
     if (Sink == nullptr && Mode == HeapMode::Rc) {
       if (!V.isHeap()) {
         ++Stats.NonHeapRcOps;
         return false;
       }
       ++Stats.IsUniqueTests;
-      return V.Ref->H.Rc.load(std::memory_order_acquire) == 1;
+      return V.ref()->H.Rc.load(std::memory_order_acquire) == 1;
     }
     return isUniqueSlow(V);
   }
@@ -231,7 +235,14 @@ public:
   /// Marks \p V and everything reachable from it thread-shared
   /// (the paper's `tshare`): counts become negative and all further RC
   /// operations on them are atomic.
-  void markShared(Value V);
+  void markShared(Word V);
+
+  /// The same operations on a decoded value.
+  void dup(Value V) { dup(V.encode()); }
+  void drop(Value V) { drop(V.encode()); }
+  void decref(Value V) { decref(V.encode()); }
+  bool isUnique(Value V) { return isUnique(V.encode()); }
+  void markShared(Value V) { markShared(V.encode()); }
 
   //===--- Cross-thread sharing (src/parallel) -------------------------------//
 
@@ -344,14 +355,15 @@ public:
 
   //===--- Trap unwinding ---------------------------------------------------//
 
-  /// Frees every live cell reachable from \p Roots (HeapRef and Token
-  /// values; reuse tokens are freed without traversing their stale
-  /// fields' ownership — every reachable live cell is released exactly
-  /// once, regardless of its reference count). Used by the machine's
-  /// clean-unwind path: at a trap everything the machine still references
-  /// is garbage, and stale references to already-freed cells are skipped
-  /// via the freed marker (rc == 0). Returns the number of cells freed.
-  size_t reclaim(const std::vector<Value> &Roots);
+  /// Frees every live cell reachable from \p Roots (heap references and
+  /// tokens; empty words are skipped; reuse tokens are freed without
+  /// traversing their stale fields' ownership — every reachable live
+  /// cell is released exactly once, regardless of its reference count).
+  /// Used by the machine's clean-unwind path: at a trap everything the
+  /// machine still references is garbage, and stale references to
+  /// already-freed cells are skipped via the freed marker (rc == 0).
+  /// Returns the number of cells freed.
+  size_t reclaim(const std::vector<Word> &Roots);
 
   /// GC-mode unwind: releases every registered cell (at a trap there are
   /// no roots left, so all of them are garbage). Returns the count.
@@ -362,10 +374,10 @@ private:
   /// every case from scratch (telemetry sink, GC mode, immediates,
   /// shared/saturated counts, frees) so the inline wrappers can bail to
   /// them unconditionally without pre-classifying.
-  void dupSlow(Value V);
-  void dropSlow(Value V);
-  void decrefSlow(Value V);
-  bool isUniqueSlow(Value V);
+  void dupSlow(Word V);
+  void dropSlow(Word V);
+  void decrefSlow(Word V);
+  bool isUniqueSlow(Word V);
 
   Cell *allocRaw(uint32_t Arity);
   void release(Cell *C);
@@ -383,7 +395,7 @@ private:
 
   /// Free cells keep their header intact (rc == 0 marks them free, and
   /// the arity stays readable for the unwind walk); the free-list link
-  /// lives in payload word 0 — the shared cellFreeLink word the
+  /// lives in field word 0 — the shared cellFreeLink word the
   /// SharedCellPool's Treiber shards also use (a cell is on at most one
   /// list at a time).
   static Cell *&freeListNext(Cell *C) { return cellFreeLink(C); }
@@ -409,7 +421,7 @@ private:
   char *SlabEnd = nullptr;
   size_t SlabBytesHeld = 0;
 
-  // Per-arity free lists (payload word 0 of a free cell is the next
+  // Per-arity free lists (field word 0 of a free cell is the next
   // pointer).
   std::vector<Cell *> FreeLists;
 

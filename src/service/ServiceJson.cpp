@@ -111,6 +111,9 @@ std::string applyMember(const std::string &Key, const JsonValue &V,
       if (std::string Err = readInt(Item, Key, "integers only", N);
           !Err.empty())
         return Err;
+      if (!fitsInt(N))
+        return "key \"" + Key + "\" integer " + Item.Str +
+               " is outside the integer range " + IntRangeText;
       R.Args.push_back(Value::makeInt(N));
     }
     return "";

@@ -10,12 +10,14 @@
 /// under perceus and under perceus without drop specialization. For
 /// each, three 64-bit FNV-1a digests are compared against frozen values:
 /// every raw chunk, every peephole chunk (all Instr fields, frame sizes
-/// and capture slots of each), and the shared pools (constants, match
-/// tables, register lists, trap messages). The peephole report's
-/// instruction, fused and elided totals are pinned beside them. A change
-/// to the Perceus passes, the immediacy analysis, the compiler or the
-/// peephole that moves any of these must explain why. On a mismatch the
-/// test prints the row as it should now read.
+/// and capture slots of each), and the shared pools (constants in
+/// decoded form, match tables, register lists, trap messages). A tail
+/// call's direct mark is checked against its operand list instead of
+/// digested. The peephole report's instruction, fused and elided totals
+/// are pinned beside them. A change to the Perceus passes, the immediacy
+/// analysis, the compiler or the peephole that moves any of these must
+/// explain why. On a mismatch the test prints the row as it should now
+/// read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,13 +45,29 @@ struct Fnv {
   }
 };
 
+bool isTailCall(const Instr &I) {
+  return I.O == Op::TailCall || I.O == Op::TailCallStatic;
+}
+
+/// A tail call's B (its direct mark) as its operand list implies it: 1
+/// when no entry J names a register below J.
+uint16_t directMark(const CompiledProgram &CP, const Instr &I) {
+  for (uint32_t J = 0; J != I.A; ++J)
+    if (CP.RegLists[I.E + J] < J)
+      return 0;
+  return 1;
+}
+
+/// A tail call's B is left out: it follows from the list (checked on its
+/// own by directMark), so the digests pin everything else.
 void addChunks(Fnv &D, const std::vector<Chunk> &Chunks) {
   D.add(Chunks.size());
   for (const Chunk &Ch : Chunks) {
     D.add(Ch.Code.size());
     for (const Instr &I : Ch.Code) {
-      D.add(static_cast<uint64_t>(I.O) | uint64_t(I.A) << 8 |
-            uint64_t(I.B) << 16 | uint64_t(I.C) << 32 | uint64_t(I.D) << 48);
+      uint64_t B = isTailCall(I) ? 0 : I.B;
+      D.add(static_cast<uint64_t>(I.O) | uint64_t(I.A) << 8 | B << 16 |
+            uint64_t(I.C) << 32 | uint64_t(I.D) << 48);
       D.add(I.E);
     }
     D.add(Ch.NumRegs);
@@ -65,7 +83,8 @@ void addChunks(Fnv &D, const std::vector<Chunk> &Chunks) {
 
 void addPools(Fnv &D, const CompiledProgram &CP) {
   D.add(CP.Consts.size());
-  for (const Value &V : CP.Consts) {
+  for (Word W : CP.Consts) { // digested in decoded form
+    Value V = Value::decode(W);
     D.add(static_cast<uint64_t>(V.Kind));
     D.add(V.Bits);
   }
@@ -183,6 +202,13 @@ TEST(BytecodeGolden, EveryBuiltinProgramCompilesAsFrozen) {
       addChunks(Peep, CP.Funcs);
       addChunks(Peep, CP.Lams);
       addPools(Pools, CP);
+      for (const std::vector<Chunk> *Chunks :
+           {&CP.RawFuncs, &CP.RawLams, &CP.Funcs, &CP.Lams})
+        for (const Chunk &Ch : *Chunks)
+          for (const Instr &I : Ch.Code)
+            if (isTailCall(I)) {
+              EXPECT_EQ(I.B, directMark(CP, I)) << Name << " " << ConfigName;
+            }
       uint64_t Instrs = 0;
       for (const PeepholeChunkStats &S : A->Peephole.Chunks)
         Instrs += S.After;

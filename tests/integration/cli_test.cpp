@@ -85,17 +85,16 @@ TEST(PercCli, ParallelWorkerTrapsExitNonZero) {
 }
 
 TEST(PercCli, OverflowBoundaryTrapsExitNonZero) {
-  // INT64_MIN / -1, INT64_MIN % -1 and -INT64_MIN overflow the int64
-  // result (undefined behaviour if executed natively); the pinned
-  // contract is a structured trap — exit 1, not a crash and not a
-  // wrapped value — on both VM tiers.
+  // IntMin / -1, IntMin % -1 and -IntMin overflow the VM's 63-bit
+  // integers; the pinned contract is a structured trap — exit 1, not a
+  // crash and not a wrapped value — on both VM tiers.
   std::string Div = testing::TempDir() + "/overflow_div.perc";
   std::ofstream(Div) << "fun main(a, b) { a / b }\n";
   std::string Mod = testing::TempDir() + "/overflow_mod.perc";
   std::ofstream(Mod) << "fun main(a, b) { a % b }\n";
   std::string Neg = testing::TempDir() + "/overflow_neg.perc";
   std::ofstream(Neg) << "fun main(n) { -n }\n";
-  const std::string IntMin = "-9223372036854775808";
+  const std::string IntMin = "-4611686018427387904";
   for (const std::string E : Tiers) {
     EXPECT_EQ(runPerc(Div + " " + E + " " + IntMin + " -1"), 1) << E;
     EXPECT_EQ(runPerc(Mod + " " + E + " " + IntMin + " -1"), 1) << E;
@@ -149,17 +148,17 @@ TEST(PercCli, OverWideProgramsAreCompileErrorsOnBothTiers) {
 }
 
 TEST(PercCli, AddSubMulOverflowTrapsWithItsMessage) {
-  // + - * whose exact result leaves int64 trap instead of wrapping (and
-  // instead of executing the undefined C++ operation), on both VM
-  // tiers; the constant forms run fused on the peephole VM.
+  // + - * whose exact result leaves the 63-bit range trap instead of
+  // wrapping, on both VM tiers; the constant forms run fused on the
+  // peephole VM.
   struct Case {
     const char *Name;
     const char *Source;
     std::string Args;
     const char *Msg;
   };
-  const std::string Max = "9223372036854775807";
-  const std::string Min = "-9223372036854775808";
+  const std::string Max = "4611686018427387903";
+  const std::string Min = "-4611686018427387904";
   std::vector<Case> Cases = {
       {"add", "fun main(a, b) { a + b }", Max + " 1", "in addition"},
       {"sub", "fun main(a, b) { a - b }", Min + " 1", "in subtraction"},
@@ -189,6 +188,7 @@ TEST(PercCli, BadFlagValuesAreRejected) {
   // nor a count is clamped, wrapped or read as zero.
   for (const char *Args :
        {" abc", " 99999999999999999999", " -9223372036854775809",
+        " 4611686018427387904", " -4611686018427387905",
         " --fuel=99999999999999999999 3", " --fuel=-1 3",
         " --max-depth=abc 3"})
     EXPECT_EQ(runPerc(prog("hello.perc") + Args), 1) << Args;
@@ -394,8 +394,8 @@ TEST(PercCli, ServeModeCarriesTheTrapMessageAndTheAnswer) {
     int Exit = -1;
     std::vector<std::string> Lines = runPercServe(
         Div + " --serve" + E,
-        "{\"entry\":\"main\",\"args\":[-9223372036854775808,-1]}\n"
-        "{\"entry\":\"main\",\"args\":[-9223372036854775808,2]}\n"
+        "{\"entry\":\"main\",\"args\":[-4611686018427387904,-1]}\n"
+        "{\"entry\":\"main\",\"args\":[-4611686018427387904,2]}\n"
         "{\"entry\":\"main\",\"args\":[10,0]}\n",
         Exit);
     EXPECT_EQ(Exit, 0) << E;
@@ -407,7 +407,7 @@ TEST(PercCli, ServeModeCarriesTheTrapMessageAndTheAnswer) {
     EXPECT_NE(Overflow.find("\"result\":null"), std::string::npos)
         << E << ": " << Overflow;
     std::string Clean = lineWithSeq(Lines, 2);
-    EXPECT_NE(Clean.find("\"result\":-4611686018427387904,"),
+    EXPECT_NE(Clean.find("\"result\":-2305843009213693952,"),
               std::string::npos)
         << E << ": " << Clean;
     EXPECT_NE(Clean.find("\"error\":\"\""), std::string::npos)
@@ -635,14 +635,49 @@ TEST(PercCli, ExponentialMatchesAreCompileErrorsOnBothTiers) {
   }
 }
 
+TEST(PercCli, SixtyFourBitOperandsAreArgumentErrorsNamingTheRange) {
+  // An operand past the 63-bit range never reaches the VM: it is an
+  // argument error (exit 1) whose message names the range, on both
+  // tiers, and a served request line carrying one is a bad-request.
+  const std::string Range =
+      "is outside the integer range "
+      "[-4611686018427387904, 4611686018427387903]";
+  std::string File = testing::TempDir() + "/wide_operand.perc";
+  std::ofstream(File) << "fun main(a, b) { a + b }\n";
+  for (const char *Operand : {"9223372036854775807", "-9223372036854775808",
+                              "4611686018427387904"}) {
+    for (const std::string E : Tiers) {
+      int Exit = -1;
+      std::string Out =
+          runPercCapture(File + E + " " + Operand + " 0", Exit);
+      EXPECT_EQ(Exit, 1) << Operand << E;
+      EXPECT_NE(Out.find(Range), std::string::npos)
+          << Operand << E << ": " << Out;
+    }
+  }
+  int Exit = -1;
+  std::vector<std::string> Lines =
+      runPercServe(File + " --serve",
+                   "main 4611686018427387904 0\n"
+                   "{\"entry\":\"main\",\"args\":[-4611686018427387905,0]}\n",
+                   Exit);
+  EXPECT_EQ(Exit, 0);
+  ASSERT_EQ(Lines.size(), 2u);
+  for (const std::string &L : Lines) {
+    EXPECT_NE(L.find("\"status\":\"bad-request\""), std::string::npos) << L;
+    EXPECT_NE(L.find(Range), std::string::npos) << L;
+  }
+}
+
 TEST(PercCli, OutOfRangeIntegerLiteralsAreCompileErrors) {
-  // A literal past INT64_MAX is one diagnostic at the literal (exit 1),
-  // never a wrapped value; a serving process answers each request with a
-  // structured compile-error and lives on.
+  // A literal past IntMax (2^62 - 1) is one diagnostic at the literal
+  // (exit 1), never a wrapped value; a serving process answers each
+  // request with a structured compile-error and lives on.
   const std::string Msg =
-      "integer literal is out of range (at most 9223372036854775807)";
+      "integer literal is out of range (at most 4611686018427387903)";
   for (const char *Literal :
-       {"9223372036854775808", "99999999999999999999"}) {
+       {"4611686018427387904", "9223372036854775808",
+        "99999999999999999999"}) {
     std::string File = testing::TempDir() + "/big_literal.perc";
     std::ofstream(File) << "fun main(n) { " << Literal << " }\n";
     for (const std::string E : Tiers) {
@@ -663,13 +698,13 @@ TEST(PercCli, OutOfRangeIntegerLiteralsAreCompileErrors) {
       EXPECT_NE(L.find(Msg), std::string::npos) << Literal << ": " << L;
     }
   }
-  // INT64_MAX itself is in range.
+  // IntMax itself is in range.
   std::string File = testing::TempDir() + "/max_literal.perc";
-  std::ofstream(File) << "fun main(n) { 9223372036854775807 }\n";
+  std::ofstream(File) << "fun main(n) { 4611686018427387903 }\n";
   int Exit = -1;
   std::string Out = runPercCapture(File + " 3", Exit);
   EXPECT_EQ(Exit, 0) << Out;
-  EXPECT_NE(Out.find("9223372036854775807"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("4611686018427387903"), std::string::npos) << Out;
 }
 
 TEST(PercCli, ServedResponsesStayUtf8WhateverTheSourceHolds) {

@@ -9,6 +9,7 @@
 #include "DeepPrograms.h"
 #include "ir/Program.h"
 #include "lang/Resolver.h"
+#include "runtime/Value.h"
 
 #include <gtest/gtest.h>
 
@@ -223,23 +224,26 @@ TEST(Parser, DepthIsCountedPerFunction) {
   parseOk(Src);
 }
 
-TEST(Parser, IntegerLiteralsReachInt64Max) {
-  SModule M = parseOk("fun f(x) { match x { 9223372036854775807 -> 1; "
-                      "-9223372036854775807 -> 2; _ -> 9223372036854775807 } }");
+TEST(Parser, IntegerLiteralsReachIntMax) {
+  // IntMax, 2^62 - 1, the VM's largest integer (runtime/Value.h).
+  SModule M = parseOk("fun f(x) { match x { 4611686018427387903 -> 1; "
+                      "-4611686018427387903 -> 2; "
+                      "_ -> 4611686018427387903 } }");
   const SExpr &Match = *M.Funs[0].Body->Stmts[0].E;
   ASSERT_EQ(Match.Arms.size(), 3u);
-  EXPECT_EQ(Match.Arms[0].Pat->Int, INT64_MAX);
-  EXPECT_EQ(Match.Arms[1].Pat->Int, -INT64_MAX);
-  EXPECT_EQ(Match.Arms[2].Body->Int, INT64_MAX);
+  EXPECT_EQ(Match.Arms[0].Pat->Int, IntMax);
+  EXPECT_EQ(Match.Arms[1].Pat->Int, -IntMax);
+  EXPECT_EQ(Match.Arms[2].Body->Int, IntMax);
 }
 
 TEST(Parser, OutOfRangeIntegerLiteralsAreOneDiagnostic) {
-  // Past INT64_MAX the digits would overflow; each literal is one error
-  // at the literal, in expression and in pattern position.
+  // Past IntMax a literal is one error at the literal, in expression and
+  // in pattern position, whether or not its digits overflow int64.
   const std::string Msg =
-      "integer literal is out of range (at most 9223372036854775807)";
+      "integer literal is out of range (at most 4611686018427387903)";
   for (const char *Literal :
-       {"9223372036854775808", "123456789012345678901234567890"}) {
+       {"4611686018427387904", "9223372036854775808",
+        "123456789012345678901234567890"}) {
     for (std::string Src :
          {"fun f() { " + std::string(Literal) + " }",
           "fun f(x) { match x { -" + std::string(Literal) + " -> 1; _ -> 0 } }"}) {

@@ -246,18 +246,18 @@ TEST(Frontend, TrapStillAnswersStructuredWithEmptyHeap) {
 }
 
 TEST(Frontend, IntMinDivOverflowTrapsStructuredOnALiveServer) {
-  // INT64_MIN / -1 through the full socket stack: the overflow must
-  // come back as a structured runtime-error trap — a live response with
-  // an empty worker heap, not a crashed or wedged server — whether the
-  // request names the engine or not, and the connection must stay
-  // usable afterwards.
+  // IntMin / -1 (the VM's 63-bit edge) through the full socket stack:
+  // the overflow must come back as a structured runtime-error trap — a
+  // live response with an empty worker heap, not a crashed or wedged
+  // server — whether the request names the engine or not, and the
+  // connection must stay usable afterwards.
   FrontEndConfig FC;
   Fixture F(FC, "fun main(a, b) { a / b }", "main");
   for (const char *Engine : {"", "\"engine\":\"vm\","}) {
     Client C(F.port());
     ASSERT_TRUE(C.ok());
     std::string Req = std::string("{\"entry\":\"main\",") + Engine +
-                      "\"args\":[-9223372036854775808,-1]}";
+                      "\"args\":[-4611686018427387904,-1]}";
     ASSERT_TRUE(C.sendFrame(FrameMode::Line, Req));
     std::string Payload;
     ASSERT_TRUE(C.recvFrame(FrameMode::Line, Payload));
@@ -283,14 +283,14 @@ TEST(Frontend, IntMinDivOverflowTrapsStructuredOnALiveServer) {
     ASSERT_TRUE(C.sendFrame(
         FrameMode::Line,
         std::string("{\"entry\":\"main\",") + Engine +
-            "\"args\":[-9223372036854775808,2]}"));
+            "\"args\":[-4611686018427387904,2]}"));
     ASSERT_TRUE(C.recvFrame(FrameMode::Line, Payload));
     Doc = parseWire(Payload);
     ASSERT_TRUE(Doc.has_value());
     Run = Doc->find("run", JsonValue::Kind::Object);
     ASSERT_NE(Run, nullptr);
     EXPECT_TRUE(Run->find("ok", JsonValue::Kind::Bool)->B);
-    EXPECT_NE(Payload.find("\"result\":-4611686018427387904,"),
+    EXPECT_NE(Payload.find("\"result\":-2305843009213693952,"),
               std::string::npos)
         << Payload;
     EXPECT_EQ(serviceObj(*Doc)->find("error", JsonValue::Kind::String)->Str,

@@ -7,12 +7,14 @@
 #include "runtime/Heap.h"
 
 #include "eval/Runner.h"
+#include "ir/Program.h"
 #include "programs/Programs.h"
 #include "support/FaultInjector.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -26,6 +28,14 @@ Value mkCell(Heap &H, uint32_t Arity, uint32_t Tag = 0) {
   for (uint32_t I = 0; I != Arity; ++I)
     C->fields()[I] = Value::unit();
   return Value::makeRef(C);
+}
+
+/// Heap::reclaim over roots in decoded form.
+size_t reclaim(Heap &H, std::initializer_list<Value> Roots) {
+  std::vector<Word> Words;
+  for (Value V : Roots)
+    Words.push_back(V.encode());
+  return H.reclaim(Words);
 }
 
 TEST(Heap, AllocInitializesHeader) {
@@ -701,7 +711,7 @@ TEST(HeapReclaim, FreesAReachableGraph) {
   Cell *Root = H.alloc(2, 0, CellKind::Ctor);
   Root->fields()[0] = Value::makeRef(A);
   Root->fields()[1] = Value::makeRef(B);
-  EXPECT_EQ(H.reclaim({Value::makeRef(Root)}), 4u);
+  EXPECT_EQ(reclaim(H, {Value::makeRef(Root)}), 4u);
   EXPECT_TRUE(H.empty());
   EXPECT_EQ(H.stats().UnwindFrees, 4u);
 }
@@ -715,7 +725,7 @@ TEST(HeapReclaim, SkipsStaleReferencesToFreedCells) {
   H.drop(Dead); // freed; the stale Value still points at the cell
   // Different size class, so Dead's cell is not recycled and stays freed.
   Value Live = mkCell(H, 0);
-  EXPECT_EQ(H.reclaim({Dead, Live, Dead}), 1u);
+  EXPECT_EQ(reclaim(H, {Dead, Live, Dead}), 1u);
   EXPECT_TRUE(H.empty());
 }
 
@@ -723,7 +733,7 @@ TEST(HeapReclaim, DedupsAliasedRoots) {
   Heap H;
   Value V = mkCell(H, 1);
   V.Ref->fields()[0] = Value::makeInt(1);
-  EXPECT_EQ(H.reclaim({V, V, V}), 1u);
+  EXPECT_EQ(reclaim(H, {V, V, V}), 1u);
   EXPECT_TRUE(H.empty());
 }
 
@@ -739,13 +749,13 @@ TEST(HeapReclaim, FreesReuseTokensWithoutChasingStaleFields) {
   Parent->fields()[1] = ChildB;
   H.dropChildren(Parent); // the drop-reuse unique path
   EXPECT_EQ(H.stats().LiveCells, 1u);
-  EXPECT_EQ(H.reclaim({Value::makeToken(Parent)}), 1u);
+  EXPECT_EQ(reclaim(H, {Value::makeToken(Parent)}), 1u);
   EXPECT_TRUE(H.empty());
 }
 
 TEST(HeapReclaim, NullTokenAndImmediatesAreIgnored) {
   Heap H;
-  EXPECT_EQ(H.reclaim({Value::makeToken(nullptr), Value::makeInt(7),
+  EXPECT_EQ(reclaim(H, {Value::makeToken(nullptr), Value::makeInt(7),
                        Value::makeBool(true), Value::unit(),
                        Value::makeEnum(0, 1), Value::makeFnRef(2)}),
             0u);
@@ -929,7 +939,7 @@ TEST(HeapTrim, TrimBoundsRetainedBytesAfterAPeak) {
   constexpr size_t OneSlab = 256 * 1024;
   Heap H;
   std::vector<Value> Cells;
-  for (int I = 0; I != 40000; ++I) // ~40k cells × ≥32B ≫ one slab
+  for (int I = 0; I != 50000; ++I) // 50k cells × 24 B ≫ one slab
     Cells.push_back(mkCell(H, 2));
   size_t Peak = H.retainedBytes();
   EXPECT_GT(Peak, 4u * OneSlab);
@@ -1109,7 +1119,7 @@ TEST(HeapCoalesce, ReclaimFlushesBufferedDeltasFirst) {
   H.markShared(V);
   H.decref(V);
   EXPECT_EQ(H.stats().Frees, 0u);
-  size_t Freed = H.reclaim({V});
+  size_t Freed = reclaim(H, {V});
   EXPECT_TRUE(H.empty());
   EXPECT_EQ(H.stats().Frees, 1u);
   // The flush freed it; the unwind walk found only the freed marker.
@@ -1160,64 +1170,98 @@ TEST(HeapTrim, WidestCellFitsOneSlab) {
 
 //===--- Cell layout -------------------------------------------------------===//
 
-TEST(CellLayout, EveryValueKindRoundTripsThroughAField) {
-  Heap H;
-  int Anchor = 0;
-  Cell *Child = H.alloc(0, 0, CellKind::Ctor);
-  const std::vector<Value> Vals = {
+/// Every kind at its extremes: the 63-bit integer edges, the largest
+/// DataId and constructor tag the resolver admits, the largest function
+/// id a program may have, both tokens, a closure code pointer.
+std::vector<Value> extremeValues(Cell *Child, const void *Code) {
+  return {
       Value::unit(),
-      Value::makeInt(INT64_MIN),
-      Value::makeInt(INT64_MAX),
+      Value::makeInt(IntMax),
+      Value::makeInt(IntMin),
+      Value::makeInt(0),
       Value::makeInt(-1),
       Value::makeBool(true),
       Value::makeBool(false),
-      Value::makeEnum(0xfffffffeu, 0xabcdu), // high DataId bits set
-      Value::makeFnRef(0xffffffffu),
+      Value::makeEnum(InvalidId - 1, MaxTypeCtors - 1),
+      Value::makeEnum(0, 0),
+      Value::makeFnRef(65535),
       Value::makeRef(Child),
       Value::makeToken(nullptr),
       Value::makeToken(Child),
-      Value::makeRaw(&Anchor),
+      Value::makeRaw(Code),
   };
+}
+
+TEST(CellLayout, EveryValueKindRoundTripsThroughAWord) {
+  Heap H;
+  alignas(8) static const char Code[8] = {};
+  Cell *Child = H.alloc(0, 0, CellKind::Ctor);
+  const std::vector<Value> Vals = extremeValues(Child, Code);
+  std::vector<uint64_t> Words;
+  for (const Value &V : Vals) {
+    Word W = V.encode();
+    EXPECT_EQ(W.kind(), V.Kind) << W.Bits;
+    Value Back = Value::decode(W);
+    EXPECT_EQ(Back.Kind, V.Kind) << W.Bits;
+    EXPECT_EQ(Back.Bits, V.Bits) << W.Bits;
+    EXPECT_EQ(W.isHeap(), V.Kind == ValueKind::HeapRef) << W.Bits;
+    EXPECT_NE(W.Bits, 0u) << "no value is the empty word";
+    Words.push_back(W.Bits);
+  }
+  std::sort(Words.begin(), Words.end());
+  EXPECT_EQ(std::unique(Words.begin(), Words.end()), Words.end())
+      << "distinct values have distinct words";
+  EXPECT_EQ(Value::decode(Value::makeInt(IntMax).encode()).Int, IntMax);
+  EXPECT_EQ(Value::decode(Value::makeInt(IntMin).encode()).Int, IntMin);
+  EXPECT_EQ(Word::makeInt(IntMin).asInt(), IntMin);
+  EXPECT_EQ(Value::decode(Vals[7].encode()).enumTag(), MaxTypeCtors - 1);
+  EXPECT_EQ(Value::decode(Vals[7].encode()).Bits >> 32, InvalidId - 1);
+  EXPECT_EQ(Value::decode(Vals[9].encode()).fnId(), 65535u);
+  EXPECT_EQ(Value::decode(Vals[11].encode()).Tok, nullptr);
+  EXPECT_EQ(Value::decode(Vals[12].encode()).Tok, Child);
+  EXPECT_EQ(Value::decode(Vals[13].encode()).rawPtr(), Code);
+  // The empty word a fresh frame holds reads as unit.
+  EXPECT_EQ(Value::decode(Word{}).Kind, ValueKind::Unit);
+  EXPECT_EQ(Word{}.cellOrNull(), nullptr);
+  H.drop(Value::makeRef(Child));
+  EXPECT_TRUE(H.empty());
+}
+
+TEST(CellLayout, EveryValueKindRoundTripsThroughAField) {
+  Heap H;
+  alignas(8) static const char Code[8] = {};
+  Cell *Child = H.alloc(0, 0, CellKind::Ctor);
+  const std::vector<Value> Vals = extremeValues(Child, Code);
   Cell *C = H.alloc(static_cast<uint32_t>(Vals.size()), 0, CellKind::Ctor);
   for (uint32_t J = 0; J != Vals.size(); ++J)
-    C->setField(J, Vals[J]);
+    C->fields()[J] = Vals[J];
   for (uint32_t J = 0; J != Vals.size(); ++J) {
-    Value V = C->field(J);
+    Value V = C->fields()[J];
     EXPECT_EQ(V.Kind, Vals[J].Kind) << J;
     EXPECT_EQ(V.Bits, Vals[J].Bits) << J;
+    EXPECT_EQ(C->field(J), Vals[J].encode()) << J;
   }
-  EXPECT_EQ(C->field(1).Int, INT64_MIN);
-  EXPECT_EQ(C->field(2).Int, INT64_MAX);
-  EXPECT_TRUE(C->field(4).asBool());
-  EXPECT_EQ(C->field(6).enumTag(), 0xabcdu);
-  EXPECT_EQ(C->field(6).Bits >> 32, 0xfffffffeu);
-  EXPECT_EQ(C->field(7).fnId(), 0xffffffffu);
-  EXPECT_EQ(C->field(8).Ref, Child);
-  EXPECT_EQ(C->field(9).Tok, nullptr);
-  EXPECT_EQ(C->field(10).Tok, Child);
-  EXPECT_EQ(C->field(11).rawPtr(), &Anchor);
   // The proxy reads and writes the same storage.
-  Value Via = C->fields()[2];
-  EXPECT_EQ(Via.Int, INT64_MAX);
-  C->fields()[3] = C->fields()[1];
-  EXPECT_EQ(C->field(3).Int, INT64_MIN);
+  Value Via = C->fields()[1];
+  EXPECT_EQ(Via.Int, IntMax);
+  C->fields()[3] = C->fields()[2];
+  EXPECT_EQ(Value(C->fields()[3]).Int, IntMin);
   // Dropping the cell follows the one HeapRef field, not the tokens.
   H.drop(Value::makeRef(C));
   EXPECT_TRUE(H.empty());
 }
 
 TEST(CellLayout, FieldWritesStayInTheirOwnSlot) {
-  // At every arity, writing one field leaves every other payload word
-  // and kind byte alone (the kind row sits right after the last word).
+  // At every arity, writing one field leaves every other field alone.
   Heap H;
   for (uint32_t A = 1; A != 10; ++A) {
     Cell *C = H.alloc(A, 0, CellKind::Ctor);
     for (uint32_t J = 0; J != A; ++J)
-      C->setField(J, Value::makeInt(-int64_t(J) - 1));
+      C->setField(J, Word::makeInt(-int64_t(J) - 1));
     for (uint32_t J = 0; J != A; ++J) {
-      C->setField(J, Value::makeBool(true));
+      C->setField(J, Word::makeBool(true));
       for (uint32_t K = 0; K != A; ++K) {
-        Value V = C->field(K);
+        Value V = C->fields()[K];
         if (K == J) {
           EXPECT_EQ(V.Kind, ValueKind::Bool);
         } else {
@@ -1225,20 +1269,19 @@ TEST(CellLayout, FieldWritesStayInTheirOwnSlot) {
           EXPECT_EQ(V.Int, -int64_t(K) - 1);
         }
       }
-      C->setField(J, Value::makeInt(-int64_t(J) - 1));
+      C->setField(J, Word::makeInt(-int64_t(J) - 1));
     }
     H.drop(Value::makeRef(C));
   }
   EXPECT_TRUE(H.empty());
 }
 
-TEST(CellLayout, AllocSizeIsHeaderPlusNineBytesPerFieldRounded) {
-  // 8-byte header, 8-byte payload + 1 kind byte per field, rounded up to
-  // 8 with a 16-byte minimum.
-  const size_t Expected[] = {16, 24, 32, 40, 48, 56, 64, 72, 80};
+TEST(CellLayout, AllocSizeIsHeaderPlusOneWordPerField) {
+  // 8-byte header, one 8-byte word per field, with a 16-byte minimum.
+  const size_t Expected[] = {16, 16, 24, 32, 40, 48, 56, 64, 72};
   for (uint32_t A = 0; A != 9; ++A)
     EXPECT_EQ(Cell::allocSize(A), Expected[A]) << A;
-  EXPECT_EQ(Cell::allocSize(255), 2304u);
+  EXPECT_EQ(Cell::allocSize(255), 2048u);
 }
 
 TEST(CellLayout, FreedCellKeepsHeaderAndLinksThroughPayloadWordZero) {
@@ -1274,10 +1317,11 @@ TEST(CellLayout, WidestCellRoundTrips) {
                  : Value::makeEnum(J, J + 1);
   };
   for (uint32_t J = 0; J != UINT8_MAX; ++J)
-    C->setField(J, valueAt(J));
+    C->fields()[J] = valueAt(J);
   for (uint32_t J = 0; J != UINT8_MAX; ++J) {
-    EXPECT_EQ(C->field(J).Kind, valueAt(J).Kind) << J;
-    EXPECT_EQ(C->field(J).Bits, valueAt(J).Bits) << J;
+    Value V = C->fields()[J];
+    EXPECT_EQ(V.Kind, valueAt(J).Kind) << J;
+    EXPECT_EQ(V.Bits, valueAt(J).Bits) << J;
   }
   EXPECT_EQ(C->H.Arity, UINT8_MAX);
   EXPECT_EQ(H.stats().LiveBytes, Cell::allocSize(UINT8_MAX));
@@ -1287,8 +1331,8 @@ TEST(CellLayout, WidestCellRoundTrips) {
 
 TEST(CellLayout, Figure9PeakBytesArePinnedOnBothVmTiers) {
   // The paper's memory column at small n under the perceus config. The
-  // peaks are the cell layout's footprint, so they are the same on the
-  // raw and the peepholed VM.
+  // peaks are the cell layout's footprint (8 + 8·arity bytes a cell), so
+  // they are the same on the raw and the peepholed VM.
   struct Case {
     const char *Source;
     const char *Entry;
@@ -1296,11 +1340,11 @@ TEST(CellLayout, Figure9PeakBytesArePinnedOnBothVmTiers) {
     size_t PeakBytes;
   };
   const Case Cases[] = {
-      {rbtreeSource(), "bench_rbtree", 120, 6720},
-      {rbtreeCkSource(), "bench_rbtree_ck", 60, 7696},
-      {derivSource(), "bench_deriv", 4, 896},
-      {nqueensSource(), "bench_nqueens", 6, 5696},
-      {cfoldSource(), "bench_cfold", 6, 3552},
+      {rbtreeSource(), "bench_rbtree", 120, 5760},
+      {rbtreeCkSource(), "bench_rbtree_ck", 60, 6552},
+      {derivSource(), "bench_deriv", 4, 656},
+      {nqueensSource(), "bench_nqueens", 6, 4272},
+      {cfoldSource(), "bench_cfold", 6, 2536},
   };
   for (const Case &C : Cases) {
     for (bool Peephole : {false, true}) {

@@ -574,6 +574,9 @@ TEST(ServiceRequestJson, WrongTypesNameTheKey) {
       // Integers past int64_t are errors too, never clamped to a bound.
       {R"({"entry":"m","args":[99999999999999999999]})", "args"},
       {R"({"entry":"m","args":[1,-9223372036854775809]})", "args"},
+      // So are integers past the VM's 63-bit range.
+      {R"({"entry":"m","args":[4611686018427387904]})", "args"},
+      {R"({"entry":"m","args":[1,-4611686018427387905]})", "args"},
       {R"({"entry":"m","fuel":99999999999999999999})", "fuel"},
       {R"({"entry":"m","max_heap":18446744073709551616})", "max_heap"},
   };
@@ -586,18 +589,19 @@ TEST(ServiceRequestJson, WrongTypesNameTheKey) {
   }
 }
 
-TEST(ServiceRequestJson, Int64BoundsAreInRange) {
-  // The range check stops exactly past the int64_t bounds.
+TEST(ServiceRequestJson, BoundsAreInRange) {
+  // The range check stops exactly past the VM's 63-bit integers for
+  // arguments and past the int64_t bounds for counts.
   ServiceRequest R;
   std::string Err;
   ASSERT_TRUE(parseServiceRequestJson(
-      R"({"entry":"m","args":[9223372036854775807,-9223372036854775808],)"
+      R"({"entry":"m","args":[4611686018427387903,-4611686018427387904],)"
       R"("fuel":9223372036854775807})",
       R, Err))
       << Err;
   ASSERT_EQ(R.Args.size(), 2u);
-  EXPECT_EQ(R.Args[0].Int, INT64_MAX);
-  EXPECT_EQ(R.Args[1].Int, INT64_MIN);
+  EXPECT_EQ(R.Args[0].Int, IntMax);
+  EXPECT_EQ(R.Args[1].Int, IntMin);
   EXPECT_EQ(R.Limits.Fuel, uint64_t(INT64_MAX));
 }
 
